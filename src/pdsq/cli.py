@@ -22,6 +22,7 @@ from .pipeline import (
     SECTORS,
     RunConfig,
     build_problem,
+    energy_vs_order,
     measurement_ladder,
     run_pipeline,
     unique_measured_strings,
@@ -181,7 +182,7 @@ def cmd_moments(args) -> int:
     cfg = build_run_config(args)
     problem = build_problem(cfg)
     ctx = problem.sectors[args.sector]
-    table = moments_for_state(problem.hamiltonian, ctx.state, cfg.k_max, problem.cache)
+    table = moments_for_state(problem.hamiltonian, ctx.state, cfg.k_max)
     counts = unique_string_count(problem.hamiltonian, 2 * cfg.k_max - 1, problem.cache)
     print("power,cumulative_unique,moment_value")
     for n in range(1, 2 * cfg.k_max):
@@ -196,7 +197,7 @@ def cmd_pds(args) -> int:
     tables = {}
     for sector in SECTORS:
         ctx = problem.sectors[sector]
-        table = moments_for_state(problem.hamiltonian, ctx.state, cfg.k_max, problem.cache)
+        table = moments_for_state(problem.hamiltonian, ctx.state, cfg.k_max)
         tables[sector] = table
         results[sector] = polynomial_roots(build_system(table, cfg.k_max).X)
         resolved = len(results[sector].roots)
@@ -216,11 +217,9 @@ def cmd_pds(args) -> int:
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write("K,S0,S1,T0\n")
-            for k in range(1, cfg.k_max + 1):
-                rs = polynomial_roots(build_system(tables["singlet"], k).X)
-                rt = polynomial_roots(build_system(tables["triplet"], k).X)
-                s1 = rs.roots[1] if len(rs.roots) > 1 else float("nan")
-                fh.write(f"{k},{rs.roots[0]:.9f},{s1:.9f},{rt.roots[0]:.9f}\n")
+            rows = energy_vs_order(tables["singlet"], tables["triplet"], cfg.k_max)
+            for k, s0, s1, t0 in rows:
+                fh.write(f"{k},{s0:.9f},{s1:.9f},{t0:.9f}\n")
         print(f"wrote {args.csv}")
     return 0
 

@@ -2,13 +2,13 @@
 
 Powers are computed iteratively (H^n = H^{n-1} * H) with simplification at
 every step and cached, since the string ledger up to order 2K-1 reuses the
-same ladder.  The unique-string ledger counts every distinct Pauli string
-across the powers, excluding the identity, whose expectation never needs a
-circuit.
+same ladder.  The ledger is read off the powers' (x, z) mask arrays: it
+holds every distinct Pauli string across H^1..H^n, excluding the identity,
+whose expectation never needs a circuit, with the first power it appears in.
 
-Exact moments of a state come from one Lanczos recurrence instead of the
-powers: K matvecs of H build an orthonormal Krylov basis Q and the Jacobi
-matrix T, with H^k|psi> = Q T^k e_0, so <H^{2k}> = |H^k psi|^2 and
+Exact moments of a state need no powers at all: they come from one Lanczos
+recurrence.  K matvecs of H build an orthonormal Krylov basis Q and the
+Jacobi matrix T, with H^k|psi> = Q T^k e_0, so <H^{2k}> = |H^k psi|^2 and
 <H^{2k+1}> = <H^k psi|H|H^k psi> follow from T.  The recurrence is kept in
 the table, since it fixes the PDS roots far more stably than the moments do
 (Golub & Welsch, Math. Comp. 23, 221 (1969)).
@@ -23,7 +23,7 @@ import numpy as np
 # exact_expectation is not called here, but the benchmark's tracer
 # (benchmarks/tracer.py) rebinds it in this module, so the name stays.
 from .backend import StateVector, apply_pauli_sum, exact_expectation  # noqa: F401
-from .pauli import PauliString, PauliSum, multiply_sums
+from .pauli import PauliSum, multiply_sums
 
 
 # Lanczos stops once an off-diagonal falls below this fraction of the
@@ -106,7 +106,7 @@ class Recurrence:
 
 @dataclass(frozen=True)
 class MomentTable:
-    """Moments <H^n> for n = 0..2K-1 plus the per-power string bookkeeping.
+    """Moments <H^n> for n = 0..2K-1.
 
     Exact tables also carry the Lanczos recurrence the moments came from, of
     order min(K, dimension of the state's Krylov space); tables built from
@@ -115,49 +115,22 @@ class MomentTable:
 
     K: int
     values: np.ndarray  # length 2K, values[0] == 1
-    per_power_strings: tuple[frozenset[PauliString], ...]
-    unique_strings: frozenset[PauliString]
     recurrence: Recurrence | None = None
 
     @property
     def max_power(self) -> int:
         return 2 * self.K - 1
 
-    @property
-    def n_circuits(self) -> int:
-        """Distinct strings to measure: the unique set minus the identity."""
-        return sum(1 for s in self.unique_strings if not s.is_identity)
-
-
-def _power_strings(power: PauliSum) -> frozenset[PauliString]:
-    return frozenset(power.strings())
-
 
 def moments_for_state(
-    h: PauliSum,
-    state: StateVector,
-    K: int,
-    cache: PowerCache | None = None,
-    imag_tol: float = 1e-10,
+    h: PauliSum, state: StateVector, K: int, *, imag_tol: float = 1e-10
 ) -> MomentTable:
-    """Exact statevector moments of H up to order 2K-1 for one trial state.
-
-    The moments and the recurrence come from one Lanczos run of K steps; the
-    string bookkeeping comes from the powers H^0..H^{2K-1} in the cache.
-    """
+    """Exact statevector moments of H up to order 2K-1 for one trial state,
+    with the recurrence of the K-step Lanczos run they come from."""
     if K < 1:
         raise ValueError("K must be at least 1")
-    if cache is None:
-        cache = PowerCache(h)
     recurrence = _lanczos(h, state, K, imag_tol)
-    values = _krylov_moments(recurrence, 2 * K)
-    per_power = []
-    unique: set[PauliString] = set()
-    for n in range(2 * K):
-        strings = _power_strings(cache.power(n))
-        per_power.append(strings)
-        unique |= strings
-    return MomentTable(K, values, tuple(per_power), frozenset(unique), recurrence)
+    return MomentTable(K, _krylov_moments(recurrence, 2 * K), recurrence)
 
 
 def _lanczos(h: PauliSum, state: StateVector, steps: int, imag_tol: float) -> Recurrence:
@@ -204,6 +177,28 @@ def _krylov_moments(recurrence: Recurrence, n_moments: int) -> np.ndarray:
     return values
 
 
+def _string_ledger(
+    cache: PowerCache, max_power: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z, x, first power) of each distinct non-identity string over
+    H^1..H^max_power, sorted on (z, x).
+
+    The masks are kept as two uint64 columns, not one packed key, so the
+    ledger works for every qubit count a PauliSum supports.
+    """
+    # H^0 is the identity alone: it keeps the stack non-empty and is dropped
+    arrays = [cache.power(n).mask_arrays() for n in range(max_power + 1)]
+    x = np.concatenate([a[0] for a in arrays])
+    z = np.concatenate([a[1] for a in arrays])
+    power = np.repeat(np.arange(len(arrays)), [a[0].size for a in arrays])
+    order = np.lexsort((power, x, z))  # last key is primary
+    x, z, power = x[order], z[order], power[order]
+    first = np.ones(x.size, dtype=bool)
+    first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+    first &= (x != 0) | (z != 0)
+    return z[first], x[first], power[first]
+
+
 def unique_string_count(
     h: PauliSum, max_power: int, cache: PowerCache | None = None
 ) -> list[int]:
@@ -214,11 +209,5 @@ def unique_string_count(
     """
     if cache is None:
         cache = PowerCache(h)
-    identity = PauliString.identity(h.n_qubits)
-    seen: set[PauliString] = set()
-    counts = []
-    for n in range(1, max_power + 1):
-        seen |= _power_strings(cache.power(n))
-        seen.discard(identity)
-        counts.append(len(seen))
-    return counts
+    _, _, first = _string_ledger(cache, max_power)
+    return np.cumsum(np.bincount(first, minlength=max_power + 1))[1:].tolist()

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backend import StateVector
-from .moments import MomentTable, PowerCache, Recurrence, moments_for_state
+from .moments import MomentTable, Recurrence, moments_for_state
 from .pauli import PauliSum
 from .units import EV_PER_HARTREE
 
@@ -165,7 +165,7 @@ def pds_from_values(
     imag_tol: float = DEFAULT_IMAG_TOL,
 ) -> PdsResult:
     """PDS(K) result from a raw vector of moments <H^0>..<H^{2K-1}>."""
-    table = MomentTable(K, np.asarray(moment_values, dtype=float), (), frozenset())
+    table = MomentTable(K, np.asarray(moment_values, dtype=float))
     system = build_system(table, K, svd_cutoff)
     return polynomial_roots(system.X, imag_tol)
 
@@ -174,7 +174,6 @@ def pds_energies(
     h: PauliSum,
     state: StateVector,
     K: int,
-    cache: PowerCache | None = None,
     svd_cutoff: float = DEFAULT_SVD_CUTOFF,
     imag_tol: float = DEFAULT_IMAG_TOL,
 ) -> PdsResult:
@@ -184,7 +183,7 @@ def pds_energies(
     lowest two singlet levels; a triplet reference bounds the triplet ground
     level through its own sector.
     """
-    table = moments_for_state(h, state, K, cache=cache)
+    table = moments_for_state(h, state, K)
     system = build_system(table, K, svd_cutoff)
     return polynomial_roots(system.X, imag_tol)
 

@@ -23,7 +23,9 @@ from .backend import (
     serial_sample,
 )
 from .exact import exact_spectrum, exact_transitions
-from .moments import PowerCache, moments_for_state, unique_string_count
+from .moments import (
+    MomentTable, PowerCache, _string_ledger, moments_for_state, unique_string_count,
+)
 from .pauli import PauliString, PauliSum
 from .pds import (
     PdsResult,
@@ -143,12 +145,8 @@ def build_problem(cfg: RunConfig) -> Problem:
 
 def unique_measured_strings(cache: PowerCache, max_power: int) -> list[PauliString]:
     """Distinct non-identity strings across H^1..H^max_power, canonical order."""
-    identity = PauliString.identity(cache.h.n_qubits)
-    seen = set()
-    for n in range(1, max_power + 1):
-        seen.update(cache.power(n).strings())
-    seen.discard(identity)
-    return sorted(seen, key=lambda s: (s.z, s.x))
+    z, x, _ = _string_ledger(cache, max_power)
+    return [PauliString(cache.h.n_qubits, *xz) for xz in zip(x.tolist(), z.tolist())]
 
 
 @dataclass(frozen=True)
@@ -272,7 +270,7 @@ def sector_energies(problem: Problem, cfg: RunConfig, sector: str) -> SectorEner
     k = cfg.k_max
     sector_index = SECTORS.index(sector)
     if cfg.mode == "exact":
-        table = moments_for_state(problem.hamiltonian, ctx.state, k, problem.cache)
+        table = moments_for_state(problem.hamiltonian, ctx.state, k)
         system = build_system(table, k)
         return SectorEnergies(sector, polynomial_roots(system.X), table.values)
     estimator = (
@@ -305,19 +303,27 @@ class RunReport:
     files: list[Path] = field(default_factory=list)
 
 
-def _fig3_rows(problem: Problem, k_max: int) -> list[tuple]:
-    counts = unique_string_count(problem.hamiltonian, 2 * k_max - 1, problem.cache)
-    st_s = problem.sectors["singlet"].state
-    st_t = problem.sectors["triplet"].state
-    table_s = moments_for_state(problem.hamiltonian, st_s, k_max, problem.cache)
-    table_t = moments_for_state(problem.hamiltonian, st_t, k_max, problem.cache)
+def energy_vs_order(
+    table_s: MomentTable, table_t: MomentTable, k_max: int
+) -> list[tuple[int, float, float, float]]:
+    """(K, S0, S1, T0) for K = 1..k_max from the singlet and triplet tables;
+    S1 is NaN while the singlet sector has a single root."""
     rows = []
     for k in range(1, k_max + 1):
         res_s = polynomial_roots(build_system(table_s, k).X)
         res_t = polynomial_roots(build_system(table_t, k).X)
         s1 = res_s.roots[1] if len(res_s.roots) > 1 else float("nan")
-        rows.append((k, counts[2 * k - 2], res_s.roots[0], s1, res_t.roots[0]))
+        rows.append((k, res_s.roots[0], s1, res_t.roots[0]))
     return rows
+
+
+def _fig3_rows(problem: Problem, k_max: int) -> list[tuple]:
+    counts = unique_string_count(problem.hamiltonian, 2 * k_max - 1, problem.cache)
+    tables = [
+        moments_for_state(problem.hamiltonian, problem.sectors[s].state, k_max)
+        for s in SECTORS
+    ]
+    return [(k, counts[2 * k - 2], *e) for k, *e in energy_vs_order(*tables, k_max)]
 
 
 def run_pipeline(cfg: RunConfig, problem: Problem | None = None) -> RunReport:

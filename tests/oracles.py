@@ -42,3 +42,18 @@ def pauli_sum_to_dense(ps) -> np.ndarray:
     for string, coeff in ps.terms():
         out += coeff * dense_string(string.label)
     return out
+
+
+def string_ledger(powers) -> tuple[list, list[int]]:
+    """Distinct non-identity strings across the given Pauli sums (H^1..H^n),
+    sorted on (z, x), and the cumulative count after each sum.
+
+    A plain set of PauliString objects, with no mask arrays or sorting
+    tricks: the reference the array ledger is checked against.
+    """
+    seen = set()
+    counts = []
+    for power in powers:
+        seen.update(s for s in power.strings() if not s.is_identity)
+        counts.append(len(seen))
+    return sorted(seen, key=lambda s: (s.z, s.x)), counts

@@ -23,7 +23,7 @@ from pdsq.grouping import (
     rotation_circuit,
 )
 from pdsq.mitigation import MitigationConfig, apply_flip_channel, mitigate
-from pdsq.moments import PowerCache, moments_for_state, unique_string_count
+from pdsq.moments import moments_for_state, unique_string_count
 from pdsq.pauli import PauliSum
 from pdsq.pds import build_system, pds_from_values, polynomial_roots, transition_energies
 from pdsq.pipeline import (
@@ -47,7 +47,7 @@ def criterion(number: int, ok: bool, detail: str) -> None:
 def sector_tables(h4_problem):
     h = h4_problem.hamiltonian
     return {
-        s: moments_for_state(h, h4_problem.sectors[s].state, 10, h4_problem.cache)
+        s: moments_for_state(h, h4_problem.sectors[s].state, 10)
         for s in ("singlet", "triplet")
     }
 
@@ -128,13 +128,12 @@ def test_criterion_5_bound_property():
         if h.n_terms == 0:
             continue
         ground = np.linalg.eigvalsh(h.to_matrix())[0]
-        cache = PowerCache(h)
         for _ in range(4):
             state = random_state(3, rng)
             mean = exact_expectation(h, state)
             n_states += 1
             for K in (1, 2, 3, 4):
-                table = moments_for_state(h, state, K, cache)
+                table = moments_for_state(h, state, K)
                 res = polynomial_roots(build_system(table, K).X)
                 if not (ground - 1e-8 <= res.roots[0] <= mean + 1e-8):
                     violations += 1
@@ -147,7 +146,7 @@ def test_criterion_5_bound_property():
 
 def _tapered_pds(h4_problem, sector):
     ctx = h4_problem.sectors[sector]
-    table = moments_for_state(ctx.tapered_h, ctx.tapered_state, 10, ctx.tapered_cache)
+    table = moments_for_state(ctx.tapered_h, ctx.tapered_state, 10)
     return table, polynomial_roots(build_system(table, 10).X)
 
 
@@ -170,7 +169,8 @@ def test_criterion_6_tapering_equivalence_strict(h4_problem, sector_tables):
     criterion(
         6, worst <= 1e-8,
         "strict per-root equality to 1e-8: " + ", ".join(details)
-        + " -- unattainable in float64; see the companion test below",
+        + " -- roots from the Lanczos recurrence; the companion test below"
+        " pins the moments and the lowest roots",
     )
 
 
@@ -211,9 +211,7 @@ def test_criterion_7_sampling_behavior(h4_problem):
         estimates.update(expectations_from_group_counts(counts, group))
     values = moments_from_estimates(ctx.tapered_cache, estimates, 10)
     sampled = pds_from_values(values, 10)
-    noiseless_table = moments_for_state(
-        ctx.tapered_h, ctx.tapered_state, 10, ctx.tapered_cache
-    )
+    noiseless_table = moments_for_state(ctx.tapered_h, ctx.tapered_state, 10)
     noiseless = polynomial_roots(build_system(noiseless_table, 10).X)
     s0_err = abs(sampled.roots[0] - noiseless.roots[0])
 

@@ -105,9 +105,7 @@ def test_oracle_bounds_pds_roots(h4, h4_problem):
     from pdsq.pds import build_system, polynomial_roots
 
     ground = exact_spectrum(h4).ground
-    table = moments_for_state(
-        h4, h4_problem.sectors["singlet"].state, 10, h4_problem.cache
-    )
+    table = moments_for_state(h4, h4_problem.sectors["singlet"].state, 10)
     for K in (1, 3, 6, 10):
         res = polynomial_roots(build_system(table, K).X)
         assert res.roots[0] >= ground - 1e-8

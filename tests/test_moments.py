@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pdsq import moments
 from pdsq.backend import apply_pauli_sum, prepare_basis_state, random_state
 from pdsq.moments import (
     PowerCache,
@@ -12,8 +13,9 @@ from pdsq.moments import (
     unique_string_count,
 )
 from pdsq.pauli import PauliSum, multiply_sums
+from pdsq.pipeline import unique_measured_strings
 
-from oracles import pauli_sum_to_dense
+from oracles import pauli_sum_to_dense, string_ledger
 
 
 def random_hermitian_sum(rng, n_qubits, n_terms):
@@ -87,14 +89,12 @@ def test_moment_table_bookkeeping():
     z = PauliSum.from_labels(1, {"Z": 1.0})
     table = moments_for_state(z, prepare_basis_state("0"), K=3)
     assert table.max_power == 5
-    assert len(table.per_power_strings) == 6
-    assert table.n_circuits == 1  # identity excluded
+    assert len(table.values) == 6
 
 
 def test_singlet_first_moment_is_scf_energy(h4_problem):
     table = moments_for_state(
-        h4_problem.hamiltonian, h4_problem.sectors["singlet"].state, 2,
-        h4_problem.cache,
+        h4_problem.hamiltonian, h4_problem.sectors["singlet"].state, 2
     )
     assert table.values[0] == 1.0
     assert table.values[1] == pytest.approx(h4_problem.scf.scf_energy, abs=1e-10)
@@ -112,11 +112,23 @@ def test_moments_match_dense_oracle():
         assert table.values[n] == pytest.approx(expected, abs=1e-10)
 
 
+def test_exact_moments_never_multiply_powers(h4_problem, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("exact moments built a Hamiltonian power")
+
+    monkeypatch.setattr(moments, "multiply_sums", forbidden)
+    table = moments_for_state(
+        h4_problem.hamiltonian, h4_problem.sectors["singlet"].state, 10
+    )
+    assert table.values[1] == pytest.approx(h4_problem.scf.scf_energy, abs=1e-10)
+    assert table.recurrence.order == 10
+
+
 def test_split_power_pipelined_cross_check(h4_problem):
     """<phi|H^n|phi> via repeated statevector application of H^(a), H^(b)."""
     h = h4_problem.hamiltonian
     state = h4_problem.sectors["singlet"].state
-    table = moments_for_state(h, state, K=3, cache=h4_problem.cache)
+    table = moments_for_state(h, state, K=3)
     for n, (a, b) in ((3, (1, 2)), (5, (2, 3)), (4, (2, 2))):
         # <phi| H^a H^b |phi> contracted from two half-power applications
         va = apply_pauli_sum(h4_problem.cache.power(a), state)
@@ -130,6 +142,22 @@ def test_unique_count_single_string_hamiltonian():
     assert unique_string_count(z, 6) == [1, 1, 1, 1, 1, 1]
 
 
+@pytest.mark.parametrize(
+    "n_qubits, n_terms, max_power, seed",
+    [(1, 2, 6, 1), (3, 10, 5, 2), (5, 14, 4, 3), (33, 8, 4, 4), (64, 6, 4, 5)],
+)
+def test_ledger_matches_string_set_oracle(n_qubits, n_terms, max_power, seed):
+    """Contents, (z, x) order and per-power counts of the mask-array ledger
+    equal a set of PauliStrings, also past the 32 qubits a packed key holds."""
+    rng = np.random.default_rng(seed)
+    h = random_hermitian_sum(rng, n_qubits, n_terms)
+    cache = PowerCache(h)
+    strings, counts = string_ledger(cache.power(n) for n in range(1, max_power + 1))
+    assert unique_measured_strings(cache, max_power) == strings
+    assert unique_string_count(h, max_power, cache) == counts
+    assert unique_string_count(h, max_power) == counts
+
+
 def test_unique_count_monotone_and_bounded(h4_problem):
     counts = unique_string_count(h4_problem.hamiltonian, 19, h4_problem.cache)
     assert all(b >= a for a, b in zip(counts, counts[1:]))
@@ -139,8 +167,7 @@ def test_unique_count_monotone_and_bounded(h4_problem):
 
 def test_hankel_matrix_is_positive_semidefinite(h4_problem):
     table = moments_for_state(
-        h4_problem.hamiltonian, h4_problem.sectors["singlet"].state, 10,
-        h4_problem.cache,
+        h4_problem.hamiltonian, h4_problem.sectors["singlet"].state, 10
     )
     K = 10
     idx = np.arange(1, K + 1)

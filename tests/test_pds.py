@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pdsq.backend import StateVector, exact_expectation, random_state
-from pdsq.moments import MomentTable, PowerCache, moments_for_state
+from pdsq.moments import MomentTable, moments_for_state
 from pdsq.pauli import PauliSum
 from pdsq.pds import (
     ComplexRootError,
@@ -20,7 +20,7 @@ from test_moments import random_hermitian_sum
 
 def table_from_values(values):
     values = np.asarray(values, dtype=float)
-    return MomentTable(len(values) // 2, values, (), frozenset())
+    return MomentTable(len(values) // 2, values)
 
 
 def test_k1_system_is_forced():
@@ -121,16 +121,14 @@ def test_bound_property_random_instances():
         ground = np.linalg.eigvalsh(h.to_matrix())[0]
         state = random_state(3, rng)
         mean = exact_expectation(h, state)
-        cache = PowerCache(h)
         for K in (1, 2, 3):
-            res = pds_energies(h, state, K, cache)
+            res = pds_energies(h, state, K)
             assert ground - 1e-8 <= res.roots[0] <= mean + 1e-8
 
 
 def test_h4_system_solvable_with_consistent_solution(h4_problem):
     table = moments_for_state(
-        h4_problem.hamiltonian, h4_problem.sectors["singlet"].state, 10,
-        h4_problem.cache,
+        h4_problem.hamiltonian, h4_problem.sectors["singlet"].state, 10
     )
     system = build_system(table, 10)
     assert np.isfinite(system.condition_estimate)
@@ -140,8 +138,7 @@ def test_h4_system_solvable_with_consistent_solution(h4_problem):
     # the triplet reference spans an invariant 8-dimensional Krylov space:
     # PDS(10) resolves 8 real roots and invents none
     triplet = moments_for_state(
-        h4_problem.hamiltonian, h4_problem.sectors["triplet"].state, 10,
-        h4_problem.cache,
+        h4_problem.hamiltonian, h4_problem.sectors["triplet"].state, 10
     )
     result = polynomial_roots(build_system(triplet, 10).X)
     assert len(result.roots) == 8
