@@ -129,47 +129,50 @@ class NoiseModel:
             raise ValueError("flip probability must lie in [0, 0.5)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountTable:
-    """Bitstring histogram; keys use the project-wide qubit-0-leftmost order."""
+    """Outcome histogram: strictly increasing int64 basis-state indices (bit k
+    is qubit k) and how often each was seen.  Bitstrings (qubit 0 leftmost)
+    appear only in the text form of to_lines/from_lines."""
 
     n_bits: int
-    counts: dict[str, int]
+    outcomes: np.ndarray
+    counts: np.ndarray
     shots: int
 
     def __post_init__(self):
-        total = sum(self.counts.values())
+        outcomes = np.asarray(self.outcomes, dtype=np.int64)
+        counts = np.asarray(self.counts, dtype=np.int64)
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "counts", counts)
+        if outcomes.ndim != 1 or outcomes.shape != counts.shape:
+            raise ValueError("need one count per outcome")
+        total = int(counts.sum())
         if total != self.shots:
             raise ValueError(f"counts sum to {total}, expected {self.shots}")
-        for key in self.counts:
-            if len(key) != self.n_bits or set(key) - {"0", "1"}:
-                raise ValueError(f"malformed bitstring key {key!r}")
+        if outcomes.size and (
+            outcomes[0] < 0 or int(outcomes[-1]) >> self.n_bits or np.any(np.diff(outcomes) <= 0)
+        ):
+            raise ValueError("malformed outcomes: need increasing indices below 2**n_bits")
 
     @classmethod
     def from_indices(cls, indices: np.ndarray, n_bits: int) -> "CountTable":
-        values, freq = np.unique(np.asarray(indices, dtype=np.int64), return_counts=True)
-        counts = {index_to_bits(int(v), n_bits): int(c) for v, c in zip(values, freq)}
-        return cls(n_bits, counts, int(freq.sum()))
+        outcomes, counts = np.unique(np.asarray(indices, dtype=np.int64), return_counts=True)
+        return cls(n_bits, outcomes, counts, int(counts.sum()))
 
-    def probabilities(self) -> dict[str, float]:
+    def probabilities(self) -> np.ndarray:
+        """Relative frequencies, aligned with outcomes."""
         if self.shots == 0:
             raise ValueError("empty histogram")
-        return {k: v / self.shots for k, v in self.counts.items()}
-
-    def marginal(self, positions: Sequence[int]) -> "CountTable":
-        """Histogram over the selected bit positions, order preserved."""
-        out: dict[str, int] = {}
-        for key, c in self.counts.items():
-            sub = "".join(key[p] for p in positions)
-            out[sub] = out.get(sub, 0) + c
-        return CountTable(len(positions), out, self.shots)
+        return self.counts / self.shots
 
     def to_lines(self) -> str:
-        return "\n".join(f"{k} {v}" for k, v in sorted(self.counts.items()))
+        keys = [index_to_bits(o, self.n_bits) for o in self.outcomes.tolist()]
+        return "\n".join(f"{k} {v}" for k, v in sorted(zip(keys, self.counts.tolist())))
 
     @classmethod
     def from_lines(cls, text: str) -> "CountTable":
-        counts: dict[str, int] = {}
+        counts: dict[int, int] = {}
         n_bits = None
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
@@ -181,10 +184,14 @@ class CountTable:
             key, value = parts
             if n_bits is None:
                 n_bits = len(key)
-            counts[key] = counts.get(key, 0) + int(value)
+            if len(key) != n_bits or set(key) - {"0", "1"}:
+                raise ValueError(f"malformed bitstring key {key!r}")
+            index = bits_to_index(key)
+            counts[index] = counts.get(index, 0) + int(value)
         if n_bits is None:
             raise ValueError("no histogram lines found")
-        return cls(n_bits, counts, sum(counts.values()))
+        outcomes = sorted(counts)
+        return cls(n_bits, outcomes, [counts[o] for o in outcomes], sum(counts.values()))
 
 
 def _sample_outcome_indices(
@@ -214,18 +221,7 @@ def serial_sample(
     seed=None,
 ) -> CountTable:
     """Sample one QWC group's rotated measurement on its own register."""
-    from .grouping import rotation_circuit
-
-    if shots <= 0:
-        raise ValueError("shots must be positive")
-    rng = np.random.default_rng(seed)
-    outcomes = _sample_outcome_indices(state, rotation_circuit(group), shots, rng)
-    if noise is not None and noise.spam_flip_probability > 0.0:
-        flip_rng = rng if noise.seed is None else np.random.default_rng(noise.seed)
-        outcomes = _apply_bit_flips(
-            outcomes, state.n_qubits, noise.spam_flip_probability, flip_rng
-        )
-    return CountTable.from_indices(outcomes, state.n_qubits)
+    return _sample_slots([(state, group, 0)], state.n_qubits, shots, noise, seed)
 
 
 def sample_batch(
@@ -237,18 +233,23 @@ def sample_batch(
 ) -> CountTable:
     """Joint counts for a packed execution: slots sampled independently and
     concatenated (exact, since slot states are unentangled), then flipped."""
+    if len(state_per_slot) != len(batch.slots):
+        raise ValueError("need one prepared state per filled slot")
+    slots = [(s, group, offset) for s, (group, offset) in zip(state_per_slot, batch.slots)]
+    return _sample_slots(slots, batch.register_width, shots, noise, seed)
+
+
+def _sample_slots(slots, register: int, shots: int, noise, seed) -> CountTable:
+    """Draw each (state, group, offset) slot in turn from one seeded generator,
+    shift it into the register, then apply readout flips."""
     from .grouping import rotation_circuit
 
     if shots <= 0:
         raise ValueError("shots must be positive")
-    if len(state_per_slot) != len(batch.slots):
-        raise ValueError("need one prepared state per filled slot")
     rng = np.random.default_rng(seed)
-    register = batch.register_width
     joint = np.zeros(shots, dtype=np.int64)
-    for state, (group, offset) in zip(state_per_slot, batch.slots):
-        outcomes = _sample_outcome_indices(state, rotation_circuit(group), shots, rng)
-        joint |= outcomes << offset
+    for state, group, offset in slots:
+        joint |= _sample_outcome_indices(state, rotation_circuit(group), shots, rng) << offset
     if noise is not None and noise.spam_flip_probability > 0.0:
         flip_rng = rng if noise.seed is None else np.random.default_rng(noise.seed)
         joint = _apply_bit_flips(joint, register, noise.spam_flip_probability, flip_rng)

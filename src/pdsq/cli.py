@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import fcidump, grouping, mitigation, taper
-from .backend import CountTable, NoiseModel, sample_batch, serial_sample
+from .backend import CountTable, NoiseModel, index_to_bits, sample_batch, serial_sample
 from .exact import exact_spectrum, exact_transitions
 from .moments import moments_for_state, unique_string_count
 from .pds import build_system, polynomial_roots, transition_energies
@@ -277,8 +277,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_mitigate(args) -> int:
     counts = CountTable.from_lines(Path(args.input).read_text())
-    probs = mitigation.mitigate(counts, mitigation.MitigationConfig(args.p))
-    lines = "\n".join(f"{k} {v:.12e}" for k, v in sorted(probs.items()))
+    probs = mitigation.mitigate(
+        counts.outcomes, counts.counts, counts.n_bits, mitigation.MitigationConfig(args.p)
+    )
+    lines = "\n".join(sorted(
+        f"{index_to_bits(o, counts.n_bits)} {v:.12e}"
+        for o, v in zip(counts.outcomes.tolist(), probs)
+    ))
     if args.out:
         Path(args.out).write_text(lines + "\n")
         print(f"wrote {args.out}")

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .pauli import PauliString
 
 
@@ -103,58 +105,42 @@ def pack_batches(
     return batches
 
 
-def _parity_sign(bits_index: int, support: int) -> float:
-    return -1.0 if (bits_index & support).bit_count() & 1 else 1.0
-
-
-def _slot_expectations(
-    weights: dict[str, float], group: QwcGroup, offset: int
+def slot_expectations(
+    outcomes: np.ndarray, weights: np.ndarray, slots: Sequence[tuple[QwcGroup, int]]
 ) -> dict[PauliString, float]:
-    """Member expectations from (possibly joint) outcome weights.
+    """Member expectations of every (group, qubit offset) slot from outcome
+    weights over a (possibly joint) register.
 
-    Marginalizes the histogram onto the slot's qubits and folds each
-    outcome's parity on the member support.
+    Each member's value is the weighted mean of (-1)^parity of the outcome's
+    bits on its support, shifted to the slot's offset.
     """
-    width = group.n_qubits
-    marginal: dict[int, float] = {}
-    for key, w in weights.items():
-        sub = key[offset : offset + width]
-        index = int(sub[::-1], 2)  # leftmost char is bit 0
-        marginal[index] = marginal.get(index, 0.0) + w
-    total = sum(marginal.values())
-    if total <= 0.0:
+    outcomes = np.asarray(outcomes, dtype=np.int64)
+    weights = np.asarray(weights, dtype=float)
+    total = weights.sum()
+    if not total > 0.0:
         raise ValueError("empty histogram")
-    out = {}
-    for member in group.members:
-        out[member] = (
-            sum(w * _parity_sign(i, member.support) for i, w in marginal.items())
-            / total
-        )
+    out: dict[PauliString, float] = {}
+    for group, offset in slots:
+        supports = np.array([m.support for m in group.members], dtype=np.int64)
+        parity = np.bitwise_count((outcomes[:, None] >> offset) & supports) & 1
+        values = (weights @ (1.0 - 2.0 * parity)) / total
+        out.update(zip(group.members, values.tolist()))
     return out
 
 
+# The four uses of slot_expectations by name.  The pipeline calls the fold
+# itself; the benchmark's tracer (benchmarks/tracer.py) times these names.
 def expectations_from_counts(counts, batch: PackedBatch) -> dict[PauliString, float]:
-    """Per-string expectations for every slot of a packed execution."""
-    return expectations_from_weights(counts.probabilities(), batch)
+    return slot_expectations(counts.outcomes, counts.counts, batch.slots)
 
 
-def expectations_from_weights(
-    weights: dict[str, float], batch: PackedBatch
-) -> dict[PauliString, float]:
-    """As expectations_from_counts, for an already-normalized (or mitigated)
-    outcome-weight table."""
-    result: dict[PauliString, float] = {}
-    for group, offset in batch.slots:
-        result.update(_slot_expectations(weights, group, offset))
-    return result
+def expectations_from_weights(outcomes, weights, batch: PackedBatch) -> dict[PauliString, float]:
+    return slot_expectations(outcomes, weights, batch.slots)
 
 
 def expectations_from_group_counts(counts, group: QwcGroup) -> dict[PauliString, float]:
-    """Per-string expectations for a serial (single-group) measurement."""
-    return _slot_expectations(counts.probabilities(), group, 0)
+    return slot_expectations(counts.outcomes, counts.counts, ((group, 0),))
 
 
-def expectations_from_group_weights(
-    weights: dict[str, float], group: QwcGroup
-) -> dict[PauliString, float]:
-    return _slot_expectations(weights, group, 0)
+def expectations_from_group_weights(outcomes, weights, group: QwcGroup) -> dict[PauliString, float]:
+    return slot_expectations(outcomes, weights, ((group, 0),))

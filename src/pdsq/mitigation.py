@@ -1,15 +1,25 @@
 """Inversion of tensored symmetric readout bit-flip noise on count data.
 
-The noise channel is S = [[1-p, p], [p, 1-p]] independently per qubit, so
-its inverse factorizes per qubit as (S_ij)^-1 = (p - delta_ij)/(2p - 1) and
-the mitigated probability of string i over the observed support B is
+The channel S = [[1-p, p], [p, 1-p]] acts independently per qubit, so its
+inverse is (S^-1)_ij = (p - delta_ij)/(2p - 1) per qubit and the mitigated
+probability of outcome i over the observed support B is
 
     P~_i  =  sum_{j in B}  a^(n - d(i,j)) * b^d(i,j) * P_j,
 
-with a = (p-1)/(2p-1), b = p/(2p-1) and d the Hamming distance.  The
-support is restricted to observed strings (building the full 2^n channel is
-deliberately out of scope), then negatives are clipped and the distribution
-renormalized.  Cost is O(|B|^2) Hamming evaluations, vectorized.
+with a = (p-1)/(2p-1), b = p/(2p-1) and d the Hamming distance: the M3 form
+(Nation et al., arXiv:2108.12518), then clipped at zero and renormalized.
+
+The kernel is a product over qubits.  Split each outcome into its low
+m = floor(n/2) and high n - m bits, put the observed P in a matrix V (one
+row per distinct high half, one column per distinct low half), and let
+K_hi, K_lo be the kernels a^(w-d) b^d over those halves (w = width): then
+P~_i = (K_hi V K_lo)[hi(i), lo(i)] exactly.  With U_hi, U_lo distinct halves
+(each at most min(|B|, 2^(n-m))) that is U_hi U_lo (U_hi + U_lo)
+multiply-adds instead of |B|^2 pair terms, with at most three float64 arrays
+of at most U^2 = max(U_hi, U_lo)^2 elements alive: three 1024 x 1024 arrays
+(24 MiB) for a 20-bit register.  Wider histograms (the `mitigate` subcommand
+reads any) work up to U^2 = MAX_KERNEL_ELEMENTS and are refused beyond it
+before any kernel is allocated.
 """
 
 from __future__ import annotations
@@ -18,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import CountTable, bits_to_index, index_to_bits
+# Largest U^2 mitigate allocates: three arrays of 32 MiB
+MAX_KERNEL_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -30,76 +41,57 @@ class MitigationConfig:
             raise ValueError("flip probability must lie in [0, 0.5): p=0.5 is singular")
 
 
-def _as_probability_items(counts) -> tuple[int, list[str], np.ndarray]:
-    if isinstance(counts, CountTable):
-        probs = counts.probabilities()
-        n_bits = counts.n_bits
-    elif isinstance(counts, dict):
-        if not counts:
-            raise ValueError("empty histogram")
-        total = float(sum(counts.values()))
-        if total <= 0.0:
-            raise ValueError("histogram has no weight")
-        probs = {k: v / total for k, v in counts.items()}
-        n_bits = len(next(iter(counts)))
-    else:
-        raise TypeError("expected CountTable or dict of bitstring weights")
-    keys = sorted(probs)
-    if any(len(k) != n_bits for k in keys):
-        raise ValueError("bitstring keys have inconsistent lengths")
-    return n_bits, keys, np.array([probs[k] for k in keys])
+def _kernel(halves: np.ndarray, width: int, a: float, b: float) -> np.ndarray:
+    """a^(width-d) b^d between every pair of half-values at Hamming distance d."""
+    d = np.arange(width + 1)
+    factor = a ** (width - d) * b**d
+    halves = halves.astype(np.uint32)  # a half of an int64 index fits
+    return factor[np.bitwise_count(halves[:, None] ^ halves[None, :])]
 
 
-def mitigate(counts, cfg: MitigationConfig) -> dict[str, float]:
-    """Error-mitigated probabilities over the observed bitstrings.
+def mitigate(
+    outcomes: np.ndarray, weights: np.ndarray, n_bits: int, cfg: MitigationConfig
+) -> np.ndarray:
+    """Error-mitigated probabilities of the observed outcomes, aligned with
+    `outcomes` (strictly increasing n_bits-bit indices; `weights` are their
+    counts or probabilities).
 
     Exact inverse of the forward channel when the support is complete;
     approximate (clip + renormalize) otherwise.
     """
-    n_bits, keys, p_obs = _as_probability_items(counts)
+    outcomes = np.asarray(outcomes, dtype=np.int64)
+    probs = np.asarray(weights, dtype=float)
+    if outcomes.ndim != 1 or outcomes.shape != probs.shape:
+        raise ValueError("need one weight per outcome")
+    total = probs.sum()
+    if not total > 0.0:
+        raise ValueError("empty histogram")
+    if outcomes[0] < 0 or int(outcomes[-1]) >> n_bits or np.any(np.diff(outcomes) <= 0):
+        raise ValueError("outcomes must be increasing indices below 2**n_bits")
+    probs = probs / total
     p = cfg.p
     if p == 0.0:
-        return dict(zip(keys, p_obs))
+        return probs
 
     a = (p - 1.0) / (2.0 * p - 1.0)
     b = p / (2.0 * p - 1.0)
-    indices = np.array([bits_to_index(k) for k in keys], dtype=np.uint64)
-    # inverse-element factor a^(n-d) b^d for every Hamming distance d
-    dist_factor = np.array([a ** (n_bits - d) * b**d for d in range(n_bits + 1)])
-
-    mitigated = np.empty(len(keys))
-    chunk = max(1, 2_000_000 // max(len(keys), 1))
-    for start in range(0, len(keys), chunk):
-        block = indices[start : start + chunk, None] ^ indices[None, :]
-        d = np.bitwise_count(block).astype(np.int64)
-        mitigated[start : start + chunk] = dist_factor[d] @ p_obs
+    low = n_bits // 2
+    u_hi, hi = np.unique(outcomes >> low, return_inverse=True)
+    u_lo, lo = np.unique(outcomes & ((1 << low) - 1), return_inverse=True)
+    if max(u_hi.size, u_lo.size) ** 2 > MAX_KERNEL_ELEMENTS:
+        raise ValueError(
+            f"{u_hi.size} x {u_lo.size} distinct outcome halves exceed the "
+            f"{MAX_KERNEL_ELEMENTS}-element kernel limit of mitigation"
+        )
+    v = np.zeros((u_hi.size, u_lo.size))
+    v[hi, lo] = probs
+    x = _kernel(u_hi, n_bits - low, a, b) @ v
+    del v  # at most three U x U arrays are alive at once
+    mitigated = (x @ _kernel(u_lo, low, a, b))[hi, lo]
 
     clipped = np.clip(mitigated, 0.0, None)
     total = clipped.sum()
     if total <= 0.0:
         raise ValueError("mitigation produced an empty distribution")
-    clipped /= total
-    return dict(zip(keys, clipped))
+    return clipped / total
 
-
-def apply_flip_channel(probs: dict[str, float], p: float) -> dict[str, float]:
-    """Exact forward push of a distribution through the bit-flip channel,
-    over the full 2^n outcome space (analysis helper for small n)."""
-    if not probs:
-        raise ValueError("empty distribution")
-    n_bits = len(next(iter(probs)))
-    if n_bits > 20:
-        raise ValueError("full-space channel limited to 20 bits")
-    dim = 1 << n_bits
-    dense = np.zeros(dim)
-    for k, w in probs.items():
-        dense[bits_to_index(k)] += w
-    idx = np.arange(dim, dtype=np.uint64)
-    out = np.zeros(dim)
-    factor = np.array([(1.0 - p) ** (n_bits - d) * p**d for d in range(n_bits + 1)])
-    chunk = max(1, 4_000_000 // dim)
-    for start in range(0, dim, chunk):
-        block = idx[start : start + chunk, None] ^ idx[None, :]
-        d = np.bitwise_count(block).astype(np.int64)
-        out[start : start + chunk] = factor[d] @ dense
-    return {index_to_bits(i, n_bits): float(v) for i, v in enumerate(out) if v > 0.0}

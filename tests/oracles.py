@@ -1,7 +1,8 @@
-"""Independent dense-matrix oracles shared across tests.
+"""Independent oracles shared across tests.
 
-Everything here builds operators by explicit Kronecker products of 2x2
-letters, deliberately avoiding the package's mask-based fast paths.
+Operators are built by explicit Kronecker products of 2x2 letters, and sums
+are plain loops or pair sums, deliberately avoiding the package's mask-based
+and factorized fast paths.
 """
 
 import numpy as np
@@ -57,3 +58,48 @@ def string_ledger(powers) -> tuple[list, list[int]]:
         seen.update(s for s in power.strings() if not s.is_identity)
         counts.append(len(seen))
     return sorted(seen, key=lambda s: (s.z, s.x)), counts
+
+
+def restricted_inverse(outcomes, weights, n_bits: int, p: float) -> np.ndarray:
+    """Observed-support inverse of the tensored bit-flip channel as the plain
+    pair sum over outcomes i, j: sum_j a^(n-d) b^d P_j with d the Hamming
+    distance, then clipped at zero and renormalized.
+
+    O(|B|^2) time and memory, with no factorization over qubits: the
+    reference the two-product mitigation is checked against.
+    """
+    outcomes = np.asarray(outcomes, dtype=np.int64)
+    probs = np.asarray(weights, dtype=float) / np.sum(weights)
+    a = (p - 1.0) / (2.0 * p - 1.0)
+    b = p / (2.0 * p - 1.0)
+    d = np.bitwise_count(np.bitwise_xor.outer(outcomes, outcomes))
+    mitigated = (a ** (n_bits - d) * b**d) @ probs
+    clipped = np.clip(mitigated, 0.0, None)
+    return clipped / clipped.sum()
+
+
+def moments_by_term_loop(cache, estimates: dict, k: int) -> np.ndarray:
+    """<H^n> for n = 0..2k-1 as a Python loop over each power's terms, adding
+    coefficient times estimate in canonical term order (identity: 1)."""
+    values = np.empty(2 * k)
+    for n in range(2 * k):
+        total = 0.0
+        for string, coeff in cache.power(n).terms():
+            total += coeff.real * (1.0 if string.is_identity else estimates[string])
+        values[n] = total
+    return values
+
+
+def flip_channel(probs, p: float) -> np.ndarray:
+    """Exact forward push of a dense distribution over all 2^n outcomes
+    through independent symmetric bit flips, one qubit at a time."""
+    out = np.array(probs, dtype=float)
+    if out.size == 0:
+        raise ValueError("empty distribution")
+    n_bits = out.size.bit_length() - 1
+    if out.ndim != 1 or out.size != 1 << n_bits:
+        raise ValueError("need one probability per outcome of n bits")
+    for k in range(n_bits):
+        pairs = out.reshape(-1, 2, 1 << k)  # axis 1 is bit k
+        pairs[:] = (1.0 - p) * pairs + p * pairs[:, ::-1]
+    return out

@@ -11,7 +11,6 @@ import pytest
 from pdsq.backend import (
     apply_basis_changes,
     exact_expectation,
-    index_to_bits,
     random_state,
     serial_sample,
 )
@@ -22,7 +21,7 @@ from pdsq.grouping import (
     group_qwc,
     rotation_circuit,
 )
-from pdsq.mitigation import MitigationConfig, apply_flip_channel, mitigate
+from pdsq.mitigation import MitigationConfig, mitigate
 from pdsq.moments import moments_for_state, unique_string_count
 from pdsq.pauli import PauliSum
 from pdsq.pds import build_system, pds_from_values, polynomial_roots, transition_energies
@@ -35,6 +34,7 @@ from pdsq.pipeline import (
     unique_measured_strings,
 )
 
+from oracles import flip_channel
 from test_moments import random_hermitian_sum
 
 
@@ -247,11 +247,10 @@ def test_criterion_7_sampling_behavior(h4_problem):
 def test_criterion_8_mitigation(h4_problem):
     # (a) forward channel + mitigation on full support is the identity
     rng = np.random.default_rng(5)
-    dense = rng.dirichlet(np.ones(1 << 10))
-    ideal = {index_to_bits(i, 10): float(p) for i, p in enumerate(dense)}
-    noisy = apply_flip_channel(ideal, 1e-3)
-    recovered = mitigate(noisy, MitigationConfig(1e-3))
-    round_trip = max(abs(recovered[k] - ideal[k]) for k in ideal)
+    ideal = rng.dirichlet(np.ones(1 << 10))
+    noisy = flip_channel(ideal, 1e-3)
+    recovered = mitigate(np.arange(1 << 10), noisy, 10, MitigationConfig(1e-3))
+    round_trip = np.max(np.abs(recovered - ideal))
 
     # (b) analytic full-support recovery at the energy level: channel then
     # mitigate on the infinite-shot distributions reproduces the clean PDS
@@ -265,14 +264,14 @@ def test_criterion_8_mitigation(h4_problem):
         for group in groups:
             rotated = apply_basis_changes(ctx.tapered_state, rotation_circuit(group))
             probs = rotated.probabilities()
-            weights = {
-                index_to_bits(i, ctx.tapered_h.n_qubits): float(pr)
-                for i, pr in enumerate(probs)
-                if pr > 1e-12
-            }
-            clean.update(expectations_from_group_weights(weights, group))
-            fixed = mitigate(apply_flip_channel(weights, p), MitigationConfig(p))
-            corrected.update(expectations_from_group_weights(fixed, group))
+            support = np.flatnonzero(probs > 1e-12)
+            clean.update(expectations_from_group_weights(support, probs[support], group))
+            noisy = flip_channel(np.where(probs > 1e-12, probs, 0.0), p)
+            observed = np.flatnonzero(noisy > 0.0)
+            fixed = mitigate(
+                observed, noisy[observed], ctx.tapered_h.n_qubits, MitigationConfig(p)
+            )
+            corrected.update(expectations_from_group_weights(observed, fixed, group))
         res_clean = pds_from_values(
             moments_from_estimates(ctx.tapered_cache, clean, 10), 10
         )

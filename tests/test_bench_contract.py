@@ -1,0 +1,39 @@
+"""What the benchmark in benchmarks/ needs from pdsq, checked in the default
+test run so that a refactor breaking it fails here too.
+
+The benchmark's tracer wraps functions by (module, name) and rebinds every
+pdsq module attribute that names them; it is read here, never changed.
+"""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
+
+
+def _load_tracer(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_resolves(monkeypatch):
+    tracer = _load_tracer(monkeypatch)
+    missing = [
+        spec.span_name for spec in tracer.TRACED
+        if not callable(getattr(importlib.import_module(spec.module), spec.function, None))
+    ]
+    assert missing == []
+
+
+def test_pipeline_names_the_samplers():
+    """The tracer times sampling where the pipeline calls it, through the
+    names the pipeline imports from the backend."""
+    from pdsq import backend, pipeline
+
+    assert pipeline.sample_batch is backend.sample_batch
+    assert pipeline.serial_sample is backend.serial_sample

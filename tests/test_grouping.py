@@ -110,7 +110,7 @@ def test_batch_count_is_ceil(n_groups):
 
 def test_single_shot_all_zeros_gives_plus_one_for_z_members():
     group = group_qwc(strings("ZZIII", "IZZII", "ZIIII"))[0]
-    counts = CountTable(20, {"0" * 20: 1}, 1)
+    counts = CountTable(20, [0], [1], 1)
     batch = PackedBatch(((group, 0),), 20)
     values = expectations_from_counts(counts, batch)
     assert all(v == pytest.approx(1.0) for v in values.values())
@@ -120,30 +120,25 @@ def test_marginal_of_product_histogram_is_exact():
     from pdsq.grouping import expectations_from_group_weights, expectations_from_weights
 
     rng = np.random.default_rng(4)
-    # two known 5-bit distributions; their joint is the outer product
+    # two known 5-bit distributions; their joint is the outer product, with
+    # slot 0 in the low five bits of the joint index
     d0 = rng.dirichlet(np.ones(32))
     d1 = rng.dirichlet(np.ones(32))
-    joint = {
-        format(i0, "05b")[::-1] + format(i1, "05b")[::-1]: d0[i0] * d1[i1]
-        for i0 in range(32)
-        for i1 in range(32)
-    }
+    joint = np.outer(d1, d0).ravel()  # index i1 * 32 + i0
     group0 = group_qwc(strings("ZZIII"))[0]
     group1 = group_qwc(strings("IZIZI"))[0]
     batch = PackedBatch(((group0, 0), (group1, 5)), 10)
-    values = expectations_from_weights(joint, batch)
+    values = expectations_from_weights(np.arange(1 << 10), joint, batch)
 
-    factor0 = {format(i, "05b")[::-1]: d0[i] for i in range(32)}
-    factor1 = {format(i, "05b")[::-1]: d1[i] for i in range(32)}
-    expected0 = expectations_from_group_weights(factor0, group0)
-    expected1 = expectations_from_group_weights(factor1, group1)
+    expected0 = expectations_from_group_weights(np.arange(32), d0, group0)
+    expected1 = expectations_from_group_weights(np.arange(32), d1, group1)
     for member, want in {**expected0, **expected1}.items():
         assert values[member] == pytest.approx(want, abs=1e-12)
 
 
 def test_empty_histogram_errors():
     group = group_qwc(strings("ZIIII"))[0]
-    counts = CountTable(5, {}, 0)
+    counts = CountTable(5, [], [], 0)
     with pytest.raises(ValueError, match="empty histogram"):
         expectations_from_group_counts(counts, group)
 
@@ -163,12 +158,9 @@ def test_exact_reconstruction_matches_direct_expectation():
         for group in groups:
             rotated = apply_basis_changes(state, rotation_circuit(group))
             probs = rotated.probabilities()
-            weights = {
-                format(i, "03b")[::-1]: float(p) for i, p in enumerate(probs)
-            }
             from pdsq.grouping import expectations_from_group_weights
 
-            values = expectations_from_group_weights(weights, group)
+            values = expectations_from_group_weights(np.arange(8), probs, group)
             for member, estimate in values.items():
                 direct = exact_expectation(PauliSum.from_string(member), state)
                 assert estimate == pytest.approx(direct, abs=1e-10)
@@ -179,7 +171,6 @@ def test_every_h4_group_reconstructs_exactly(h4_problem):
     direct statevector expectation for every tapered measurement group."""
     from pdsq.grouping import expectations_from_group_weights, rotation_circuit
     from pdsq.pipeline import unique_measured_strings
-    from pdsq.backend import index_to_bits
 
     for sector in ("singlet", "triplet"):
         ctx = h4_problem.sectors[sector]
@@ -187,11 +178,9 @@ def test_every_h4_group_reconstructs_exactly(h4_problem):
         groups = group_qwc(unique_measured_strings(ctx.tapered_cache, 19))
         for group in groups:
             rotated = apply_basis_changes(state, rotation_circuit(group))
-            weights = {
-                index_to_bits(i, 5): float(p)
-                for i, p in enumerate(rotated.probabilities())
-            }
-            values = expectations_from_group_weights(weights, group)
+            values = expectations_from_group_weights(
+                np.arange(32), rotated.probabilities(), group
+            )
             for member, estimate in values.items():
                 direct = exact_expectation(PauliSum.from_string(member), state)
                 assert abs(estimate - direct) < 1e-10

@@ -1,14 +1,24 @@
 """Readout bit-flip mitigation: exact inverses, clipping, support effects."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from pdsq.backend import CountTable, index_to_bits
-from pdsq.mitigation import MitigationConfig, apply_flip_channel, mitigate
+from pdsq.backend import CountTable
+from pdsq.mitigation import MAX_KERNEL_ELEMENTS, MitigationConfig, mitigate
+
+from oracles import flip_channel, restricted_inverse
 
 
-def uniform_keys(n_bits):
-    return [index_to_bits(i, n_bits) for i in range(1 << n_bits)]
+def mitigate_table(counts, p):
+    return mitigate(counts.outcomes, counts.counts, counts.n_bits, MitigationConfig(p))
+
+
+def mitigate_dense(probs, p):
+    """Mitigation over the full support of a dense distribution."""
+    return mitigate(np.arange(probs.size), probs, probs.size.bit_length() - 1,
+                    MitigationConfig(p))
 
 
 def test_config_validation():
@@ -21,74 +31,79 @@ def test_config_validation():
 
 
 def test_p_zero_is_identity():
-    counts = CountTable(3, {"010": 3, "111": 1}, 4)
-    probs = mitigate(counts, MitigationConfig(0.0))
-    assert probs == {"010": 0.75, "111": 0.25}
+    counts = CountTable(3, [0b010, 0b111], [3, 1], 4)  # "010" and "111"
+    probs = mitigate_table(counts, 0.0)
+    assert probs.tolist() == [0.75, 0.25]
 
 
 def test_two_bit_analytic_round_trip():
     p = 0.1
-    ideal = {"00": 0.6, "01": 0.1, "10": 0.05, "11": 0.25}
+    # outcomes 0..3 are "00", "10", "01", "11" (qubit 0 leftmost)
+    ideal = np.array([0.6, 0.05, 0.1, 0.25])
     # analytic forward channel: convolve with flip probabilities
-    noisy = apply_flip_channel(ideal, p)
-    assert sum(noisy.values()) == pytest.approx(1.0, abs=1e-12)
-    mitigated = mitigate(noisy, MitigationConfig(p))
-    for key, want in ideal.items():
+    noisy = flip_channel(ideal, p)
+    assert noisy.sum() == pytest.approx(1.0, abs=1e-12)
+    mitigated = mitigate_dense(noisy, p)
+    for key, want in enumerate(ideal):
         assert mitigated[key] == pytest.approx(want, abs=1e-12)
 
 
 def test_full_support_round_trip_ten_bits():
     rng = np.random.default_rng(6)
     p = 1e-3
-    dense = rng.dirichlet(np.ones(1 << 10))
-    ideal = dict(zip(uniform_keys(10), dense))
-    noisy = apply_flip_channel(ideal, p)
-    mitigated = mitigate(noisy, MitigationConfig(p))
-    for key, want in ideal.items():
+    ideal = rng.dirichlet(np.ones(1 << 10))
+    noisy = flip_channel(ideal, p)
+    mitigated = mitigate_dense(noisy, p)
+    for key, want in enumerate(ideal):
         assert mitigated[key] == pytest.approx(want, abs=1e-10)
 
 
 def test_output_is_a_distribution_after_clipping():
     # partial support forces clipping: mitigation on truncated counts
-    counts = CountTable(4, {"0000": 9000, "1000": 60, "0100": 55, "0011": 1}, 9116)
-    probs = mitigate(counts, MitigationConfig(0.02))
-    values = np.array(list(probs.values()))
+    # "0000", "1000", "0100" and "0011"
+    counts = CountTable(4, [0b0000, 0b0001, 0b0010, 0b1100], [9000, 60, 55, 1], 9116)
+    values = mitigate_table(counts, 0.02)
     assert np.all(values >= 0.0)
     assert values.sum() == pytest.approx(1.0, abs=1e-12)
-    assert set(probs) == set(counts.counts)  # observed support only
+    assert values.shape == counts.outcomes.shape  # observed support only
 
 
 def test_empty_histogram_errors():
     with pytest.raises(ValueError, match="empty"):
-        mitigate({}, MitigationConfig(0.1))
-    counts = CountTable(2, {}, 0)
+        mitigate([], [], 2, MitigationConfig(0.1))
+    counts = CountTable(2, [], [], 0)
     with pytest.raises(ValueError, match="empty histogram"):
-        mitigate(counts, MitigationConfig(0.1))
+        mitigate_table(counts, 0.1)
+
+
+def test_outcomes_must_be_increasing_register_indices():
+    cfg = MitigationConfig(0.1)
+    with pytest.raises(ValueError, match="increasing"):
+        mitigate([1, 4], [1, 1], 2, cfg)  # 4 needs a third bit
+    with pytest.raises(ValueError, match="increasing"):
+        mitigate([2, 1], [1, 1], 2, cfg)
 
 
 def test_expectation_improves_toward_full_support():
     """Diagonal-observable error shrinks as the mitigation support grows."""
     rng = np.random.default_rng(13)
     p = 0.05
-    dense = rng.dirichlet(np.ones(8) * 0.5)
-    keys = uniform_keys(3)
-    ideal = dict(zip(keys, dense))
-    noisy = apply_flip_channel(ideal, p)
+    ideal = rng.dirichlet(np.ones(8) * 0.5)
+    noisy = flip_channel(ideal, p)
 
-    def parity_expectation(probs):
-        total = sum(probs.values())
-        return sum(
-            w * (-1.0 if key.count("1") & 1 else 1.0) for key, w in probs.items()
-        ) / total
+    def parity_expectation(outcomes, probs):
+        signs = np.where(np.bitwise_count(outcomes) & 1, -1.0, 1.0)
+        return float(probs @ signs) / probs.sum()
 
-    target = parity_expectation(ideal)
-    noisy_err = abs(parity_expectation(noisy) - target)
-    order = sorted(keys, key=lambda k: -noisy[k])
+    everything = np.arange(8)
+    target = parity_expectation(everything, ideal)
+    noisy_err = abs(parity_expectation(everything, noisy) - target)
+    order = np.argsort(-noisy, kind="stable")
     errors = []
     for support_size in (4, 6, 8):
-        restricted = {k: noisy[k] for k in order[:support_size]}
-        mitigated = mitigate(restricted, MitigationConfig(p))
-        errors.append(abs(parity_expectation(mitigated) - target))
+        restricted = np.sort(order[:support_size])
+        mitigated = mitigate(restricted, noisy[restricted], 3, MitigationConfig(p))
+        errors.append(abs(parity_expectation(restricted, mitigated) - target))
     assert errors[-1] < 1e-12  # full support: exact inverse
     assert errors[0] >= errors[1] >= errors[2]
     assert errors[1] < noisy_err
@@ -96,4 +111,63 @@ def test_expectation_improves_toward_full_support():
 
 def test_forward_channel_validation():
     with pytest.raises(ValueError, match="empty"):
-        apply_flip_channel({}, 0.1)
+        flip_channel([], 0.1)
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.05, 0.3])
+def test_two_products_match_the_pair_sum(p):
+    """Single-outcome, full-support (up to 10 bits) and random supports of
+    every width 1-20 agree with the O(|B|^2) pair sum to 1e-12."""
+    rng = np.random.default_rng(int(p * 1e4))
+    for n_bits in range(1, 21):
+        supports = [rng.integers(0, 1 << n_bits, 1)]
+        if n_bits <= 10:
+            supports.append(np.arange(1 << n_bits))
+        for size in (2, 40, 600):
+            supports.append(rng.integers(0, 1 << n_bits, size))
+        for support in supports:
+            outcomes = np.unique(support)
+            weights = rng.integers(1, 100, outcomes.size)
+            got = mitigate(outcomes, weights, n_bits, MitigationConfig(p))
+            want = restricted_inverse(outcomes, weights, n_bits, p)
+            assert np.max(np.abs(got - want)) <= 1e-12, (n_bits, outcomes.size)
+
+
+def test_wide_register_within_the_kernel_limit():
+    rng = np.random.default_rng(30)
+    outcomes = np.unique(rng.integers(0, 1 << 30, 1500))
+    weights = rng.integers(1, 10, outcomes.size)
+    got = mitigate(outcomes, weights, 30, MitigationConfig(0.01))
+    want = restricted_inverse(outcomes, weights, 30, 0.01)
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_twenty_bit_register_needs_at_most_three_kernels():
+    """Every 10-bit half observed: the kernels are 1024 x 1024, and no more
+    than three float64 arrays of that size are alive at once."""
+    rng = np.random.default_rng(20)
+    diagonal = (np.arange(1024) << 10) | rng.permutation(1024)
+    outcomes = np.unique(np.concatenate([diagonal, rng.integers(0, 1 << 20, 7000)]))
+    weights = rng.integers(1, 5, outcomes.size)
+    tracemalloc.start()
+    try:
+        mitigate(outcomes, weights, 20, MitigationConfig(1e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # plus a few vectors of one entry per outcome
+    assert peak <= 3 * 1024 * 1024 * 8 + 64 * outcomes.size
+
+
+def test_too_many_distinct_halves_fail_before_allocation():
+    rng = np.random.default_rng(40)
+    outcomes = np.unique(rng.integers(0, 1 << 40, 3000))
+    assert 3000**2 > MAX_KERNEL_ELEMENTS
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="kernel limit"):
+            mitigate(outcomes, np.ones(outcomes.size), 40, MitigationConfig(0.01))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

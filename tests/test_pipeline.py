@@ -142,3 +142,45 @@ def test_h4_serial_8192_shot_ground_energy(h4_problem):
     values = moments_from_estimates(ctx.tapered_cache, estimates, 10)
     result = pds_from_values(values, 10)
     assert result.roots[0] == pytest.approx(-1.897768, abs=1e-3)
+
+
+def test_sampled_path_builds_no_bitstrings(h4_problem, monkeypatch):
+    """Sampler to estimate stays on integer outcome arrays: no bitstring is
+    built or parsed on the serial or the packed, mitigated path."""
+    import sys
+
+    from pdsq.pipeline import estimate_expectations_parallel, estimate_expectations_serial
+
+    def refuse(*args):
+        raise AssertionError("bitstring conversion on the sampled path")
+
+    for name, module in list(sys.modules.items()):
+        if name == "pdsq" or name.startswith("pdsq."):
+            for attr in ("index_to_bits", "bits_to_index"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    ctx = h4_problem.sectors["singlet"]
+    parallel = estimate_expectations_parallel(ctx, 19, 256, 5, 0, spam_p=1e-3)
+    serial = estimate_expectations_serial(ctx, 19, 256, 5, 0)
+    assert parallel.keys() == serial.keys()
+
+
+def test_moments_match_the_term_loop(h4_problem):
+    """The vectorized assembly adds each power's terms in the loop's order,
+    so the moments are bit-identical; a string without an estimate is a
+    KeyError, as a dict lookup would give."""
+    import numpy as np
+
+    from oracles import moments_by_term_loop
+    from pdsq.pipeline import moments_from_estimates, unique_measured_strings
+
+    rng = np.random.default_rng(11)
+    for sector in ("singlet", "triplet"):
+        cache = h4_problem.sectors[sector].tapered_cache
+        strings = unique_measured_strings(cache, 19)
+        estimates = dict(zip(strings, rng.uniform(-1.0, 1.0, len(strings))))
+        got = moments_from_estimates(cache, estimates, 10)
+        assert np.array_equal(got, moments_by_term_loop(cache, estimates, 10))
+    del estimates[strings[-1]]
+    with pytest.raises(KeyError):
+        moments_from_estimates(cache, estimates, 10)
