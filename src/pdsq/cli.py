@@ -23,6 +23,7 @@ from .pipeline import (
     RunConfig,
     build_problem,
     energy_vs_order,
+    exact_tables,
     measurement_ladder,
     run_pipeline,
     unique_measured_strings,
@@ -194,12 +195,9 @@ def cmd_pds(args) -> int:
     cfg = build_run_config(args)
     problem = build_problem(cfg)
     results = {}
-    tables = {}
+    tables = exact_tables(problem, cfg.k_max)
     for sector in SECTORS:
-        ctx = problem.sectors[sector]
-        table = moments_for_state(problem.hamiltonian, ctx.state, cfg.k_max)
-        tables[sector] = table
-        results[sector] = polynomial_roots(build_system(table, cfg.k_max).X)
+        results[sector] = polynomial_roots(build_system(tables[sector], cfg.k_max).X)
         resolved = len(results[sector].roots)
         exhausted = (
             f" (Krylov space exhausted at order {resolved})"

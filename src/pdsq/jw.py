@@ -32,6 +32,7 @@ def jordan_wigner(tables: SpinOrbitalTables, drop_tol: float = 1e-12) -> PauliSu
     accum: dict[tuple[int, int], complex] = {(0, 0): complex(tables.core_energy)}
 
     def add(op: PauliSum, scale: complex) -> None:
+        scale = complex(scale)  # a NumPy scalar times a Python complex is slow
         for key, coeff in op._terms.items():
             accum[key] = accum.get(key, 0.0) + scale * coeff
 

@@ -2,7 +2,11 @@
 
 Powers are computed iteratively (H^n = H^{n-1} * H) with simplification at
 every step and cached, since the string ledger up to order 2K-1 reuses the
-same ladder.  The ledger is read off the powers' (x, z) mask arrays: it
+same ladder.  Every step multiplies by the same H, which keeps the merge
+structure of its last product (see `pauli.multiply_sums`): once H^n's
+strings stop changing (H4: 4224 strings from H^4 on), a step reuses it and
+only recombines coefficients, with the same result as a full product.  The
+ledger is read off the powers' (x, z) mask arrays: it
 holds every distinct Pauli string across H^1..H^n, excluding the identity,
 whose expectation never needs a circuit, with the first power it appears in.
 

@@ -12,6 +12,18 @@ Sums are dictionaries mapping mask pairs to complex coefficients; products of
 sums are evaluated in bulk over numpy uint64 masks, which limits sums (not
 strings) to 64 qubits.
 
+Which strings a product a*b holds, and how its |a|*|b| string products
+merge into them, depends only on the two operands' masks, never on their
+coefficients.  So the right operand keeps that merge structure for the last
+left operand it met: one byte of phase exponent per string pair, the
+distinct output strings in canonical order, and the pair -> output index
+(int32 while |a|*|b| fits).  The entry is keyed on the left operand's exact
+mask bytes and replaced on a miss; since sums are immutable it stays valid
+for the right operand's lifetime.  A Hamiltonian power ladder multiplies by
+the same H every step, so once H^n's strings stop changing each step only
+recombines coefficients; for the saturated H4 step (4224 x 185 pairs) H
+keeps 4.0 MiB.
+
 Serialization convention, used project-wide: qubit 0 is the leftmost letter
 of a label and the leftmost character of a measurement bitstring.
 """
@@ -19,7 +31,7 @@ of a label and the leftmost character of a measurement bitstring.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -29,6 +41,7 @@ _LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _LETTER_BITS = {v: k for k, v in _LETTERS.items()}
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 _PHASES_ARR = np.array(_PHASES, dtype=np.complex128)
+_INT32_MAX = np.iinfo(np.int32).max
 
 
 @dataclass(frozen=True)
@@ -133,7 +146,7 @@ class PauliSum:
     Coefficients with |c| <= drop_tol are discarded on construction.
     """
 
-    __slots__ = ("n_qubits", "_terms", "_cached_arrays")
+    __slots__ = ("n_qubits", "_terms", "_cached_arrays", "_product_cache")
 
     def __init__(self, n_qubits: int, terms=None, *, drop_tol: float = DEFAULT_DROP_TOL):
         if n_qubits > 64:
@@ -154,6 +167,9 @@ class PauliSum:
                 merged[(xm, zm)] = c
         self._terms = {k: c for k, c in merged.items() if abs(c) > drop_tol}
         self._cached_arrays = None
+        # (left operand's mask bytes, _ProductStructure) of the last product
+        # with this sum on the right; see multiply_sums
+        self._product_cache = None
 
     # -- constructors ------------------------------------------------------
 
@@ -192,8 +208,9 @@ class PauliSum:
 
     def terms(self) -> Iterator[tuple[PauliString, complex]]:
         """Terms in canonical order: lexicographic on (z_mask, x_mask)."""
-        for xm, zm in sorted(self._terms, key=lambda k: (k[1], k[0])):
-            yield PauliString(self.n_qubits, xm, zm), self._terms[(xm, zm)]
+        x, z, c = self.mask_arrays()
+        for xm, zm, coeff in zip(x.tolist(), z.tolist(), c.tolist()):
+            yield PauliString(self.n_qubits, xm, zm), coeff
 
     def strings(self) -> list[PauliString]:
         return [s for s, _ in self.terms()]
@@ -322,54 +339,83 @@ def parse_sum(text: str, n_qubits: int | None = None) -> PauliSum:
     return PauliSum(n_qubits, pairs)
 
 
+class _ProductStructure(NamedTuple):
+    """How the string products of a*b merge, for fixed operand masks."""
+
+    phase_exp: np.ndarray  # (|a|, |b|) uint8: i-exponent of each pair, 0..3
+    x: np.ndarray  # distinct output strings, canonical (z, x) order
+    z: np.ndarray
+    inverse: np.ndarray  # (|a| * |b|,) index of each pair's output string
+
+
+def _product_structure(a: PauliSum, b: PauliSum) -> _ProductStructure:
+    """The merge structure of a*b, from b's cache when a has the masks of
+    b's last left operand, else computed and cached on b."""
+    xa, za, _ = a.mask_arrays()
+    xb, zb, _ = b.mask_arrays()
+    key = (xa.tobytes(), za.tobytes())
+    if b._product_cache is not None and b._product_cache[0] == key:
+        return b._product_cache[1]
+
+    x = xa[:, None] ^ xb[None, :]
+    z = za[:, None] ^ zb[None, :]
+    # i-exponent from normalizing X^x Z^z products back to Hermitian letters;
+    # uint8 wraps mod 256, a multiple of 4, so the residue mod 4 is exact
+    phase_exp = (
+        np.bitwise_count(xa & za)[:, None]
+        + np.bitwise_count(xb & zb)[None, :]
+        - np.bitwise_count(x & z)
+        + 2 * np.bitwise_count(za[:, None] & xb[None, :])
+    ) & 3
+    if a.n_qubits <= 32:
+        # one scalar key per pair, z in the high half: sorts in (z, x) order
+        uniq, inverse = np.unique(
+            (z.ravel() << np.uint64(32)) | x.ravel(), return_inverse=True
+        )
+        ux, uz = uniq & np.uint64(0xFFFFFFFF), uniq >> np.uint64(32)
+    else:
+        uniq, inverse = np.unique(
+            np.stack((z.ravel(), x.ravel()), axis=1), axis=0, return_inverse=True
+        )
+        ux, uz = uniq[:, 1], uniq[:, 0]
+    index_type = np.int32 if x.size <= _INT32_MAX else np.int64
+    structure = _ProductStructure(phase_exp, ux, uz, inverse.ravel().astype(index_type))
+    b._product_cache = (key, structure)
+    return structure
+
+
 def multiply_sums(
     a: PauliSum, b: PauliSum, drop_tol: float = DEFAULT_DROP_TOL
 ) -> PauliSum:
     """Distributed product of two sums with like-string merging.
 
     All |a| * |b| string products are evaluated in one vectorized pass, then
-    merged; Hermitian inputs with real coefficients stay Hermitian.
+    merged; Hermitian inputs with real coefficients stay Hermitian.  The
+    merge structure (phases, output strings, pair -> string index) comes
+    from b's one-entry cache when a has exactly the strings of the last left
+    operand b met (keyed on a's mask bytes), and is computed and cached on b
+    otherwise.  The entry holds about 5 bytes per pair (4.0 MiB for the
+    saturated 4224 x 185 H4 step) and lives as long as b.  Like strings
+    are summed pair by pair in row-major (a, b) order, whether or not the
+    structure was cached, so the result does not depend on the cache.
     """
     _check_qubits(a.n_qubits, b.n_qubits)
     if not a._terms or not b._terms:
         return PauliSum.zero(a.n_qubits)
-    xa, za, ca = a.mask_arrays()
-    xb, zb, cb = b.mask_arrays()
-
-    x = xa[:, None] ^ xb[None, :]
-    z = za[:, None] ^ zb[None, :]
-    ya = np.bitwise_count(xa & za).astype(np.int64)
-    yb = np.bitwise_count(xb & zb).astype(np.int64)
-    yab = np.bitwise_count(x & z).astype(np.int64)
-    anti = np.bitwise_count(za[:, None] & xb[None, :]).astype(np.int64)
-    e = (ya[:, None] + yb[None, :] - yab + 2 * anti) % 4
-    coeffs = ca[:, None] * cb[None, :] * _PHASES_ARR[e]
-
-    if a.n_qubits <= 32:
-        # scalar merge keys: much faster than row-wise unique
-        packed = (x.ravel() << np.uint64(32)) | z.ravel()
-        uniq, inverse = np.unique(packed, return_inverse=True)
-        acc = np.zeros(len(uniq), dtype=np.complex128)
-        np.add.at(acc, inverse.ravel(), coeffs.ravel())
-        keep = np.abs(acc) > drop_tol
-        terms = {
-            (int(k >> np.uint64(32)), int(k & np.uint64(0xFFFFFFFF))): c
-            for k, c in zip(uniq[keep], acc[keep])
-        }
-    else:
-        keys = np.empty((x.size, 2), dtype=np.uint64)
-        keys[:, 0] = x.ravel()
-        keys[:, 1] = z.ravel()
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        acc = np.zeros(len(uniq), dtype=np.complex128)
-        np.add.at(acc, inverse.ravel(), coeffs.ravel())
-        keep = np.abs(acc) > drop_tol
-        terms = {
-            (int(ux), int(uz)): c
-            for (ux, uz), c in zip(uniq[keep], acc[keep])
-        }
+    s = _product_structure(a, b)
+    _, _, ca = a.mask_arrays()
+    _, _, cb = b.mask_arrays()
+    coeffs = ca[:, None] * cb[None, :]
+    coeffs *= _PHASES_ARR[s.phase_exp]
+    coeffs = coeffs.ravel()
+    acc = np.empty(len(s.x), dtype=np.complex128)
+    acc.real = np.bincount(s.inverse, weights=coeffs.real, minlength=len(s.x))
+    acc.imag = np.bincount(s.inverse, weights=coeffs.imag, minlength=len(s.x))
+    keep = np.abs(acc) > drop_tol
+    x, z, c = s.x[keep], s.z[keep], acc[keep]
     out = PauliSum(a.n_qubits)
-    out._terms = terms
+    out._terms = dict(zip(zip(x.tolist(), z.tolist()), c.tolist()))
+    out._cached_arrays = (x, z, c)
     return out
 
 

@@ -278,14 +278,26 @@ class SectorEnergies:
     moment_values: np.ndarray
 
 
-def sector_energies(problem: Problem, cfg: RunConfig, sector: str) -> SectorEnergies:
+def exact_tables(problem: Problem, k_max: int) -> dict[str, MomentTable]:
+    """Each sector's exact moment table of order k_max, from its reference
+    state: exact-mode energies and the Fig. 3 rows both read these."""
+    return {
+        s: moments_for_state(problem.hamiltonian, problem.sectors[s].state, k_max)
+        for s in SECTORS
+    }
+
+
+def sector_energies(
+    problem: Problem, cfg: RunConfig, sector: str, exact_table: MomentTable
+) -> SectorEnergies:
+    """PDS(k_max) energies of one sector: in exact mode the roots of
+    exact_table, otherwise from moments of sampled string estimates."""
     ctx = problem.sectors[sector]
     k = cfg.k_max
     sector_index = SECTORS.index(sector)
     if cfg.mode == "exact":
-        table = moments_for_state(problem.hamiltonian, ctx.state, k)
-        system = build_system(table, k)
-        return SectorEnergies(sector, polynomial_roots(system.X), table.values)
+        system = build_system(exact_table, k)
+        return SectorEnergies(sector, polynomial_roots(system.X), exact_table.values)
     estimator = (
         estimate_expectations_serial if cfg.mode == "serial"
         else estimate_expectations_parallel
@@ -330,13 +342,12 @@ def energy_vs_order(
     return rows
 
 
-def _fig3_rows(problem: Problem, k_max: int) -> list[tuple]:
+def _fig3_rows(
+    problem: Problem, tables: dict[str, MomentTable], k_max: int
+) -> list[tuple]:
     counts = unique_string_count(problem.hamiltonian, 2 * k_max - 1, problem.cache)
-    tables = [
-        moments_for_state(problem.hamiltonian, problem.sectors[s].state, k_max)
-        for s in SECTORS
-    ]
-    return [(k, counts[2 * k - 2], *e) for k, *e in energy_vs_order(*tables, k_max)]
+    rows = energy_vs_order(tables["singlet"], tables["triplet"], k_max)
+    return [(k, counts[2 * k - 2], *e) for k, *e in rows]
 
 
 def run_pipeline(cfg: RunConfig, problem: Problem | None = None) -> RunReport:
@@ -357,8 +368,9 @@ def run_pipeline(cfg: RunConfig, problem: Problem | None = None) -> RunReport:
         "plan",
         lambda: {s: measurement_ladder(problem, s, cfg.k_max) for s in SECTORS},
     )
+    tables = stage("pds", lambda: exact_tables(problem, cfg.k_max))
     energies = stage(
-        "pds", lambda: {s: sector_energies(problem, cfg, s) for s in SECTORS}
+        "pds", lambda: {s: sector_energies(problem, cfg, s, tables[s]) for s in SECTORS}
     )
     transitions = stage(
         "transitions",
@@ -368,7 +380,7 @@ def run_pipeline(cfg: RunConfig, problem: Problem | None = None) -> RunReport:
     )
     exact_ref = stage("exact", lambda: _exact_reference(problem))
     report = RunReport(cfg, ladders, energies, transitions, exact_ref)
-    stage("report", lambda: _write_reports(report, problem))
+    stage("report", lambda: _write_reports(report, problem, tables))
     return report
 
 
@@ -385,7 +397,9 @@ def _exact_reference(problem: Problem) -> dict[str, float]:
     }
 
 
-def _write_reports(report: RunReport, problem: Problem) -> None:
+def _write_reports(
+    report: RunReport, problem: Problem, tables: dict[str, MomentTable]
+) -> None:
     out = Path(report.config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -405,7 +419,7 @@ def _write_reports(report: RunReport, problem: Problem) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["K", "unique_strings", "S0", "S1", "T0"])
-        for row in _fig3_rows(problem, report.config.k_max):
+        for row in _fig3_rows(problem, tables, report.config.k_max):
             writer.writerow([row[0], row[1]] + [f"{v:.9f}" for v in row[2:]])
     report.files.append(path)
 

@@ -103,3 +103,53 @@ def flip_channel(probs, p: float) -> np.ndarray:
         pairs = out.reshape(-1, 2, 1 << k)  # axis 1 is bit k
         pairs[:] = (1.0 - p) * pairs + p * pairs[:, ::-1]
     return out
+
+
+def multiply_sums_reference(a, b, drop_tol: float = 1e-12):
+    """Product of two PauliSums with no merge-structure cache: every call
+    computes all |a| * |b| phases, sorts the merge keys with np.unique and
+    adds like strings with np.add.at, in row-major (a, b) pair order.
+
+    The reference the cached product is checked against bit for bit.
+    """
+    from pdsq.pauli import PauliSum
+
+    phases = np.array([1.0, 1.0j, -1.0, -1.0j])
+    if a.n_qubits != b.n_qubits:
+        raise ValueError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
+    if not a or not b:
+        return PauliSum.zero(a.n_qubits)
+    xa, za, ca = a.mask_arrays()
+    xb, zb, cb = b.mask_arrays()
+
+    x = xa[:, None] ^ xb[None, :]
+    z = za[:, None] ^ zb[None, :]
+    ya = np.bitwise_count(xa & za).astype(np.int64)
+    yb = np.bitwise_count(xb & zb).astype(np.int64)
+    yab = np.bitwise_count(x & z).astype(np.int64)
+    anti = np.bitwise_count(za[:, None] & xb[None, :]).astype(np.int64)
+    e = (ya[:, None] + yb[None, :] - yab + 2 * anti) % 4
+    coeffs = ca[:, None] * cb[None, :] * phases[e]
+
+    if a.n_qubits <= 32:
+        packed = (x.ravel() << np.uint64(32)) | z.ravel()
+        uniq, inverse = np.unique(packed, return_inverse=True)
+        acc = np.zeros(len(uniq), dtype=np.complex128)
+        np.add.at(acc, inverse.ravel(), coeffs.ravel())
+        keep = np.abs(acc) > drop_tol
+        terms = {
+            (int(k >> np.uint64(32)), int(k & np.uint64(0xFFFFFFFF))): c
+            for k, c in zip(uniq[keep], acc[keep])
+        }
+    else:
+        keys = np.empty((x.size, 2), dtype=np.uint64)
+        keys[:, 0] = x.ravel()
+        keys[:, 1] = z.ravel()
+        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+        acc = np.zeros(len(uniq), dtype=np.complex128)
+        np.add.at(acc, inverse.ravel(), coeffs.ravel())
+        keep = np.abs(acc) > drop_tol
+        terms = {(int(ux), int(uz)): c for (ux, uz), c in zip(uniq[keep], acc[keep])}
+    out = PauliSum(a.n_qubits)
+    out._terms = terms
+    return out

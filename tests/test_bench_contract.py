@@ -37,3 +37,20 @@ def test_pipeline_names_the_samplers():
 
     assert pipeline.sample_batch is backend.sample_batch
     assert pipeline.serial_sample is backend.serial_sample
+
+
+def test_power_ladder_multiplies_once_per_step(h4, monkeypatch):
+    """The benchmark pins `pauli.multiply_sums_calls` (54 per exact op: three
+    ladders of 18 products), counted where pdsq.moments calls it."""
+    from pdsq import moments
+
+    calls = []
+
+    def counted(a, b, *args, **kwargs):
+        calls.append((a.n_terms, b.n_terms))
+        return original(a, b, *args, **kwargs)
+
+    original = moments.multiply_sums
+    monkeypatch.setattr(moments, "multiply_sums", counted)
+    moments.PowerCache(h4).power(19)
+    assert len(calls) == 18

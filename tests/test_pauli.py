@@ -1,5 +1,7 @@
 """Pauli string/sum algebra against dense Kronecker oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,7 @@ from pdsq.pauli import (
     qubit_wise_commutes,
 )
 
-from oracles import dense_string, pauli_sum_to_dense
+from oracles import dense_string, multiply_sums_reference, pauli_sum_to_dense
 
 LETTERS = "IXYZ"
 
@@ -187,6 +189,135 @@ def test_drop_tolerance_prunes():
     assert h2.n_terms == 2
 
 
+def assert_same_sum(got, want):
+    """Same strings in the same canonical order with bit-identical
+    coefficients, and the same term dictionary."""
+    for g, w in zip(got.mask_arrays(), want.mask_arrays()):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert g.tobytes() == w.tobytes()
+    assert got._terms == want._terms
+
+
+def test_power_ladders_match_the_uncached_product(h4_problem):
+    caches = [h4_problem.cache] + [
+        ctx.tapered_cache for ctx in h4_problem.sectors.values()
+    ]
+    for cache in caches:
+        want = cache.h
+        for n in range(2, 20):
+            want = multiply_sums_reference(want, cache.h)
+            assert_same_sum(cache.power(n), want)
+
+
+@pytest.mark.parametrize("n_qubits", [3, 5, 33, 64])
+@pytest.mark.parametrize("real", [True, False])
+def test_random_products_match_the_uncached_product(n_qubits, real):
+    rng = np.random.default_rng(n_qubits + 100 * real)
+    a = random_sum(rng, n_qubits, 40, real=real)
+    b = random_sum(rng, n_qubits, 30, real=real)
+    want = multiply_sums_reference(a, b)
+    assert_same_sum(multiply_sums(a, b), want)
+    assert_same_sum(multiply_sums(a, b), want)  # from b's cache
+    assert_same_sum(multiply_sums(b, b), multiply_sums_reference(b, b))
+
+
+def test_cache_hit_recombines_new_coefficients():
+    rng = np.random.default_rng(17)
+    a = random_sum(rng, 5, 30, real=False)
+    b = random_sum(rng, 5, 20)
+    multiply_sums(a, b)
+    entry = b._product_cache
+    x, z, _ = a.mask_arrays()
+    new_coeffs = rng.standard_normal(a.n_terms) + 1j * rng.standard_normal(a.n_terms)
+    a2 = PauliSum(5, zip(zip(x.tolist(), z.tolist()), new_coeffs))
+    assert_same_sum(multiply_sums(a2, b), multiply_sums_reference(a2, b))
+    assert b._product_cache is entry
+
+    # (X + Z)^2 = 2I, but (X - Z)(X + Z) = XZ - ZX = -2iY: a hit must drop
+    # and keep output strings by the new coefficients
+    h = PauliSum.from_labels(1, {"X": 1.0, "Z": 1.0})
+    assert_same_sum(multiply_sums(h, h), PauliSum.identity(1, 2.0))
+    minus = PauliSum.from_labels(1, {"X": 1.0, "Z": -1.0})
+    got = multiply_sums(minus, h)
+    assert h._product_cache[0] == (minus.mask_arrays()[0].tobytes(),
+                                   minus.mask_arrays()[1].tobytes())
+    assert_same_sum(got, multiply_sums_reference(minus, h))
+    assert [s.label for s, _ in got.terms()] == ["Y"]
+
+
+def test_cache_misses_on_other_strings_of_the_same_count():
+    rng = np.random.default_rng(29)
+    a = random_sum(rng, 6, 25)
+    b = random_sum(rng, 6, 15)
+    multiply_sums(a, b)
+    entry = b._product_cache
+    # same number of terms, one string replaced by one a lacks
+    terms = dict(a._terms)
+    terms.pop(next(iter(terms)))
+    spare = next(k for k in ((x, 0) for x in range(1, 64)) if k not in a._terms)
+    terms[spare] = 0.75
+    other = PauliSum(6, terms)
+    assert other.n_terms == a.n_terms
+    assert_same_sum(multiply_sums(other, b), multiply_sums_reference(other, b))
+    assert b._product_cache is not entry
+
+
+def test_cache_belongs_to_its_right_operand():
+    rng = np.random.default_rng(31)
+    a = random_sum(rng, 4, 12)
+    b1 = random_sum(rng, 4, 10)
+    b2 = random_sum(rng, 4, 10)
+    assert set(b1._terms) != set(b2._terms)
+    multiply_sums(a, b1)
+    entry = b1._product_cache
+    assert b2._product_cache is None
+    assert_same_sum(multiply_sums(a, b2), multiply_sums_reference(a, b2))
+    assert b1._product_cache is entry
+    assert b2._product_cache[1] is not entry[1]
+
+
+def _fresh_copy(h):
+    return PauliSum(h.n_qubits, h._terms)
+
+
+def test_saturated_ladder_step_keeps_a_small_cache(h4_problem):
+    """H^5 * H on H4 (4224 x 185 pairs): the right operand keeps one byte of
+    phase and an int32 index per pair, plus the output and key masks."""
+    a = h4_problem.cache.power(5)
+    h = _fresh_copy(h4_problem.hamiltonian)
+    # the same product on another copy first, so that the interpreter's
+    # free lists are full and keep nothing new while tracing
+    multiply_sums(a, _fresh_copy(h))
+    tracemalloc.start()
+    try:
+        multiply_sums(a, h)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    pairs = a.n_terms * h.n_terms
+    n_out = len(h._product_cache[1].x)
+    assert h._product_cache[1].inverse.dtype == np.int32
+    # pairs x (1 + 4) bytes, two uint64 masks per output and per key string
+    assert kept <= pairs * 5 + 16 * (n_out + a.n_terms) + (64 << 10)
+    assert kept <= 5 << 20
+
+
+def test_cache_hit_peaks_below_the_uncached_product(h4_problem):
+    a = h4_problem.cache.power(5)
+    h = _fresh_copy(h4_problem.hamiltonian)
+    multiply_sums(a, h)
+    tracemalloc.start()
+    try:
+        multiply_sums(a, h)
+        hit_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        multiply_sums_reference(a, h)
+        reference_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hit_peak < reference_peak
+
+
 def test_to_matrix_agrees_with_kron_oracle():
     rng = np.random.default_rng(23)
     h = random_sum(rng, 4, 14, real=False)
@@ -233,6 +364,18 @@ def test_parse_errors():
         parse_term("IIXZ")
     with pytest.raises(ValueError, match="invalid coefficient"):
         parse_term("abc * II")
+
+
+def test_product_terms_are_plain_complex_and_round_trip():
+    h = PauliSum.from_labels(2, {"XI": 1.0, "ZZ": 0.5, "YY": 0.25})
+    sq = multiply_sums(h, h)
+    x, z, c = sq.mask_arrays()
+    assert [(s.x, s.z, v) for s, v in sq.terms()] == list(
+        zip(x.tolist(), z.tolist(), c.tolist())
+    )
+    assert all(type(v) is complex for _, v in sq.terms())
+    assert sq.to_text().splitlines()[0] == "1.3125 * II"
+    assert allclose(parse_sum(sq.to_text()), sq, tol=0.0)
 
 
 def test_sum_text_round_trip():

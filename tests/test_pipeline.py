@@ -80,6 +80,24 @@ def test_h2_exact_run_bundle(tmp_path):
     assert "reference points only" in summary
 
 
+@pytest.mark.parametrize("mode", ["exact", "serial"])
+def test_one_exact_table_per_sector(tmp_path, monkeypatch, mode):
+    """Exact-mode energies and energy_vs_order.csv share one exact moment
+    table per sector."""
+    from pdsq import pipeline
+
+    states = []
+
+    def counted(h, state, K, **kwargs):
+        states.append(state.amplitudes.tobytes())
+        return original(h, state, K, **kwargs)
+
+    original = pipeline.moments_for_state
+    monkeypatch.setattr(pipeline, "moments_for_state", counted)
+    run_pipeline(h2_config(tmp_path, mode=mode))
+    assert len(states) == 2 and len(set(states)) == 2
+
+
 def test_seeded_serial_run_is_bit_identical(tmp_path):
     cfg_a = h2_config(tmp_path, mode="serial", output_dir=tmp_path / "a")
     cfg_b = h2_config(tmp_path, mode="serial", output_dir=tmp_path / "b")
