@@ -3,6 +3,17 @@
 Grouping is greedy first-fit over strings sorted by descending weight (ties
 broken by canonical mask order): deterministic and close to the partition
 sizes good solvers reach, though not necessarily minimal.
+
+It is computed one group at a time on uint64 mask arrays.  Under first-fit a
+group's rotation depends only on the strings that joined it earlier, so
+group 0 is one scan over all strings that takes every string fitting its
+running rotation, group 1 the same scan over the strings left, and so on.
+Within a scan a fitting string that reaches no new qubit leaves the rotation
+as it is, so one vector pass takes all of them up to the first fitting string
+that does extend it; that string joins and the pass resumes after it.  Each
+extension adds a qubit, so a group costs at most n + 1 passes over the
+strings left (n qubits), where the per-string loop tried every open group
+for every string.
 """
 
 from __future__ import annotations
@@ -47,25 +58,46 @@ def group_qwc(strings: Sequence[PauliString]) -> list[QwcGroup]:
             raise ValueError("strings must share one qubit count")
         if s.is_identity:
             raise ValueError("the identity string is never measured; exclude it")
-    ordered = sorted(pauli_list, key=lambda s: (-s.weight, s.z, s.x))
+    if n > 64:
+        raise ValueError(f"QWC grouping holds masks in uint64: {n} qubits exceed 64")
+    x = np.fromiter((s.x for s in pauli_list), dtype=np.uint64, count=len(pauli_list))
+    z = np.fromiter((s.z for s in pauli_list), dtype=np.uint64, count=len(pauli_list))
+    weight = np.bitwise_count(x | z).astype(np.int64)
+    order = np.lexsort((x, z, -weight))  # the stable order of key (-weight, z, x)
+    x, z = x[order], z[order]
 
-    rotations: list[tuple[int, int]] = []  # running (x, z) masks per group
-    members: list[list[PauliString]] = []
-    for s in ordered:
-        for gi, (rx, rz) in enumerate(rotations):
-            shared = (rx | rz) & (s.x | s.z)
-            if (rx ^ s.x) & shared == 0 and (rz ^ s.z) & shared == 0:
-                members[gi].append(s)
-                rotations[gi] = (rx | s.x, rz | s.z)
-                break
-        else:
-            members.append([s])
-            rotations.append((s.x, s.z))
+    groups = []
+    while order.size:
+        joined, rx, rz = _peel_group(x, z)
+        members = tuple(pauli_list[i] for i in order[joined].tolist())
+        groups.append(QwcGroup(members, PauliString(n, int(rx), int(rz))))
+        left = ~joined
+        order, x, z = order[left], x[left], z[left]
+    return groups
 
-    return [
-        QwcGroup(tuple(group), PauliString(n, rx, rz))
-        for group, (rx, rz) in zip(members, rotations)
-    ]
+
+def _peel_group(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.uint64, np.uint64]:
+    """Which of the strings, in order, first-fit puts in the group that the
+    first one opens, and that group's rotation masks (see the module notes)."""
+    joined = np.zeros(x.size, dtype=bool)
+    joined[0] = True
+    rx, rz = x[0], z[0]
+    start = 1
+    while start < x.size:
+        sx, sz = x[start:], z[start:]
+        covered = rx | rz
+        support = sx | sz
+        fits = ((rx ^ sx) | (rz ^ sz)) & covered & support == 0
+        extends = np.flatnonzero(fits & (support & ~covered != 0))
+        stop = extends[0] if extends.size else fits.size
+        joined[start : start + stop] = fits[:stop]
+        if not extends.size:
+            break
+        grow = start + stop
+        joined[grow] = True
+        rx, rz = rx | x[grow], rz | z[grow]
+        start = grow + 1
+    return joined, rx, rz
 
 
 def rotation_circuit(group: QwcGroup) -> list[list[str]]:
@@ -90,6 +122,10 @@ def pack_batches(
     groups: Sequence[QwcGroup], slot_width: int = 5, register: int = 20
 ) -> list[PackedBatch]:
     """Pack groups four-per-execution (fill order = group order)."""
+    if not 1 <= slot_width <= register:
+        raise ValueError(
+            f"slot width {slot_width} does not fit register width {register}"
+        )
     per_batch = register // slot_width
     batches = []
     for start in range(0, len(groups), per_batch):

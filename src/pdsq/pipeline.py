@@ -79,6 +79,8 @@ class RunConfig:
             raise ValueError(f"mode must be one of {MODES}")
         if self.mode != "exact" and self.shots < 1:
             raise ValueError("sampling modes need shots >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if not 0.0 <= self.spam_p < 0.5:
             raise ValueError("spam_p must lie in [0, 0.5)")
 

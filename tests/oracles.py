@@ -153,3 +153,44 @@ def multiply_sums_reference(a, b, drop_tol: float = 1e-12):
     out = PauliSum(a.n_qubits)
     out._terms = terms
     return out
+
+
+def group_qwc_reference(strings):
+    """QWC groups by per-string greedy first-fit: strings sorted on
+    (-weight, z, x), each joining the first group whose running rotation it
+    fits, else opening a new group.
+
+    Plain Python ints and loops, with no mask arrays: the reference the
+    peeled grouping is checked against member for member.
+    """
+    from pdsq.grouping import QwcGroup
+    from pdsq.pauli import PauliString
+
+    pauli_list = list(strings)
+    if not pauli_list:
+        return []
+    n = pauli_list[0].n_qubits
+    for s in pauli_list:
+        if s.n_qubits != n:
+            raise ValueError("strings must share one qubit count")
+        if s.is_identity:
+            raise ValueError("the identity string is never measured; exclude it")
+    ordered = sorted(pauli_list, key=lambda s: (-s.weight, s.z, s.x))
+
+    rotations: list[tuple[int, int]] = []  # running (x, z) masks per group
+    members: list[list[PauliString]] = []
+    for s in ordered:
+        for gi, (rx, rz) in enumerate(rotations):
+            shared = (rx | rz) & (s.x | s.z)
+            if (rx ^ s.x) & shared == 0 and (rz ^ s.z) & shared == 0:
+                members[gi].append(s)
+                rotations[gi] = (rx | s.x, rz | s.z)
+                break
+        else:
+            members.append([s])
+            rotations.append((s.x, s.z))
+
+    return [
+        QwcGroup(tuple(group), PauliString(n, rx, rz))
+        for group, (rx, rz) in zip(members, rotations)
+    ]

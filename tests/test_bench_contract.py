@@ -54,3 +54,20 @@ def test_power_ladder_multiplies_once_per_step(h4, monkeypatch):
     monkeypatch.setattr(moments, "multiply_sums", counted)
     moments.PowerCache(h4).power(19)
     assert len(calls) == 18
+
+
+def test_tracer_reads_the_strings_the_ladder_groups(h4_problem, monkeypatch):
+    """`--trace 1` keys each `group_qwc` span on the hash of the string
+    sequence `measurement_ladder` passes and counts the groups returned."""
+    from pdsq.pipeline import measurement_ladder, unique_measured_strings
+
+    tracer = _load_tracer(monkeypatch)
+    recorder = tracer.Tracer()
+    with recorder.installed(0):
+        ladder = measurement_ladder(h4_problem, "singlet", 10)
+    infos = [span.info for span in recorder.spans if span.name == "grouping.group_qwc"]
+    caches = (h4_problem.cache, h4_problem.sectors["singlet"].tapered_cache)
+    assert infos == [
+        {"key": hash(tuple(unique_measured_strings(cache, 19))), "groups": groups}
+        for cache, groups in zip(caches, (ladder.qwc, ladder.tapered_qwc))
+    ]

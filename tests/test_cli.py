@@ -160,3 +160,20 @@ def test_computation_failure_exit_code_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "run", "--fcidump", str(bad))
     assert code == 2
     assert "hamiltonian" in err
+
+
+def test_negative_seed_exit_code_1_before_any_computation(capsys, tmp_path, monkeypatch):
+    from pdsq import pipeline
+
+    def no_build(cfg):
+        raise AssertionError("the problem was built")
+
+    monkeypatch.setattr(pipeline, "build_problem", no_build)
+    out_dir = tmp_path / "bundle"
+    code, _, err = run_cli(
+        capsys, "run", "--spacings", "2,2,2", "--mode", "serial", "--seed", "-1",
+        "--output-dir", str(out_dir),
+    )
+    assert code == 1
+    assert "seed must be a non-negative integer" in err
+    assert not out_dir.exists()

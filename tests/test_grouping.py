@@ -22,6 +22,8 @@ from pdsq.grouping import (
 )
 from pdsq.pauli import PauliString, PauliSum, qubit_wise_commutes
 
+from oracles import group_qwc_reference
+
 
 def strings(*labels):
     return [PauliString.from_label(s) for s in labels]
@@ -54,6 +56,76 @@ def test_grouping_is_a_partition():
                 assert qubit_wise_commutes(a, b)
             # members never conflict with the group rotation
             assert qubit_wise_commutes(a, g.rotation)
+
+
+def assert_same_groups(got, want):
+    """Same groups in the same order, holding the very same member objects
+    in the same order, with the same rotations."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert len(g.members) == len(w.members)
+        assert all(a is b for a, b in zip(g.members, w.members))
+        assert g.rotation == w.rotation
+
+
+def test_grouping_matches_the_first_fit_oracle(h4_problem):
+    """The full H4 ledger at K = 10 (4223 strings, 441 groups) and both
+    tapered ledgers group exactly as per-string first-fit does."""
+    from pdsq.pipeline import unique_measured_strings
+
+    caches = [h4_problem.cache] + [
+        h4_problem.sectors[sector].tapered_cache for sector in ("singlet", "triplet")
+    ]
+    for cache in caches:
+        ledger = unique_measured_strings(cache, 19)
+        groups = group_qwc(ledger)
+        assert_same_groups(groups, group_qwc_reference(ledger))
+        if cache is h4_problem.cache:
+            assert (len(ledger), len(groups)) == (4223, 441)
+
+
+def _drawn_strings(n_qubits: int, active: list[int], letters: list[list[str]]) -> list:
+    out = []
+    for assignment in letters:
+        label = ["I"] * n_qubits
+        for q, letter in zip(active, assignment):
+            label[q] = letter
+        if set(label) != {"I"}:
+            out.append(PauliString.from_label("".join(label)))
+    return out
+
+
+@st.composite
+def sparse_string_sets(draw):
+    """Strings whose letters sit on a few qubits, always including the top
+    one (bit 63 of the masks on 64 qubits), so that groups merge and clash."""
+    n = draw(st.sampled_from([1, 5, 33, 64]))
+    others = draw(st.sets(st.integers(0, n - 1), max_size=min(n - 1, 5)))
+    active = sorted(others | {n - 1})
+    letters = st.lists(st.sampled_from("IXYZ"), min_size=len(active), max_size=len(active))
+    return _drawn_strings(n, active, draw(st.lists(letters, min_size=1, max_size=40)))
+
+
+@st.composite
+def pairwise_clashing_sets(draw):
+    """Distinct strings with one common support: no two are QWC."""
+    n = draw(st.sampled_from([1, 5, 33, 64]))
+    others = draw(st.sets(st.integers(0, n - 1), max_size=min(n - 1, 4)))
+    active = sorted(others | {n - 1})
+    letters = st.lists(st.sampled_from("XYZ"), min_size=len(active), max_size=len(active))
+    drawn = draw(st.lists(letters, min_size=1, max_size=30, unique_by=tuple))
+    return _drawn_strings(n, active, drawn)
+
+
+@given(st.one_of(sparse_string_sets(), pairwise_clashing_sets()))
+@settings(max_examples=300, deadline=None)
+def test_grouping_matches_the_first_fit_oracle_on_drawn_sets(pool):
+    assert_same_groups(group_qwc(pool), group_qwc_reference(pool))
+
+
+def test_more_than_64_qubits_rejected():
+    with pytest.raises(ValueError, match="64"):
+        group_qwc([PauliString.from_label("X" * 65)])
 
 
 def test_identity_rejected():
@@ -96,6 +168,13 @@ def test_pack_batches_width_mismatch():
     g = QwcGroup(tuple(strings("XX")), PauliString.from_label("XX"))
     with pytest.raises(ValueError, match="slot width"):
         pack_batches([g])
+
+
+@pytest.mark.parametrize("slot_width", [0, -5, 21])
+def test_pack_batches_rejects_slot_width_outside_the_register(slot_width):
+    g = QwcGroup(tuple(strings("XXXXX")), PauliString.from_label("XXXXX"))
+    with pytest.raises(ValueError, match=f"slot width {slot_width} .*register width 20"):
+        pack_batches([g], slot_width=slot_width, register=20)
 
 
 @given(st.integers(1, 40))
