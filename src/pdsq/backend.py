@@ -9,7 +9,7 @@ is exact because slots never share entanglement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -69,27 +69,17 @@ def random_state(n_qubits: int, rng: np.random.Generator) -> StateVector:
 
 
 def apply_pauli_sum(h: PauliSum, state: StateVector) -> np.ndarray:
-    """Amplitudes of h|state> (not normalized)."""
+    """Amplitudes of h|state> (not normalized), in one pass over the blocks
+    of h.matrix_blocks(): each amplitude adds its terms' contributions one
+    by one in canonical term order."""
     if 1 << h.n_qubits != state.amplitudes.size:
         raise ValueError("operator and state dimensions differ")
     amps = state.amplitudes
-    idx = np.arange(amps.size, dtype=np.uint64)
     out = np.zeros_like(amps)
-    for (xm, zm), phase_coeff in _iter_phase_terms(h):
-        signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.uint64(zm)).astype(np.int64) & 1)
-        vals = phase_coeff * signs * amps
-        if xm:
-            out += vals[idx ^ np.uint64(xm)]
-        else:
-            out += vals
+    for rows, values in h.matrix_blocks():
+        # np.add.at adds in array order, so term by term for each amplitude
+        np.add.at(out, rows.ravel(), (values * amps).ravel())
     return out
-
-
-def _iter_phase_terms(h: PauliSum) -> Iterable[tuple[tuple[int, int], complex]]:
-    # folds the i^{|x & z|} letter normalization into the coefficient
-    phases = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-    for string, coeff in h.terms():
-        yield (string.x, string.z), coeff * phases[(string.x & string.z).bit_count() % 4]
 
 
 def exact_expectation(h: PauliSum, state: StateVector, imag_tol: float = 1e-10) -> float:
@@ -121,7 +111,6 @@ class NoiseModel:
     """Independent symmetric readout bit flips with probability p per qubit."""
 
     spam_flip_probability: float = 0.0
-    seed: int | None = None
 
     def __post_init__(self):
         p = self.spam_flip_probability
@@ -251,6 +240,5 @@ def _sample_slots(slots, register: int, shots: int, noise, seed) -> CountTable:
     for state, group, offset in slots:
         joint |= _sample_outcome_indices(state, rotation_circuit(group), shots, rng) << offset
     if noise is not None and noise.spam_flip_probability > 0.0:
-        flip_rng = rng if noise.seed is None else np.random.default_rng(noise.seed)
-        joint = _apply_bit_flips(joint, register, noise.spam_flip_probability, flip_rng)
+        joint = _apply_bit_flips(joint, register, noise.spam_flip_probability, rng)
     return CountTable.from_indices(joint, register)

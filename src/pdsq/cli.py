@@ -336,8 +336,6 @@ def make_parser() -> argparse.ArgumentParser:
             if name in ("simulate", "run"):
                 p.add_argument("--mode", choices=MODES)
                 p.add_argument("--no-mitigation", action="store_true")
-            if name == "run":
-                pass
             if name == "integrals":
                 p.add_argument("--write-fcidump", help="also export integrals here")
             if name == "hamiltonian":

@@ -36,8 +36,16 @@ from .pauli import PauliSum, multiply_sums
 BREAKDOWN_TOL = 1e-8
 
 
+# Largest |H^(n-1)| * |H| string-pair count one power-ladder step may take
+# on.  A product holds about 40 (direct merge) to 70 (sorted merge) bytes per
+# pair at its peak, so a step stays near 1 GiB; the full H4 ladder needs at
+# most 781,440 pairs, and H6 would need 45.9M at H^3.
+MAX_PRODUCT_PAIRS = 1 << 24
+
+
 class TermBudgetError(RuntimeError):
-    """A Hamiltonian power exceeded the configured term cap."""
+    """A Hamiltonian power needs more string products than MAX_PRODUCT_PAIRS,
+    or has more terms than the cache's term cap."""
 
 
 class PowerCache:
@@ -53,6 +61,12 @@ class PowerCache:
             raise ValueError("power must be non-negative")
         top = max(self._powers)
         while top < n:
+            pairs = self._powers[top].n_terms * self.h.n_terms
+            if pairs > MAX_PRODUCT_PAIRS:
+                raise TermBudgetError(
+                    f"H^{top + 1} = H^{top} * H needs {pairs} string products "
+                    f"(cap MAX_PRODUCT_PAIRS = {MAX_PRODUCT_PAIRS})"
+                )
             nxt = multiply_sums(self._powers[top], self.h)
             if nxt.n_terms > self.term_cap:
                 raise TermBudgetError(

@@ -24,6 +24,13 @@ the same H every step, so once H^n's strings stop changing each step only
 recombines coefficients; for the saturated H4 step (4224 x 185 pairs) H
 keeps 4.0 MiB.
 
+Building a structure numbers the distinct output strings by their 2n-bit
+code z << n | x, whose ascending order is the canonical one.  While there
+are fewer pairs than the 4^n possible codes, the pairs' codes are sorted;
+otherwise (the H4 ladder from H^3 on, the tapered 5-qubit ladders from H^2
+on) the present codes are marked in a 4^n table and numbered by a running
+count, with no sort.
+
 Serialization convention, used project-wide: qubit 0 is the leftmost letter
 of a label and the leftmost character of a measurement bitstring.
 """
@@ -42,6 +49,13 @@ _LETTER_BITS = {v: k for k, v in _LETTERS.items()}
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 _PHASES_ARR = np.array(_PHASES, dtype=np.complex128)
 _INT32_MAX = np.iinfo(np.int32).max
+# built once: constructing them took ~4% of a 16-pair product (Jordan-Wigner
+# makes 800 of those for H4)
+_SHIFT32, _LOW32 = np.uint64(32), np.uint64(0xFFFFFFFF)
+# (term, basis state) elements per block of PauliSum.matrix_blocks: each
+# of a block's arrays then fits in a core's cache (<= 256 KiB), which
+# measured fastest for the H4 matvec
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -274,22 +288,37 @@ class PauliSum:
             self._cached_arrays = (x, z, c)
         return self._cached_arrays
 
+    def matrix_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The dense matrix's elements as (rows, values), block by block of
+        terms in canonical order.
+
+        Term t of a block puts values[t, j] = i^{|x_t & z_t|} c_t (-1)^{|j & z_t|}
+        in row rows[t, j] = j ^ x_t (int64) of column j, for every basis index
+        j < 2^n.  A block holds max(1, _BLOCK_ELEMENTS >> n) terms, so the
+        arrays stay small whatever the number of terms.
+        """
+        x, z, c = self.mask_arrays()
+        # folds the i^{|x & z|} letter normalization into the coefficient
+        c = c * _PHASES_ARR[np.bitwise_count(x & z) & 3]
+        cols = np.arange(1 << self.n_qubits, dtype=np.uint64)
+        step = max(1, _BLOCK_ELEMENTS >> self.n_qubits)
+        for lo in range(0, c.size, step):
+            block = slice(lo, lo + step)
+            signs = np.where(np.bitwise_count(cols & z[block, None]) & 1, -1.0, 1.0)
+            yield (cols ^ x[block, None]).view(np.int64), c[block, None] * signs
+
     def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix; refuse beyond 16 qubits."""
         n = self.n_qubits
         if n > 16:
             raise ValueError("dense matrix limited to 16 qubits")
         dim = 1 << n
-        cols = np.arange(dim, dtype=np.uint64)
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        for (xm, zm), coeff in self._terms.items():
-            phase = _PHASES[(xm & zm).bit_count() % 4] * coeff
-            signs = 1.0 - 2.0 * (
-                np.bitwise_count(cols & np.uint64(zm)).astype(np.int64) & 1
-            )
-            rows = cols ^ np.uint64(xm)
-            out[rows, cols] += phase * signs
-        return out
+        cols = np.arange(dim)
+        out = np.zeros(dim * dim, dtype=np.complex128)
+        for rows, values in self.matrix_blocks():
+            # np.add.at adds in array order: each entry sums its terms in turn
+            np.add.at(out, (rows * dim + cols).ravel(), values.ravel())
+        return out.reshape(dim, dim)
 
     # -- serialization -----------------------------------------------------
 
@@ -367,19 +396,30 @@ def _product_structure(a: PauliSum, b: PauliSum) -> _ProductStructure:
         - np.bitwise_count(x & z)
         + 2 * np.bitwise_count(za[:, None] & xb[None, :])
     ) & 3
-    if a.n_qubits <= 32:
+    n = a.n_qubits
+    index_type = np.int32 if x.size <= _INT32_MAX else np.int64
+    if 1 << 2 * n <= x.size:
+        # no more keys z << n | x than pairs: mark the present ones in a
+        # 4^n table, whose ascending order is the canonical (z, x) order,
+        # and number them by a running count instead of sorting the pairs
+        keys = ((z << np.uint64(n)) | x).ravel().view(np.int64)
+        present = np.zeros(1 << 2 * n, dtype=bool)
+        present[keys] = True
+        inverse = (np.cumsum(present, dtype=index_type) - 1)[keys]
+        uniq = np.flatnonzero(present).astype(np.uint64)
+        ux, uz = uniq & np.uint64((1 << n) - 1), uniq >> np.uint64(n)
+    elif n <= 32:
         # one scalar key per pair, z in the high half: sorts in (z, x) order
-        uniq, inverse = np.unique(
-            (z.ravel() << np.uint64(32)) | x.ravel(), return_inverse=True
-        )
-        ux, uz = uniq & np.uint64(0xFFFFFFFF), uniq >> np.uint64(32)
+        uniq, inverse = np.unique((z.ravel() << _SHIFT32) | x.ravel(), return_inverse=True)
+        ux, uz = uniq & _LOW32, uniq >> _SHIFT32
     else:
         uniq, inverse = np.unique(
             np.stack((z.ravel(), x.ravel()), axis=1), axis=0, return_inverse=True
         )
         ux, uz = uniq[:, 1], uniq[:, 0]
-    index_type = np.int32 if x.size <= _INT32_MAX else np.int64
-    structure = _ProductStructure(phase_exp, ux, uz, inverse.ravel().astype(index_type))
+    structure = _ProductStructure(
+        phase_exp, ux, uz, inverse.ravel().astype(index_type, copy=False)
+    )
     b._product_cache = (key, structure)
     return structure
 
@@ -391,6 +431,9 @@ def multiply_sums(
 
     All |a| * |b| string products are evaluated in one vectorized pass, then
     merged; Hermitian inputs with real coefficients stay Hermitian.  The
+    merge sorts the pairs' string codes only when there are fewer pairs than
+    the 4^n possible strings, and addresses the strings directly otherwise
+    (see the module docstring); both give the same structure.  The
     merge structure (phases, output strings, pair -> string index) comes
     from b's one-entry cache when a has exactly the strings of the last left
     operand b met (keyed on a's mask bytes), and is computed and cached on b

@@ -194,3 +194,30 @@ def group_qwc_reference(strings):
         QwcGroup(tuple(group), PauliString(n, rx, rz))
         for group, (rx, rz) in zip(members, rotations)
     ]
+
+
+def apply_pauli_sum_reference(h, state) -> np.ndarray:
+    """Amplitudes of h|state> as a Python loop over h's terms in canonical
+    order: fold i^{|x & z|} into the coefficient, multiply by the signs
+    (-1)^{|j & z|} and the amplitudes, and add the rows j ^ x into the
+    result one term at a time.
+
+    The reference the one-pass matvec is checked against byte for byte.
+    """
+    phases = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+    amps = state.amplitudes
+    if 1 << h.n_qubits != amps.size:
+        raise ValueError("operator and state dimensions differ")
+    idx = np.arange(amps.size, dtype=np.uint64)
+    out = np.zeros_like(amps)
+    for string, coeff in h.terms():
+        phase_coeff = coeff * phases[(string.x & string.z).bit_count() % 4]
+        signs = 1.0 - 2.0 * (
+            np.bitwise_count(idx & np.uint64(string.z)).astype(np.int64) & 1
+        )
+        vals = phase_coeff * signs * amps
+        if string.x:
+            out += vals[idx ^ np.uint64(string.x)]
+        else:
+            out += vals
+    return out

@@ -7,8 +7,10 @@ pdsq module attribute that names them; it is read here, never changed.
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
+from unittest.mock import MagicMock
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
 
@@ -28,6 +30,31 @@ def test_every_traced_function_resolves(monkeypatch):
         if not callable(getattr(importlib.import_module(spec.module), spec.function, None))
     ]
     assert missing == []
+
+
+def test_tracer_reads_arguments_by_their_parameter_names(monkeypatch):
+    """The tracer binds each traced call to the function's signature and
+    reads the arguments by name, e.g. `apply_pauli_sum(h, state)` and
+    `multiply_sums(a, b)`: a renamed parameter would fail every traced op."""
+    tracer = _load_tracer(monkeypatch)
+
+    class Arguments(dict):
+        def __missing__(self, name):
+            self[name] = MagicMock()
+            return self[name]
+
+    read, unknown = {}, {}
+    for spec in tracer.TRACED:
+        if spec.info is None:
+            continue
+        arguments = Arguments()
+        spec.info(arguments, MagicMock())
+        fn = getattr(importlib.import_module(spec.module), spec.function)
+        read[spec.span_name] = set(arguments)
+        unknown[spec.span_name] = set(arguments) - set(inspect.signature(fn).parameters)
+    assert read["backend.apply_pauli_sum"] == {"h", "state"}
+    assert read["pauli.multiply_sums"] == {"a", "b"}
+    assert not any(unknown.values()), unknown
 
 
 def test_pipeline_names_the_samplers():

@@ -162,6 +162,14 @@ def test_computation_failure_exit_code_2(capsys, tmp_path):
     assert "hamiltonian" in err
 
 
+def test_over_budget_ladder_exit_code_2(capsys):
+    # H6: H^3 would take 49,910 x 919 string pairs, some 3 GB
+    code, _, err = run_cli(capsys, "plan", "--spacings", "2,2,2,2,2", "--k-max", "2")
+    assert code == 2
+    assert "H^3 = H^2 * H needs 45867290 string products" in err
+    assert "MAX_PRODUCT_PAIRS" in err
+
+
 def test_negative_seed_exit_code_1_before_any_computation(capsys, tmp_path, monkeypatch):
     from pdsq import pipeline
 

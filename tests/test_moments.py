@@ -1,5 +1,7 @@
 """Hamiltonian powers, moment evaluation, and the unique-string ledger."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -76,6 +78,26 @@ def test_term_budget_overflow():
     cache = PowerCache(h, term_cap=20)
     with pytest.raises(TermBudgetError, match="cap"):
         cache.power(3)
+
+
+def test_over_budget_step_fails_before_allocating():
+    """4097^2 string pairs exceed MAX_PRODUCT_PAIRS (2^24) by 8193: H^2 is
+    refused before its ~1 GiB product is built, naming step, count and cap."""
+    h = PauliSum(12, [((k & 0xFFF, k >> 12), 1.0) for k in range(4097)])
+    cache = PowerCache(h)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TermBudgetError) as err:
+            cache.power(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert h.n_terms**2 > moments.MAX_PRODUCT_PAIRS
+    assert str(err.value) == (
+        "H^2 = H^1 * H needs 16785409 string products "
+        "(cap MAX_PRODUCT_PAIRS = 16777216)"
+    )
+    assert peak < 1 << 20
 
 
 def test_moments_of_basis_state_with_z():

@@ -209,7 +209,18 @@ def test_power_ladders_match_the_uncached_product(h4_problem):
             assert_same_sum(cache.power(n), want)
 
 
-@pytest.mark.parametrize("n_qubits", [3, 5, 33, 64])
+def distinct_sum(rng, n_qubits, n_terms, real=True):
+    """Exactly n_terms distinct strings (n_qubits <= 16), random coefficients."""
+    keys = rng.permutation(1 << 2 * n_qubits)[:n_terms]
+    c = rng.standard_normal(n_terms)
+    if not real:
+        c = c + 1j * rng.standard_normal(n_terms)
+    mask = (1 << n_qubits) - 1
+    terms = [((int(k) & mask, int(k) >> n_qubits), v) for k, v in zip(keys, c.tolist())]
+    return PauliSum(n_qubits, terms)
+
+
+@pytest.mark.parametrize("n_qubits", [1, 3, 4, 5, 33, 64])
 @pytest.mark.parametrize("real", [True, False])
 def test_random_products_match_the_uncached_product(n_qubits, real):
     rng = np.random.default_rng(n_qubits + 100 * real)
@@ -219,6 +230,16 @@ def test_random_products_match_the_uncached_product(n_qubits, real):
     assert_same_sum(multiply_sums(a, b), want)
     assert_same_sum(multiply_sums(a, b), want)  # from b's cache
     assert_same_sum(multiply_sums(b, b), multiply_sums_reference(b, b))
+    if n_qubits > 5:
+        return
+    # the merge addresses the 4^n keys directly once there are no more of
+    # them than pairs, and sorts the pairs otherwise: both sides of that edge
+    side = 2**n_qubits
+    for n_a, n_b in ((side, side), (side - 1, side + 1), (2 * side, side), (1, side)):
+        a = distinct_sum(rng, n_qubits, n_a, real=real)
+        b = distinct_sum(rng, n_qubits, n_b, real=real)
+        assert a.n_terms * b.n_terms == n_a * n_b
+        assert_same_sum(multiply_sums(a, b), multiply_sums_reference(a, b))
 
 
 def test_cache_hit_recombines_new_coefficients():
