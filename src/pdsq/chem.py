@@ -360,26 +360,19 @@ def second_quantized_hamiltonian(ints: IntegralSet, scf: ScfResult) -> SpinOrbit
     eri_mo = mo.two_body
 
     m = 2 * n
-    spin = [0] * n + [1] * n
-    spatial = list(range(n)) * 2
-    one = np.zeros((m, m))
-    for pp in range(m):
-        for qq in range(m):
-            if spin[pp] == spin[qq]:
-                one[pp, qq] = h_mo[spatial[pp], spatial[qq]]
+    spin = np.repeat([0, 1], n)
+    spatial = np.tile(np.arange(n), 2)
+    same_spin = spin[:, None] == spin[None, :]
+    one = np.where(same_spin, h_mo[np.ix_(spatial, spatial)], 0.0)
 
-    # <PQ||RS> = <PQ|RS> - <PQ|SR> with <PQ|RS> = (pr|qs) on matching spins
-    two = np.zeros((m, m, m, m))
-    for p in range(m):
-        for q in range(m):
-            for r in range(m):
-                for s in range(m):
-                    v = 0.0
-                    if spin[p] == spin[r] and spin[q] == spin[s]:
-                        v += eri_mo[spatial[p], spatial[r], spatial[q], spatial[s]]
-                    if spin[p] == spin[s] and spin[q] == spin[r]:
-                        v -= eri_mo[spatial[p], spatial[s], spatial[q], spatial[r]]
-                    two[p, q, r, s] = v
+    # <PQ||RS> = <PQ|RS> - <PQ|SR> with <PQ|RS> = (pr|qs) on matching spins;
+    # each element is 0.0 (+ (pr|qs)) (- (ps|qr)), the terms present in turn
+    eri = eri_mo[np.ix_(spatial, spatial, spatial, spatial)]  # (pr|qs) at [P, R, Q, S]
+    direct = same_spin[:, None, :, None] & same_spin[None, :, None, :]  # P~R, Q~S
+    exchange = same_spin[:, None, None, :] & same_spin[None, :, :, None]  # P~S, Q~R
+    two = (0.0 + np.where(direct, eri.transpose(0, 2, 1, 3), 0.0)) - np.where(
+        exchange, eri.transpose(0, 2, 3, 1), 0.0
+    )
     return SpinOrbitalTables(m, ints.core_energy, one, two)
 
 

@@ -3,12 +3,27 @@
 Qubit k carries spin orbital k (blocked ordering: alpha block then beta
 block), with |1> meaning occupied.  Ladder operators pick up a Z parity
 string on all lower-indexed qubits.
+
+`jordan_wigner` expands every table entry above the cutoff in one pass over
+uint64 mask arrays.  A ladder operator is the sum of two strings,
+X_k Z_{<k} / 2 and Y_k Z_{<k} (-+i/2), so a+_p a_q is a sum of 4 string
+products and a+_p a+_q a_s a_r of 16, each with coefficient 2^-k i^e, whose
+phase e follows from the running symplectic product of the factors' masks.
+Like strings are merged within each product first: the parts are +-2^-k, so
+that sum is exact in any order.  Each merged product is scaled by h[p, q] or
+<pq||rs>/4, and the scaled terms are summed string by string in table order
+(one-body (p, q), then two-body (p, q, r, s), both row-major), starting from
+the core energy.  Those are the additions, in the order, that accumulating
+one product after another makes, so every coefficient carries the same bits
+whatever the layout of the pass.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .chem import SpinOrbitalTables
-from .pauli import PauliSum, multiply_sums
+from .pauli import _PHASES_ARR, PauliSum, _sum_in_order
 
 _COEFF_CUTOFF = 1e-14
 
@@ -23,48 +38,88 @@ def ladder_operator(index: int, n_modes: int, dagger: bool) -> PauliSum:
     return PauliSum(n_modes, {(bit, tail): 0.5, (bit, tail | bit): y_coeff})
 
 
+def _string_products(modes: np.ndarray, daggers: tuple[bool, ...]):
+    """The 2^k string products of a^(daggers[0])_{modes[i, 0]} ...
+    a^(daggers[k-1])_{modes[i, k-1]} for each row i of modes.
+
+    Returns (x, z, e), each of shape (rows, 2^k): product j takes factor f's
+    Y string when bit f of j is set, and has coefficient 2^-k i^e.
+    """
+    k = len(daggers)
+    bit = np.uint64(1) << modes.astype(np.uint64)
+    tail = bit - np.uint64(1)
+    takes_y = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1 == 1
+    x = np.zeros((len(modes), 1 << k), dtype=np.uint64)
+    z = np.zeros_like(x)
+    e = np.zeros(x.shape, dtype=np.int64)
+    for f, dagger in enumerate(daggers):
+        xf = bit[:, f, None]
+        zf = tail[:, f, None] | np.where(takes_y[:, f], xf, np.uint64(0))
+        # the Y string's coefficient: -i/2 = i^3 / 2 on a+, +i/2 on a
+        e += np.where(takes_y[:, f], 3 if dagger else 1, 0)
+        xn, zn = x ^ xf, z ^ zf
+        # i-exponent of P(x, z) P(xf, zf) (see pauli.multiply_strings); the
+        # uint8 counts wrap mod 256, a multiple of 4, so the residue is exact
+        e += (
+            np.bitwise_count(x & z)
+            + np.bitwise_count(xf & zf)
+            - np.bitwise_count(xn & zn)
+            + 2 * np.bitwise_count(z & xf)
+        )
+        x, z = xn, zn
+    return x, z, e & 3
+
+
 def jordan_wigner(tables: SpinOrbitalTables, drop_tol: float = 1e-12) -> PauliSum:
     """Qubit Hamiltonian of core + one-body + antisymmetrized two-body tables."""
     m = tables.n_spin_orbitals
-    create = [ladder_operator(p, m, dagger=True) for p in range(m)]
-    annihilate = [ladder_operator(p, m, dagger=False) for p in range(m)]
+    one, two = tables.one_body, tables.two_body
+    if np.shape(one) != (m, m) or np.shape(two) != (m,) * 4:
+        raise ValueError(
+            f"tables for {m} spin orbitals need one_body of shape {(m, m)} and "
+            f"two_body of shape {(m,) * 4}, got {np.shape(one)} and {np.shape(two)}"
+        )
+    if m > 64:
+        raise ValueError("PauliSum supports at most 64 qubits")
 
-    accum: dict[tuple[int, int], complex] = {(0, 0): complex(tables.core_energy)}
+    # entries in row-major (loop) order; a+_p a+_p = a_r a_r = 0
+    p, q = np.nonzero(np.abs(one) > _COEFF_CUTOFF)
+    distinct = ~np.eye(m, dtype=bool)
+    pp, qq, rr, ss = np.nonzero(
+        (np.abs(two) > _COEFF_CUTOFF) & distinct[:, :, None, None] & distinct
+    )
+    x1, z1, e1 = _string_products(np.stack((p, q), axis=1), (True, False))
+    x2, z2, e2 = _string_products(
+        np.stack((pp, qq, ss, rr), axis=1), (True, True, False, False)
+    )
 
-    def add(op: PauliSum, scale: complex) -> None:
-        scale = complex(scale)  # a NumPy scalar times a Python complex is slow
-        for key, coeff in op._terms.items():
-            accum[key] = accum.get(key, 0.0) + scale * coeff
+    # product 0 is the core energy, then the table entries in loop order
+    scale = np.concatenate(([1.0], one[p, q], 0.25 * two[pp, qq, rr, ss]))
+    product = np.concatenate((
+        [0],
+        np.repeat(np.arange(1, len(p) + 1), 4),
+        np.repeat(np.arange(len(p) + 1, len(scale)), 16),
+    ))
+    x = np.concatenate(([np.uint64(0)], x1.ravel(), x2.ravel()))
+    z = np.concatenate(([np.uint64(0)], z1.ravel(), z2.ravel()))
+    e = np.concatenate((e1.ravel(), e2.ravel()))
+    unit = np.concatenate((np.full(e1.size, 0.25), np.full(e2.size, 0.0625)))
+    re = np.concatenate(([float(tables.core_energy)], unit * _PHASES_ARR.real[e]))
+    im = np.concatenate(([0.0], unit * _PHASES_ARR.imag[e]))
 
-    def cached_product(cache, ops, i, j):
-        if (i, j) not in cache:
-            cache[(i, j)] = multiply_sums(ops[i], ops[j], drop_tol=0.0)
-        return cache[(i, j)]
-
-    cc_cache: dict[tuple[int, int], PauliSum] = {}
-    aa_cache: dict[tuple[int, int], PauliSum] = {}
-
-    one = tables.one_body
-    for p in range(m):
-        for q in range(m):
-            if abs(one[p, q]) > _COEFF_CUTOFF:
-                add(multiply_sums(create[p], annihilate[q], drop_tol=0.0), one[p, q])
-
-    two = tables.two_body
-    for p in range(m):
-        for q in range(m):
-            if p == q:
-                continue
-            cc = cached_product(cc_cache, create, p, q)
-            for r in range(m):
-                for s in range(m):
-                    if r == s:
-                        continue
-                    v = two[p, q, r, s]
-                    if abs(v) <= _COEFF_CUTOFF:
-                        continue
-                    # a+_p a+_q a_s a_r, weighted by <pq||rs>/4
-                    aa = cached_product(aa_cache, annihilate, s, r)
-                    add(multiply_sums(cc, aa, drop_tol=0.0), 0.25 * v)
-
-    return PauliSum(m, accum, drop_tol=drop_tol)
+    # merge like strings within each product: exact, as the parts are +-2^-k
+    order = np.lexsort((x, z, product))
+    x, z, product, re, im = x[order], z[order], product[order], re[order], im[order]
+    first = np.concatenate((
+        [True],
+        (product[1:] != product[:-1]) | (x[1:] != x[:-1]) | (z[1:] != z[:-1]),
+    ))
+    pair = np.cumsum(first) - 1
+    re, im = np.bincount(pair, weights=re), np.bincount(pair, weights=im)
+    nonzero = (re != 0) | (im != 0)
+    weight = scale[product[first][nonzero]]
+    # then sum the scaled products string by string, in loop order
+    return _sum_in_order(
+        m, x[first][nonzero], z[first][nonzero],
+        weight * re[nonzero], weight * im[nonzero], drop_tol,
+    )

@@ -44,16 +44,15 @@ MAX_PRODUCT_PAIRS = 1 << 24
 
 
 class TermBudgetError(RuntimeError):
-    """A Hamiltonian power needs more string products than MAX_PRODUCT_PAIRS,
-    or has more terms than the cache's term cap."""
+    """A Hamiltonian power needs more string products than MAX_PRODUCT_PAIRS;
+    raised before the product is built."""
 
 
 class PowerCache:
     """Caches H^0..H^n for one Hamiltonian; read-only after each fill."""
 
-    def __init__(self, h: PauliSum, *, term_cap: int = 10_000_000):
+    def __init__(self, h: PauliSum):
         self.h = h
-        self.term_cap = term_cap
         self._powers: dict[int, PauliSum] = {0: PauliSum.identity(h.n_qubits), 1: h}
 
     def power(self, n: int) -> PauliSum:
@@ -67,13 +66,8 @@ class PowerCache:
                     f"H^{top + 1} = H^{top} * H needs {pairs} string products "
                     f"(cap MAX_PRODUCT_PAIRS = {MAX_PRODUCT_PAIRS})"
                 )
-            nxt = multiply_sums(self._powers[top], self.h)
-            if nxt.n_terms > self.term_cap:
-                raise TermBudgetError(
-                    f"H^{top + 1} has {nxt.n_terms} terms (cap {self.term_cap})"
-                )
+            self._powers[top + 1] = multiply_sums(self._powers[top], self.h)
             top += 1
-            self._powers[top] = nxt
         return self._powers[n]
 
 

@@ -200,6 +200,15 @@ class PauliSum:
         return cls(string.n_qubits, {(string.x, string.z): coeff})
 
     @classmethod
+    def _from_canonical(cls, n_qubits: int, x, z, c) -> "PauliSum":
+        """Sum of distinct strings given as (x, z, coeff) arrays already in
+        canonical order; the arrays become the sum's mask_arrays()."""
+        out = cls(n_qubits)
+        out._terms = dict(zip(zip(x.tolist(), z.tolist()), c.tolist()))
+        out._cached_arrays = (x, z, c)
+        return out
+
+    @classmethod
     def from_labels(cls, n_qubits: int, labels: dict[str, complex]) -> "PauliSum":
         pairs = []
         for label, coeff in labels.items():
@@ -455,11 +464,27 @@ def multiply_sums(
     acc.real = np.bincount(s.inverse, weights=coeffs.real, minlength=len(s.x))
     acc.imag = np.bincount(s.inverse, weights=coeffs.imag, minlength=len(s.x))
     keep = np.abs(acc) > drop_tol
-    x, z, c = s.x[keep], s.z[keep], acc[keep]
-    out = PauliSum(a.n_qubits)
-    out._terms = dict(zip(zip(x.tolist(), z.tolist()), c.tolist()))
-    out._cached_arrays = (x, z, c)
-    return out
+    return PauliSum._from_canonical(a.n_qubits, s.x[keep], s.z[keep], acc[keep])
+
+
+def _sum_in_order(
+    n_qubits: int, x: np.ndarray, z: np.ndarray, re: np.ndarray, im: np.ndarray,
+    drop_tol: float,
+) -> PauliSum:
+    """Sum of the terms (x[i], z[i], re[i] + i im[i]), each string's terms
+    added one after another in array order from 0.0, as a dict accumulating
+    them in turn would; |c| <= drop_tol is dropped."""
+    order = np.lexsort((x, z))
+    x, z = x[order], z[order]
+    first = np.ones(len(x), dtype=bool)
+    first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+    index = np.empty(len(x), dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    acc = np.empty(np.count_nonzero(first), dtype=np.complex128)
+    acc.real = np.bincount(index, weights=re, minlength=len(acc))
+    acc.imag = np.bincount(index, weights=im, minlength=len(acc))
+    keep = np.abs(acc) > drop_tol
+    return PauliSum._from_canonical(n_qubits, x[first][keep], z[first][keep], acc[keep])
 
 
 def allclose(a: PauliSum, b: PauliSum, tol: float = 1e-10) -> bool:

@@ -11,6 +11,14 @@ Reference determinants in the chosen sector taper to plain basis states on
 the remaining qubits: the Clifford sends them to product states whose
 removed-qubit factors are X eigenstates matching the sector signs, so
 expectation values restrict exactly.
+
+Everything past the Clifford rotations works on the sums' uint64 mask
+arrays: the check matrix is cut from the masks by shift-and-mask, the
+commutation of each generator with all terms is one popcount parity, and the
+restriction multiplies every rotated term by its sector signs (+-1, exact),
+gathers the remaining qubits' bits into compact masks, and sums the terms
+that land on one string in canonical order of the rotated sum, which is the
+order a term-by-term loop adds them in; so the tapered sum has the same bits.
 """
 
 from __future__ import annotations
@@ -21,7 +29,9 @@ from math import sqrt
 import numpy as np
 
 from .chem import ReferenceDeterminant
-from .pauli import PauliString, PauliSum, commutes, multiply_sums
+from .pauli import (
+    DEFAULT_DROP_TOL, PauliString, PauliSum, _check_qubits, _sum_in_order, multiply_sums,
+)
 
 
 @dataclass(frozen=True)
@@ -45,9 +55,8 @@ def _gf2_rref(rows: np.ndarray) -> np.ndarray:
         swap = pivot_row + hits[0]
         m[[pivot_row, swap]] = m[[swap, pivot_row]]
         others = np.nonzero(m[:, col])[0]
-        for r in others:
-            if r != pivot_row:
-                m[r] ^= m[pivot_row]
+        others = others[others != pivot_row]
+        m[others] ^= m[pivot_row]
         pivot_row += 1
         if pivot_row == n_rows:
             break
@@ -72,8 +81,13 @@ def _gf2_kernel_basis(rows: np.ndarray) -> np.ndarray:
     return np.array(basis, dtype=np.uint8).reshape(len(basis), n_cols)
 
 
-def _mask_to_bits(mask: int, n: int) -> np.ndarray:
-    return np.array([(mask >> k) & 1 for k in range(n)], dtype=np.uint8)
+def _check_matrix(h: PauliSum) -> np.ndarray:
+    """One uint8 row per term in canonical order: its z bits, then its x
+    bits (a term's z multiplies a candidate's x part, its x the z part)."""
+    x, z, _ = h.mask_arrays()
+    shifts = np.arange(h.n_qubits, dtype=np.uint64)
+    bits = np.concatenate((z[:, None] >> shifts, x[:, None] >> shifts), axis=1)
+    return (bits & np.uint64(1)).astype(np.uint8)
 
 
 def _bits_to_mask(bits: np.ndarray) -> int:
@@ -92,14 +106,9 @@ def find_symmetries(h: PauliSum) -> list[PauliString]:
     allows it; ordering is canonical for reproducible downstream counts.
     """
     n = h.n_qubits
-    strings = h.strings()
-    if not strings:
+    if not h:
         return []
-    check = np.zeros((len(strings), 2 * n), dtype=np.uint8)
-    for row, s in enumerate(strings):
-        check[row, :n] = _mask_to_bits(s.z, n)  # multiplies candidate x-part
-        check[row, n:] = _mask_to_bits(s.x, n)  # multiplies candidate z-part
-    kernel = _gf2_kernel_basis(check)
+    kernel = _gf2_kernel_basis(_check_matrix(h))
     if kernel.size == 0:
         return []
     # RREF over (x | z) columns: rows with pivots in the z block are pure Z
@@ -166,19 +175,26 @@ def tapering_for_determinant(h: PauliSum, det: ReferenceDeterminant) -> Tapering
 
 
 def _check_generators(h: PauliSum, generators) -> None:
+    x, z, _ = h.mask_arrays()
+    if not x.size:
+        return
     for g in generators:
-        for t in h.strings():
-            if not commutes(g, t):
-                raise ValueError(
-                    f"generator {g.label} does not commute with term {t.label}"
-                )
+        _check_qubits(g.n_qubits, h.n_qubits)
+        # symplectic product parity with every term in one pass
+        odd = np.bitwise_count((x & np.uint64(g.z)) ^ (z & np.uint64(g.x))) & 1
+        if odd.any():
+            t = int(np.argmax(odd))
+            term = PauliString(h.n_qubits, int(x[t]), int(z[t]))
+            raise ValueError(
+                f"generator {g.label} does not commute with term {term.label}"
+            )
 
 
-def _compact_mask(mask: int, remaining: list[int]) -> int:
-    out = 0
+def _compact(masks: np.ndarray, remaining: list[int]) -> np.ndarray:
+    """Masks with bit remaining[k] moved to bit k and every other bit dropped."""
+    out = np.zeros_like(masks)
     for new, old in enumerate(remaining):
-        if (mask >> old) & 1:
-            out |= 1 << new
+        out |= ((masks >> np.uint64(old)) & np.uint64(1)) << np.uint64(new)
     return out
 
 
@@ -201,24 +217,24 @@ def taper_operator(h: PauliSum, td: TaperingData) -> PauliSum:
     removed = set(td.removed_qubits)
     remaining = [q for q in range(n) if q not in removed]
     sign_of = dict(zip(td.removed_qubits, td.sector_signs))
-    terms: dict[tuple[int, int], complex] = {}
-    for string, coeff in rotated.terms():
-        factor = 1.0
-        for q in removed:
-            letter_x = (string.x >> q) & 1
-            letter_z = (string.z >> q) & 1
-            if letter_z:
-                raise ValueError(
-                    f"rotated term {string.label} acts as Z/Y on removed qubit {q}"
-                )
-            if letter_x:
-                factor *= sign_of[q]
-        key = (
-            _compact_mask(string.x, remaining),
-            _compact_mask(string.z, remaining),
+    x, z, c = rotated.mask_arrays()
+    on_removed = np.flatnonzero(z & np.uint64(sum(1 << q for q in removed)))
+    if on_removed.size:
+        string = PauliString(n, int(x[on_removed[0]]), int(z[on_removed[0]]))
+        q = next(q for q in removed if (string.z >> q) & 1)
+        raise ValueError(
+            f"rotated term {string.label} acts as Z/Y on removed qubit {q}"
         )
-        terms[key] = terms.get(key, 0.0) + coeff * factor
-    return PauliSum(td.n_remaining, terms)
+    # an X on a removed qubit becomes that qubit's sector sign
+    factor = np.ones(len(c))
+    for q in removed:
+        factor = np.where((x >> np.uint64(q)) & np.uint64(1), factor * sign_of[q], factor)
+    x, z = _compact(x, remaining), _compact(z, remaining)
+    if int((x | z).max(initial=0)) >> td.n_remaining:
+        raise ValueError("term masks exceed qubit count")
+    return _sum_in_order(
+        td.n_remaining, x, z, c.real * factor, c.imag * factor, DEFAULT_DROP_TOL
+    )
 
 
 def taper_state(det: ReferenceDeterminant, td: TaperingData) -> str:

@@ -221,3 +221,198 @@ def apply_pauli_sum_reference(h, state) -> np.ndarray:
         else:
             out += vals
     return out
+
+
+# H4 chains the set-up oracles are checked on: the benchmark's spacings, a
+# near-equilibrium chain and an uneven one (361 Jordan-Wigner terms, not 185)
+H4_SPACINGS = [(2.0, 2.0, 2.0), (1.4, 1.6, 1.4), (0.9, 2.5, 1.1)]
+
+
+def assert_same_bits(a, b) -> None:
+    """Two PauliSums have byte-identical canonical (x, z, coeff) arrays."""
+    assert a.n_qubits == b.n_qubits
+    for mine, theirs in zip(a.mask_arrays(), b.mask_arrays()):
+        assert mine.dtype == theirs.dtype
+        assert mine.tobytes() == theirs.tobytes()
+
+
+def spin_orbital_tables_reference(h_mo, eri_mo):
+    """One-body and antisymmetrized two-body spin-orbital tables from MO
+    integrals (chemists' (pq|rs)) by an m^4 Python loop over spin orbitals.
+
+    The reference the array build of `chem.second_quantized_hamiltonian` is
+    checked against element for element.
+    """
+    n = h_mo.shape[0]
+    m = 2 * n
+    spin = [0] * n + [1] * n
+    spatial = list(range(n)) * 2
+    one = np.zeros((m, m))
+    for pp in range(m):
+        for qq in range(m):
+            if spin[pp] == spin[qq]:
+                one[pp, qq] = h_mo[spatial[pp], spatial[qq]]
+
+    # <PQ||RS> = <PQ|RS> - <PQ|SR> with <PQ|RS> = (pr|qs) on matching spins
+    two = np.zeros((m, m, m, m))
+    for p in range(m):
+        for q in range(m):
+            for r in range(m):
+                for s in range(m):
+                    v = 0.0
+                    if spin[p] == spin[r] and spin[q] == spin[s]:
+                        v += eri_mo[spatial[p], spatial[r], spatial[q], spatial[s]]
+                    if spin[p] == spin[s] and spin[q] == spin[r]:
+                        v -= eri_mo[spatial[p], spatial[s], spatial[q], spatial[r]]
+                    two[p, q, r, s] = v
+    return one, two
+
+
+def jordan_wigner_reference(tables, drop_tol: float = 1e-12):
+    """Qubit Hamiltonian of spin-orbital tables, one table entry at a time:
+    each a+_p a_q or a+_p a+_q a_s a_r is a `multiply_sums` product of ladder
+    operators, scaled and added into a dict in (p, q) then (p, q, r, s)
+    row-major order, starting from the core energy.
+
+    The reference the one-pass expansion is checked against byte for byte.
+    """
+    from pdsq.jw import _COEFF_CUTOFF, ladder_operator
+    from pdsq.pauli import PauliSum, multiply_sums
+
+    m = tables.n_spin_orbitals
+    create = [ladder_operator(p, m, dagger=True) for p in range(m)]
+    annihilate = [ladder_operator(p, m, dagger=False) for p in range(m)]
+
+    accum: dict[tuple[int, int], complex] = {(0, 0): complex(tables.core_energy)}
+
+    def add(op: PauliSum, scale: complex) -> None:
+        scale = complex(scale)  # a NumPy scalar times a Python complex is slow
+        for key, coeff in op._terms.items():
+            accum[key] = accum.get(key, 0.0) + scale * coeff
+
+    def cached_product(cache, ops, i, j):
+        if (i, j) not in cache:
+            cache[(i, j)] = multiply_sums(ops[i], ops[j], drop_tol=0.0)
+        return cache[(i, j)]
+
+    cc_cache: dict[tuple[int, int], PauliSum] = {}
+    aa_cache: dict[tuple[int, int], PauliSum] = {}
+
+    one = tables.one_body
+    for p in range(m):
+        for q in range(m):
+            if abs(one[p, q]) > _COEFF_CUTOFF:
+                add(multiply_sums(create[p], annihilate[q], drop_tol=0.0), one[p, q])
+
+    two = tables.two_body
+    for p in range(m):
+        for q in range(m):
+            if p == q:
+                continue
+            cc = cached_product(cc_cache, create, p, q)
+            for r in range(m):
+                for s in range(m):
+                    if r == s:
+                        continue
+                    v = two[p, q, r, s]
+                    if abs(v) <= _COEFF_CUTOFF:
+                        continue
+                    # a+_p a+_q a_s a_r, weighted by <pq||rs>/4
+                    aa = cached_product(aa_cache, annihilate, s, r)
+                    add(multiply_sums(cc, aa, drop_tol=0.0), 0.25 * v)
+
+    return PauliSum(m, accum, drop_tol=drop_tol)
+
+
+def _mask_to_bits(mask: int, n: int) -> np.ndarray:
+    return np.array([(mask >> k) & 1 for k in range(n)], dtype=np.uint8)
+
+
+def symmetry_check_matrix_reference(h) -> np.ndarray:
+    """The symplectic check matrix of h, one Python row per term in
+    canonical order: the term's z bits, then its x bits.
+
+    The reference `taper.find_symmetries`' array build is checked against.
+    """
+    n = h.n_qubits
+    strings = h.strings()
+    check = np.zeros((len(strings), 2 * n), dtype=np.uint8)
+    for row, s in enumerate(strings):
+        check[row, :n] = _mask_to_bits(s.z, n)  # multiplies candidate x-part
+        check[row, n:] = _mask_to_bits(s.x, n)  # multiplies candidate z-part
+    return check
+
+
+def gf2_rref_reference(rows: np.ndarray) -> np.ndarray:
+    """Reduced row-echelon form over GF(2), XORing the pivot row into one
+    hit row at a time; zero rows dropped."""
+    m = rows.copy().astype(np.uint8) & 1
+    n_rows, n_cols = m.shape
+    pivot_row = 0
+    for col in range(n_cols):
+        hits = np.nonzero(m[pivot_row:, col])[0]
+        if hits.size == 0:
+            continue
+        swap = pivot_row + hits[0]
+        m[[pivot_row, swap]] = m[[swap, pivot_row]]
+        others = np.nonzero(m[:, col])[0]
+        for r in others:
+            if r != pivot_row:
+                m[r] ^= m[pivot_row]
+        pivot_row += 1
+        if pivot_row == n_rows:
+            break
+    keep = m.any(axis=1)
+    return m[keep]
+
+
+def _compact_mask(mask: int, remaining: list[int]) -> int:
+    out = 0
+    for new, old in enumerate(remaining):
+        if (mask >> old) & 1:
+            out |= 1 << new
+    return out
+
+
+def taper_operator_reference(h, td):
+    """h restricted to td's sector: the Clifford rotations, then a Python
+    loop over the rotated terms in canonical order that replaces each X on a
+    removed qubit by its sector sign, compacts the masks and adds into a
+    dict.
+
+    The reference the array restriction is checked against byte for byte.
+    """
+    from math import sqrt
+
+    from pdsq.pauli import PauliSum, multiply_sums
+
+    n = h.n_qubits
+    rotated = h
+    inv_sqrt2 = 1.0 / sqrt(2.0)
+    for g, q in zip(td.generators, td.paulix_partners):
+        u = PauliSum(n, {(1 << q, 0): inv_sqrt2, (g.x, g.z): inv_sqrt2})
+        rotated = multiply_sums(multiply_sums(u, rotated), u)
+    if rotated.max_imag() > 1e-9:
+        raise ValueError("tapering rotation broke Hermiticity; incompatible data")
+
+    removed = set(td.removed_qubits)
+    remaining = [q for q in range(n) if q not in removed]
+    sign_of = dict(zip(td.removed_qubits, td.sector_signs))
+    terms: dict[tuple[int, int], complex] = {}
+    for string, coeff in rotated.terms():
+        factor = 1.0
+        for q in removed:
+            letter_x = (string.x >> q) & 1
+            letter_z = (string.z >> q) & 1
+            if letter_z:
+                raise ValueError(
+                    f"rotated term {string.label} acts as Z/Y on removed qubit {q}"
+                )
+            if letter_x:
+                factor *= sign_of[q]
+        key = (
+            _compact_mask(string.x, remaining),
+            _compact_mask(string.z, remaining),
+        )
+        terms[key] = terms.get(key, 0.0) + coeff * factor
+    return PauliSum(td.n_remaining, terms)

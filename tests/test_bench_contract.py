@@ -9,6 +9,7 @@ import importlib
 import importlib.util
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 from unittest.mock import MagicMock
 
@@ -98,3 +99,47 @@ def test_tracer_reads_the_strings_the_ladder_groups(h4_problem, monkeypatch):
         {"key": hash(tuple(unique_measured_strings(cache, 19))), "groups": groups}
         for cache, groups in zip(caches, (ladder.qwc, ladder.tapered_qwc))
     ]
+
+
+def test_set_up_layers_cover_jordan_wigner_and_tapering(monkeypatch, tmp_path):
+    """One `build_problem` reaches `jordan_wigner` once and each tapering
+    entry point once per sector, through the module attributes the tracer
+    rebinds; every private helper of jw and taper runs inside one of those
+    spans, so `jw.jordan_wigner_s` and `taper.taper_s` time it rather than
+    `pipeline.setup_self_s`."""
+    from pdsq import jw, pipeline, taper
+
+    tracer = _load_tracer(monkeypatch)
+    recorder = tracer.Tracer()
+    helper_spans = []
+
+    def enclosed(name, fn):
+        def wrapper(*args, **kwargs):
+            top = recorder.spans[recorder._stack[-1]].name if recorder._stack else None
+            helper_spans.append((name, top))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (jw, taper):
+        for name, fn in list(vars(module).items()):
+            if name.startswith("_") and inspect.isfunction(fn):
+                monkeypatch.setattr(module, name, enclosed(f"{module.__name__}.{name}", fn))
+
+    cfg = pipeline.RunConfig(spacings=(2.0, 2.0, 2.0), output_dir=tmp_path)
+    with recorder.installed(0):
+        pipeline.build_problem(cfg)
+    calls = Counter(span.name for span in recorder.spans)
+    assert [calls[name] for name in (
+        "jw.jordan_wigner", "taper.tapering_for_determinant",
+        "taper.taper_operator", "taper.taper_state",
+    )] == [1, 2, 2, 2]
+    assert {name for name, _ in helper_spans} >= {
+        "pdsq.jw._string_products", "pdsq.jw._sum_in_order", "pdsq.taper._check_matrix",
+        "pdsq.taper._gf2_rref", "pdsq.taper._check_generators", "pdsq.taper._compact",
+        "pdsq.taper._sum_in_order",
+    }
+    # each helper ran inside a traced span of its own module (jw or taper)
+    assert all(
+        top is not None and name.startswith(f"pdsq.{top.split('.')[0]}.")
+        for name, top in helper_spans
+    ), helper_spans

@@ -2,11 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pdsq import chem, jw
+from pdsq import chem, fcidump, jw
 from pdsq.backend import prepare_basis_state, exact_expectation
 from pdsq.exact import exact_spectrum
 from pdsq.pauli import PauliSum
+
+from oracles import (
+    H4_SPACINGS,
+    assert_same_bits,
+    jordan_wigner_reference,
+    spin_orbital_tables_reference,
+)
 
 
 def dense_creation(p: int, n_modes: int) -> np.ndarray:
@@ -103,3 +112,92 @@ def test_reference_expectations_from_statevector(h4, h4_problem):
     det = chem.reference_determinant("singlet", 4, 8)
     e = exact_expectation(h4, prepare_basis_state(det.bits))
     assert e == pytest.approx(h4_problem.scf.scf_energy, abs=1e-8)
+
+
+def assert_tables_match_the_loop(ints, scf):
+    """Spin-orbital tables and their Hamiltonian, against the m^4 table loop
+    and the per-entry Jordan-Wigner loop, byte for byte."""
+    tables = chem.second_quantized_hamiltonian(ints, scf)
+    mo = chem.mo_integrals(ints, scf)
+    for mine, theirs in zip(
+        (tables.one_body, tables.two_body),
+        spin_orbital_tables_reference(mo.one_body, mo.two_body),
+    ):
+        assert mine.shape == theirs.shape and mine.dtype == theirs.dtype
+        assert mine.tobytes() == theirs.tobytes()
+    assert_same_bits(jw.jordan_wigner(tables), jordan_wigner_reference(tables))
+
+
+@pytest.mark.parametrize("spacings", [(0.7414,), *H4_SPACINGS])
+def test_hamiltonian_matches_the_entry_loop_bit_for_bit(spacings):
+    ints = chem.compute_integrals(chem.build_h_chain(list(spacings)))
+    assert_tables_match_the_loop(ints, chem.hartree_fock(ints))
+
+
+def test_fcidump_round_trip_matches_the_entry_loop_bit_for_bit(tmp_path):
+    ints = chem.compute_integrals(chem.build_h_chain([2.0, 2.0, 2.0]))
+    path = tmp_path / "h4.fcidump"
+    fcidump.fcidump_write(chem.mo_integrals(ints, chem.hartree_fock(ints)), path)
+    again = fcidump.fcidump_read(path)
+    assert_tables_match_the_loop(again, chem.hartree_fock(again))
+
+
+@st.composite
+def spin_orbital_tables(draw):
+    """Tables on 1-6 spin orbitals, not symmetric, mixing exact zeros (both
+    signs), values at and just past +-_COEFF_CUTOFF, negative entries and
+    normal draws, at several densities."""
+    m = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    cut = jw._COEFF_CUTOFF
+    special = np.array([
+        0.0, -0.0, cut, -cut, np.nextafter(cut, 1.0), -np.nextafter(cut, 1.0),
+        0.5 * cut, 1.0, -1.0, -0.25, 3.0,
+    ])
+
+    def table(shape):
+        values = np.where(
+            rng.random(shape) < 0.5, rng.choice(special, shape), rng.normal(size=shape)
+        )
+        return np.where(rng.random(shape) < density, values, 0.0)
+
+    core = draw(st.sampled_from([0.0, -0.0, 0.7, -2.25]))
+    return chem.SpinOrbitalTables(m, core, table((m, m)), table((m,) * 4))
+
+
+@given(spin_orbital_tables(), st.sampled_from([1e-12, 0.0]))
+@settings(max_examples=80, deadline=None)
+def test_drawn_tables_match_the_entry_loop_bit_for_bit(tables, drop_tol):
+    assert_same_bits(
+        jw.jordan_wigner(tables, drop_tol), jordan_wigner_reference(tables, drop_tol)
+    )
+
+
+def test_tables_past_32_modes_match_the_entry_loop_bit_for_bit():
+    """33 modes: strings wider than a 32-bit half of a packed (z, x) key."""
+    m = 33
+    one = np.zeros((m, m))
+    two = np.zeros((m,) * 4)
+    one[32, 0] = one[0, 32] = -0.75
+    one[32, 32] = 0.5
+    one[5, 31] = 1e-3
+    two[32, 1, 0, 32] = two[1, 32, 32, 0] = 0.3
+    two[32, 1, 32, 0] = two[1, 32, 0, 32] = -0.3
+    two[31, 32, 30, 29] = 0.125
+    two[0, 31, 31, 0] = -2.0
+    tables = chem.SpinOrbitalTables(m, -1.5, one, two)
+    h = jw.jordan_wigner(tables)
+    assert h.n_qubits == 33 and int(h.mask_arrays()[1].max()) >> 32
+    assert_same_bits(h, jordan_wigner_reference(tables))
+
+
+@pytest.mark.parametrize(
+    "one_shape, two_shape",
+    [((3, 3), (2,) * 4), ((2, 2), (3,) * 4), ((2, 3), (2,) * 4), ((2, 2), (2,) * 3)],
+)
+def test_table_shapes_are_checked(one_shape, two_shape):
+    """An oversized table would put entries past mode m - 1 in the sum."""
+    tables = chem.SpinOrbitalTables(2, 0.0, np.ones(one_shape), np.ones(two_shape))
+    with pytest.raises(ValueError, match=r"\(2, 2\) .* \(2, 2, 2, 2\)"):
+        jw.jordan_wigner(tables)

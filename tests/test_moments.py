@@ -72,12 +72,21 @@ def test_cache_validation():
         cache.power(-1)
 
 
-def test_term_budget_overflow():
+def test_term_budget_overflow(monkeypatch):
+    """A step over the pair budget is refused before its product is built."""
     rng = np.random.default_rng(17)
     h = random_hermitian_sum(rng, 4, 30)
-    cache = PowerCache(h, term_cap=20)
+    cache = PowerCache(h)
+    pairs = cache.power(2).n_terms * h.n_terms
+    monkeypatch.setattr(moments, "MAX_PRODUCT_PAIRS", pairs - 1)
+    products = []
+    monkeypatch.setattr(
+        moments, "multiply_sums", lambda a, b: products.append((a, b))
+    )
     with pytest.raises(TermBudgetError, match="cap"):
         cache.power(3)
+    assert products == []
+    assert max(cache._powers) == 2
 
 
 def test_over_budget_step_fails_before_allocating():

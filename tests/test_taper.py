@@ -2,11 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from pdsq import chem, taper
+from pdsq import chem, jw, taper
 from pdsq.backend import exact_expectation, prepare_basis_state
 from pdsq.moments import unique_string_count
 from pdsq.pauli import PauliString, PauliSum, commutes
+
+from oracles import (
+    H4_SPACINGS,
+    assert_same_bits,
+    gf2_rref_reference,
+    symmetry_check_matrix_reference,
+    taper_operator_reference,
+)
 
 
 def test_single_term_hamiltonian_symmetries():
@@ -124,3 +134,86 @@ def test_all_zero_determinant_sector_is_trivial(h4):
     gens = taper.find_symmetries(h4)
     vacuum = chem.ReferenceDeterminant(8, (), 0.0)
     assert taper.sector_of(vacuum, gens) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("spacings", H4_SPACINGS)
+def test_tapering_matches_the_term_loops_bit_for_bit(spacings):
+    ints = chem.compute_integrals(chem.build_h_chain(list(spacings)))
+    tables = chem.second_quantized_hamiltonian(ints, chem.hartree_fock(ints))
+    h = jw.jordan_wigner(tables)
+    check = taper._check_matrix(h)
+    expected = symmetry_check_matrix_reference(h)
+    assert check.dtype == expected.dtype and np.array_equal(check, expected)
+    assert np.array_equal(taper._gf2_rref(check), gf2_rref_reference(check))
+    for sector in ("singlet", "triplet"):
+        det = chem.reference_determinant(sector, 4, 8)
+        td = taper.tapering_for_determinant(h, det)
+        assert_same_bits(taper.taper_operator(h, td), taper_operator_reference(h, td))
+
+
+@given(st.integers(1, 12), st.integers(1, 16), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_gf2_rref_matches_the_row_loop(n_rows, n_cols, seed):
+    rows = np.random.default_rng(seed).integers(0, 2, (n_rows, n_cols), dtype=np.uint8)
+    assert np.array_equal(taper._gf2_rref(rows), gf2_rref_reference(rows))
+
+
+@st.composite
+def restrictions(draw):
+    """A sum and a sector on removed qubits, with no generators (so no
+    rotation): X letters on removed qubits merge terms under sector signs,
+    and Z/Y letters there, when drawn, must be rejected by name."""
+    n = draw(st.sampled_from([2, 5, 9, 33, 64]))
+    removed = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n - 1, 4), unique=True))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(removed), max_size=len(removed)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kept = [q for q in range(n) if q not in removed]
+    active = [int(q) for q in rng.choice(kept, size=min(len(kept), 3), replace=False)]
+    z_on_removed = draw(st.sampled_from([0.0, 0.05]))
+
+    def bits(qubits, p):
+        return sum(1 << q for q in qubits if rng.random() < p)
+
+    # a few kept-qubit strings, each extended by X (and rarely Z) letters on
+    # removed qubits, so that several terms restrict to one string
+    bases = [(bits(active, 0.5), bits(active, 0.5)) for _ in range(rng.integers(1, 6))]
+    terms = []
+    for _ in range(draw(st.integers(2, 40))):
+        x, z = bases[rng.integers(len(bases))]
+        terms.append((
+            (x | bits(removed, 0.5), z | bits(removed, z_on_removed)),
+            rng.choice([rng.normal(), 0.5, -0.5, 1e-13]),
+        ))
+    td = taper.TaperingData((), (), tuple(signs), tuple(removed), n - len(removed))
+    return PauliSum(n, terms), td
+
+
+@given(restrictions())
+@settings(max_examples=200, deadline=None)
+def test_restriction_matches_the_term_loop_bit_for_bit(drawn):
+    h, td = drawn
+    try:
+        expected = taper_operator_reference(h, td)
+    except ValueError as err:
+        with pytest.raises(ValueError) as got:
+            taper.taper_operator(h, td)
+        assert str(got.value) == str(err)
+        event("Z/Y on a removed qubit")
+        return
+    event("terms merged" if len(expected) < len(h) else "no merge")
+    assert_same_bits(taper.taper_operator(h, td), expected)
+
+
+def test_first_anticommuting_term_is_named(h4):
+    """The error names the first generator that fails, and its first
+    anticommuting term in canonical order."""
+    good = taper.find_symmetries(h4)[0]
+    bad = PauliString.from_label("IIXIIIII")
+    first = next(t for t in h4.strings() if not commutes(bad, t))
+    with pytest.raises(ValueError) as err:
+        taper.build_tapering(h4, [good, bad], [1, 1])
+    assert str(err.value) == (
+        f"generator {bad.label} does not commute with term {first.label}"
+    )
+    with pytest.raises(ValueError, match="qubit counts differ: 2 vs 8"):
+        taper.build_tapering(h4, [PauliString.from_label("ZZ")], [1])
