@@ -136,6 +136,8 @@ class CountTable:
         object.__setattr__(self, "counts", counts)
         if outcomes.ndim != 1 or outcomes.shape != counts.shape:
             raise ValueError("need one count per outcome")
+        if np.any(counts < 0):
+            raise ValueError(f"negative count {int(counts.min())} in the histogram")
         total = int(counts.sum())
         if total != self.shots:
             raise ValueError(f"counts sum to {total}, expected {self.shots}")
@@ -175,8 +177,11 @@ class CountTable:
                 n_bits = len(key)
             if len(key) != n_bits or set(key) - {"0", "1"}:
                 raise ValueError(f"malformed bitstring key {key!r}")
+            count = int(value)
+            if count < 0:  # caught here, before repeated keys are summed
+                raise ValueError(f"line {lineno}: negative count {count}")
             index = bits_to_index(key)
-            counts[index] = counts.get(index, 0) + int(value)
+            counts[index] = counts.get(index, 0) + count
         if n_bits is None:
             raise ValueError("no histogram lines found")
         outcomes = sorted(counts)

@@ -12,8 +12,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import fcidump, grouping, mitigation, taper
-from .backend import CountTable, NoiseModel, index_to_bits, sample_batch, serial_sample
+from . import fcidump, mitigation, taper
+from .backend import CountTable, index_to_bits
 from .exact import exact_spectrum, exact_transitions
 from .moments import moments_for_state, unique_string_count
 from .pds import build_system, polynomial_roots, transition_energies
@@ -25,7 +25,9 @@ from .pipeline import (
     energy_vs_order,
     exact_tables,
     measurement_ladder,
+    register_width,
     run_pipeline,
+    sample_sector,
     unique_measured_strings,
 )
 
@@ -244,31 +246,17 @@ def cmd_simulate(args) -> int:
     problem = build_problem(cfg)
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    noise = NoiseModel(cfg.spam_p) if cfg.spam_p > 0 else None
-    max_power = 2 * cfg.k_max - 1
     written = []
     for si, sector in enumerate(SECTORS):
         ctx = problem.sectors[sector]
-        strings = unique_measured_strings(ctx.tapered_cache, max_power)
-        groups = grouping.group_qwc(strings)
-        if cfg.mode == "serial":
-            for gi, group in enumerate(groups):
-                counts = serial_sample(
-                    ctx.tapered_state, group, cfg.shots, noise, seed=[cfg.seed, si, gi]
-                )
-                path = out / f"counts_{sector}_serial_{gi:03d}.txt"
-                path.write_text(counts.to_lines() + "\n")
-                written.append(path)
-        else:
-            batches = grouping.pack_batches(groups, ctx.tapered_h.n_qubits)
-            for bi, batch in enumerate(batches):
-                counts = sample_batch(
-                    [ctx.tapered_state] * len(batch.slots),
-                    batch, cfg.shots, noise, seed=[cfg.seed, si, bi],
-                )
-                path = out / f"counts_{sector}_parallel_{bi:03d}.txt"
-                path.write_text(counts.to_lines() + "\n")
-                written.append(path)
+        draws = sample_sector(
+            ctx, 2 * cfg.k_max - 1, cfg.shots, cfg.seed, si, cfg.spam_p,
+            register_width(ctx, cfg.mode),
+        )
+        for i, (_, counts) in enumerate(draws):
+            path = out / f"counts_{sector}_{cfg.mode}_{i:03d}.txt"
+            path.write_text(counts.to_lines() + "\n")
+            written.append(path)
     print(f"wrote {len(written)} histogram files to {out}")
     return 0
 

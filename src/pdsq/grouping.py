@@ -121,7 +121,9 @@ def rotation_circuit(group: QwcGroup) -> list[list[str]]:
 def pack_batches(
     groups: Sequence[QwcGroup], slot_width: int = 5, register: int = 20
 ) -> list[PackedBatch]:
-    """Pack groups four-per-execution (fill order = group order)."""
+    """Pack groups register // slot_width to an execution, in group order:
+    four 5-qubit groups to the 20-qubit device, and one to an execution in
+    serial mode (register = slot_width)."""
     if not 1 <= slot_width <= register:
         raise ValueError(
             f"slot width {slot_width} does not fit register width {register}"

@@ -252,13 +252,6 @@ class PauliSum:
     def max_imag(self) -> float:
         return max((abs(c.imag) for c in self._terms.values()), default=0.0)
 
-    def real_part(self, drop_tol: float = DEFAULT_DROP_TOL) -> "PauliSum":
-        return PauliSum(
-            self.n_qubits,
-            ((k, c.real) for k, c in self._terms.items()),
-            drop_tol=drop_tol,
-        )
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "PauliSum") -> "PauliSum":

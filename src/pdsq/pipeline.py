@@ -10,18 +10,15 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from . import chem, fcidump, grouping, jw, mitigation, taper
-from .backend import (
-    CountTable,
-    NoiseModel,
-    StateVector,
-    prepare_basis_state,
-    sample_batch,
-    serial_sample,
-)
+from .backend import CountTable, NoiseModel, StateVector, prepare_basis_state, sample_batch
+# serial_sample is not called here, but the benchmark's tracer
+# (benchmarks/tracer.py) rebinds it in this module, so the name stays.
+from .backend import serial_sample  # noqa: F401
 from .exact import exact_spectrum, exact_transitions
 from .moments import (
     MomentTable, PowerCache, _string_ledger, moments_for_state, unique_string_count,
@@ -38,6 +35,7 @@ from .pds import (
 
 MODES = ("exact", "serial", "parallel")
 SECTORS = ("singlet", "triplet")
+DEVICE_REGISTER = 20  # qubits per execution on the device in parallel mode
 
 # Energies measured on a 20-qubit trapped-ion device running this
 # workflow (hartree): reference points only -- device noise and finite
@@ -194,26 +192,31 @@ def _slot_estimates(
     return grouping.slot_expectations(counts.outcomes, weights, slots)
 
 
-def estimate_expectations_serial(
+def register_width(ctx: SectorContext, mode: str) -> int:
+    """Qubits per execution: the tapered width in serial mode, so each
+    execution measures one QWC group, else the device's register."""
+    return ctx.tapered_h.n_qubits if mode == "serial" else DEVICE_REGISTER
+
+
+def sample_sector(
     ctx: SectorContext,
     max_power: int,
     shots: int,
     seed: int,
     sector_index: int,
-    spam_p: float = 0.0,
-    apply_mitigation: bool = True,
-) -> dict[PauliString, float]:
-    """Measure every unique tapered string once, one QWC group at a time."""
+    spam_p: float,
+    register: int,
+) -> Iterator[tuple[grouping.PackedBatch, CountTable]]:
+    """Each execution of a sector's measurement plan with its counts: the
+    QWC groups of the tapered ledger packed register // n to an execution
+    (n the tapered width), batch bi drawn with seed [seed, sector_index, bi]."""
     strings = unique_measured_strings(ctx.tapered_cache, max_power)
     groups = grouping.group_qwc(strings)
+    batches = grouping.pack_batches(groups, ctx.tapered_h.n_qubits, register)
     noise = NoiseModel(spam_p) if spam_p > 0.0 else None
-    estimates: dict[PauliString, float] = {}
-    for gi, group in enumerate(groups):
-        counts = serial_sample(
-            ctx.tapered_state, group, shots, noise, seed=[seed, sector_index, gi]
-        )
-        estimates.update(_slot_estimates(counts, ((group, 0),), spam_p, apply_mitigation))
-    return estimates
+    for bi, batch in enumerate(batches):
+        states = [ctx.tapered_state] * len(batch.slots)
+        yield batch, sample_batch(states, batch, shots, noise, seed=[seed, sector_index, bi])
 
 
 def estimate_expectations_parallel(
@@ -224,18 +227,15 @@ def estimate_expectations_parallel(
     sector_index: int,
     spam_p: float = 0.0,
     apply_mitigation: bool = True,
+    register: int = DEVICE_REGISTER,
 ) -> dict[PauliString, float]:
-    """Measure four QWC groups per 20-qubit execution."""
-    strings = unique_measured_strings(ctx.tapered_cache, max_power)
-    groups = grouping.group_qwc(strings)
-    batches = grouping.pack_batches(groups, ctx.tapered_h.n_qubits)
-    noise = NoiseModel(spam_p) if spam_p > 0.0 else None
+    """Estimate every unique tapered string from sample_sector's executions,
+    each mitigated when asked; register = the tapered width puts one group
+    in each execution, which is serial sampling."""
     estimates: dict[PauliString, float] = {}
-    for bi, batch in enumerate(batches):
-        states = [ctx.tapered_state] * len(batch.slots)
-        counts = sample_batch(
-            states, batch, shots, noise, seed=[seed, sector_index, bi]
-        )
+    for batch, counts in sample_sector(
+        ctx, max_power, shots, seed, sector_index, spam_p, register
+    ):
         estimates.update(_slot_estimates(counts, batch.slots, spam_p, apply_mitigation))
     return estimates
 
@@ -300,11 +300,7 @@ def sector_energies(
     if cfg.mode == "exact":
         system = build_system(exact_table, k)
         return SectorEnergies(sector, polynomial_roots(system.X), exact_table.values)
-    estimator = (
-        estimate_expectations_serial if cfg.mode == "serial"
-        else estimate_expectations_parallel
-    )
-    estimates = estimator(
+    estimates = estimate_expectations_parallel(
         ctx,
         2 * k - 1,
         cfg.shots,
@@ -312,6 +308,7 @@ def sector_energies(
         sector_index,
         spam_p=cfg.spam_p,
         apply_mitigation=cfg.apply_mitigation,
+        register=register_width(ctx, cfg.mode),
     )
     values = moments_from_estimates(ctx.tapered_cache, estimates, k)
     return SectorEnergies(sector, pds_from_values(values, k), values)

@@ -416,3 +416,63 @@ def taper_operator_reference(h, td):
         )
         terms[key] = terms.get(key, 0.0) + coeff * factor
     return PauliSum(td.n_remaining, terms)
+
+
+def serial_draws_reference(ctx, max_power: int, shots: int, seed: int, sector_index: int,
+                           noise):
+    """(group, counts) for every QWC group of a sector's tapered ledger, each
+    sampled on its own register with seed [seed, sector_index, group index]:
+    the one-group-at-a-time loop, with no packing."""
+    from pdsq.backend import serial_sample
+    from pdsq.grouping import group_qwc
+    from pdsq.pipeline import unique_measured_strings
+
+    groups = group_qwc(unique_measured_strings(ctx.tapered_cache, max_power))
+    return [
+        (group, serial_sample(
+            ctx.tapered_state, group, shots, noise, seed=[seed, sector_index, gi]
+        ))
+        for gi, group in enumerate(groups)
+    ]
+
+
+def packed_draws_reference(ctx, max_power: int, shots: int, seed: int, sector_index: int,
+                           noise):
+    """(batch, counts) for the sector's groups packed into 20-qubit
+    executions, batch bi sampled with seed [seed, sector_index, bi]."""
+    from pdsq.backend import sample_batch
+    from pdsq.grouping import group_qwc, pack_batches
+    from pdsq.pipeline import unique_measured_strings
+
+    groups = group_qwc(unique_measured_strings(ctx.tapered_cache, max_power))
+    batches = pack_batches(groups, ctx.tapered_h.n_qubits)
+    return [
+        (batch, sample_batch(
+            [ctx.tapered_state] * len(batch.slots), batch, shots, noise,
+            seed=[seed, sector_index, bi],
+        ))
+        for bi, batch in enumerate(batches)
+    ]
+
+
+def serial_estimates_reference(
+    ctx, max_power: int, shots: int, seed: int, sector_index: int,
+    spam_p: float, apply_mitigation: bool,
+) -> dict:
+    """String estimates from serial_draws_reference, group by group: each
+    group's counts mitigated when asked, then folded into its members'
+    expectations."""
+    from pdsq.backend import NoiseModel
+    from pdsq.grouping import slot_expectations
+    from pdsq.mitigation import MitigationConfig, mitigate
+
+    noise = NoiseModel(spam_p) if spam_p > 0.0 else None
+    estimates = {}
+    draws = serial_draws_reference(ctx, max_power, shots, seed, sector_index, noise)
+    for group, counts in draws:
+        weights = counts.counts
+        if spam_p > 0.0 and apply_mitigation:
+            config = MitigationConfig(spam_p)
+            weights = mitigate(counts.outcomes, weights, counts.n_bits, config)
+        estimates.update(slot_expectations(counts.outcomes, weights, ((group, 0),)))
+    return estimates

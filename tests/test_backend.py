@@ -169,6 +169,16 @@ def test_count_table_lines_round_trip():
         CountTable.from_lines("0101\n")
 
 
+def test_count_table_rejects_negative_counts():
+    with pytest.raises(ValueError, match="negative count -5"):
+        CountTable(2, [0b00, 0b10], [10, -5], 5)
+    with pytest.raises(ValueError, match="line 2: negative count -5"):
+        CountTable.from_lines("00 10\n01 -5\n")
+    # a repeated key would hide the negative line in the summed table
+    with pytest.raises(ValueError, match="line 2: negative count -5"):
+        CountTable.from_lines("00 10\n00 -5\n")
+
+
 def test_noise_model_validation():
     NoiseModel(0.0)
     NoiseModel(0.499)

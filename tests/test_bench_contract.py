@@ -67,6 +67,19 @@ def test_pipeline_names_the_samplers():
     assert pipeline.serial_sample is backend.serial_sample
 
 
+def test_benchmark_pipeline_calls_bind_to_the_signatures():
+    """benchmarks/run.py calls these pipeline functions with these arguments;
+    a changed signature fails here, not only under `pytest benchmarks`."""
+    from pdsq import pipeline
+
+    ctx, cache, estimates = object(), object(), {}
+    inspect.signature(pipeline.estimate_expectations_parallel).bind(
+        ctx, 19, 8192, 7, 0, spam_p=1e-3, apply_mitigation=True
+    )
+    inspect.signature(pipeline.moments_from_estimates).bind(cache, estimates, 10)
+    inspect.signature(pipeline.unique_measured_strings).bind(cache, 19)
+
+
 def test_power_ladder_multiplies_once_per_step(h4, monkeypatch):
     """The benchmark pins `pauli.multiply_sums_calls` (54 per exact op: three
     ladders of 18 products), counted where pdsq.moments calls it."""

@@ -95,6 +95,38 @@ def test_simulate_and_mitigate_subcommands(capsys, tmp_path):
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("mode", ["serial", "parallel"])
+def test_simulate_writes_the_counts_of_every_execution(capsys, tmp_path, h4_problem, mode):
+    """One histogram file per execution, named by sector, mode and index,
+    holding the counts of the group-by-group loop (serial) or of the
+    20-qubit packing (parallel) with the same seeds."""
+    from oracles import packed_draws_reference, serial_draws_reference
+    from pdsq.backend import NoiseModel
+
+    code, _, _ = run_cli(
+        capsys, "simulate", "--spacings", "2,2,2", "--k-max", "3", "--mode", mode,
+        "--shots", "128", "--seed", "11", "--spam-p", "0.01",
+        "--output-dir", str(tmp_path),
+    )
+    assert code == 0
+    draws = serial_draws_reference if mode == "serial" else packed_draws_reference
+    want = {}
+    for si, sector in enumerate(("singlet", "triplet")):
+        ctx = h4_problem.sectors[sector]
+        for i, (_, counts) in enumerate(draws(ctx, 5, 128, 11, si, NoiseModel(0.01))):
+            want[f"counts_{sector}_{mode}_{i:03d}.txt"] = counts.to_lines() + "\n"
+    got = {path.name: path.read_text() for path in tmp_path.glob("counts_*.txt")}
+    assert got == want
+
+
+def test_mitigate_rejects_negative_counts(capsys, tmp_path):
+    histogram = tmp_path / "counts.txt"
+    histogram.write_text("00 10\n01 -5\n")
+    code, out, err = run_cli(capsys, "mitigate", str(histogram), "--p", "0.01")
+    assert code == 1
+    assert "negative count" in err and out == ""
+
+
 def test_simulate_requires_sampling_mode(capsys):
     code, _, err = run_cli(capsys, "simulate", "--spacings", "0.7414")
     assert code == 1

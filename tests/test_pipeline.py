@@ -153,10 +153,14 @@ def test_h4_serial_8192_shot_ground_energy(h4_problem):
     """Device-realistic shot budget: the sampled singlet ground bound stays
     within statistical tolerance of the noiseless -1.89778."""
     from pdsq.pds import pds_from_values
-    from pdsq.pipeline import estimate_expectations_serial, moments_from_estimates
+    from pdsq.pipeline import (
+        estimate_expectations_parallel, moments_from_estimates, register_width,
+    )
 
     ctx = h4_problem.sectors["singlet"]
-    estimates = estimate_expectations_serial(ctx, 19, 8192, 19, 0)
+    estimates = estimate_expectations_parallel(
+        ctx, 19, 8192, 19, 0, register=register_width(ctx, "serial")
+    )
     values = moments_from_estimates(ctx.tapered_cache, estimates, 10)
     result = pds_from_values(values, 10)
     assert result.roots[0] == pytest.approx(-1.897768, abs=1e-3)
@@ -167,7 +171,7 @@ def test_sampled_path_builds_no_bitstrings(h4_problem, monkeypatch):
     built or parsed on the serial or the packed, mitigated path."""
     import sys
 
-    from pdsq.pipeline import estimate_expectations_parallel, estimate_expectations_serial
+    from pdsq.pipeline import estimate_expectations_parallel, register_width
 
     def refuse(*args):
         raise AssertionError("bitstring conversion on the sampled path")
@@ -179,8 +183,38 @@ def test_sampled_path_builds_no_bitstrings(h4_problem, monkeypatch):
                     monkeypatch.setattr(module, attr, refuse)
     ctx = h4_problem.sectors["singlet"]
     parallel = estimate_expectations_parallel(ctx, 19, 256, 5, 0, spam_p=1e-3)
-    serial = estimate_expectations_serial(ctx, 19, 256, 5, 0)
+    serial = estimate_expectations_parallel(
+        ctx, 19, 256, 5, 0, register=register_width(ctx, "serial")
+    )
     assert parallel.keys() == serial.keys()
+
+
+@pytest.mark.parametrize("sector_index, sector", enumerate(("singlet", "triplet")))
+@pytest.mark.parametrize("seed", [3, 77, 20261022])
+@pytest.mark.parametrize(
+    "spam_p, apply_mitigation", [(0.0, True), (1e-3, True), (1e-2, False)]
+)
+def test_serial_mode_is_packing_one_group_per_register(
+    h4_problem, sector_index, sector, seed, spam_p, apply_mitigation
+):
+    """The one estimator on a register as wide as a group gives the group by
+    group loop's estimates: the same strings in the same order, the same
+    float bits."""
+    import numpy as np
+
+    from oracles import serial_estimates_reference
+    from pdsq.pipeline import estimate_expectations_parallel, register_width
+
+    ctx = h4_problem.sectors[sector]
+    got = estimate_expectations_parallel(
+        ctx, 19, 1024, seed, sector_index, spam_p=spam_p,
+        apply_mitigation=apply_mitigation, register=register_width(ctx, "serial"),
+    )
+    want = serial_estimates_reference(
+        ctx, 19, 1024, seed, sector_index, spam_p, apply_mitigation
+    )
+    assert list(got) == list(want)
+    assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
 
 
 def test_moments_match_the_term_loop(h4_problem):
