@@ -202,9 +202,12 @@ def _apply_bit_flips(
 ) -> np.ndarray:
     if p <= 0.0:
         return indices
-    flips = rng.random((indices.size, n_bits)) < p
-    masks = flips @ (1 << np.arange(n_bits, dtype=np.int64))
-    return indices ^ masks
+    flagged = np.flatnonzero(rng.random((indices.size, n_bits)) < p)
+    out = indices.copy()
+    # flat position f of the (shots, n_bits) draw is shot f // n_bits, bit
+    # f % n_bits; the XORs are unbuffered, so a shot may flip several bits
+    np.bitwise_xor.at(out, flagged // n_bits, np.left_shift(1, flagged % n_bits))
+    return out
 
 
 def serial_sample(

@@ -323,6 +323,7 @@ def make_parser() -> argparse.ArgumentParser:
             _add_source_flags(p)
             if name in ("simulate", "run"):
                 p.add_argument("--mode", choices=MODES)
+            if name == "run":
                 p.add_argument("--no-mitigation", action="store_true")
             if name == "integrals":
                 p.add_argument("--write-fcidump", help="also export integrals here")

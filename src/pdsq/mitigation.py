@@ -38,7 +38,8 @@ class MitigationConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.p < 0.5:
-            raise ValueError("flip probability must lie in [0, 0.5): p=0.5 is singular")
+            singular = "; p=0.5 is singular" if self.p == 0.5 else ""
+            raise ValueError(f"flip probability p={self.p!r} must lie in [0, 0.5){singular}")
 
 
 def _kernel(halves: np.ndarray, width: int, a: float, b: float) -> np.ndarray:

@@ -37,9 +37,11 @@ BREAKDOWN_TOL = 1e-8
 
 
 # Largest |H^(n-1)| * |H| string-pair count one power-ladder step may take
-# on.  A product holds about 40 (direct merge) to 70 (sorted merge) bytes per
-# pair at its peak, so a step stays near 1 GiB; the full H4 ladder needs at
-# most 781,440 pairs, and H6 would need 45.9M at H^3.
+# on.  Measured with tracemalloc, a product that builds its merge structure
+# peaks at about 31 (direct merge) to 66 (sorted merge; 90 past 32 qubits)
+# bytes per pair, and one that reuses it at 16, besides ~280 bytes per
+# distinct output string; so a step stays near 1 GiB.  The full H4 ladder
+# needs at most 781,440 pairs, and H6 would need 45.9M at H^3.
 MAX_PRODUCT_PAIRS = 1 << 24
 
 

@@ -15,14 +15,20 @@ strings) to 64 qubits.
 Which strings a product a*b holds, and how its |a|*|b| string products
 merge into them, depends only on the two operands' masks, never on their
 coefficients.  So the right operand keeps that merge structure for the last
-left operand it met: one byte of phase exponent per string pair, the
-distinct output strings in canonical order, and the pair -> output index
-(int32 while |a|*|b| fits).  The entry is keyed on the left operand's exact
-mask bytes and replaced on a miss; since sums are immutable it stays valid
-for the right operand's lifetime.  A Hamiltonian power ladder multiplies by
-the same H every step, so once H^n's strings stop changing each step only
-recombines coefficients; for the saturated H4 step (4224 x 185 pairs) H
-keeps 4.0 MiB.
+left operand it met: the distinct output strings in canonical order and,
+per string pair, a slot 2k + (e & 1) for output k and i-exponent e (int32
+while 2|a||b| fits) and a sign byte, -1 for e >= 2.  The entry is keyed on
+the left operand's exact mask bytes and replaced on a miss; since sums are
+immutable it stays valid for the right operand's lifetime.  A Hamiltonian
+power ladder multiplies by the same H every step, so once H^n's strings
+stop changing each step only recombines coefficients; for the saturated H4
+step (4224 x 185 pairs) H keeps 4.0 MiB.
+
+The slots serve real coefficients, which every JW Hamiltonian in a real
+orbital basis and all its powers have: a pair's product i^e ar br is then
+exactly +-ar br, real for even e and imaginary for odd e, so one float64
+bincount over 2m slots yields the m outputs' real and imaginary parts,
+laid out as complex128.
 
 Building a structure numbers the distinct output strings by their 2n-bit
 code z << n | x, whose ascending order is the canonical one.  While there
@@ -373,10 +379,11 @@ def parse_sum(text: str, n_qubits: int | None = None) -> PauliSum:
 class _ProductStructure(NamedTuple):
     """How the string products of a*b merge, for fixed operand masks."""
 
-    phase_exp: np.ndarray  # (|a|, |b|) uint8: i-exponent of each pair, 0..3
     x: np.ndarray  # distinct output strings, canonical (z, x) order
     z: np.ndarray
-    inverse: np.ndarray  # (|a| * |b|,) index of each pair's output string
+    # (|a| * |b|,) 2 * (index of each pair's output string) + (i-exponent & 1)
+    slot: np.ndarray
+    sign: np.ndarray  # (|a|, |b|) int8: -1 where the i-exponent is 2 or 3, else 1
 
 
 def _product_structure(a: PauliSum, b: PauliSum) -> _ProductStructure:
@@ -399,7 +406,7 @@ def _product_structure(a: PauliSum, b: PauliSum) -> _ProductStructure:
         + 2 * np.bitwise_count(za[:, None] & xb[None, :])
     ) & 3
     n = a.n_qubits
-    index_type = np.int32 if x.size <= _INT32_MAX else np.int64
+    index_type = np.int32 if 2 * x.size <= _INT32_MAX else np.int64
     if 1 << 2 * n <= x.size:
         # no more keys z << n | x than pairs: mark the present ones in a
         # 4^n table, whose ascending order is the canonical (z, x) order,
@@ -419,9 +426,11 @@ def _product_structure(a: PauliSum, b: PauliSum) -> _ProductStructure:
             np.stack((z.ravel(), x.ravel()), axis=1), axis=0, return_inverse=True
         )
         ux, uz = uniq[:, 1], uniq[:, 0]
-    structure = _ProductStructure(
-        phase_exp, ux, uz, inverse.ravel().astype(index_type, copy=False)
-    )
+    slot = inverse.ravel().astype(index_type, copy=False)
+    slot <<= 1
+    slot |= (phase_exp & 1).ravel()
+    sign = np.where(phase_exp >= 2, np.int8(-1), np.int8(1))
+    structure = _ProductStructure(ux, uz, slot, sign)
     b._product_cache = (key, structure)
     return structure
 
@@ -436,11 +445,21 @@ def multiply_sums(
     merge sorts the pairs' string codes only when there are fewer pairs than
     the 4^n possible strings, and addresses the strings directly otherwise
     (see the module docstring); both give the same structure.  The
-    merge structure (phases, output strings, pair -> string index) comes
-    from b's one-entry cache when a has exactly the strings of the last left
-    operand b met (keyed on a's mask bytes), and is computed and cached on b
-    otherwise.  The entry holds about 5 bytes per pair (4.0 MiB for the
-    saturated 4224 x 185 H4 step) and lives as long as b.  Like strings
+    merge structure (output strings, pair slots, pair signs) comes from b's
+    one-entry cache when a has exactly the strings of the last left operand
+    b met (keyed on a's mask bytes), and is computed and cached on b
+    otherwise.  The entry holds 5 bytes per pair (4.0 MiB for the saturated
+    4224 x 185 H4 step) and lives as long as b.
+
+    When neither operand has an imaginary part (JW Hamiltonians in a real
+    orbital basis and all their powers), each pair's product i^e ar br is
+    exactly +-ar br, real for even e and imaginary for odd e: one float64
+    outer product times the pairs' signs goes through a single bincount
+    whose 2m slots are the m outputs' real and imaginary parts side by
+    side.  Complex arithmetic on the same finite operands gives those
+    values plus signed zeros, which leave a sum from 0.0 unchanged, so the
+    bits are those of the complex product.  Complex operands take the
+    complex product times i^e and two bincounts.  Either way like strings
     are summed pair by pair in row-major (a, b) order, whether or not the
     structure was cached, so the result does not depend on the cache.
     """
@@ -450,14 +469,32 @@ def multiply_sums(
     s = _product_structure(a, b)
     _, _, ca = a.mask_arrays()
     _, _, cb = b.mask_arrays()
-    coeffs = ca[:, None] * cb[None, :]
-    coeffs *= _PHASES_ARR[s.phase_exp]
-    coeffs = coeffs.ravel()
-    acc = np.empty(len(s.x), dtype=np.complex128)
-    acc.real = np.bincount(s.inverse, weights=coeffs.real, minlength=len(s.x))
-    acc.imag = np.bincount(s.inverse, weights=coeffs.imag, minlength=len(s.x))
+    if ca.imag.any() or cb.imag.any():
+        acc = _merge_complex(ca, cb, s)
+    else:
+        w = np.multiply.outer(ca.real, cb.real)
+        # times +-1, exact; a multiply by the sign beats a masked negate
+        # on the ~random pattern of the signs several times over
+        w *= s.sign
+        acc = np.bincount(s.slot, weights=w.ravel(), minlength=2 * len(s.x))
+        acc = acc.view(np.complex128)
     keep = np.abs(acc) > drop_tol
     return PauliSum._from_canonical(a.n_qubits, s.x[keep], s.z[keep], acc[keep])
+
+
+def _merge_complex(ca: np.ndarray, cb: np.ndarray, s: _ProductStructure) -> np.ndarray:
+    """Output coefficients of a*b for complex operand coefficients: each
+    pair's ca cb i^e, with e = (1 - sign) + (slot & 1), added per output
+    string."""
+    coeffs = ca[:, None] * cb[None, :]
+    coeffs *= _PHASES_ARR[1 - s.sign + (s.slot & 1).reshape(s.sign.shape)]
+    coeffs = coeffs.ravel()
+    inverse = s.slot >> 1
+    m = len(s.x)
+    acc = np.empty(m, dtype=np.complex128)
+    acc.real = np.bincount(inverse, weights=coeffs.real, minlength=m)
+    acc.imag = np.bincount(inverse, weights=coeffs.imag, minlength=m)
+    return acc
 
 
 def _sum_in_order(

@@ -105,6 +105,17 @@ def flip_channel(probs, p: float) -> np.ndarray:
     return out
 
 
+def apply_bit_flips_reference(indices, n_bits: int, p: float, rng) -> np.ndarray:
+    """Readout flips as one (shots, n_bits) uniform draw thresholded at p,
+    turned into XOR masks by a bool x int64 matrix product with the bit
+    values: the reference the flagged-position XOR is checked against."""
+    if p <= 0.0:
+        return indices
+    flips = rng.random((indices.size, n_bits)) < p
+    masks = flips @ (1 << np.arange(n_bits, dtype=np.int64))
+    return indices ^ masks
+
+
 def multiply_sums_reference(a, b, drop_tol: float = 1e-12):
     """Product of two PauliSums with no merge-structure cache: every call
     computes all |a| * |b| phases, sorts the merge keys with np.unique and

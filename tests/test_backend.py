@@ -9,6 +9,7 @@ from pdsq.backend import (
     CountTable,
     NoiseModel,
     StateVector,
+    _apply_bit_flips,
     apply_basis_changes,
     apply_pauli_sum,
     bits_to_index,
@@ -22,7 +23,11 @@ from pdsq.backend import (
 from pdsq.grouping import PackedBatch, group_qwc
 from pdsq.pauli import PauliString, PauliSum
 
-from oracles import apply_pauli_sum_reference, pauli_sum_to_dense
+from oracles import (
+    apply_bit_flips_reference,
+    apply_pauli_sum_reference,
+    pauli_sum_to_dense,
+)
 
 
 def test_bit_conventions():
@@ -250,3 +255,17 @@ def test_spam_flips_shift_distribution():
     # each bit flips independently with p=0.05
     p_clean = counts.counts[counts.outcomes == 0].sum() / counts.shots
     assert p_clean == pytest.approx(0.95**5, abs=5e-3)
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.3])
+def test_bit_flips_match_the_matrix_product(p):
+    """Flagged-position XORs give the matrix product's masks, also where a
+    shot flips several bits, and consume the generator alike."""
+    for seed in (1, 2, 3):
+        indices = np.random.default_rng(seed).integers(0, 1 << 20, 4096)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _apply_bit_flips(indices, 20, p, got_rng)
+        want = apply_bit_flips_reference(indices, 20, p, want_rng)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert got_rng.random() == want_rng.random()
+    assert np.array_equal(_apply_bit_flips(indices, 20, 0.0, got_rng), indices)

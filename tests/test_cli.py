@@ -127,6 +127,24 @@ def test_mitigate_rejects_negative_counts(capsys, tmp_path):
     assert "negative count" in err and out == ""
 
 
+def test_mitigate_names_a_negative_p(capsys, tmp_path):
+    histogram = tmp_path / "counts.txt"
+    histogram.write_text("00 10\n01 5\n")
+    code, out, err = run_cli(capsys, "mitigate", str(histogram), "--p", "-0.1")
+    assert code == 1 and out == ""
+    assert "p=-0.1 must lie in [0, 0.5)" in err and "singular" not in err
+
+
+def test_only_run_takes_no_mitigation(capsys, tmp_path):
+    """simulate writes raw histograms, so it has no mitigation to turn off."""
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--spacings", "0.7414", "--mode", "serial",
+              "--output-dir", str(tmp_path), "--no-mitigation"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-mitigation" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_simulate_requires_sampling_mode(capsys):
     code, _, err = run_cli(capsys, "simulate", "--spacings", "0.7414")
     assert code == 1

@@ -28,6 +28,11 @@ def test_config_validation():
         MitigationConfig(0.5)
     with pytest.raises(ValueError, match="0.5"):
         MitigationConfig(-0.01)
+    with pytest.raises(ValueError, match=r"p=0\.5 must .*; p=0\.5 is singular"):
+        MitigationConfig(0.5)
+    for p in (-0.01, 0.7, float("nan")):
+        with pytest.raises(ValueError, match=r"must lie in \[0, 0\.5\)$"):
+            MitigationConfig(p)
 
 
 def test_p_zero_is_identity():

@@ -209,6 +209,46 @@ def test_power_ladders_match_the_uncached_product(h4_problem):
             assert_same_sum(cache.power(n), want)
 
 
+def refuse_complex_merge(*args):
+    raise AssertionError("real operands took the complex merge")
+
+
+def test_power_ladders_take_the_real_merge(h4_problem, monkeypatch):
+    """All 54 products of the three H4 ladders (H^2..H^19 of H and of each
+    tapered H) run on float64 coefficients, with the same bits."""
+    import pdsq.pauli
+    from pdsq.moments import PowerCache
+
+    monkeypatch.setattr(pdsq.pauli, "_merge_complex", refuse_complex_merge)
+    caches = [h4_problem.cache] + [
+        ctx.tapered_cache for ctx in h4_problem.sectors.values()
+    ]
+    for cache in caches:
+        fresh = PowerCache(_fresh_copy(cache.h))
+        assert not cache.h.mask_arrays()[2].imag.any()
+        for n in range(2, 20):
+            assert_same_sum(fresh.power(n), cache.power(n))
+
+
+def test_real_operands_with_odd_phases_give_imaginary_terms(monkeypatch):
+    """(X - Z)(X + Z) = XZ - ZX = -2iY: real coefficients, odd i-exponents,
+    a purely imaginary result, through the real merge."""
+    import pdsq.pauli
+
+    monkeypatch.setattr(pdsq.pauli, "_merge_complex", refuse_complex_merge)
+    h = PauliSum.from_labels(1, {"X": 1.0, "Z": 1.0})
+    minus = PauliSum.from_labels(1, {"X": 1.0, "Z": -1.0})
+    got = multiply_sums(minus, h)
+    assert_same_sum(got, multiply_sums_reference(minus, h))
+    assert got._terms == {(1, 1): -2j}
+    # even and odd exponents into the same outputs, on two qubits
+    rng = np.random.default_rng(41)
+    a, b = random_sum(rng, 2, 12), random_sum(rng, 2, 9)
+    got = multiply_sums(a, b)
+    assert_same_sum(got, multiply_sums_reference(a, b))
+    assert any(c.imag for c in got._terms.values())
+
+
 def distinct_sum(rng, n_qubits, n_terms, real=True):
     """Exactly n_terms distinct strings (n_qubits <= 16), random coefficients."""
     keys = rng.permutation(1 << 2 * n_qubits)[:n_terms]
@@ -302,8 +342,8 @@ def _fresh_copy(h):
 
 
 def test_saturated_ladder_step_keeps_a_small_cache(h4_problem):
-    """H^5 * H on H4 (4224 x 185 pairs): the right operand keeps one byte of
-    phase and an int32 index per pair, plus the output and key masks."""
+    """H^5 * H on H4 (4224 x 185 pairs): the right operand keeps one sign
+    byte and an int32 slot per pair, plus the output and key masks."""
     a = h4_problem.cache.power(5)
     h = _fresh_copy(h4_problem.hamiltonian)
     # the same product on another copy first, so that the interpreter's
@@ -317,7 +357,7 @@ def test_saturated_ladder_step_keeps_a_small_cache(h4_problem):
         tracemalloc.stop()
     pairs = a.n_terms * h.n_terms
     n_out = len(h._product_cache[1].x)
-    assert h._product_cache[1].inverse.dtype == np.int32
+    assert h._product_cache[1].slot.dtype == np.int32
     # pairs x (1 + 4) bytes, two uint64 masks per output and per key string
     assert kept <= pairs * 5 + 16 * (n_out + a.n_terms) + (64 << 10)
     assert kept <= 5 << 20

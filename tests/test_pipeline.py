@@ -217,6 +217,29 @@ def test_serial_mode_is_packing_one_group_per_register(
     assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
 
 
+@pytest.mark.parametrize("seed", [3, 77, 20261022])
+@pytest.mark.parametrize("mode", ["parallel", "serial"])
+def test_flip_masks_match_the_matrix_product(h4_problem, monkeypatch, seed, mode):
+    """Every noisy execution's counts, in both sectors, are those of the
+    bool x int64 matrix-product flip masks."""
+    from oracles import apply_bit_flips_reference
+    from pdsq import backend
+    from pdsq.pipeline import SECTORS, register_width, sample_sector
+
+    for sector_index, sector in enumerate(SECTORS):
+        ctx = h4_problem.sectors[sector]
+        args = (ctx, 19, 1024, seed, sector_index, 1e-3, register_width(ctx, mode))
+        got = [counts for _, counts in sample_sector(*args)]
+        with monkeypatch.context() as m:
+            m.setattr(backend, "_apply_bit_flips", apply_bit_flips_reference)
+            want = [counts for _, counts in sample_sector(*args)]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert (g.n_bits, g.shots) == (w.n_bits, w.shots)
+            assert g.outcomes.tobytes() == w.outcomes.tobytes()
+            assert g.counts.tobytes() == w.counts.tobytes()
+
+
 def test_moments_match_the_term_loop(h4_problem):
     """The vectorized assembly adds each power's terms in the loop's order,
     so the moments are bit-identical; a string without an estimate is a
