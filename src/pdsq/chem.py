@@ -292,8 +292,9 @@ def hartree_fock(
             b = -np.ones((m + 1, m + 1))
             b[m, m] = 0.0
             for a in range(m):
-                for bi in range(m):
-                    b[a, bi] = np.sum(err_hist[a] * err_hist[bi])
+                # elementwise products commute exactly: B is symmetric bit for bit
+                for bi in range(a, m):
+                    b[a, bi] = b[bi, a] = np.sum(err_hist[a] * err_hist[bi])
             rhs = np.zeros(m + 1)
             rhs[m] = -1.0
             try:

@@ -8,9 +8,9 @@ Hermitian operator
     P(x, z) = i^{|x & z|} * (prod_k X_k^{x_k}) * (prod_k Z_k^{z_k}),
 
 so products of strings are again strings times a phase in {1, i, -1, -i}.
-Sums are dictionaries mapping mask pairs to complex coefficients; products of
-sums are evaluated in bulk over numpy uint64 masks, which limits sums (not
-strings) to 64 qubits.
+A sum is three parallel arrays in canonical (z, x) order, uint64 masks and
+complex128 coefficients, which limits sums (not strings) to 64 qubits; sums
+are built, added and scaled through one in-order merge (see PauliSum).
 
 Which strings a product a*b holds, and how its |a|*|b| string products
 merge into them, depends only on the two operands' masks, never on their
@@ -162,31 +162,36 @@ def _check_qubits(na: int, nb: int) -> None:
 class PauliSum:
     """Sparse complex-weighted sum of Pauli strings on a fixed qubit count.
 
+    Its only state is the mask_arrays(): its distinct strings' x and z masks
+    (uint64) and coefficients (complex128), ascending on (z_mask, x_mask).
+    Constructors, + and scaling merge terms in input order, each string's
+    coefficients added one by one from 0.0, and drop np.abs(c) <= drop_tol.
     Instances are immutable after construction; arithmetic returns new sums.
-    Coefficients with |c| <= drop_tol are discarded on construction.
     """
 
-    __slots__ = ("n_qubits", "_terms", "_cached_arrays", "_product_cache")
+    __slots__ = ("n_qubits", "_x", "_z", "_c", "_product_cache")
 
     def __init__(self, n_qubits: int, terms=None, *, drop_tol: float = DEFAULT_DROP_TOL):
         if n_qubits > 64:
             raise ValueError("PauliSum supports at most 64 qubits")
-        self.n_qubits = n_qubits
         mask = (1 << n_qubits) - 1
-        merged: dict[tuple[int, int], complex] = {}
-        if terms:
-            items = terms.items() if isinstance(terms, dict) else terms
-            for key, coeff in items:
-                if isinstance(key, PauliString):
-                    _check_qubits(key.n_qubits, n_qubits)
-                    key = (key.x, key.z)
-                xm, zm = key
-                if xm & ~mask or zm & ~mask:
-                    raise ValueError("term masks exceed qubit count")
-                c = merged.get((xm, zm), 0.0) + complex(coeff)
-                merged[(xm, zm)] = c
-        self._terms = {k: c for k, c in merged.items() if abs(c) > drop_tol}
-        self._cached_arrays = None
+        keys, cs = [], []
+        items = terms.items() if isinstance(terms, dict) else terms or ()
+        for key, coeff in items:
+            if isinstance(key, PauliString):
+                _check_qubits(key.n_qubits, n_qubits)
+                key = (key.x, key.z)
+            xm, zm = key
+            # checked as Python ints, so a negative mask fails here too
+            if xm & ~mask or zm & ~mask:
+                raise ValueError("term masks exceed qubit count")
+            keys.append(key)
+            cs.append(complex(coeff))
+        x, z = np.array(keys, dtype=np.uint64).reshape(-1, 2).T
+        c = np.array(cs, dtype=np.complex128)
+        merged = _sum_in_order(n_qubits, x, z, c.real, c.imag, drop_tol)
+        self.n_qubits = n_qubits
+        self._x, self._z, self._c = merged.mask_arrays()
         # (left operand's mask bytes, _ProductStructure) of the last product
         # with this sum on the right; see multiply_sums
         self._product_cache = None
@@ -209,31 +214,24 @@ class PauliSum:
     def _from_canonical(cls, n_qubits: int, x, z, c) -> "PauliSum":
         """Sum of distinct strings given as (x, z, coeff) arrays already in
         canonical order; the arrays become the sum's mask_arrays()."""
-        out = cls(n_qubits)
-        out._terms = dict(zip(zip(x.tolist(), z.tolist()), c.tolist()))
-        out._cached_arrays = (x, z, c)
+        out = cls.__new__(cls)
+        out.n_qubits = n_qubits
+        out._x, out._z, out._c = x, z, c
+        out._product_cache = None
         return out
 
     @classmethod
     def from_labels(cls, n_qubits: int, labels: dict[str, complex]) -> "PauliSum":
-        pairs = []
-        for label, coeff in labels.items():
-            s = PauliString.from_label(label)
-            _check_qubits(s.n_qubits, n_qubits)
-            pairs.append(((s.x, s.z), coeff))
-        return cls(n_qubits, pairs)
+        return cls(n_qubits, ((PauliString.from_label(k), c) for k, c in labels.items()))
 
     # -- inspection --------------------------------------------------------
 
     @property
     def n_terms(self) -> int:
-        return len(self._terms)
+        return len(self._c)
 
     def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
+        return len(self._c)
 
     def terms(self) -> Iterator[tuple[PauliString, complex]]:
         """Terms in canonical order: lexicographic on (z_mask, x_mask)."""
@@ -246,26 +244,30 @@ class PauliSum:
 
     def coefficient(self, string: PauliString) -> complex:
         _check_qubits(string.n_qubits, self.n_qubits)
-        return self._terms.get((string.x, string.z), 0.0)
+        x, z = np.uint64(string.x), np.uint64(string.z)
+        lo, hi = np.searchsorted(self._z, z, "left"), np.searchsorted(self._z, z, "right")
+        k = lo + np.searchsorted(self._x[lo:hi], x)
+        return self._c[k].item() if k < hi and self._x[k] == x else 0.0
 
     @property
     def identity_coefficient(self) -> complex:
-        return self._terms.get((0, 0), 0.0)
+        return self.coefficient(PauliString.identity(self.n_qubits))
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return all(abs(c.imag) <= tol for c in self._terms.values())
+        return self.max_imag() <= tol
 
     def max_imag(self) -> float:
-        return max((abs(c.imag) for c in self._terms.values()), default=0.0)
+        return float(np.abs(self._c.imag).max(initial=0.0))
 
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         _check_qubits(self.n_qubits, other.n_qubits)
-        merged = dict(self._terms)
-        for k, c in other._terms.items():
-            merged[k] = merged.get(k, 0.0) + c
-        return PauliSum(self.n_qubits, merged)
+        c = np.concatenate((self._c, other._c))
+        return _sum_in_order(
+            self.n_qubits, np.concatenate((self._x, other._x)),
+            np.concatenate((self._z, other._z)), c.real, c.imag, DEFAULT_DROP_TOL,
+        )
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
         return self + (-1.0) * other
@@ -279,22 +281,17 @@ class PauliSum:
         return self._scaled(scalar)
 
     def _scaled(self, scalar) -> "PauliSum":
-        scalar = complex(scalar)
-        return PauliSum(
-            self.n_qubits, ((k, c * scalar) for k, c in self._terms.items())
-        )
+        s, re, im = complex(scalar), self._c.real, self._c.imag
+        # CPython's complex product, part by part: NumPy's complex128
+        # multiply rounds some products differently
+        re, im = re * s.real - im * s.imag, re * s.imag + im * s.real
+        return _sum_in_order(self.n_qubits, self._x, self._z, re, im, DEFAULT_DROP_TOL)
 
     # -- bulk views --------------------------------------------------------
 
     def mask_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Parallel (x, z, coeff) arrays in canonical order (uint64, uint64, c128)."""
-        if self._cached_arrays is None:
-            keys = sorted(self._terms, key=lambda k: (k[1], k[0]))
-            x = np.array([k[0] for k in keys], dtype=np.uint64)
-            z = np.array([k[1] for k in keys], dtype=np.uint64)
-            c = np.array([self._terms[k] for k in keys], dtype=np.complex128)
-            self._cached_arrays = (x, z, c)
-        return self._cached_arrays
+        return self._x, self._z, self._c
 
     def matrix_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The dense matrix's elements as (rows, values), block by block of
@@ -342,7 +339,7 @@ class PauliSum:
         return "\n".join(lines)
 
     def __str__(self) -> str:
-        return self.to_text() if self._terms else f"0 (on {self.n_qubits} qubits)"
+        return self.to_text() if self else f"0 (on {self.n_qubits} qubits)"
 
     def __repr__(self) -> str:
         return f"PauliSum(n_qubits={self.n_qubits}, n_terms={self.n_terms})"
@@ -464,11 +461,10 @@ def multiply_sums(
     structure was cached, so the result does not depend on the cache.
     """
     _check_qubits(a.n_qubits, b.n_qubits)
-    if not a._terms or not b._terms:
+    if not a or not b:
         return PauliSum.zero(a.n_qubits)
     s = _product_structure(a, b)
-    _, _, ca = a.mask_arrays()
-    _, _, cb = b.mask_arrays()
+    ca, cb = a._c, b._c
     if ca.imag.any() or cb.imag.any():
         acc = _merge_complex(ca, cb, s)
     else:
@@ -502,8 +498,8 @@ def _sum_in_order(
     drop_tol: float,
 ) -> PauliSum:
     """Sum of the terms (x[i], z[i], re[i] + i im[i]), each string's terms
-    added one after another in array order from 0.0, as a dict accumulating
-    them in turn would; |c| <= drop_tol is dropped."""
+    added one after another in array order from 0.0, the real and imaginary
+    parts apart; a string with np.abs(c) <= drop_tol is dropped."""
     order = np.lexsort((x, z))
     x, z = x[order], z[order]
     first = np.ones(len(x), dtype=bool)
@@ -518,10 +514,11 @@ def _sum_in_order(
 
 
 def allclose(a: PauliSum, b: PauliSum, tol: float = 1e-10) -> bool:
-    """Coefficient-wise comparison of two sums."""
+    """True when every string's coefficients in a and b differ by at most tol."""
     if a.n_qubits != b.n_qubits:
         return False
-    keys = set(a._terms) | set(b._terms)
-    return all(
-        abs(a._terms.get(k, 0.0) - b._terms.get(k, 0.0)) <= tol for k in keys
+    c = np.concatenate((a._c, -b._c))
+    return not _sum_in_order(
+        a.n_qubits, np.concatenate((a._x, b._x)), np.concatenate((a._z, b._z)),
+        c.real, c.imag, tol,
     )

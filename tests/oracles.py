@@ -161,9 +161,39 @@ def multiply_sums_reference(a, b, drop_tol: float = 1e-12):
         np.add.at(acc, inverse.ravel(), coeffs.ravel())
         keep = np.abs(acc) > drop_tol
         terms = {(int(ux), int(uz)): c for (ux, uz), c in zip(uniq[keep], acc[keep])}
-    out = PauliSum(a.n_qubits)
-    out._terms = terms
-    return out
+    return PauliSum(a.n_qubits, terms, drop_tol=drop_tol)
+
+
+def pauli_sum_reference(n_qubits: int, terms=None, drop_tol: float = 1e-12):
+    """A PauliSum merged in a Python dict: each (x, z) key's coefficients
+    added one after another as Python complex from 0.0, keys with
+    abs(c) <= drop_tol (Python's abs) dropped, the rest sorted on (z, x).
+
+    The reference the array constructor is checked against byte for byte.
+    """
+    from pdsq.pauli import PauliString, PauliSum, _check_qubits
+
+    if n_qubits > 64:
+        raise ValueError("PauliSum supports at most 64 qubits")
+    mask = (1 << n_qubits) - 1
+    merged: dict[tuple[int, int], complex] = {}
+    if terms:
+        items = terms.items() if isinstance(terms, dict) else terms
+        for key, coeff in items:
+            if isinstance(key, PauliString):
+                _check_qubits(key.n_qubits, n_qubits)
+                key = (key.x, key.z)
+            xm, zm = key
+            if xm & ~mask or zm & ~mask:
+                raise ValueError("term masks exceed qubit count")
+            c = merged.get((xm, zm), 0.0) + complex(coeff)
+            merged[(xm, zm)] = c
+    kept = {k: c for k, c in merged.items() if abs(c) > drop_tol}
+    keys = sorted(kept, key=lambda k: (k[1], k[0]))
+    x = np.array([k[0] for k in keys], dtype=np.uint64)
+    z = np.array([k[1] for k in keys], dtype=np.uint64)
+    c = np.array([kept[k] for k in keys], dtype=np.complex128)
+    return PauliSum._from_canonical(n_qubits, x, z, c)
 
 
 def group_qwc_reference(strings):
@@ -298,7 +328,8 @@ def jordan_wigner_reference(tables, drop_tol: float = 1e-12):
 
     def add(op: PauliSum, scale: complex) -> None:
         scale = complex(scale)  # a NumPy scalar times a Python complex is slow
-        for key, coeff in op._terms.items():
+        for string, coeff in op.terms():
+            key = (string.x, string.z)
             accum[key] = accum.get(key, 0.0) + scale * coeff
 
     def cached_product(cache, ops, i, j):
@@ -332,7 +363,7 @@ def jordan_wigner_reference(tables, drop_tol: float = 1e-12):
                     aa = cached_product(aa_cache, annihilate, s, r)
                     add(multiply_sums(cc, aa, drop_tol=0.0), 0.25 * v)
 
-    return PauliSum(m, accum, drop_tol=drop_tol)
+    return pauli_sum_reference(m, accum, drop_tol=drop_tol)
 
 
 def _mask_to_bits(mask: int, n: int) -> np.ndarray:
@@ -426,7 +457,7 @@ def taper_operator_reference(h, td):
             _compact_mask(string.z, remaining),
         )
         terms[key] = terms.get(key, 0.0) + coeff * factor
-    return PauliSum(td.n_remaining, terms)
+    return pauli_sum_reference(td.n_remaining, terms)
 
 
 def serial_draws_reference(ctx, max_power: int, shots: int, seed: int, sector_index: int,

@@ -19,7 +19,13 @@ from pdsq.pauli import (
     qubit_wise_commutes,
 )
 
-from oracles import dense_string, multiply_sums_reference, pauli_sum_to_dense
+from oracles import (
+    assert_same_bits,
+    dense_string,
+    multiply_sums_reference,
+    pauli_sum_reference,
+    pauli_sum_to_dense,
+)
 
 LETTERS = "IXYZ"
 
@@ -189,13 +195,121 @@ def test_drop_tolerance_prunes():
     assert h2.n_terms == 2
 
 
+def duplicate_heavy_input(rng, n_qubits):
+    """(x, z) keys and coefficients: 60 draws over 6 strings of complex,
+    real, integer and NumPy values, then on 5 other strings a pair that
+    cancels to exactly 0.0, a near-cancellation left at round-off and
+    signed zeros.  Returns the terms and the two cancelling keys."""
+    mask = (1 << n_qubits) - 1
+    keys = {(0, 0)}
+    while len(keys) < 11:
+        keys.add(tuple(int.from_bytes(rng.bytes(8), "little") & mask for _ in "xz"))
+    pool = sorted(keys)
+    terms = []
+    for _ in range(60):
+        re, im = rng.standard_normal(2)
+        coeff = (complex(re, im), float(re), int(10 * re), np.complex128(re + 1j * im))
+        terms.append((pool[rng.integers(6)], coeff[rng.integers(4)]))
+    exact, near = pool[6], pool[7]
+    terms += [(exact, 0.75 - 0.5j), (pool[8], complex(-0.0, -0.0)), (exact, -0.75 + 0.5j)]
+    terms += [(near, 0.1), (near, 0.2), (near, -0.3), (pool[9], complex(2.0, -0.0))]
+    terms.append((pool[10], -0.0))
+    return terms, exact, near
+
+
+@pytest.mark.parametrize("n_qubits", [3, 33, 64])
+@pytest.mark.parametrize("drop_tol", [1e-12, 0.0])
+def test_constructor_matches_the_dict_merge(n_qubits, drop_tol):
+    """Every constructor merges like a Python dict taking the terms in turn,
+    byte for byte: duplicates summed in input order from 0.0, cancellations
+    dropped."""
+    rng = np.random.default_rng(n_qubits)
+    terms, exact, near = duplicate_heavy_input(rng, n_qubits)
+    strings = [(PauliString(n_qubits, x, z), c) for (x, z), c in terms]
+    want = pauli_sum_reference(n_qubits, terms, drop_tol=drop_tol)
+    kept = {(s.x, s.z) for s in want.strings()}
+    assert exact not in kept and (near in kept) == (drop_tol == 0.0)
+    for given in (terms, strings, (t for t in terms)):
+        assert_same_bits(PauliSum(n_qubits, given, drop_tol=drop_tol), want)
+    as_dict = dict(terms)
+    assert_same_bits(
+        PauliSum(n_qubits, as_dict, drop_tol=drop_tol),
+        pauli_sum_reference(n_qubits, as_dict, drop_tol=drop_tol),
+    )
+    labels = {s.label: c for s, c in strings}
+    assert_same_bits(
+        PauliSum.from_labels(n_qubits, labels),
+        pauli_sum_reference(n_qubits, [(PauliString.from_label(k), c) for k, c in labels.items()]),
+    )
+    assert_same_bits(PauliSum.zero(n_qubits), pauli_sum_reference(n_qubits))
+    assert_same_bits(PauliSum.identity(n_qubits, 0.5), pauli_sum_reference(n_qubits, {(0, 0): 0.5}))
+    # coefficient finds every kept string and reads 0.0 for the rest
+    got = PauliSum(n_qubits, terms, drop_tol=drop_tol)
+    for string, c in want.terms():
+        assert got.coefficient(string) == c
+    present = set(want.strings())
+    for x, z in ((1, 0), (0, 1), (3, 1), (1 << n_qubits - 1, 1)):
+        string = PauliString(n_qubits, x, z)
+        assert got.coefficient(string) == (want.coefficient(string) if string in present else 0.0)
+    assert got.identity_coefficient == dict(want.terms()).get(PauliString.identity(n_qubits), 0.0)
+
+
+def test_constructor_drops_by_numpy_abs():
+    """A merged string is dropped when np.abs(c) <= drop_tol.  np.abs can
+    differ from Python's abs by 1 ulp, so at that boundary alone the
+    constructor may keep or drop a string differently from the dict merge."""
+    rng = np.random.default_rng(2)
+    values = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+    mags = np.abs(values)
+    # a value whose magnitudes differ, where the host has one; else the first
+    k = int(np.argmax(mags != np.array([abs(v) for v in values.tolist()])))
+    c, mag = values[k].item(), float(mags[k])
+    assert not PauliSum(1, {(1, 0): c}, drop_tol=mag)
+    assert len(PauliSum(1, {(1, 0): c}, drop_tol=np.nextafter(mag, 0.0))) == 1
+    assert len(pauli_sum_reference(1, {(1, 0): c}, drop_tol=mag)) == int(abs(c) > mag)
+
+
+def test_constructor_rejects_bad_masks_and_widths():
+    for n_qubits, key in ((3, (8, 0)), (3, (0, 1 << 3)), (3, (-1, 0)), (64, (0, -1)),
+                          (64, (1 << 64, 0))):
+        with pytest.raises(ValueError, match="term masks exceed qubit count"):
+            PauliSum(n_qubits, {key: 1.0})
+    with pytest.raises(ValueError, match="at most 64 qubits"):
+        PauliSum(65)
+    with pytest.raises(ValueError, match="qubit counts differ"):
+        PauliSum(3, [(PauliString.from_label("XX"), 1.0)])
+    with pytest.raises(ValueError, match="qubit counts differ"):
+        PauliSum.from_labels(3, {"XXX": 1.0, "XX": 1.0})
+
+
+@pytest.mark.parametrize("n_qubits", [3, 33])
+def test_arithmetic_matches_python_complex_bit_for_bit(n_qubits):
+    """Scaling, + and - give the bits of Python complex arithmetic over
+    terms(), merged by the dict reference."""
+    rng = np.random.default_rng(50 + n_qubits)
+    s = random_sum(rng, n_qubits, 40, real=False)
+    s_pairs = list(s.terms())
+    # t shares strings with s: some with new coefficients, some equal
+    t = PauliSum(n_qubits, [(k, complex(*rng.standard_normal(2))) for k, _ in s_pairs[::3]])
+    t = t + PauliSum(n_qubits, s_pairs[1::3]) + random_sum(rng, n_qubits, 20, real=False)
+    for scalar in (2.5j, 0.3 - 1.7j, -1.0, complex(-2.0, -0.0)):
+        want = pauli_sum_reference(n_qubits, [(k, c * scalar) for k, c in s_pairs])
+        assert_same_bits(scalar * s, want)
+        assert_same_bits(s * scalar, want)
+    assert_same_bits(s + t, pauli_sum_reference(n_qubits, s_pairs + list(t.terms())))
+    negated = [(k, c * -1.0) for k, c in t.terms()]
+    assert_same_bits(s - t, pauli_sum_reference(n_qubits, s_pairs + negated))
+    assert allclose(s - t + t, s, tol=1e-12)
+    assert not allclose(s, t) and not allclose(s, PauliSum(n_qubits + 1))
+
+
 def assert_same_sum(got, want):
     """Same strings in the same canonical order with bit-identical
-    coefficients, and the same term dictionary."""
+    coefficients, and the same terms as plain complex values."""
     for g, w in zip(got.mask_arrays(), want.mask_arrays()):
         assert g.dtype == w.dtype and np.array_equal(g, w)
         assert g.tobytes() == w.tobytes()
-    assert got._terms == want._terms
+    assert list(got.terms()) == list(want.terms())
 
 
 def test_power_ladders_match_the_uncached_product(h4_problem):
@@ -240,13 +354,13 @@ def test_real_operands_with_odd_phases_give_imaginary_terms(monkeypatch):
     minus = PauliSum.from_labels(1, {"X": 1.0, "Z": -1.0})
     got = multiply_sums(minus, h)
     assert_same_sum(got, multiply_sums_reference(minus, h))
-    assert got._terms == {(1, 1): -2j}
+    assert list(got.terms()) == [(PauliString(1, 1, 1), -2j)]
     # even and odd exponents into the same outputs, on two qubits
     rng = np.random.default_rng(41)
     a, b = random_sum(rng, 2, 12), random_sum(rng, 2, 9)
     got = multiply_sums(a, b)
     assert_same_sum(got, multiply_sums_reference(a, b))
-    assert any(c.imag for c in got._terms.values())
+    assert any(c.imag for _, c in got.terms())
 
 
 def distinct_sum(rng, n_qubits, n_terms, real=True):
@@ -313,9 +427,9 @@ def test_cache_misses_on_other_strings_of_the_same_count():
     multiply_sums(a, b)
     entry = b._product_cache
     # same number of terms, one string replaced by one a lacks
-    terms = dict(a._terms)
+    terms = {(s.x, s.z): c for s, c in a.terms()}
+    spare = next(k for k in ((x, 0) for x in range(1, 64)) if k not in terms)
     terms.pop(next(iter(terms)))
-    spare = next(k for k in ((x, 0) for x in range(1, 64)) if k not in a._terms)
     terms[spare] = 0.75
     other = PauliSum(6, terms)
     assert other.n_terms == a.n_terms
@@ -328,7 +442,7 @@ def test_cache_belongs_to_its_right_operand():
     a = random_sum(rng, 4, 12)
     b1 = random_sum(rng, 4, 10)
     b2 = random_sum(rng, 4, 10)
-    assert set(b1._terms) != set(b2._terms)
+    assert set(b1.strings()) != set(b2.strings())
     multiply_sums(a, b1)
     entry = b1._product_cache
     assert b2._product_cache is None
@@ -338,7 +452,7 @@ def test_cache_belongs_to_its_right_operand():
 
 
 def _fresh_copy(h):
-    return PauliSum(h.n_qubits, h._terms)
+    return PauliSum(h.n_qubits, h.terms())
 
 
 def test_saturated_ladder_step_keeps_a_small_cache(h4_problem):
