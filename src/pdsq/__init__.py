@@ -11,7 +11,7 @@ from .backend import CountTable, NoiseModel, StateVector, exact_expectation, pre
 from .chem import Geometry, IntegralSet, ReferenceDeterminant, build_h_chain, compute_integrals, hartree_fock, reference_determinant, second_quantized_hamiltonian
 from .exact import exact_spectrum, exact_transitions
 from .fcidump import fcidump_read, fcidump_write
-from .grouping import PackedBatch, QwcGroup, group_qwc, pack_batches, rotation_circuit, slot_expectations
+from .grouping import PackedBatch, QwcGroup, group_qwc, pack_batches, slot_expectations
 from .jw import jordan_wigner
 from .mitigation import MitigationConfig, mitigate
 from .moments import MomentTable, PowerCache, hamiltonian_power, moments_for_state, unique_string_count
@@ -27,8 +27,7 @@ __all__ = [
     "second_quantized_hamiltonian",
     "exact_spectrum", "exact_transitions",
     "fcidump_read", "fcidump_write",
-    "PackedBatch", "QwcGroup", "group_qwc", "pack_batches", "rotation_circuit",
-    "slot_expectations",
+    "PackedBatch", "QwcGroup", "group_qwc", "pack_batches", "slot_expectations",
     "jordan_wigner",
     "MitigationConfig", "mitigate",
     "MomentTable", "PowerCache", "hamiltonian_power", "moments_for_state",

@@ -3,7 +3,8 @@
 Basis-state indexing: bit k of an index is qubit k, and serialized
 bitstrings put qubit 0 leftmost, so `index_to_bits(5, 4) == "1010"`.
 Packed 20-qubit executions are sampled slot by slot and concatenated, which
-is exact because slots never share entanglement.
+is exact because slots never share entanglement.  The basis change of every
+slot of an execution is read from its group's rotation masks in one pass.
 """
 
 from __future__ import annotations
@@ -16,11 +17,6 @@ import numpy as np
 from .pauli import PauliSum
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-# Basis-change matrices: measuring X or Y in the computational basis.
-_BASIS_CHANGE = {
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2,
-    "SDG": np.array([[1, 0], [0, -1j]], dtype=complex),
-}
 
 
 def index_to_bits(index: int, n_bits: int) -> str:
@@ -47,6 +43,8 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
         if amps.shape != (1 << self.n_qubits,):
             raise ValueError("amplitude length must be 2**n_qubits")
+        if not np.isfinite(amps).all():
+            raise ValueError("state has a non-finite amplitude")
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"state is not normalized (norm {norm!r})")
@@ -90,20 +88,23 @@ def exact_expectation(h: PauliSum, state: StateVector, imag_tol: float = 1e-10) 
     return float(value.real)
 
 
-def apply_basis_changes(state: StateVector, gates: Sequence[Sequence[str]]) -> StateVector:
-    """Apply per-qubit gate name sequences (from rotation_circuit) to a state."""
-    n = state.n_qubits
-    if len(gates) != n:
-        raise ValueError("need one gate list per qubit")
-    amps = state.amplitudes.reshape((2,) * n)
-    for qubit, gate_names in enumerate(gates):
-        axis = n - 1 - qubit  # C-order: qubit 0 is the fastest-varying bit
-        for name in gate_names:
-            mat = _BASIS_CHANGE[name]
-            amps = np.moveaxis(
-                np.tensordot(mat, np.moveaxis(amps, axis, 0), axes=([1], [0])), 0, axis
-            )
-    return StateVector(n, amps.reshape(-1))
+def rotate_to_eigenbases(amplitudes: np.ndarray, x, z) -> np.ndarray:
+    """Row i of a (slots, 2**n) amplitude stack, rotated into the eigenbasis
+    of the rotation masks (x[i], z[i]), as a new array: qubit by qubit,
+    S-dagger on the rows with Y there, then the Hadamard on those with X or Y."""
+    amps = np.array(amplitudes, dtype=complex)
+    slots, dim = amps.shape
+    x, z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
+    for k in range(dim.bit_length() - 1):
+        # axis 2 of the view is qubit k, since bit k of an index is qubit k
+        pairs = amps.reshape(slots, dim >> (k + 1), 2, 1 << k)
+        y_rows = np.flatnonzero((x & z) >> k & 1)
+        pairs[y_rows, :, 1] *= -1j
+        h_rows = np.flatnonzero(x >> k & 1)
+        low, high = pairs[h_rows, :, 0], pairs[h_rows, :, 1]
+        pairs[h_rows, :, 0] = (low + high) * _INV_SQRT2
+        pairs[h_rows, :, 1] = (low - high) * _INV_SQRT2
+    return amps
 
 
 @dataclass(frozen=True)
@@ -188,15 +189,6 @@ class CountTable:
         return cls(n_bits, outcomes, [counts[o] for o in outcomes], sum(counts.values()))
 
 
-def _sample_outcome_indices(
-    state: StateVector, gates, shots: int, rng: np.random.Generator
-) -> np.ndarray:
-    rotated = apply_basis_changes(state, gates)
-    probs = rotated.probabilities()
-    probs = probs / probs.sum()
-    return rng.choice(probs.size, size=shots, p=probs)
-
-
 def _apply_bit_flips(
     indices: np.ndarray, n_bits: int, p: float, rng: np.random.Generator
 ) -> np.ndarray:
@@ -237,16 +229,25 @@ def sample_batch(
 
 
 def _sample_slots(slots, register: int, shots: int, noise, seed) -> CountTable:
-    """Draw each (state, group, offset) slot in turn from one seeded generator,
-    shift it into the register, then apply readout flips."""
-    from .grouping import rotation_circuit
-
+    """Rotate the (state, group, offset) slots' states into their groups'
+    eigenbases in one stack, draw each slot in turn from one seeded
+    generator, shift it into the register, then apply readout flips."""
     if shots <= 0:
         raise ValueError("shots must be positive")
+    for state, group, _ in slots:
+        if state.n_qubits != group.n_qubits:
+            raise ValueError(f"{state.n_qubits}-qubit state in a {group.n_qubits}-qubit slot")
+    if len({group.n_qubits for _, group, _ in slots}) != 1:
+        raise ValueError("an execution needs slots, all of one width")
+    rotated = rotate_to_eigenbases(
+        np.array([state.amplitudes for state, _, _ in slots]),
+        [group.rotation.x for _, group, _ in slots],
+        [group.rotation.z for _, group, _ in slots],
+    )
     rng = np.random.default_rng(seed)
     joint = np.zeros(shots, dtype=np.int64)
-    for state, group, offset in slots:
-        joint |= _sample_outcome_indices(state, rotation_circuit(group), shots, rng) << offset
+    for probs, (_, _, offset) in zip(np.abs(rotated) ** 2, slots):
+        joint |= rng.choice(probs.size, size=shots, p=probs / probs.sum()) << offset
     if noise is not None and noise.spam_flip_probability > 0.0:
         joint = _apply_bit_flips(joint, register, noise.spam_flip_probability, rng)
     return CountTable.from_indices(joint, register)

@@ -63,6 +63,8 @@ def fcidump_read(path: str | Path) -> IntegralSet:
             value = float(parts[0].upper().replace("D", "E"))
         except ValueError:
             raise FcidumpError(lineno, f"non-numeric value {parts[0]!r}") from None
+        if not np.isfinite(value):
+            raise FcidumpError(lineno, f"non-finite value {parts[0]!r}")
         try:
             i, j, k, l = (int(p) for p in parts[1:])
         except ValueError:

@@ -14,6 +14,10 @@ that does extend it; that string joins and the pass resumes after it.  Each
 extension adds a qubit, so a group costs at most n + 1 passes over the
 strings left (n qubits), where the per-string loop tried every open group
 for every string.
+
+A group is measured in the basis its rotation masks name, which the sampler
+reads directly (backend.rotate_to_eigenbases): each member's eigenvalue is
+then a parity of the outcome bits on its support.
 """
 
 from __future__ import annotations
@@ -98,24 +102,6 @@ def _peel_group(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.uint64, np
         rx, rz = rx | x[grow], rz | z[grow]
         start = grow + 1
     return joined, rx, rz
-
-
-def rotation_circuit(group: QwcGroup) -> list[list[str]]:
-    """Per-qubit basis-change gate names: X -> H, Y -> SDG then H, Z/I -> none.
-
-    Applying these and measuring in the computational basis yields every
-    member's eigenvalue as a parity over its support.
-    """
-    gates: list[list[str]] = []
-    for k in range(group.n_qubits):
-        letter = group.rotation.letter(k)
-        if letter == "X":
-            gates.append(["H"])
-        elif letter == "Y":
-            gates.append(["SDG", "H"])
-        else:
-            gates.append([])
-    return gates
 
 
 def pack_batches(

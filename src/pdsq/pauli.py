@@ -189,6 +189,9 @@ class PauliSum:
             cs.append(complex(coeff))
         x, z = np.array(keys, dtype=np.uint64).reshape(-1, 2).T
         c = np.array(cs, dtype=np.complex128)
+        bad = np.flatnonzero(~np.isfinite(c))
+        if bad.size:
+            raise ValueError(f"non-finite coefficient {cs[bad[0]]} on term masks {keys[bad[0]]}")
         merged = _sum_in_order(n_qubits, x, z, c.real, c.imag, drop_tol)
         self.n_qubits = n_qubits
         self._x, self._z, self._c = merged.mask_arrays()
@@ -213,9 +216,11 @@ class PauliSum:
     @classmethod
     def _from_canonical(cls, n_qubits: int, x, z, c) -> "PauliSum":
         """Sum of distinct strings given as (x, z, coeff) arrays already in
-        canonical order; the arrays become the sum's mask_arrays()."""
+        canonical order; they become the sum's read-only mask_arrays()."""
         out = cls.__new__(cls)
         out.n_qubits = n_qubits
+        for a in (x, z, c):
+            a.flags.writeable = False
         out._x, out._z, out._c = x, z, c
         out._product_cache = None
         return out

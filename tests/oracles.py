@@ -116,6 +116,56 @@ def apply_bit_flips_reference(indices, n_bits: int, p: float, rng) -> np.ndarray
     return indices ^ masks
 
 
+# The gate-name basis change that sampling used before it read the rotation
+# masks directly: the reference the mask kernel is checked against.
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+_BASIS_CHANGE = {
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2,
+    "SDG": np.array([[1, 0], [0, -1j]], dtype=complex),
+}
+
+
+def _rotation_gates(rotation) -> list[list[str]]:
+    """Per-qubit gate names: X -> H, Y -> SDG then H, Z/I -> none."""
+    names = {"X": ["H"], "Y": ["SDG", "H"]}
+    return [names.get(rotation.letter(k), []) for k in range(rotation.n_qubits)]
+
+
+def basis_change_reference(amplitudes, rotation) -> np.ndarray:
+    """Amplitudes rotated into the eigenbasis of a rotation PauliString, one
+    2x2 gate at a time by tensordot along the qubit's axis."""
+    gates = _rotation_gates(rotation)
+    n = len(gates)
+    amps = np.asarray(amplitudes, dtype=complex).reshape((2,) * n)
+    for qubit, gate_names in enumerate(gates):
+        axis = n - 1 - qubit  # C-order: qubit 0 is the fastest-varying bit
+        for name in gate_names:
+            mat = _BASIS_CHANGE[name]
+            amps = np.moveaxis(
+                np.tensordot(mat, np.moveaxis(amps, axis, 0), axes=([1], [0])), 0, axis
+            )
+    return amps.reshape(-1)
+
+
+def sample_batch_reference(state_per_slot, batch, shots: int, noise=None, seed=None):
+    """A packed execution's counts drawn slot by slot: each slot's state
+    rotated by basis_change_reference, drawn with rng.choice, shifted to its
+    offset, then flipped by apply_bit_flips_reference."""
+    from pdsq.backend import CountTable
+
+    rng = np.random.default_rng(seed)
+    joint = np.zeros(shots, dtype=np.int64)
+    for state, (group, offset) in zip(state_per_slot, batch.slots):
+        probs = np.abs(basis_change_reference(state.amplitudes, group.rotation)) ** 2
+        probs = probs / probs.sum()
+        joint |= rng.choice(probs.size, size=shots, p=probs) << offset
+    if noise is not None and noise.spam_flip_probability > 0.0:
+        joint = apply_bit_flips_reference(
+            joint, batch.register_width, noise.spam_flip_probability, rng
+        )
+    return CountTable.from_indices(joint, batch.register_width)
+
+
 def multiply_sums_reference(a, b, drop_tol: float = 1e-12):
     """Product of two PauliSums with no merge-structure cache: every call
     computes all |a| * |b| phases, sorts the merge keys with np.unique and

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from pdsq.backend import (
-    apply_basis_changes,
     exact_expectation,
     random_state,
     serial_sample,
@@ -19,7 +18,6 @@ from pdsq.grouping import (
     expectations_from_group_counts,
     expectations_from_group_weights,
     group_qwc,
-    rotation_circuit,
 )
 from pdsq.mitigation import MitigationConfig, mitigate
 from pdsq.moments import moments_for_state, unique_string_count
@@ -35,6 +33,7 @@ from pdsq.pipeline import (
 )
 
 from oracles import flip_channel
+from test_backend import rotated_probabilities
 from test_moments import random_hermitian_sum
 
 
@@ -262,8 +261,7 @@ def test_criterion_8_mitigation(h4_problem):
         groups = group_qwc(strings)
         clean, corrected = {}, {}
         for group in groups:
-            rotated = apply_basis_changes(ctx.tapered_state, rotation_circuit(group))
-            probs = rotated.probabilities()
+            probs = rotated_probabilities(ctx.tapered_state, group)
             support = np.flatnonzero(probs > 1e-12)
             clean.update(expectations_from_group_weights(support, probs[support], group))
             noisy = flip_channel(np.where(probs > 1e-12, probs, 0.0), p)

@@ -10,13 +10,13 @@ from pdsq.backend import (
     NoiseModel,
     StateVector,
     _apply_bit_flips,
-    apply_basis_changes,
     apply_pauli_sum,
     bits_to_index,
     exact_expectation,
     index_to_bits,
     prepare_basis_state,
     random_state,
+    rotate_to_eigenbases,
     sample_batch,
     serial_sample,
 )
@@ -26,7 +26,9 @@ from pdsq.pauli import PauliString, PauliSum
 from oracles import (
     apply_bit_flips_reference,
     apply_pauli_sum_reference,
+    basis_change_reference,
     pauli_sum_to_dense,
+    sample_batch_reference,
 )
 
 
@@ -51,6 +53,13 @@ def test_state_validation():
         StateVector(1, np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="length"):
         StateVector(2, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_state_rejects_non_finite_amplitudes(bad):
+    # a NaN norm would pass the tolerance check, which compares with >
+    with pytest.raises(ValueError, match="non-finite amplitude"):
+        StateVector(1, np.array([bad, 0.0]))
 
 
 def test_textbook_expectations():
@@ -139,18 +148,59 @@ def test_expectation_dimension_mismatch():
         exact_expectation(z, prepare_basis_state("0"))
 
 
+def rotated_probabilities(state, group) -> np.ndarray:
+    """Outcome probabilities of one state measured in a group's basis."""
+    rot = group.rotation
+    return np.abs(rotate_to_eigenbases(state.amplitudes[None], [rot.x], [rot.z])[0]) ** 2
+
+
 def test_basis_change_diagonalizes_x_and_y():
     for letter in ("X", "Y"):
         group = group_qwc([PauliString.from_label(letter)])[0]
-        from pdsq.grouping import rotation_circuit
-
         op = PauliSum.from_labels(1, {letter: 1.0})
         rng = np.random.default_rng(3)
         state = random_state(1, rng)
-        rotated = apply_basis_changes(state, rotation_circuit(group))
-        probs = rotated.probabilities()
+        probs = rotated_probabilities(state, group)
         z_value = probs[0] - probs[1]
         assert exact_expectation(op, state) == pytest.approx(z_value, abs=1e-12)
+
+
+def test_basis_change_matches_the_gate_loop_on_h4_groups(h4_problem):
+    """Every tapered H4 group, all of a sector's groups in one stack, on the
+    sector's reference state: the same bits as the tensordot gate loop."""
+    from pdsq.pipeline import unique_measured_strings
+
+    for ctx in h4_problem.sectors.values():
+        groups = group_qwc(unique_measured_strings(ctx.tapered_cache, 19))
+        amps = np.tile(ctx.tapered_state.amplitudes, (len(groups), 1))
+        got = rotate_to_eigenbases(
+            amps, [g.rotation.x for g in groups], [g.rotation.z for g in groups]
+        )
+        assert got.shape == amps.shape and len(groups) > 60
+        for row, group in zip(got, groups):
+            want = basis_change_reference(ctx.tapered_state.amplitudes, group.rotation)
+            assert row.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_qubits", range(1, 7))
+def test_basis_change_matches_the_gate_loop_on_random_states(n_qubits):
+    """All 4**n rotations (every mix of I, X, Y and Z) of one random state,
+    in one stack, within 1e-15 of the tensordot gate loop."""
+    state = random_state(n_qubits, np.random.default_rng(50 + n_qubits))
+    codes = np.arange(4**n_qubits)
+    x, z = codes & ((1 << n_qubits) - 1), codes >> n_qubits
+    got = rotate_to_eigenbases(np.tile(state.amplitudes, (codes.size, 1)), x, z)
+    for row, xm, zm in zip(got, x.tolist(), z.tolist()):
+        want = basis_change_reference(state.amplitudes, PauliString(n_qubits, xm, zm))
+        assert np.max(np.abs(row - want)) <= 1e-15
+    assert np.allclose(np.linalg.norm(got, axis=1), 1.0)
+
+
+def test_basis_change_leaves_its_input_alone():
+    amps = random_state(3, np.random.default_rng(1)).amplitudes[None]
+    before = amps.copy()
+    rotate_to_eigenbases(amps, [0b111], [0b011])
+    assert amps.tobytes() == before.tobytes()
 
 
 def test_count_table_validation():
@@ -222,6 +272,23 @@ def test_seeded_runs_bit_identical():
     assert histogram(c) != histogram(a)
 
 
+def test_slot_width_mismatch_names_both_widths():
+    group = group_qwc([PauliString.from_label("XZIIY")])[0]
+    state = prepare_basis_state("000")
+    with pytest.raises(ValueError, match="3-qubit state in a 5-qubit slot"):
+        serial_sample(state, group, 10, seed=1)
+    batch = PackedBatch(((group, 0), (group, 5)), 20)
+    with pytest.raises(ValueError, match="3-qubit state in a 5-qubit slot"):
+        sample_batch([prepare_basis_state("00000"), state], batch, 10, seed=1)
+    # one stacked basis change needs every slot of an execution on one width
+    narrow = group_qwc([PauliString.from_label("XZY")])[0]
+    mixed = PackedBatch(((group, 0), (narrow, 5)), 20)
+    with pytest.raises(ValueError, match="all of one width"):
+        sample_batch([prepare_basis_state("00000"), state], mixed, 10, seed=1)
+    with pytest.raises(ValueError, match="all of one width"):
+        sample_batch([], PackedBatch((), 20), 10, seed=1)
+
+
 def test_shot_validation():
     group = group_qwc([PauliString.from_label("ZIIII")])[0]
     with pytest.raises(ValueError, match="positive"):
@@ -269,3 +336,27 @@ def test_bit_flips_match_the_matrix_product(p):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         assert got_rng.random() == want_rng.random()
     assert np.array_equal(_apply_bit_flips(indices, 20, 0.0, got_rng), indices)
+
+
+@pytest.mark.parametrize("register", [5, 20])
+def test_sample_sector_matches_the_gate_loop_sampler(h4_problem, monkeypatch, register):
+    """Every H4 execution's counts, both sectors, seeds 3, 77 and 20261022,
+    with and without readout flips: the same bits as a sampler that rotates
+    slot by slot through the tensordot gate loop."""
+    from pdsq import pipeline
+
+    def tables(sector_index, ctx, seed, p):
+        draws = pipeline.sample_sector(ctx, 19, 2048, seed, sector_index, p, register)
+        return [(c.n_bits, c.shots, c.outcomes.tobytes(), c.counts.tobytes()) for _, c in draws]
+
+    cases = [
+        (si, ctx, seed, p)
+        for si, ctx in enumerate(h4_problem.sectors.values())
+        for seed in (3, 77, 20261022)
+        for p in (0.0, 1e-3)
+    ]
+    got = [tables(*case) for case in cases]
+    monkeypatch.setattr(pipeline, "sample_batch", sample_batch_reference)
+    want = [tables(*case) for case in cases]
+    assert got == want
+    assert len(got) == 12 and all(len(t) >= 17 for t in got)

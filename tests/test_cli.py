@@ -212,6 +212,20 @@ def test_computation_failure_exit_code_2(capsys, tmp_path):
     assert "hamiltonian" in err
 
 
+def test_non_finite_fcidump_value_exit_code_1(capsys, tmp_path):
+    # unchecked, a NaN integral would run SCF to its iteration cap and exit 2
+    bad = tmp_path / "nan.fcidump"
+    dump = tmp_path / "h2.fcidump"
+    assert run_cli(capsys, "integrals", "--spacings", "0.7414", "--write-fcidump", str(dump))[0] == 0
+    lines = dump.read_text().splitlines()
+    record = next(i for i, line in enumerate(lines) if line.split()[1:] == ["2", "1", "2", "1"])
+    lines[record] = " ".join(["nan", *lines[record].split()[1:]])
+    bad.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(capsys, "hamiltonian", "--fcidump", str(bad))
+    assert code == 1
+    assert f"line {record + 1}: non-finite value 'nan'" in err
+
+
 def test_over_budget_ladder_exit_code_2(capsys):
     # H6: H^3 would take 49,910 x 919 string pairs, some 3 GB
     code, _, err = run_cli(capsys, "plan", "--spacings", "2,2,2,2,2", "--k-max", "2")

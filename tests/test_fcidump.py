@@ -1,5 +1,7 @@
 """FCIDUMP reader/writer round trips and error reporting."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,14 @@ def test_non_numeric_value_reports_line(tmp_path):
     path = tmp_path / "bad.fcidump"
     path.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\nabc 1 1 1 1\n")
     with pytest.raises(FcidumpError, match="line 3.*non-numeric"):
+        fcidump_read(path)
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf", "1D+999"])
+def test_non_finite_value_reports_line(tmp_path, value):
+    path = tmp_path / "bad.fcidump"
+    path.write_text(f"&FCI NORB=2,NELEC=2,MS2=0,\n&END\n0.5 1 1 1 1\n{value} 2 1 2 1\n")
+    with pytest.raises(FcidumpError, match=re.escape(f"line 4: non-finite value '{value}'")):
         fcidump_read(path)
 
 

@@ -1,5 +1,7 @@
 """QWC grouping, rotation bases, batch packing, and count reconstruction."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from pdsq.backend import (
     CountTable,
-    apply_basis_changes,
+    StateVector,
     exact_expectation,
     random_state,
 )
@@ -18,11 +20,11 @@ from pdsq.grouping import (
     expectations_from_group_counts,
     group_qwc,
     pack_batches,
-    rotation_circuit,
 )
 from pdsq.pauli import PauliString, PauliSum, qubit_wise_commutes
 
 from oracles import group_qwc_reference
+from test_backend import rotated_probabilities
 
 
 def strings(*labels):
@@ -145,12 +147,21 @@ def test_grouping_deterministic():
     assert [g.rotation.label for g in a] == [g.rotation.label for g in b]
 
 
-def test_rotation_circuit_gate_map():
-    group = group_qwc(strings("XZ"))[0]
-    gates = rotation_circuit(group)
-    assert gates == [["H"], []]
-    group = group_qwc(strings("YY"))[0]
-    assert rotation_circuit(group) == [["SDG", "H"], ["SDG", "H"]]
+def test_rotation_masks_read_eigenstates_with_certainty():
+    """Product eigenstates of X, Y and Z letters, the +1 state of a letter
+    where the outcome bit is 0 and the -1 state where it is 1, rotated by
+    their own group's masks, read that outcome with probability 1."""
+    s = 1 / np.sqrt(2)
+    eigenstates = {"X": ([s, s], [s, -s]), "Y": ([s, 1j * s], [s, -1j * s]), "Z": ([1, 0], [0, 1])}
+    for n in (1, 3):
+        for letters in itertools.product("XYZ", repeat=n):
+            group = group_qwc(strings("".join(letters)))[0]
+            for outcome in range(1 << n):
+                amps = np.ones(1)
+                for k in reversed(range(n)):  # qubit 0 is the fastest index bit
+                    amps = np.kron(amps, eigenstates[letters[k]][outcome >> k & 1])
+                probs = rotated_probabilities(StateVector(n, amps), group)
+                assert probs[outcome] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_pack_batches_counts():
@@ -235,8 +246,7 @@ def test_exact_reconstruction_matches_direct_expectation():
         groups = group_qwc(strings(*labels))
         state = random_state(3, rng)
         for group in groups:
-            rotated = apply_basis_changes(state, rotation_circuit(group))
-            probs = rotated.probabilities()
+            probs = rotated_probabilities(state, group)
             from pdsq.grouping import expectations_from_group_weights
 
             values = expectations_from_group_weights(np.arange(8), probs, group)
@@ -248,7 +258,7 @@ def test_exact_reconstruction_matches_direct_expectation():
 def test_every_h4_group_reconstructs_exactly(h4_problem):
     """Infinite-shot reconstruction through rotation + marginals equals the
     direct statevector expectation for every tapered measurement group."""
-    from pdsq.grouping import expectations_from_group_weights, rotation_circuit
+    from pdsq.grouping import expectations_from_group_weights
     from pdsq.pipeline import unique_measured_strings
 
     for sector in ("singlet", "triplet"):
@@ -256,9 +266,8 @@ def test_every_h4_group_reconstructs_exactly(h4_problem):
         state = ctx.tapered_state
         groups = group_qwc(unique_measured_strings(ctx.tapered_cache, 19))
         for group in groups:
-            rotated = apply_basis_changes(state, rotation_circuit(group))
             values = expectations_from_group_weights(
-                np.arange(32), rotated.probabilities(), group
+                np.arange(32), rotated_probabilities(state, group), group
             )
             for member, estimate in values.items():
                 direct = exact_expectation(PauliSum.from_string(member), state)

@@ -282,6 +282,30 @@ def test_constructor_rejects_bad_masks_and_widths():
         PauliSum.from_labels(3, {"XXX": 1.0, "XX": 1.0})
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1.0, float("-inf"))])
+def test_constructor_rejects_non_finite_coefficients(bad):
+    # NaN would otherwise be dropped silently (np.abs(nan) > tol is False)
+    with pytest.raises(ValueError, match=r"non-finite coefficient .* on term masks \(1, 0\)"):
+        PauliSum(1, {(0, 0): 1.0, (1, 0): bad})
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        PauliSum.from_labels(2, {"XZ": bad})
+
+
+def test_mask_arrays_are_read_only():
+    """A write into a sum's arrays raises and leaves the sum as it was, for
+    constructed sums and for products."""
+    a = PauliSum.from_labels(2, {"XZ": 0.5, "YY": 0.25, "ZI": 1.0})
+    for ps in (PauliSum(1, {(1, 0): 2.0}), a, multiply_sums(a, a), a + a):
+        string, coeff = next(iter(ps.terms()))
+        x, z, c = ps.mask_arrays()
+        with pytest.raises(ValueError, match="read-only"):
+            c[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] ^= 1
+        assert not (x.flags.writeable or z.flags.writeable or c.flags.writeable)
+        assert ps.coefficient(string) == coeff
+
+
 @pytest.mark.parametrize("n_qubits", [3, 33])
 def test_arithmetic_matches_python_complex_bit_for_bit(n_qubits):
     """Scaling, + and - give the bits of Python complex arithmetic over
