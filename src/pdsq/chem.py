@@ -3,6 +3,22 @@
 The built-in integral engine covers contracted s-type Gaussians only, which
 is all hydrogen chains need; anything else should be imported from an
 FCIDUMP file.  All energies are in hartree, geometries in Angstrom.
+
+Every H shell has the same normalized STO-3G contraction, so the shell set
+is just the (n, 3) array of centres.  The integrals run on array passes
+over the canonical shell pairs i >= j (np.tril_indices order): each pair's
+|AB|^2, K_AB and product centres are formed once; overlap, kinetic and
+nuclear attraction are reductions over those arrays; the two-electron
+integrals take one pass per bra pair over all ket pairs up to it, which
+bounds the temporaries by the pair count, and reach the 8-fold symmetric
+tensor through index arrays.
+
+The results keep the bits of a per-pair loop (tests/oracles.py keeps one
+for comparison).  Each 3x3 or 3^4 primitive block is summed along a
+C-contiguous last axis, the pairwise order np.sum takes over a lone block.
+Only the lower triangle is computed and then mirrored, because the (j, i)
+block is the transpose of the (i, j) block and would sum in another order.
+|AB|^2 is one np.dot per pair, which an elementwise sum does not reproduce.
 """
 
 from __future__ import annotations
@@ -20,6 +36,9 @@ STO3G_H_EXPONENTS = (3.42525091, 0.62391373, 0.16885540)
 STO3G_H_COEFFS = (0.15432897, 0.53532814, 0.44463454)
 
 ELEMENT_CHARGES = {"H": 1}
+
+DENSITY_TOL = 1e-10  # largest density-matrix change of a converged SCF
+DIIS_SIZE = 8  # Fock and error matrices the DIIS extrapolation keeps
 
 
 class ScfConvergenceError(RuntimeError):
@@ -66,6 +85,8 @@ class Geometry:
                 xyz = tuple(float(p) for p in parts[1:])
             except ValueError:
                 raise ValueError(f"line {lineno}: non-numeric coordinate") from None
+            if not all(map(math.isfinite, xyz)):
+                raise ValueError(f"line {lineno}: non-finite coordinate")
             atoms.append((el, xyz))
         if not atoms:
             raise ValueError("no atoms in geometry text")
@@ -130,96 +151,72 @@ def _boys0(t: np.ndarray | float) -> np.ndarray | float:
     return np.where(small, 1.0 - t / 3.0, out)
 
 
-@dataclass(frozen=True)
-class _Shell:
-    center: np.ndarray
-    exponents: np.ndarray
-    coeffs: np.ndarray  # contraction coefficients times primitive norms
+# Primitive-pair constants shared by every shell pair: exponents a and b, the
+# product exponent p = a + b, the reduced exponent mu = ab/p, and the weights
+# c_a c_b from the contraction coefficients times the primitive norms,
+# renormalized so that the contracted 1s function has unit norm.
+_A = np.array(STO3G_H_EXPONENTS)[:, None]
+_B = _A.T
+_P = _A + _B
+_MU = _A * _B / _P
+_C = np.array(STO3G_H_COEFFS) * (2.0 * _A[:, 0] / np.pi) ** 0.75
+_C = _C / math.sqrt(_C @ (np.pi / _P) ** 1.5 @ _C)
+_W = _C[:, None] * _C[None, :]
 
 
-def _h_shell(center_bohr: np.ndarray) -> _Shell:
-    alphas = np.array(STO3G_H_EXPONENTS)
-    norms = (2.0 * alphas / np.pi) ** 0.75
-    coeffs = np.array(STO3G_H_COEFFS) * norms
-    # renormalize the contracted function
-    p = alphas[:, None] + alphas[None, :]
-    s_self = (np.pi / p) ** 1.5
-    norm2 = coeffs @ s_self @ coeffs
-    return _Shell(center_bohr, alphas, coeffs / math.sqrt(norm2))
+def _block_sums(blocks: np.ndarray) -> np.ndarray:
+    """Sum of each leading-axis entry's primitive block, in np.sum's order."""
+    return blocks.reshape(len(blocks), -1).sum(-1)
 
 
-def _pair_quantities(sa: _Shell, sb: _Shell):
-    a = sa.exponents[:, None]
-    b = sb.exponents[None, :]
-    p = a + b
-    mu = a * b / p
-    ab2 = float(np.dot(sa.center - sb.center, sa.center - sb.center))
-    kab = np.exp(-mu * ab2)
-    centers = (a[..., None] * sa.center + b[..., None] * sb.center) / p[..., None]
-    weights = sa.coeffs[:, None] * sb.coeffs[None, :]
-    return p, mu, ab2, kab, centers, weights
-
-
-def compute_integrals(geometry: Geometry, basis: str = "STO-3G") -> IntegralSet:
+def compute_integrals(geometry: Geometry) -> IntegralSet:
     """Overlap, core-Hamiltonian and two-electron integrals for an H chain."""
-    if basis.upper() != "STO-3G":
-        raise ValueError(f"unsupported basis: {basis}")
     charges = geometry.charges()  # validates elements (H only)
     coords = geometry.coords_bohr()
-    shells = [_h_shell(c) for c in coords]
-    n = len(shells)
+    n = len(coords)
 
-    overlap = np.zeros((n, n))
-    kinetic = np.zeros((n, n))
-    attraction = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            p, mu, ab2, kab, centers, w = _pair_quantities(shells[i], shells[j])
-            s_prim = (np.pi / p) ** 1.5 * kab
-            overlap[i, j] = overlap[j, i] = np.sum(w * s_prim)
-            t_prim = mu * (3.0 - 2.0 * mu * ab2) * s_prim
-            kinetic[i, j] = kinetic[j, i] = np.sum(w * t_prim)
-            v = 0.0
-            for zc, rc in zip(charges, coords):
-                pc2 = np.sum((centers - rc) ** 2, axis=-1)
-                v -= zc * np.sum(w * (2.0 * np.pi / p) * kab * _boys0(p * pc2))
-            attraction[i, j] = attraction[j, i] = v
+    # canonical shell pairs i >= j, and each pair's Gaussian products
+    i, j = np.tril_indices(n)
+    ab2 = np.array([np.dot(d, d) for d in coords[i] - coords[j]])[:, None, None]
+    kab = np.exp(-_MU * ab2)
+    ci, cj = coords[i][:, None, None], coords[j][:, None, None]
+    centers = (_A[..., None] * ci + _B[..., None] * cj) / _P[..., None]
 
+    s_prim = (np.pi / _P) ** 1.5 * kab
+    t_prim = _MU * (3.0 - 2.0 * _MU * ab2) * s_prim
+    v = np.zeros(len(i))
+    for zc, rc in zip(charges, coords):
+        pc2 = np.sum((centers - rc) ** 2, axis=-1)
+        v -= zc * _block_sums(_W * (2.0 * np.pi / _P) * kab * _boys0(_P * pc2))
+    lower = (_block_sums(_W * s_prim), _block_sums(_W * t_prim), v)
+    one = np.zeros((3, n, n))
+    one[:, i, j] = one[:, j, i] = lower
+    overlap, kinetic, attraction = one
+
+    # (ij|kl) for each bra pair against all ket pairs up to it
+    pp, qq = _P[:, :, None, None], _P[None, None, :, :]
+    pref = 2.0 * np.pi**2.5 / (pp * qq * np.sqrt(pp + qq))
+    rho = pp * qq / (pp + qq)
+    w_pref = _W[:, :, None, None] * _W[None, None, :, :] * pref
+    vals = []
+    for bra in range(len(i)):
+        kets = slice(bra + 1)
+        pq = centers[bra, :, :, None, None, :] - centers[kets, None, None]
+        f0 = _boys0(rho * np.sum(pq**2, axis=-1))
+        vals.append(
+            _block_sums(w_pref * kab[bra, ..., None, None] * kab[kets, None, None] * f0)
+        )
+    vals = np.concatenate(vals)
+    bra, ket = np.tril_indices(len(i))
     two_body = np.zeros((n, n, n, n))
-    pair_cache = {}
-    for i in range(n):
-        for j in range(i + 1):
-            pair_cache[(i, j)] = _pair_quantities(shells[i], shells[j])
-    unique_pairs = list(pair_cache)
-    for ia, (i, j) in enumerate(unique_pairs):
-        p, _, _, kab, pcen, wij = pair_cache[(i, j)]
-        for k, l in unique_pairs[: ia + 1]:
-            q, _, _, kcd, qcen, wkl = pair_cache[(k, l)]
-            pq2 = np.sum(
-                (pcen[:, :, None, None, :] - qcen[None, None, :, :, :]) ** 2, axis=-1
-            )
-            pp = p[:, :, None, None]
-            qq = q[None, None, :, :]
-            pref = 2.0 * np.pi**2.5 / (pp * qq * np.sqrt(pp + qq))
-            f0 = _boys0(pp * qq / (pp + qq) * pq2)
-            val = np.sum(
-                wij[:, :, None, None]
-                * wkl[None, None, :, :]
-                * pref
-                * kab[:, :, None, None]
-                * kcd[None, None, :, :]
-                * f0
-            )
-            for a, b in ((i, j), (j, i)):
-                for c, d in ((k, l), (l, k)):
-                    two_body[a, b, c, d] = val
-                    two_body[c, d, a, b] = val
+    for a, b in ((i[bra], j[bra]), (j[bra], i[bra])):
+        for c, d in ((i[ket], j[ket]), (j[ket], i[ket])):
+            two_body[a, b, c, d] = two_body[c, d, a, b] = vals
 
-    one_body = kinetic + attraction
     return IntegralSet(
         n_orbitals=n,
         core_energy=nuclear_repulsion(geometry),
-        one_body=one_body,
+        one_body=kinetic + attraction,
         two_body=two_body,
         overlap=overlap,
         n_electrons=sum(charges),
@@ -239,8 +236,6 @@ def hartree_fock(
     n_electrons: int | None = None,
     *,
     max_iterations: int = 200,
-    density_tol: float = 1e-10,
-    diis_size: int = 8,
 ) -> ScfResult:
     """Restricted closed-shell SCF from a core-Hamiltonian guess, with DIIS."""
     if n_electrons is None:
@@ -284,17 +279,15 @@ def hartree_fock(
         err = x.T @ (fock @ p @ s - s @ p @ fock) @ x
         fock_hist.append(fock)
         err_hist.append(err)
-        if len(fock_hist) > diis_size:
+        if len(fock_hist) > DIIS_SIZE:
             fock_hist.pop(0)
             err_hist.pop(0)
         if len(fock_hist) > 1:
             m = len(fock_hist)
+            errs = np.array(err_hist).reshape(m, -1)
             b = -np.ones((m + 1, m + 1))
             b[m, m] = 0.0
-            for a in range(m):
-                # elementwise products commute exactly: B is symmetric bit for bit
-                for bi in range(a, m):
-                    b[a, bi] = b[bi, a] = np.sum(err_hist[a] * err_hist[bi])
+            b[:m, :m] = (errs[:, None] * errs[None]).sum(-1)
             rhs = np.zeros(m + 1)
             rhs[m] = -1.0
             try:
@@ -307,7 +300,7 @@ def hartree_fock(
         p_new = density_of(c)
         delta = np.max(np.abs(p_new - p))
         p = p_new
-        if delta < density_tol:
+        if delta < DENSITY_TOL:
             fock = fock_of(p)
             e_elec = 0.5 * np.sum(p * (hcore + fock))
             energies, c = solve_orbitals(fock)

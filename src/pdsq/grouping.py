@@ -50,6 +50,19 @@ class PackedBatch:
     slots: tuple[tuple[QwcGroup, int], ...]  # (group, qubit offset)
     register_width: int = 20
 
+    def __post_init__(self):
+        taken = 0
+        for index, (group, offset) in enumerate(self.slots):
+            qubits = f"slot {index} (qubits {offset}..{offset + group.n_qubits - 1})"
+            if offset < 0 or offset + group.n_qubits > self.register_width:
+                raise ValueError(
+                    f"{qubits} does not fit a {self.register_width}-qubit register"
+                )
+            span = ((1 << group.n_qubits) - 1) << offset
+            if taken & span:
+                raise ValueError(f"{qubits} overlaps an earlier slot")
+            taken |= span
+
 
 def group_qwc(strings: Sequence[PauliString]) -> list[QwcGroup]:
     """Partition strings into QWC groups (greedy, largest weight first)."""

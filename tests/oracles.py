@@ -5,7 +5,21 @@ are plain loops or pair sums, deliberately avoiding the package's mask-based
 and factorized fast paths.
 """
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
+
+from pdsq.chem import (
+    STO3G_H_COEFFS,
+    STO3G_H_EXPONENTS,
+    Geometry,
+    IntegralSet,
+    ScfConvergenceError,
+    ScfResult,
+    _boys0,
+    nuclear_repulsion,
+)
 
 PAULI_2X2 = {
     "I": np.eye(2, dtype=complex),
@@ -568,3 +582,188 @@ def serial_estimates_reference(
             weights = mitigate(counts.outcomes, weights, counts.n_bits, config)
         estimates.update(slot_expectations(counts.outcomes, weights, ((group, 0),)))
     return estimates
+
+
+# The STO-3G engine and RHF as per-pair and per-element loops: one _Shell per
+# atom, one np.sum per primitive block, a 4-deep ERI fill, and a double loop
+# for the DIIS matrix.  The array engine in pdsq.chem must match them byte
+# for byte.
+
+
+@dataclass(frozen=True)
+class _Shell:
+    center: np.ndarray
+    exponents: np.ndarray
+    coeffs: np.ndarray  # contraction coefficients times primitive norms
+
+
+def _h_shell(center_bohr: np.ndarray) -> _Shell:
+    alphas = np.array(STO3G_H_EXPONENTS)
+    norms = (2.0 * alphas / np.pi) ** 0.75
+    coeffs = np.array(STO3G_H_COEFFS) * norms
+    # renormalize the contracted function
+    p = alphas[:, None] + alphas[None, :]
+    s_self = (np.pi / p) ** 1.5
+    norm2 = coeffs @ s_self @ coeffs
+    return _Shell(center_bohr, alphas, coeffs / math.sqrt(norm2))
+
+
+def _pair_quantities(sa: _Shell, sb: _Shell):
+    a = sa.exponents[:, None]
+    b = sb.exponents[None, :]
+    p = a + b
+    mu = a * b / p
+    ab2 = float(np.dot(sa.center - sb.center, sa.center - sb.center))
+    kab = np.exp(-mu * ab2)
+    centers = (a[..., None] * sa.center + b[..., None] * sb.center) / p[..., None]
+    weights = sa.coeffs[:, None] * sb.coeffs[None, :]
+    return p, mu, ab2, kab, centers, weights
+
+
+def integrals_reference(geometry: Geometry, basis: str = "STO-3G") -> IntegralSet:
+    """Overlap, core-Hamiltonian and two-electron integrals for an H chain."""
+    if basis.upper() != "STO-3G":
+        raise ValueError(f"unsupported basis: {basis}")
+    charges = geometry.charges()  # validates elements (H only)
+    coords = geometry.coords_bohr()
+    shells = [_h_shell(c) for c in coords]
+    n = len(shells)
+
+    overlap = np.zeros((n, n))
+    kinetic = np.zeros((n, n))
+    attraction = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1):
+            p, mu, ab2, kab, centers, w = _pair_quantities(shells[i], shells[j])
+            s_prim = (np.pi / p) ** 1.5 * kab
+            overlap[i, j] = overlap[j, i] = np.sum(w * s_prim)
+            t_prim = mu * (3.0 - 2.0 * mu * ab2) * s_prim
+            kinetic[i, j] = kinetic[j, i] = np.sum(w * t_prim)
+            v = 0.0
+            for zc, rc in zip(charges, coords):
+                pc2 = np.sum((centers - rc) ** 2, axis=-1)
+                v -= zc * np.sum(w * (2.0 * np.pi / p) * kab * _boys0(p * pc2))
+            attraction[i, j] = attraction[j, i] = v
+
+    two_body = np.zeros((n, n, n, n))
+    pair_cache = {}
+    for i in range(n):
+        for j in range(i + 1):
+            pair_cache[(i, j)] = _pair_quantities(shells[i], shells[j])
+    unique_pairs = list(pair_cache)
+    for ia, (i, j) in enumerate(unique_pairs):
+        p, _, _, kab, pcen, wij = pair_cache[(i, j)]
+        for k, l in unique_pairs[: ia + 1]:
+            q, _, _, kcd, qcen, wkl = pair_cache[(k, l)]
+            pq2 = np.sum(
+                (pcen[:, :, None, None, :] - qcen[None, None, :, :, :]) ** 2, axis=-1
+            )
+            pp = p[:, :, None, None]
+            qq = q[None, None, :, :]
+            pref = 2.0 * np.pi**2.5 / (pp * qq * np.sqrt(pp + qq))
+            f0 = _boys0(pp * qq / (pp + qq) * pq2)
+            val = np.sum(
+                wij[:, :, None, None]
+                * wkl[None, None, :, :]
+                * pref
+                * kab[:, :, None, None]
+                * kcd[None, None, :, :]
+                * f0
+            )
+            for a, b in ((i, j), (j, i)):
+                for c, d in ((k, l), (l, k)):
+                    two_body[a, b, c, d] = val
+                    two_body[c, d, a, b] = val
+
+    one_body = kinetic + attraction
+    return IntegralSet(
+        n_orbitals=n,
+        core_energy=nuclear_repulsion(geometry),
+        one_body=one_body,
+        two_body=two_body,
+        overlap=overlap,
+        n_electrons=sum(charges),
+    )
+
+
+def hartree_fock_reference(
+    ints: IntegralSet,
+    n_electrons: int | None = None,
+    *,
+    max_iterations: int = 200,
+    density_tol: float = 1e-10,
+    diis_size: int = 8,
+) -> ScfResult:
+    """Restricted closed-shell SCF from a core-Hamiltonian guess, with DIIS."""
+    if n_electrons is None:
+        n_electrons = ints.n_electrons
+    if n_electrons % 2 != 0:
+        raise ValueError("restricted SCF needs an even electron count")
+    n_occ = n_electrons // 2
+    if n_occ > ints.n_orbitals:
+        raise ValueError("more electron pairs than orbitals")
+
+    s = ints.overlap
+    hcore = ints.one_body
+    eri = ints.two_body
+    s_vals, s_vecs = np.linalg.eigh(s)
+    if np.min(s_vals) < 1e-10:
+        raise ValueError("overlap matrix is numerically singular")
+    x = s_vecs @ np.diag(s_vals**-0.5) @ s_vecs.T
+
+    def solve_orbitals(fock):
+        fp = x.T @ fock @ x
+        energies, cp = np.linalg.eigh(fp)
+        return energies, x @ cp
+
+    def density_of(c):
+        cocc = c[:, :n_occ]
+        return 2.0 * cocc @ cocc.T
+
+    def fock_of(p):
+        j = np.einsum("ls,mnls->mn", p, eri)
+        k = np.einsum("ls,mlns->mn", p, eri)
+        return hcore + j - 0.5 * k
+
+    energies, c = solve_orbitals(hcore)
+    p = density_of(c)
+    fock_hist: list[np.ndarray] = []
+    err_hist: list[np.ndarray] = []
+    delta = np.inf
+    for iteration in range(1, max_iterations + 1):
+        fock = fock_of(p)
+
+        err = x.T @ (fock @ p @ s - s @ p @ fock) @ x
+        fock_hist.append(fock)
+        err_hist.append(err)
+        if len(fock_hist) > diis_size:
+            fock_hist.pop(0)
+            err_hist.pop(0)
+        if len(fock_hist) > 1:
+            m = len(fock_hist)
+            b = -np.ones((m + 1, m + 1))
+            b[m, m] = 0.0
+            for a in range(m):
+                # elementwise products commute exactly: B is symmetric bit for bit
+                for bi in range(a, m):
+                    b[a, bi] = b[bi, a] = np.sum(err_hist[a] * err_hist[bi])
+            rhs = np.zeros(m + 1)
+            rhs[m] = -1.0
+            try:
+                weights = np.linalg.solve(b, rhs)[:m]
+                fock = sum(w * f for w, f in zip(weights, fock_hist))
+            except np.linalg.LinAlgError:
+                pass  # fall back to the plain Fock matrix
+
+        energies, c = solve_orbitals(fock)
+        p_new = density_of(c)
+        delta = np.max(np.abs(p_new - p))
+        p = p_new
+        if delta < density_tol:
+            fock = fock_of(p)
+            e_elec = 0.5 * np.sum(p * (hcore + fock))
+            energies, c = solve_orbitals(fock)
+            return ScfResult(c, energies, e_elec + ints.core_energy, iteration)
+    raise ScfConvergenceError(
+        f"SCF not converged after {max_iterations} iterations (last change {delta:.3e})"
+    )

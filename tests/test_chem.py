@@ -1,6 +1,7 @@
 """Geometry, STO-3G integrals, RHF, and spin-orbital tables."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,21 @@ import pytest
 from pdsq import chem
 from pdsq.backend import prepare_basis_state, exact_expectation
 from pdsq.units import BOHR_PER_ANGSTROM
+
+from oracles import H4_SPACINGS, hartree_fock_reference, integrals_reference
+
+# H2, the H4 chains, an uneven H6 and a non-collinear H4
+ORACLE_GEOMETRIES = {
+    "h2": chem.build_h_chain([0.7414]),
+    **{f"h4-{'-'.join(map(str, s))}": chem.build_h_chain(list(s)) for s in H4_SPACINGS},
+    "h6-uneven": chem.build_h_chain([0.8, 1.3, 2.1, 0.95, 1.7]),
+    "h4-bent": chem.Geometry((
+        ("H", (0.0, 0.0, 0.0)),
+        ("H", (0.9, 0.1, 0.0)),
+        ("H", (1.3, 1.1, 0.4)),
+        ("H", (0.2, 1.7, -0.6)),
+    )),
+}
 
 
 def test_h_chain_positions():
@@ -39,6 +55,12 @@ def test_xyz_round_trip():
         chem.Geometry.from_xyz_lines("H 0 0 x")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_xyz_rejects_non_finite_coordinates(value):
+    with pytest.raises(ValueError, match="line 2: non-finite coordinate"):
+        chem.Geometry.from_xyz_lines(f"H 0 0 0\nH 0 0 {value}")
+
+
 def test_core_energy_is_pairwise_coulomb_sum():
     g = chem.build_h_chain([2.0, 2.0, 2.0])
     # independent oracle: explicit sum over the six pairs
@@ -53,11 +75,38 @@ def test_core_energy_is_pairwise_coulomb_sum():
 
 
 def test_unsupported_inputs():
-    with pytest.raises(ValueError, match="unsupported basis"):
-        chem.compute_integrals(chem.build_h_chain([1.0]), basis="6-31G")
     bad = chem.Geometry((("He", (0.0, 0.0, 0.0)),))
     with pytest.raises(ValueError, match="unsupported element"):
         chem.compute_integrals(bad)
+
+
+@pytest.mark.parametrize("name", ORACLE_GEOMETRIES)
+def test_integrals_and_scf_match_the_loop_engine_byte_for_byte(name):
+    geometry = ORACLE_GEOMETRIES[name]
+    ints, ref = chem.compute_integrals(geometry), integrals_reference(geometry)
+    for field in ("overlap", "one_body", "two_body"):
+        assert getattr(ints, field).tobytes() == getattr(ref, field).tobytes()
+    assert ints.core_energy == ref.core_energy
+    scf, scf_ref = chem.hartree_fock(ints), hartree_fock_reference(ref)
+    assert scf.coefficients.tobytes() == scf_ref.coefficients.tobytes()
+    assert scf.orbital_energies.tobytes() == scf_ref.orbital_energies.tobytes()
+    assert scf.scf_energy == scf_ref.scf_energy
+    assert scf.n_iterations == scf_ref.n_iterations
+
+
+def test_integral_temporaries_stay_bounded():
+    """A 16-atom chain has 136 shell pairs and 9316 canonical pair quartets:
+    one broadcast over all quartets would take tens of MB, one bra pair at a
+    time keeps it to a few."""
+    chain = chem.build_h_chain([1.0] * 15)
+    tracemalloc.start()
+    try:
+        ints = chem.compute_integrals(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ints.two_body.shape == (16,) * 4
+    assert peak < 4_000_000
 
 
 def test_h_atom_energy_matches_reference():

@@ -194,6 +194,15 @@ def test_geometry_file_source(capsys, tmp_path):
     assert "orbitals: 2" in out
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_geometry_exit_code_1(capsys, tmp_path, value):
+    geo = tmp_path / "bad.xyz"
+    geo.write_text(f"H 0 0 0\nH 0 0 {value}\n")
+    code, _, err = run_cli(capsys, "integrals", "--geometry", str(geo))
+    assert code == 1
+    assert "line 2: non-finite coordinate" in err
+
+
 def test_output_dir_env_var(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("PDSQ_OUTPUT_DIR", str(tmp_path / "env-out"))
     code, _, _ = run_cli(

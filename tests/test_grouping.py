@@ -188,6 +188,24 @@ def test_pack_batches_rejects_slot_width_outside_the_register(slot_width):
         pack_batches([g], slot_width=slot_width, register=20)
 
 
+@pytest.mark.parametrize(
+    "offsets, message",
+    [
+        ((0, 2), r"slot 1 \(qubits 2..6\) overlaps an earlier slot"),
+        ((18,), r"slot 0 \(qubits 18..22\) does not fit a 20-qubit register"),
+        ((5, -1), r"slot 1 \(qubits -1..3\) does not fit"),
+    ],
+    ids=["overlap", "past-the-register", "negative-offset"],
+)
+def test_packed_batch_rejects_slots_off_the_register(offsets, message):
+    """Overlapping slots would OR their outcomes together and a slot past the
+    register would sample bits it does not have; both are refused up front."""
+    g = group_qwc(strings("XZIIY"))[0]
+    with pytest.raises(ValueError, match=message):
+        PackedBatch(tuple((g, offset) for offset in offsets), 20)
+    assert PackedBatch(((g, 0), (g, 15)), 20).slots[1] == (g, 15)
+
+
 @given(st.integers(1, 40))
 @settings(max_examples=30, deadline=None)
 def test_batch_count_is_ceil(n_groups):
