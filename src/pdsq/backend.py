@@ -131,6 +131,8 @@ class CountTable:
     shots: int
 
     def __post_init__(self):
+        if self.n_bits > 63:
+            raise ValueError(f"a {self.n_bits}-bit histogram exceeds the 63 bits of int64 outcomes")
         outcomes = np.asarray(self.outcomes, dtype=np.int64)
         counts = np.asarray(self.counts, dtype=np.int64)
         object.__setattr__(self, "outcomes", outcomes)

@@ -8,7 +8,8 @@ string on all lower-indexed qubits.
 uint64 mask arrays.  A ladder operator is the sum of two strings,
 X_k Z_{<k} / 2 and Y_k Z_{<k} (-+i/2), so a+_p a_q is a sum of 4 string
 products and a+_p a+_q a_s a_r of 16, each with coefficient 2^-k i^e, whose
-phase e follows from the running symplectic product of the factors' masks.
+phase e follows from the running product of the factors' strings, one
+`pauli._multiply_masks` call per factor over all rows and products at once.
 Like strings are merged within each product first: the parts are +-2^-k, so
 that sum is exact in any order.  Each merged product is scaled by h[p, q] or
 <pq||rs>/4, and the scaled terms are summed string by string in table order
@@ -23,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chem import SpinOrbitalTables
-from .pauli import _PHASES_ARR, PauliSum, _sum_in_order
+from .pauli import _PHASES_ARR, PauliSum, _multiply_masks, _sum_in_order
 
 _COEFF_CUTOFF = 1e-14
 
@@ -49,24 +50,14 @@ def _string_products(modes: np.ndarray, daggers: tuple[bool, ...]):
     bit = np.uint64(1) << modes.astype(np.uint64)
     tail = bit - np.uint64(1)
     takes_y = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1 == 1
-    x = np.zeros((len(modes), 1 << k), dtype=np.uint64)
-    z = np.zeros_like(x)
-    e = np.zeros(x.shape, dtype=np.int64)
+    x = z = np.zeros((len(modes), 1 << k), dtype=np.uint64)
+    e = 0
     for f, dagger in enumerate(daggers):
         xf = bit[:, f, None]
         zf = tail[:, f, None] | np.where(takes_y[:, f], xf, np.uint64(0))
+        x, z, e_f = _multiply_masks(x, z, xf, zf)
         # the Y string's coefficient: -i/2 = i^3 / 2 on a+, +i/2 on a
-        e += np.where(takes_y[:, f], 3 if dagger else 1, 0)
-        xn, zn = x ^ xf, z ^ zf
-        # i-exponent of P(x, z) P(xf, zf) (see pauli.multiply_strings); the
-        # uint8 counts wrap mod 256, a multiple of 4, so the residue is exact
-        e += (
-            np.bitwise_count(x & z)
-            + np.bitwise_count(xf & zf)
-            - np.bitwise_count(xn & zn)
-            + 2 * np.bitwise_count(z & xf)
-        )
-        x, z = xn, zn
+        e = e + e_f + np.where(takes_y[:, f], 3 if dagger else 1, 0)
     return x, z, e & 3
 
 

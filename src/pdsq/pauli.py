@@ -7,7 +7,9 @@ Hermitian operator
 
     P(x, z) = i^{|x & z|} * (prod_k X_k^{x_k}) * (prod_k Z_k^{z_k}),
 
-so products of strings are again strings times a phase in {1, i, -1, -i}.
+so products of strings are again strings times a phase in {1, i, -1, -i}:
+`multiply_strings` on Python ints, `_multiply_masks` on mask arrays for the
+products of sums, the Jordan-Wigner expansion and the tapering rotation.
 A sum is three parallel arrays in canonical (z, x) order, uint64 masks and
 complex128 coefficients, which limits sums (not strings) to 64 qubits; sums
 are built, added and scaled through one in-order merge (see PauliSum).
@@ -139,6 +141,20 @@ def multiply_strings(a: PauliString, b: PauliString) -> tuple[PauliString, compl
         + 2 * (a.z & b.x).bit_count()
     ) % 4
     return PauliString(a.n_qubits, x, z), _PHASES[e]
+
+
+def _multiply_masks(xa, za, xb, zb) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """multiply_strings on uint64 mask arrays, broadcast like xa ^ xb: the
+    product masks and i-exponents mod 4 (uint8; the counts wrap mod 256, a
+    multiple of 4, so the residue is exact)."""
+    x, z = xa ^ xb, za ^ zb
+    e = (
+        np.bitwise_count(xa & za)
+        + np.bitwise_count(xb & zb)
+        - np.bitwise_count(x & z)
+        + 2 * np.bitwise_count(za & xb)
+    )
+    return x, z, e & 3
 
 
 def commutes(a: PauliString, b: PauliString) -> bool:
@@ -397,16 +413,7 @@ def _product_structure(a: PauliSum, b: PauliSum) -> _ProductStructure:
     if b._product_cache is not None and b._product_cache[0] == key:
         return b._product_cache[1]
 
-    x = xa[:, None] ^ xb[None, :]
-    z = za[:, None] ^ zb[None, :]
-    # i-exponent from normalizing X^x Z^z products back to Hermitian letters;
-    # uint8 wraps mod 256, a multiple of 4, so the residue mod 4 is exact
-    phase_exp = (
-        np.bitwise_count(xa & za)[:, None]
-        + np.bitwise_count(xb & zb)[None, :]
-        - np.bitwise_count(x & z)
-        + 2 * np.bitwise_count(za[:, None] & xb[None, :])
-    ) & 3
+    x, z, phase_exp = _multiply_masks(xa[:, None], za[:, None], xb, zb)
     n = a.n_qubits
     index_type = np.int32 if 2 * x.size <= _INT32_MAX else np.int64
     if 1 << 2 * n <= x.size:

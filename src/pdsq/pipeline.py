@@ -354,6 +354,8 @@ def run_pipeline(cfg: RunConfig, problem: Problem | None = None) -> RunReport:
     failing stage on any module error.  A prebuilt problem may be passed to
     reuse cached power ladders."""
     cfg.validate()  # validation errors surface before any computation
+    if cfg.k_max < 2:
+        raise ValueError("run needs k_max >= 2: the report's S1 is the second singlet root")
 
     def stage(name, fn):
         try:

@@ -1,36 +1,38 @@
 """Z2 symmetry detection and qubit tapering of Pauli-sum Hamiltonians.
 
 Symmetries are Pauli strings commuting with every Hamiltonian term, found as
-the GF(2) kernel of the term-wise symplectic check matrix.  Each generator
-is paired with a single-qubit X partner on a qubit exclusive to it; the
-Clifford (X_q + g)/sqrt(2) maps the generator onto that X, after which the
-partner qubit carries only I or X in every term and can be replaced by the
-sector eigenvalue +-1 and removed.
+the GF(2) kernel of the term-wise symplectic check matrix.  Each generator g
+is paired with a single-qubit X partner on a qubit q exclusive to it; the
+Clifford U = (X_q + g)/2^(1/2) (Bravyi et al., arXiv:1701.08213) maps g onto
+X_q, after which the partner qubit carries only I or X in every term and can
+be replaced by the sector eigenvalue +-1 and removed.  U is applied in
+closed form: a term P commutes with g, so U P U = P where P has I or X on q,
+and U P U = X_q P g where it has Z or Y.  That image is Hermitian, so the
+product's phase is +-1 and the coefficient stays exactly +-c; and as the
+partners are exclusive, each rotation leaves the other generators unchanged.
 
 Reference determinants in the chosen sector taper to plain basis states on
 the remaining qubits: the Clifford sends them to product states whose
 removed-qubit factors are X eigenstates matching the sector signs, so
 expectation values restrict exactly.
 
-Everything past the Clifford rotations works on the sums' uint64 mask
-arrays: the check matrix is cut from the masks by shift-and-mask, the
-commutation of each generator with all terms is one popcount parity, and the
-restriction multiplies every rotated term by its sector signs (+-1, exact),
-gathers the remaining qubits' bits into compact masks, and sums the terms
-that land on one string in canonical order of the rotated sum, which is the
-order a term-by-term loop adds them in; so the tapered sum has the same bits.
+Everything works on the sums' uint64 mask arrays.  A rotation is two
+`pauli._multiply_masks` passes (X_q P, then times g); the restriction
+multiplies every rotated term by its sector signs (+-1, exact), gathers the
+remaining qubits' bits into compact masks, and sums the terms that land on
+one string in h's canonical order, which is the order a term-by-term loop
+over h adds them in; so the tapered sum has the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 
 from .chem import ReferenceDeterminant
 from .pauli import (
-    DEFAULT_DROP_TOL, PauliString, PauliSum, _check_qubits, _sum_in_order, multiply_sums,
+    DEFAULT_DROP_TOL, PauliString, PauliSum, _check_qubits, _multiply_masks, _sum_in_order,
 )
 
 
@@ -65,20 +67,16 @@ def _gf2_rref(rows: np.ndarray) -> np.ndarray:
 
 
 def _gf2_kernel_basis(rows: np.ndarray) -> np.ndarray:
-    """Basis of {v : rows @ v = 0 mod 2}, one kernel vector per row."""
+    """Basis of {v : rows @ v = 0 mod 2}, one kernel vector per free column:
+    1 there, and each pivot row's entry in that column at its pivot."""
     n_cols = rows.shape[1]
     rref = _gf2_rref(rows)
     pivots = [int(np.nonzero(r)[0][0]) for r in rref]
     free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = np.zeros(n_cols, dtype=np.uint8)
-        v[f] = 1
-        for r, p in zip(rref, pivots):
-            if r[f]:
-                v[p] ^= 1
-        basis.append(v)
-    return np.array(basis, dtype=np.uint8).reshape(len(basis), n_cols)
+    basis = np.zeros((len(free), n_cols), dtype=np.uint8)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = rref[:, free].T
+    return basis
 
 
 def _check_matrix(h: PauliSum) -> np.ndarray:
@@ -91,11 +89,7 @@ def _check_matrix(h: PauliSum) -> np.ndarray:
 
 
 def _bits_to_mask(bits: np.ndarray) -> int:
-    mask = 0
-    for k, b in enumerate(bits):
-        if b:
-            mask |= 1 << k
-    return mask
+    return sum(1 << k for k in np.flatnonzero(bits).tolist())
 
 
 def find_symmetries(h: PauliSum) -> list[PauliString]:
@@ -111,15 +105,12 @@ def find_symmetries(h: PauliSum) -> list[PauliString]:
     kernel = _gf2_kernel_basis(_check_matrix(h))
     if kernel.size == 0:
         return []
-    # RREF over (x | z) columns: rows with pivots in the z block are pure Z
-    reduced = _gf2_rref(kernel)
-    generators = []
-    for row in reduced:
-        x_mask = _bits_to_mask(row[:n])
-        z_mask = _bits_to_mask(row[n:])
-        if x_mask == 0 and z_mask == 0:
-            continue
-        generators.append(PauliString(n, x_mask, z_mask))
+    # RREF over (x | z) columns: rows with pivots in the z block are pure Z;
+    # it drops zero rows, so every row is a generator
+    generators = [
+        PauliString(n, _bits_to_mask(row[:n]), _bits_to_mask(row[n:]))
+        for row in _gf2_rref(kernel)
+    ]
     generators.sort(key=lambda s: (s.z, s.x))
     return generators
 
@@ -144,27 +135,23 @@ def build_tapering(
     if len(generators) != len(sector_signs):
         raise ValueError("need one sector sign per generator")
     _check_generators(h, generators)
-    supports = [g.support for g in generators]
+    seen = shared = 0  # qubits in some support, in two or more supports
+    for g in generators:
+        shared |= seen & g.support
+        seen |= g.support
     partners = []
-    for i, g in enumerate(generators):
-        others = 0
-        for j, s in enumerate(supports):
-            if j != i:
-                others |= s
+    for g in generators:
         # the partner must anticommute with its generator: Z or Y letter there
-        exclusive = supports[i] & ~others & g.z
+        exclusive = g.z & ~shared
         if exclusive == 0:
             raise ValueError(
                 f"generator {g.label} has no exclusive qubit for an X partner"
             )
         partners.append((exclusive & -exclusive).bit_length() - 1)
-    removed = tuple(partners)
+    partners = tuple(partners)
     return TaperingData(
-        generators=generators,
-        paulix_partners=tuple(partners),
-        sector_signs=sector_signs,
-        removed_qubits=removed,
-        n_remaining=h.n_qubits - len(removed),
+        generators, partners, sector_signs, removed_qubits=partners,
+        n_remaining=h.n_qubits - len(partners),
     )
 
 
@@ -201,23 +188,31 @@ def _compact(masks: np.ndarray, remaining: list[int]) -> np.ndarray:
 def taper_operator(h: PauliSum, td: TaperingData) -> PauliSum:
     """Restrict h to the sector fixed in td, on n_remaining qubits.
 
-    The rotated Hamiltonian acts as I or X on every removed qubit; those
-    letters are replaced by the sector signs.  The spectrum of the result is
-    a subset of h's spectrum.
+    Each generator's rotation sends a term c P with Z or Y on the partner
+    qubit q to +-c X_q P g (see the module docstring).  The rotated
+    Hamiltonian acts as I or X on every removed qubit; those letters are
+    replaced by the sector signs.  The spectrum of the result is a subset of
+    h's spectrum.
     """
     n = h.n_qubits
-    rotated = h
-    inv_sqrt2 = 1.0 / sqrt(2.0)
+    _check_generators(h, td.generators)
+    x, z, c = h.mask_arrays()
+    factor = np.ones(len(c))
     for g, q in zip(td.generators, td.paulix_partners):
-        u = PauliSum(n, {(1 << q, 0): inv_sqrt2, (g.x, g.z): inv_sqrt2})
-        rotated = multiply_sums(multiply_sums(u, rotated), u)
-    if rotated.max_imag() > 1e-9:
-        raise ValueError("tapering rotation broke Hermiticity; incompatible data")
+        if not (g.z >> q) & 1:
+            raise ValueError(f"generator {g.label} acts as I or X on its partner qubit {q}")
+        if sum((other.z >> q) & 1 for other in td.generators) > 1:
+            raise ValueError(f"partner qubit {q} of generator {g.label} is Z or Y in another")
+        moved = ((z >> np.uint64(q)) & np.uint64(1)).astype(bool)
+        xq, zq, e_q = _multiply_masks(np.uint64(1 << q), np.uint64(0), x, z)
+        xg, zg, e_g = _multiply_masks(xq, zq, np.uint64(g.x), np.uint64(g.z))
+        # the image is Hermitian: its i-exponent is 0 or 2
+        factor = np.where(moved & ((e_q + e_g) & 2 != 0), -factor, factor)
+        x, z = np.where(moved, xg, x), np.where(moved, zg, z)
 
     removed = set(td.removed_qubits)
     remaining = [q for q in range(n) if q not in removed]
     sign_of = dict(zip(td.removed_qubits, td.sector_signs))
-    x, z, c = rotated.mask_arrays()
     on_removed = np.flatnonzero(z & np.uint64(sum(1 << q for q in removed)))
     if on_removed.size:
         string = PauliString(n, int(x[on_removed[0]]), int(z[on_removed[0]]))
@@ -226,7 +221,6 @@ def taper_operator(h: PauliSum, td: TaperingData) -> PauliSum:
             f"rotated term {string.label} acts as Z/Y on removed qubit {q}"
         )
     # an X on a removed qubit becomes that qubit's sector sign
-    factor = np.ones(len(c))
     for q in removed:
         factor = np.where((x >> np.uint64(q)) & np.uint64(1), factor * sign_of[q], factor)
     x, z = _compact(x, remaining), _compact(z, remaining)
@@ -245,6 +239,4 @@ def taper_state(det: ReferenceDeterminant, td: TaperingData) -> str:
             f"determinant sector {det_signs} does not match tapering sector "
             f"{td.sector_signs}"
         )
-    removed = set(td.removed_qubits)
-    bits = det.bits
-    return "".join(b for q, b in enumerate(bits) if q not in removed)
+    return "".join(b for q, b in enumerate(det.bits) if q not in td.removed_qubits)

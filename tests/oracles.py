@@ -481,12 +481,12 @@ def _compact_mask(mask: int, remaining: list[int]) -> int:
 
 
 def taper_operator_reference(h, td):
-    """h restricted to td's sector: the Clifford rotations, then a Python
-    loop over the rotated terms in canonical order that replaces each X on a
-    removed qubit by its sector sign, compacts the masks and adds into a
-    dict.
+    """h restricted to td's sector: the Clifford rotations U = (X_q + g)/sqrt(2)
+    as products of sums, (U h) U per generator with 1/sqrt(2) rounded, then
+    `restriction_reference` of the rotated terms in canonical order.
 
-    The reference the array restriction is checked against byte for byte.
+    The reference the closed-form rotation is checked against up to the
+    round-off of those products.
     """
     from math import sqrt
 
@@ -500,12 +500,52 @@ def taper_operator_reference(h, td):
         rotated = multiply_sums(multiply_sums(u, rotated), u)
     if rotated.max_imag() > 1e-9:
         raise ValueError("tapering rotation broke Hermiticity; incompatible data")
+    return restriction_reference(n, rotated.terms(), td)
 
+
+def rotation_term_loop(h, td):
+    """h's terms in canonical order, each rotated one generator at a time: a
+    term c P with Z or Y on the partner q of g becomes the string of
+    multiply_strings(multiply_strings(X_q, P), g), with c times both phases."""
+    from pdsq.pauli import PauliString, multiply_strings
+
+    terms = list(h.terms())
+    for g, q in zip(td.generators, td.paulix_partners):
+        x_q = PauliString(h.n_qubits, 1 << q, 0)
+        rotated = []
+        for string, coeff in terms:
+            if (string.z >> q) & 1:
+                moved, phase_q = multiply_strings(x_q, string)
+                string, phase_g = multiply_strings(moved, g)
+                coeff = coeff * phase_q * phase_g
+            rotated.append((string, coeff))
+        terms = rotated
+    return terms
+
+
+def taper_operator_term_loop(h, td):
+    """h restricted to td's sector one term at a time: `restriction_reference`
+    of `rotation_term_loop`, so each tapered string adds its terms in h's
+    canonical order.
+
+    The reference the closed-form rotation is checked against byte for byte.
+    """
+    return restriction_reference(h.n_qubits, rotation_term_loop(h, td), td)
+
+
+def restriction_reference(n, terms, td):
+    """Rotated (string, coeff) terms on n qubits restricted to td's sector: a
+    Python loop over them in the given order that replaces each X on a
+    removed qubit by its sector sign, compacts the masks and adds into a
+    dict.
+
+    The reference the array restriction is checked against byte for byte.
+    """
     removed = set(td.removed_qubits)
     remaining = [q for q in range(n) if q not in removed]
     sign_of = dict(zip(td.removed_qubits, td.sector_signs))
-    terms: dict[tuple[int, int], complex] = {}
-    for string, coeff in rotated.terms():
+    out: dict[tuple[int, int], complex] = {}
+    for string, coeff in terms:
         factor = 1.0
         for q in removed:
             letter_x = (string.x >> q) & 1
@@ -520,8 +560,8 @@ def taper_operator_reference(h, td):
             _compact_mask(string.x, remaining),
             _compact_mask(string.z, remaining),
         )
-        terms[key] = terms.get(key, 0.0) + coeff * factor
-    return pauli_sum_reference(td.n_remaining, terms)
+        out[key] = out.get(key, 0.0) + coeff * factor
+    return pauli_sum_reference(td.n_remaining, out)
 
 
 def serial_draws_reference(ctx, max_power: int, shots: int, seed: int, sector_index: int,

@@ -127,6 +127,21 @@ def test_mitigate_rejects_negative_counts(capsys, tmp_path):
     assert "negative count" in err and out == ""
 
 
+@pytest.mark.parametrize("width", [63, 64])
+def test_mitigate_reads_up_to_63_bits(capsys, tmp_path, width):
+    """Outcomes are int64 basis-state indices: a 64-bit histogram is refused
+    by name (exit 1), not by an overflow in the conversion (exit 2)."""
+    histogram = tmp_path / "counts.txt"
+    histogram.write_text(f"{'0' * width} 3\n{'1' * width} 1\n")
+    code, out, err = run_cli(capsys, "mitigate", str(histogram), "--p", "0.01")
+    if width == 63:
+        assert code == 0 and err == ""
+        assert [line.split()[0] for line in out.splitlines()] == ["0" * 63, "1" * 63]
+    else:
+        assert code == 1 and out == ""
+        assert "a 64-bit histogram exceeds the 63 bits" in err
+
+
 def test_mitigate_names_a_negative_p(capsys, tmp_path):
     histogram = tmp_path / "counts.txt"
     histogram.write_text("00 10\n01 5\n")
@@ -258,3 +273,25 @@ def test_negative_seed_exit_code_1_before_any_computation(capsys, tmp_path, monk
     assert code == 1
     assert "seed must be a non-negative integer" in err
     assert not out_dir.exists()
+
+
+def test_run_needs_two_singlet_roots(capsys, tmp_path, monkeypatch):
+    """The report's S1 is the second singlet root, so `run --k-max 1` stops
+    before any computation; `moments` and `plan` need no S1 and still run."""
+    from pdsq import pipeline
+
+    def no_build(cfg):
+        raise AssertionError("the problem was built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(pipeline, "build_problem", no_build)
+        out_dir = tmp_path / "bundle"
+        code, out, err = run_cli(
+            capsys, "run", "--spacings", "0.7414", "--k-max", "1",
+            "--output-dir", str(out_dir),
+        )
+    assert code == 1 and out == ""
+    assert "run needs k_max >= 2" in err
+    assert not out_dir.exists()
+    for command in ("moments", "plan"):
+        assert run_cli(capsys, command, "--spacings", "0.7414", "--k-max", "1")[0] == 0

@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdsq.pauli import (
+    _PHASES,
     PauliString,
     PauliSum,
+    _multiply_masks,
     allclose,
     commutes,
     multiply_strings,
@@ -113,6 +115,41 @@ def test_string_product_associative(data):
     right, p_right = multiply_strings(a, bc)
     assert left == right
     assert p_ab * p_left == pytest.approx(p_bc * p_right)
+
+
+@pytest.mark.parametrize("n", [1, 5, 8, 33, 64])
+def test_mask_products_match_the_string_products(n):
+    """`_multiply_masks` on a column of strings times a row of strings gives
+    multiply_strings' string and phase for every pair.  The strings include
+    all-Y ones and others of weight near n, so at n = 64 the uint8 counts
+    reach 256 and wrap."""
+    rng = np.random.default_rng(n)
+
+    def draw(k, p_identity):
+        """k strings, each letter I with probability p_identity, else X, Y or Z."""
+        p = [p_identity] + [(1 - p_identity) / 3] * 3
+        return [
+            PauliString.from_label("".join(rng.choice(list(LETTERS), size=n, p=p)))
+            for _ in range(k)
+        ]
+
+    a = [PauliString.from_label("Y" * n), PauliString.identity(n), *draw(6, 0.02)]
+    b = [PauliString.from_label("Y" * n), *draw(5, 0.5), *draw(3, 0.02)]
+
+    def masks(strings):
+        return (np.array([s.x for s in strings], dtype=np.uint64),
+                np.array([s.z for s in strings], dtype=np.uint64))
+
+    (xa, za), (xb, zb) = masks(a), masks(b)
+    x, z, e = _multiply_masks(xa[:, None], za[:, None], xb, zb)
+    assert x.shape == z.shape == e.shape == (len(a), len(b)) and e.dtype == np.uint8
+    for i, sa in enumerate(a):
+        for j, sb in enumerate(b):
+            string, phase = multiply_strings(sa, sb)
+            assert (int(x[i, j]), int(z[i, j])) == (string.x, string.z)
+            assert _PHASES[e[i, j]] == phase
+    if n == 64:  # all-Y times all-Y: 64 + 64 - 0 + 2 * 64 = 256 = 0 (mod 256)
+        assert e[0, 0] == 0 and x[0, 0] == z[0, 0] == 0
 
 
 def test_commutation_textbook_pairs():

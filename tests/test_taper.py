@@ -14,8 +14,11 @@ from oracles import (
     H4_SPACINGS,
     assert_same_bits,
     gf2_rref_reference,
+    restriction_reference,
+    rotation_term_loop,
     symmetry_check_matrix_reference,
     taper_operator_reference,
+    taper_operator_term_loop,
 )
 
 
@@ -148,7 +151,50 @@ def test_tapering_matches_the_term_loops_bit_for_bit(spacings):
     for sector in ("singlet", "triplet"):
         det = chem.reference_determinant(sector, 4, 8)
         td = taper.tapering_for_determinant(h, det)
-        assert_same_bits(taper.taper_operator(h, td), taper_operator_reference(h, td))
+        tapered = taper.taper_operator(h, td)
+        assert_same_bits(tapered, taper_operator_term_loop(h, td))
+        assert_within_clifford_round_off(tapered, h, td)
+
+
+def assert_within_clifford_round_off(tapered, h, td):
+    """`tapered` has the strings of the Clifford products' taper and its
+    coefficients within their round-off.
+
+    With s = fl(1/sqrt(2)) = (1 + d0)/sqrt(2), a rotation by (X_q + g) s
+    gives each fixed term c P the two pair products fl(fl(s c) s), from
+    X_q P X_q and g P g, and each moved term the same two products, from
+    X_q P g and g P X_q; the other two products of a moved term cancel
+    exactly, and no other term reaches its string (it would anticommute
+    with g).  So each rotated coefficient is 2 fl(fl(s c) s) = c (1 + d0)^2
+    (1 + d1)(1 + d2) with |d| <= u = 2^-53, and after k rotations it is
+    c (1 + t), |t| <= gamma(4k) = 4k u / (1 - 4k u).  The restriction sums
+    the m rotated terms c_j of a tapered string, in any order, within
+    gamma(m - 1) sum_j |c_j| of its exact value on either side, so the two
+    results differ by at most (gamma(4k) + (2 + gamma(4k)) gamma(m - 1))
+    sum_j |c_j|.
+    """
+    x, z, _ = tapered.mask_arrays()
+    xr, zr, cr = taper_operator_reference(h, td).mask_arrays()
+    assert np.array_equal(x, xr) and np.array_equal(z, zr)
+
+    def gamma(k):
+        return k * 2.0**-53 / (1 - k * 2.0**-53)
+
+    # sum_j |c_j| and m per tapered string: the restriction of the rotated
+    # moduli, and of ones, with every sector sign +1
+    rotated = rotation_term_loop(h, td)
+    plus = taper.TaperingData(
+        td.generators, td.paulix_partners, (1,) * len(td.sector_signs),
+        td.removed_qubits, td.n_remaining,
+    )
+    mass, count = (
+        dict(restriction_reference(h.n_qubits, [(s, w(c)) for s, c in rotated], plus).terms())
+        for w in (abs, lambda c: 1.0)
+    )
+    g4k = gamma(4 * len(td.generators))
+    for (string, coeff), ref in zip(tapered.terms(), cr.tolist()):
+        bound = (g4k + (2 + g4k) * gamma(count[string].real - 1)) * mass[string].real
+        assert abs(coeff - ref) <= bound
 
 
 @given(st.integers(1, 12), st.integers(1, 16), st.integers(0, 2**32 - 1))
@@ -217,3 +263,74 @@ def test_first_anticommuting_term_is_named(h4):
     )
     with pytest.raises(ValueError, match="qubit counts differ: 2 vs 8"):
         taper.build_tapering(h4, [PauliString.from_label("ZZ")], [1])
+
+
+@st.composite
+def commuting_sums(draw):
+    """A sum and one to three generators it commutes with, each with Z or
+    (when drawn) Y on its own partner qubit and I or X on the others'.
+    Letters sit on the partners and up to three other qubits, so the
+    restriction merges up to 2^k terms into one string."""
+    n = draw(st.sampled_from([2, 5, 9, 33, 64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    active = [int(q) for q in rng.choice(n, size=min(n, 5), replace=False)]
+    partners = active[:draw(st.integers(1, min(n, 3)))]
+
+    def letters(qubits):
+        return sum(1 << q for q in qubits if rng.random() < 0.5)
+
+    generators = []
+    for q in partners:
+        partner_y = draw(st.booleans())
+        event("Y on a partner" if partner_y else "Z on a partner")
+        unshared = [k for k in active if k not in partners]
+        while True:  # until it commutes with the generators drawn so far
+            g = PauliString(
+                n, letters(unshared) | letters(partners) & ~(1 << q) | partner_y << q,
+                letters(unshared) | 1 << q,
+            )
+            if all(commutes(g, other) for other in generators):
+                generators.append(g)
+                break
+    terms = []
+    for _ in range(draw(st.integers(2, 40)) << len(partners)):
+        string = PauliString(n, letters(active), letters(active))
+        if all(commutes(string, g) for g in generators):
+            terms.append((string, rng.choice([rng.normal(), 0.5, -0.5])))
+    signs = tuple(draw(st.sampled_from([1, -1])) for _ in partners)
+    event(f"{len(partners)} generators")
+    return PauliSum(n, terms), taper.TaperingData(
+        tuple(generators), tuple(partners), signs, tuple(partners), n - len(partners)
+    )
+
+
+@given(commuting_sums())
+@settings(max_examples=200, deadline=None)
+def test_rotation_matches_the_term_loop_bit_for_bit(drawn):
+    h, td = drawn
+    tapered = taper.taper_operator(h, td)
+    event("terms merged" if len(tapered) < len(h) else "no merge")
+    assert_same_bits(tapered, taper_operator_term_loop(h, td))
+    assert_within_clifford_round_off(tapered, h, td)
+
+
+def test_taper_operator_checks_its_preconditions():
+    """Hand-built TaperingData need not come from build_tapering, so
+    taper_operator itself rejects a generator that does not commute with h,
+    and a partner qubit where its generator acts as I or X or another
+    generator as Z or Y (either would break the closed-form rotation)."""
+    h = PauliSum.from_labels(3, {"ZZI": 1.0, "XXI": 0.5, "IIZ": 0.25})
+
+    def tapering(labels, partners):
+        gens = tuple(PauliString.from_label(g) for g in labels)
+        return taper.TaperingData(gens, partners, (1,) * len(gens), partners, 3 - len(gens))
+
+    assert taper.taper_operator(h, tapering(["ZZI", "IIZ"], (0, 2))).n_qubits == 1
+    with pytest.raises(ValueError, match="generator XII does not commute with term ZZI"):
+        taper.taper_operator(h, tapering(["XII"], (0,)))
+    with pytest.raises(ValueError, match="generator ZZI acts as I or X on its partner qubit 2"):
+        taper.taper_operator(h, tapering(["ZZI"], (2,)))
+    with pytest.raises(ValueError, match="generator XXI acts as I or X on its partner qubit 0"):
+        taper.taper_operator(h, tapering(["XXI"], (0,)))
+    with pytest.raises(ValueError, match="partner qubit 0 of generator ZZI is Z or Y in another"):
+        taper.taper_operator(h, tapering(["ZZI", "ZZZ"], (0, 2)))
