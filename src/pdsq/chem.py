@@ -23,6 +23,7 @@ block is the transpose of the (i, j) block and would sum in another order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -310,6 +311,17 @@ def hartree_fock(
     )
 
 
+_MO_TRANSFORM = "mnls,mp,nq,lr,st->pqrt"
+
+
+@functools.cache
+def _mo_transform_path(eri_shape: tuple, c_shape: tuple) -> tuple:
+    """The contraction order optimize=True picks for these shapes, searched
+    once: it depends on the shapes alone and fixes the MO integral bits."""
+    eri, c = np.zeros(eri_shape), np.zeros(c_shape)
+    return tuple(np.einsum_path(_MO_TRANSFORM, eri, c, c, c, c, optimize=True)[0])
+
+
 def mo_integrals(ints: IntegralSet, scf: ScfResult) -> IntegralSet:
     """Integrals transformed to the (orthonormal) RHF orbital basis.
 
@@ -317,13 +329,12 @@ def mo_integrals(ints: IntegralSet, scf: ScfResult) -> IntegralSet:
     the identity.
     """
     c = scf.coefficients
+    path = _mo_transform_path(ints.two_body.shape, c.shape)
     return IntegralSet(
         n_orbitals=ints.n_orbitals,
         core_energy=ints.core_energy,
         one_body=c.T @ ints.one_body @ c,
-        two_body=np.einsum(
-            "mnls,mp,nq,lr,st->pqrt", ints.two_body, c, c, c, c, optimize=True
-        ),
+        two_body=np.einsum(_MO_TRANSFORM, ints.two_body, c, c, c, c, optimize=path),
         n_electrons=ints.n_electrons,
     )
 

@@ -37,11 +37,12 @@ BREAKDOWN_TOL = 1e-8
 
 
 # Largest |H^(n-1)| * |H| string-pair count one power-ladder step may take
-# on.  Measured with tracemalloc, a product that builds its merge structure
-# peaks at about 31 (direct merge) to 66 (sorted merge; 90 past 32 qubits)
-# bytes per pair, and one that reuses it at 16, besides ~280 bytes per
-# distinct output string; so a step stays near 1 GiB.  The full H4 ladder
-# needs at most 781,440 pairs, and H6 would need 45.9M at H^3.
+# on.  Measured with tracemalloc (2.3M-3.9M pairs onto 4096 or 65536
+# strings), a product that builds its merge structure peaks at about 14
+# (direct merge) to 66 (sorted merge; 90 past 32 qubits) bytes per pair,
+# and one that reuses it at 8, besides ~60 bytes per distinct output
+# string; so a step stays near 1 GiB.  The full H4 ladder needs at most
+# 781,440 pairs, and H6 would need 45.9M at H^3.
 MAX_PRODUCT_PAIRS = 1 << 24
 
 
@@ -51,11 +52,17 @@ class TermBudgetError(RuntimeError):
 
 
 class PowerCache:
-    """Caches H^0..H^n for one Hamiltonian; read-only after each fill."""
+    """Caches H^0..H^n for one Hamiltonian; read-only after each fill.
+
+    It also keeps the string ledger over H^1..H^max_power per max_power
+    (see _string_ledger), as read-only arrays: the powers never change once
+    filled, so a kept ledger cannot go stale.
+    """
 
     def __init__(self, h: PauliSum):
         self.h = h
         self._powers: dict[int, PauliSum] = {0: PauliSum.identity(h.n_qubits), 1: h}
+        self._ledgers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def power(self, n: int) -> PauliSum:
         if n < 0:
@@ -198,8 +205,11 @@ def _string_ledger(
     H^1..H^max_power, sorted on (z, x).
 
     The masks are kept as two uint64 columns, not one packed key, so the
-    ledger works for every qubit count a PauliSum supports.
+    ledger works for every qubit count a PauliSum supports.  It is built
+    once per cache and max_power and kept there, read-only.
     """
+    if max_power in cache._ledgers:
+        return cache._ledgers[max_power]
     # H^0 is the identity alone: it keeps the stack non-empty and is dropped
     arrays = [cache.power(n).mask_arrays() for n in range(max_power + 1)]
     x = np.concatenate([a[0] for a in arrays])
@@ -210,7 +220,11 @@ def _string_ledger(
     first = np.ones(x.size, dtype=bool)
     first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
     first &= (x != 0) | (z != 0)
-    return z[first], x[first], power[first]
+    ledger = z[first], x[first], power[first]
+    for a in ledger:
+        a.flags.writeable = False
+    cache._ledgers[max_power] = ledger
+    return ledger
 
 
 def unique_string_count(

@@ -29,15 +29,17 @@ step (4224 x 185 pairs) H keeps 4.0 MiB.
 The slots serve real coefficients, which every JW Hamiltonian in a real
 orbital basis and all its powers have: a pair's product i^e ar br is then
 exactly +-ar br, real for even e and imaginary for odd e, so one float64
-bincount over 2m slots yields the m outputs' real and imaginary parts,
-laid out as complex128.
+sparse matrix-vector product, scattering the pairs into 2m slots, yields
+the m outputs' real and imaginary parts, laid out as complex128.
 
-Building a structure numbers the distinct output strings by their 2n-bit
-code z << n | x, whose ascending order is the canonical one.  While there
-are fewer pairs than the 4^n possible codes, the pairs' codes are sorted;
-otherwise (the H4 ladder from H^3 on, the tapered 5-qubit ladders from H^2
-on) the present codes are marked in a 4^n table and numbered by a running
-count, with no sort.
+Building a structure works on the operands' masks cast to the narrowest
+unsigned type of n bits (uint8 for H4's 8 qubits and the tapered 5) and
+numbers the distinct output strings by their 2n-bit code z << n | x, whose
+ascending order is the canonical one.  While there are fewer pairs than
+the 4^n possible codes, the pairs' codes are sorted as uint64; otherwise
+(the H4 ladder from H^3 on, the tapered 5-qubit ladders from H^2 on) the
+present codes, held in a type of 2n bits, are marked in a 4^n table and
+numbered by a running count, with no sort.
 
 Serialization convention, used project-wide: qubit 0 is the leftmost letter
 of a label and the leftmost character of a measurement bitstring.
@@ -49,6 +51,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
 import numpy as np
+import scipy.sparse
 
 DEFAULT_DROP_TOL = 1e-12
 
@@ -144,7 +147,7 @@ def multiply_strings(a: PauliString, b: PauliString) -> tuple[PauliString, compl
 
 
 def _multiply_masks(xa, za, xb, zb) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """multiply_strings on uint64 mask arrays, broadcast like xa ^ xb: the
+    """multiply_strings on unsigned mask arrays, broadcast like xa ^ xb: the
     product masks and i-exponents mod 4 (uint8; the counts wrap mod 256, a
     multiple of 4, so the residue is exact)."""
     x, z = xa ^ xb, za ^ zb
@@ -413,14 +416,18 @@ def _product_structure(a: PauliSum, b: PauliSum) -> _ProductStructure:
     if b._product_cache is not None and b._product_cache[0] == key:
         return b._product_cache[1]
 
-    x, z, phase_exp = _multiply_masks(xa[:, None], za[:, None], xb, zb)
     n = a.n_qubits
+    # the narrowest unsigned type of n bits: uint8 for H4's 8 qubits
+    mask_type = np.min_scalar_type((1 << n) - 1)
+    xa, za, xb, zb = (m.astype(mask_type, copy=False) for m in (xa, za, xb, zb))
+    x, z, phase_exp = _multiply_masks(xa[:, None], za[:, None], xb, zb)
     index_type = np.int32 if 2 * x.size <= _INT32_MAX else np.int64
     if 1 << 2 * n <= x.size:
         # no more keys z << n | x than pairs: mark the present ones in a
         # 4^n table, whose ascending order is the canonical (z, x) order,
         # and number them by a running count instead of sorting the pairs
-        keys = ((z << np.uint64(n)) | x).ravel().view(np.int64)
+        key_type = np.min_scalar_type((1 << 2 * n) - 1)
+        keys = (z.astype(key_type) << n | x).ravel()
         present = np.zeros(1 << 2 * n, dtype=bool)
         present[keys] = True
         inverse = (np.cumsum(present, dtype=index_type) - 1)[keys]
@@ -428,7 +435,8 @@ def _product_structure(a: PauliSum, b: PauliSum) -> _ProductStructure:
         ux, uz = uniq & np.uint64((1 << n) - 1), uniq >> np.uint64(n)
     elif n <= 32:
         # one scalar key per pair, z in the high half: sorts in (z, x) order
-        uniq, inverse = np.unique((z.ravel() << _SHIFT32) | x.ravel(), return_inverse=True)
+        x, z = x.astype(np.uint64).ravel(), z.astype(np.uint64).ravel()
+        uniq, inverse = np.unique((z << _SHIFT32) | x, return_inverse=True)
         ux, uz = uniq & _LOW32, uniq >> _SHIFT32
     else:
         uniq, inverse = np.unique(
@@ -438,7 +446,8 @@ def _product_structure(a: PauliSum, b: PauliSum) -> _ProductStructure:
     slot = inverse.ravel().astype(index_type, copy=False)
     slot <<= 1
     slot |= (phase_exp & 1).ravel()
-    sign = np.where(phase_exp >= 2, np.int8(-1), np.int8(1))
+    # 1 - (e & 2) is 1 or 255 in uint8, i.e. 1 or -1 as int8
+    sign = (1 - (phase_exp & 2)).view(np.int8)
     structure = _ProductStructure(ux, uz, slot, sign)
     b._product_cache = (key, structure)
     return structure
@@ -462,15 +471,21 @@ def multiply_sums(
 
     When neither operand has an imaginary part (JW Hamiltonians in a real
     orbital basis and all their powers), each pair's product i^e ar br is
-    exactly +-ar br, real for even e and imaginary for odd e: one float64
-    outer product times the pairs' signs goes through a single bincount
-    whose 2m slots are the m outputs' real and imaginary parts side by
-    side.  Complex arithmetic on the same finite operands gives those
-    values plus signed zeros, which leave a sum from 0.0 unchanged, so the
-    bits are those of the complex product.  Complex operands take the
-    complex product times i^e and two bincounts.  Either way like strings
-    are summed pair by pair in row-major (a, b) order, whether or not the
-    structure was cached, so the result does not depend on the cache.
+    exactly +-ar br, real for even e and imaginary for odd e.  One sparse
+    (2m, |a|) matrix, built per call, holds +-br[j] in column i at row
+    slot[i, j]; its product with ar adds each pair's rounded (+-br) ar into
+    its slot from 0.0, the 2m slots being the m outputs' real and imaginary
+    parts side by side.  Complex arithmetic on the same finite operands
+    gives those values plus signed zeros, which leave a sum from 0.0
+    unchanged, so the bits are those of the complex product.  That holds
+    while scipy's csc_matvec rounds each product and add apart: a build
+    that fuses them into one multiply-add would move last bits, and the
+    bit-for-bit checks against the uncached reference in tests/test_pauli.py
+    would fail there.  Complex operands take the complex product times i^e
+    and two bincounts.  Either way like strings are summed pair by pair in
+    row-major (a, b) order (scipy walks column i's entries in j order),
+    whether or not the structure was cached, so the result does not depend
+    on the cache.
     """
     _check_qubits(a.n_qubits, b.n_qubits)
     if not a or not b:
@@ -480,12 +495,13 @@ def multiply_sums(
     if ca.imag.any() or cb.imag.any():
         acc = _merge_complex(ca, cb, s)
     else:
-        w = np.multiply.outer(ca.real, cb.real)
-        # times +-1, exact; a multiply by the sign beats a masked negate
-        # on the ~random pattern of the signs several times over
-        w *= s.sign
-        acc = np.bincount(s.slot, weights=w.ravel(), minlength=2 * len(s.x))
-        acc = acc.view(np.complex128)
+        # column i of this (2m, |a|) matrix holds +-cb[j] in row slot[i, j]
+        scatter = scipy.sparse.csc_array(
+            ((s.sign * cb.real).ravel(), s.slot,
+             np.arange(0, s.slot.size + 1, len(cb), dtype=s.slot.dtype)),
+            shape=(2 * len(s.x), len(ca)),
+        )
+        acc = (scatter @ ca.real).view(np.complex128)
     keep = np.abs(acc) > drop_tol
     return PauliSum._from_canonical(a.n_qubits, s.x[keep], s.z[keep], acc[keep])
 

@@ -228,6 +228,32 @@ def multiply_sums_reference(a, b, drop_tol: float = 1e-12):
     return PauliSum(a.n_qubits, terms, drop_tol=drop_tol)
 
 
+def product_structure_reference(a, b):
+    """The merge structure of a*b as (x, z, slot, sign), from uint64 masks
+    only: every pair's phase from its bit counts and the output strings
+    numbered by sorting the pairs' keys with np.unique, whatever the qubit
+    count; slot is 2 * (output index) + (i-exponent & 1), int32 while
+    2 |a| |b| fits, and sign is -1 (int8) where the i-exponent is 2 or 3.
+
+    The reference pauli._product_structure is checked against, array for
+    array and dtype for dtype.
+    """
+    xa, za, _ = a.mask_arrays()
+    xb, zb, _ = b.mask_arrays()
+    x = (xa[:, None] ^ xb[None, :]).ravel()
+    z = (za[:, None] ^ zb[None, :]).ravel()
+    ya = np.bitwise_count(xa & za).astype(np.int64)
+    yb = np.bitwise_count(xb & zb).astype(np.int64)
+    anti = np.bitwise_count(za[:, None] & xb[None, :]).astype(np.int64)
+    e = ((ya[:, None] + yb[None, :] + 2 * anti).ravel()
+         - np.bitwise_count(x & z).astype(np.int64)) % 4
+    uniq, inverse = np.unique(np.stack((z, x), axis=1), axis=0, return_inverse=True)
+    index_type = np.int32 if 2 * x.size <= np.iinfo(np.int32).max else np.int64
+    slot = (2 * inverse.ravel() + (e & 1)).astype(index_type)
+    sign = np.where(e >= 2, -1, 1).astype(np.int8).reshape(len(xa), len(xb))
+    return uniq[:, 1].copy(), uniq[:, 0].copy(), slot, sign
+
+
 def pauli_sum_reference(n_qubits: int, terms=None, drop_tol: float = 1e-12):
     """A PauliSum merged in a Python dict: each (x, z) key's coefficients
     added one after another as Python complex from 0.0, keys with

@@ -94,6 +94,23 @@ def test_integrals_and_scf_match_the_loop_engine_byte_for_byte(name):
     assert scf.n_iterations == scf_ref.n_iterations
 
 
+@pytest.mark.parametrize("name", ["h2", "h4-2.0-2.0-2.0", "h6-uneven"])
+def test_mo_transform_keeps_the_searched_path_bits(name):
+    """The MO integrals take the contraction order optimize=True searches,
+    searched once per shape: the bits of a fresh search on every call."""
+    ints = chem.compute_integrals(ORACLE_GEOMETRIES[name])
+    scf = chem.hartree_fock(ints)
+    c = scf.coefficients
+    want = np.einsum("mnls,mp,nq,lr,st->pqrt", ints.two_body, c, c, c, c, optimize=True)
+    for _ in range(2):
+        mo = chem.mo_integrals(ints, scf)
+        assert mo.two_body.tobytes() == want.tobytes()
+        assert mo.one_body.tobytes() == (c.T @ ints.one_body @ c).tobytes()
+    hits = chem._mo_transform_path.cache_info().hits
+    chem.mo_integrals(ints, scf)
+    assert chem._mo_transform_path.cache_info().hits == hits + 1
+
+
 def test_integral_temporaries_stay_bounded():
     """A 16-atom chain has 136 shell pairs and 9316 canonical pair quartets:
     one broadcast over all quartets would take tens of MB, one bra pair at a

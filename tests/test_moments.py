@@ -189,6 +189,39 @@ def test_ledger_matches_string_set_oracle(n_qubits, n_terms, max_power, seed):
     assert unique_string_count(h, max_power) == counts
 
 
+@pytest.mark.parametrize("n_qubits, n_terms, seed", [(3, 10, 2), (5, 14, 3), (64, 6, 5)])
+def test_ledger_is_kept_per_cache_and_power(n_qubits, n_terms, seed, monkeypatch):
+    """Each (cache, max_power) ledger is built once, kept read-only and
+    apart from the others; a kept one is read back without touching the
+    powers, and the counts still equal the string-set oracle's."""
+    rng = np.random.default_rng(seed)
+    cache = PowerCache(random_hermitian_sum(rng, n_qubits, n_terms))
+    want = {}
+    for m in (3, 2, 4):
+        want[m] = string_ledger(cache.power(n) for n in range(1, m + 1))
+        assert unique_measured_strings(cache, m) == want[m][0]
+    kept = {m: moments._string_ledger(cache, m) for m in want}
+    for m, ledger in kept.items():
+        assert all(not a.flags.writeable for a in ledger)
+        with pytest.raises(ValueError):
+            ledger[0][0] = 1
+    assert kept[2][0].size < kept[3][0].size < kept[4][0].size
+
+    filled = dict(cache._powers)
+
+    def refuse(*args):
+        raise AssertionError("a kept ledger filled a power")
+
+    monkeypatch.setattr(cache, "power", refuse)
+    monkeypatch.setattr(moments, "multiply_sums", refuse)
+    for m in (4, 2, 3):
+        assert unique_measured_strings(cache, m) == want[m][0]
+        assert unique_measured_strings(cache, m) == want[m][0]
+        assert unique_string_count(cache.h, m, cache) == want[m][1]
+        assert all(a is b for a, b in zip(moments._string_ledger(cache, m), kept[m]))
+    assert cache._powers == filled
+
+
 def test_unique_count_monotone_and_bounded(h4_problem):
     counts = unique_string_count(h4_problem.hamiltonian, 19, h4_problem.cache)
     assert all(b >= a for a, b in zip(counts, counts[1:]))

@@ -12,6 +12,7 @@ from pdsq.pauli import (
     PauliString,
     PauliSum,
     _multiply_masks,
+    _product_structure,
     allclose,
     commutes,
     multiply_strings,
@@ -26,6 +27,7 @@ from oracles import (
     dense_string,
     multiply_sums_reference,
     pauli_sum_reference,
+    product_structure_reference,
     pauli_sum_to_dense,
 )
 
@@ -435,7 +437,19 @@ def distinct_sum(rng, n_qubits, n_terms, real=True):
     return PauliSum(n_qubits, terms)
 
 
-@pytest.mark.parametrize("n_qubits", [1, 3, 4, 5, 33, 64])
+def assert_structure_from_wide_masks(a, b):
+    """a*b's merge structure, built on masks of the narrowest type of n
+    bits, equals the one from uint64 masks, array for array and dtype for
+    dtype."""
+    got = _product_structure(a, b)
+    for g, w in zip(got, product_structure_reference(a, b)):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+# 8, 16 and 32 fill uint8, uint16 and uint32 masks; 9, 17 and 33 need the
+# next type up
+@pytest.mark.parametrize("n_qubits", [1, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64])
 @pytest.mark.parametrize("real", [True, False])
 def test_random_products_match_the_uncached_product(n_qubits, real):
     rng = np.random.default_rng(n_qubits + 100 * real)
@@ -444,17 +458,20 @@ def test_random_products_match_the_uncached_product(n_qubits, real):
     want = multiply_sums_reference(a, b)
     assert_same_sum(multiply_sums(a, b), want)
     assert_same_sum(multiply_sums(a, b), want)  # from b's cache
+    assert_structure_from_wide_masks(a, b)
     assert_same_sum(multiply_sums(b, b), multiply_sums_reference(b, b))
-    if n_qubits > 5:
+    if n_qubits > 8:
         return
     # the merge addresses the 4^n keys directly once there are no more of
     # them than pairs, and sorts the pairs otherwise: both sides of that edge
+    # (at 5 and 8 qubits, uint8 masks and uint16 table keys)
     side = 2**n_qubits
     for n_a, n_b in ((side, side), (side - 1, side + 1), (2 * side, side), (1, side)):
         a = distinct_sum(rng, n_qubits, n_a, real=real)
         b = distinct_sum(rng, n_qubits, n_b, real=real)
         assert a.n_terms * b.n_terms == n_a * n_b
         assert_same_sum(multiply_sums(a, b), multiply_sums_reference(a, b))
+        assert_structure_from_wide_masks(a, b)
 
 
 def test_cache_hit_recombines_new_coefficients():
