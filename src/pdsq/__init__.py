@@ -5,39 +5,38 @@ Hamiltonian construction for linear H chains, Hamiltonian-moment evaluation,
 PDS(K) energy bounds for singlet and triplet sectors, measurement-cost
 reduction (tapering, qubit-wise-commuting grouping, 4-way parallel packing),
 shot sampling with readout bit-flip noise, and mitigation of that noise.
+
+The names below are the documented library surface, listed with their
+roles in the README's "Library use" section.
 """
 
 from .backend import CountTable, NoiseModel, StateVector, exact_expectation, prepare_basis_state
-from .chem import Geometry, IntegralSet, ReferenceDeterminant, build_h_chain, compute_integrals, hartree_fock, reference_determinant, second_quantized_hamiltonian
+from .chem import Geometry, build_h_chain, compute_integrals, hartree_fock, reference_determinant, second_quantized_hamiltonian
 from .exact import exact_spectrum, exact_transitions
 from .fcidump import fcidump_read, fcidump_write
-from .grouping import PackedBatch, QwcGroup, group_qwc, pack_batches, slot_expectations
+from .grouping import PackedBatch, group_qwc, pack_batches, slot_expectations
 from .jw import jordan_wigner
 from .mitigation import MitigationConfig, mitigate
-from .moments import MomentTable, PowerCache, hamiltonian_power, moments_for_state, unique_string_count
-from .pauli import PauliString, PauliSum, commutes, multiply_strings, multiply_sums, qubit_wise_commutes
-from .pds import PdsResult, build_system, pds_energies, polynomial_roots, transition_energies
+from .moments import PowerCache, moments_for_state, unique_string_count
+from .pauli import PauliString, PauliSum, multiply_sums
+from .pds import build_system, pds_energies, polynomial_roots, transition_energies
 from .pipeline import RunConfig, build_problem, run_pipeline
-from .taper import TaperingData, find_symmetries, sector_of, taper_operator, taper_state
+from .taper import find_symmetries, sector_of, taper_operator, taper_state
 
 __all__ = [
     "CountTable", "NoiseModel", "StateVector", "exact_expectation", "prepare_basis_state",
-    "Geometry", "IntegralSet", "ReferenceDeterminant", "build_h_chain",
-    "compute_integrals", "hartree_fock", "reference_determinant",
-    "second_quantized_hamiltonian",
+    "Geometry", "build_h_chain", "compute_integrals", "hartree_fock",
+    "reference_determinant", "second_quantized_hamiltonian",
     "exact_spectrum", "exact_transitions",
     "fcidump_read", "fcidump_write",
-    "PackedBatch", "QwcGroup", "group_qwc", "pack_batches", "slot_expectations",
+    "PackedBatch", "group_qwc", "pack_batches", "slot_expectations",
     "jordan_wigner",
     "MitigationConfig", "mitigate",
-    "MomentTable", "PowerCache", "hamiltonian_power", "moments_for_state",
-    "unique_string_count",
-    "PauliString", "PauliSum", "commutes", "multiply_strings", "multiply_sums",
-    "qubit_wise_commutes",
-    "PdsResult", "build_system", "pds_energies", "polynomial_roots",
-    "transition_energies",
+    "PowerCache", "moments_for_state", "unique_string_count",
+    "PauliString", "PauliSum", "multiply_sums",
+    "build_system", "pds_energies", "polynomial_roots", "transition_energies",
     "RunConfig", "build_problem", "run_pipeline",
-    "TaperingData", "find_symmetries", "sector_of", "taper_operator", "taper_state",
+    "find_symmetries", "sector_of", "taper_operator", "taper_state",
 ]
 
 __version__ = "0.1.0"

@@ -17,6 +17,9 @@ import numpy as np
 from .pauli import PauliSum
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# An expectation of a Hermitian operator is real: its imaginary part may be
+# at most this fraction of max(1, |real part|), or it is an error.
+REALNESS_RTOL = 1e-10
 
 
 def index_to_bits(index: int, n_bits: int) -> str:
@@ -61,11 +64,6 @@ def prepare_basis_state(bits: str | Sequence[int]) -> StateVector:
     return StateVector(n, amps)
 
 
-def random_state(n_qubits: int, rng: np.random.Generator) -> StateVector:
-    amps = rng.standard_normal(1 << n_qubits) + 1j * rng.standard_normal(1 << n_qubits)
-    return StateVector(n_qubits, amps / np.linalg.norm(amps))
-
-
 def apply_pauli_sum(h: PauliSum, state: StateVector) -> np.ndarray:
     """Amplitudes of h|state> (not normalized), in one pass over the blocks
     of h.matrix_blocks(): each amplitude adds its terms' contributions one
@@ -80,10 +78,11 @@ def apply_pauli_sum(h: PauliSum, state: StateVector) -> np.ndarray:
     return out
 
 
-def exact_expectation(h: PauliSum, state: StateVector, imag_tol: float = 1e-10) -> float:
-    """<state|h|state>, checked to be real within imag_tol."""
+def exact_expectation(h: PauliSum, state: StateVector) -> float:
+    """<state|h|state>, checked to be real: |Im| at most REALNESS_RTOL times
+    max(1, |Re|)."""
     value = np.vdot(state.amplitudes, apply_pauli_sum(h, state))
-    if abs(value.imag) > imag_tol * max(1.0, abs(value.real)):
+    if abs(value.imag) > REALNESS_RTOL * max(1.0, abs(value.real)):
         raise ValueError(f"expectation has imaginary part {value.imag:.3e}")
     return float(value.real)
 

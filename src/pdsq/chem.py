@@ -53,10 +53,6 @@ class Geometry:
     atoms: tuple[tuple[str, tuple[float, float, float]], ...]
     units: str = "angstrom"
 
-    @property
-    def n_atoms(self) -> int:
-        return len(self.atoms)
-
     def charges(self) -> list[int]:
         try:
             return [ELEMENT_CHARGES[el] for el, _ in self.atoms]
@@ -65,11 +61,6 @@ class Geometry:
 
     def coords_bohr(self) -> np.ndarray:
         return np.array([xyz for _, xyz in self.atoms]) * BOHR_PER_ANGSTROM
-
-    def to_xyz_lines(self) -> str:
-        return "\n".join(
-            f"{el} {x:.10f} {y:.10f} {z:.10f}" for el, (x, y, z) in self.atoms
-        )
 
     @classmethod
     def from_xyz_lines(cls, text: str) -> "Geometry":
@@ -347,12 +338,6 @@ class SpinOrbitalTables:
     core_energy: float
     one_body: np.ndarray  # h[P, Q]
     two_body: np.ndarray  # antisymmetrized <PQ||RS>, physicists' notation
-
-    def reference_energy(self, occupied) -> float:
-        occ = list(occupied)
-        e = self.core_energy + sum(self.one_body[i, i] for i in occ)
-        e += 0.5 * sum(self.two_body[i, j, i, j] for i in occ for j in occ)
-        return e
 
 
 def second_quantized_hamiltonian(ints: IntegralSet, scf: ScfResult) -> SpinOrbitalTables:

@@ -186,7 +186,7 @@ def cmd_moments(args) -> int:
     problem = build_problem(cfg)
     ctx = problem.sectors[args.sector]
     table = moments_for_state(problem.hamiltonian, ctx.state, cfg.k_max)
-    counts = unique_string_count(problem.hamiltonian, 2 * cfg.k_max - 1, problem.cache)
+    counts = unique_string_count(problem.cache, 2 * cfg.k_max - 1)
     print("power,cumulative_unique,moment_value")
     for n in range(1, 2 * cfg.k_max):
         print(f"{n},{counts[n - 1]},{table.values[n]:.12e}")

@@ -14,6 +14,9 @@ import numpy as np
 from .pauli import PauliSum
 from .units import EV_PER_HARTREE
 
+# Two levels closer than this (hartree) count as degenerate spin partners.
+DEGENERACY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -60,16 +63,15 @@ def exact_spectrum(
 
 
 def lowest_spin_singlet_excitation(
-    singlet_sector: SpectrumResult,
-    triplet_sector: SpectrumResult,
-    degeneracy_tol: float = 1e-9,
+    singlet_sector: SpectrumResult, triplet_sector: SpectrumResult
 ) -> float:
     """First level above the ground state of the s_z=0 sector that has no
-    degenerate partner in the s_z=1 sector (i.e. is a spin singlet)."""
+    partner within DEGENERACY_TOL in the s_z=1 sector (i.e. is a spin
+    singlet)."""
     levels = singlet_sector.eigenvalues
     partners = triplet_sector.eigenvalues
     for e in levels[1:]:
-        if not np.any(np.abs(partners - e) < degeneracy_tol):
+        if not np.any(np.abs(partners - e) < DEGENERACY_TOL):
             return float(e)
     raise ValueError("no spin-singlet excitation found in the filtered spectrum")
 

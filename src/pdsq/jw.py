@@ -29,16 +29,6 @@ from .pauli import _PHASES_ARR, PauliSum, _multiply_masks, _sum_in_order
 _COEFF_CUTOFF = 1e-14
 
 
-def ladder_operator(index: int, n_modes: int, dagger: bool) -> PauliSum:
-    """a_index (or its dagger) as a two-term Pauli sum on n_modes qubits."""
-    if not 0 <= index < n_modes:
-        raise ValueError(f"mode {index} outside 0..{n_modes - 1}")
-    tail = (1 << index) - 1
-    bit = 1 << index
-    y_coeff = -0.5j if dagger else 0.5j
-    return PauliSum(n_modes, {(bit, tail): 0.5, (bit, tail | bit): y_coeff})
-
-
 def _string_products(modes: np.ndarray, daggers: tuple[bool, ...]):
     """The 2^k string products of a^(daggers[0])_{modes[i, 0]} ...
     a^(daggers[k-1])_{modes[i, k-1]} for each row i of modes.

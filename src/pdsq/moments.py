@@ -26,7 +26,7 @@ import numpy as np
 
 # exact_expectation is not called here, but the benchmark's tracer
 # (benchmarks/tracer.py) rebinds it in this module, so the name stays.
-from .backend import StateVector, apply_pauli_sum, exact_expectation  # noqa: F401
+from .backend import REALNESS_RTOL, StateVector, apply_pauli_sum, exact_expectation  # noqa: F401
 from .pauli import PauliSum, multiply_sums
 
 
@@ -78,15 +78,6 @@ class PowerCache:
             self._powers[top + 1] = multiply_sums(self._powers[top], self.h)
             top += 1
         return self._powers[n]
-
-
-def hamiltonian_power(h: PauliSum, n: int, cache: PowerCache | None = None) -> PauliSum:
-    """H^n as a simplified Pauli sum; supply a cache to reuse lower powers."""
-    if cache is None:
-        cache = PowerCache(h)
-    elif cache.h is not h:
-        raise ValueError("cache was built for a different Hamiltonian")
-    return cache.power(n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,20 +134,19 @@ class MomentTable:
         return 2 * self.K - 1
 
 
-def moments_for_state(
-    h: PauliSum, state: StateVector, K: int, *, imag_tol: float = 1e-10
-) -> MomentTable:
+def moments_for_state(h: PauliSum, state: StateVector, K: int) -> MomentTable:
     """Exact statevector moments of H up to order 2K-1 for one trial state,
     with the recurrence of the K-step Lanczos run they come from."""
     if K < 1:
         raise ValueError("K must be at least 1")
-    recurrence = _lanczos(h, state, K, imag_tol)
+    recurrence = _lanczos(h, state, K)
     return MomentTable(K, _krylov_moments(recurrence, 2 * K), recurrence)
 
 
-def _lanczos(h: PauliSum, state: StateVector, steps: int, imag_tol: float) -> Recurrence:
+def _lanczos(h: PauliSum, state: StateVector, steps: int) -> Recurrence:
     """Up to `steps` Lanczos steps of h from state, with full
-    reorthogonalisation; stops early when the Krylov space is invariant."""
+    reorthogonalisation; stops early when the Krylov space is invariant.
+    Each diagonal element is checked to be real as in exact_expectation."""
     basis = np.empty((steps, state.amplitudes.size), dtype=complex)
     basis[0] = state.amplitudes
     alpha: list[float] = []
@@ -165,7 +155,7 @@ def _lanczos(h: PauliSum, state: StateVector, steps: int, imag_tol: float) -> Re
     for j in range(steps):
         w = apply_pauli_sum(h, StateVector(state.n_qubits, basis[j]))
         a = np.vdot(basis[j], w)
-        if abs(a.imag) > imag_tol * max(1.0, abs(a.real)):
+        if abs(a.imag) > REALNESS_RTOL * max(1.0, abs(a.real)):
             raise ValueError(f"expectation has imaginary part {a.imag:.3e}")
         alpha.append(float(a.real))
         scale = max(scale, abs(a.real))
@@ -227,15 +217,12 @@ def _string_ledger(
     return ledger
 
 
-def unique_string_count(
-    h: PauliSum, max_power: int, cache: PowerCache | None = None
-) -> list[int]:
-    """Cumulative count of distinct non-identity strings over H^1..H^n.
+def unique_string_count(cache: PowerCache, max_power: int) -> list[int]:
+    """Cumulative count of distinct non-identity strings over H^1..H^n of
+    cache.h, for n = 1..max_power.
 
     Entry k (0-based) covers powers up to k+1; the sequence is monotone and
     saturates once the powers stop producing new strings.
     """
-    if cache is None:
-        cache = PowerCache(h)
     _, _, first = _string_ledger(cache, max_power)
     return np.cumsum(np.bincount(first, minlength=max_power + 1))[1:].tolist()

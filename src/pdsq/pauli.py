@@ -7,9 +7,9 @@ Hermitian operator
 
     P(x, z) = i^{|x & z|} * (prod_k X_k^{x_k}) * (prod_k Z_k^{z_k}),
 
-so products of strings are again strings times a phase in {1, i, -1, -i}:
-`multiply_strings` on Python ints, `_multiply_masks` on mask arrays for the
-products of sums, the Jordan-Wigner expansion and the tapering rotation.
+so products of strings are again strings times a phase in {1, i, -1, -i}.
+`_multiply_masks` computes them on mask arrays for the products of sums, the
+Jordan-Wigner expansion and the tapering rotation.
 A sum is three parallel arrays in canonical (z, x) order, uint64 masks and
 complex128 coefficients, which limits sums (not strings) to 64 qubits; sums
 are built, added and scaled through one in-order merge (see PauliSum).
@@ -57,8 +57,7 @@ DEFAULT_DROP_TOL = 1e-12
 
 _LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _LETTER_BITS = {v: k for k, v in _LETTERS.items()}
-_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-_PHASES_ARR = np.array(_PHASES, dtype=np.complex128)
+_PHASES_ARR = np.array((1.0, 1.0j, -1.0, -1.0j), dtype=np.complex128)
 _INT32_MAX = np.iinfo(np.int32).max
 # built once: constructing them took ~4% of a 16-pair product (Jordan-Wigner
 # makes 800 of those for H4)
@@ -131,25 +130,11 @@ class PauliString:
         return self.label
 
 
-def multiply_strings(a: PauliString, b: PauliString) -> tuple[PauliString, complex]:
-    """Product a*b as (string, phase) with phase in {1, i, -1, -i}."""
-    _check_qubits(a.n_qubits, b.n_qubits)
-    x = a.x ^ b.x
-    z = a.z ^ b.z
-    # i-exponent from normalizing X^x Z^z products back to Hermitian letters.
-    e = (
-        (a.x & a.z).bit_count()
-        + (b.x & b.z).bit_count()
-        - (x & z).bit_count()
-        + 2 * (a.z & b.x).bit_count()
-    ) % 4
-    return PauliString(a.n_qubits, x, z), _PHASES[e]
-
-
 def _multiply_masks(xa, za, xb, zb) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """multiply_strings on unsigned mask arrays, broadcast like xa ^ xb: the
-    product masks and i-exponents mod 4 (uint8; the counts wrap mod 256, a
-    multiple of 4, so the residue is exact)."""
+    """String products P(xa, za) P(xb, zb) on unsigned mask arrays, broadcast
+    like xa ^ xb: the product masks and i-exponents e mod 4 of the phase i^e
+    (uint8; the counts wrap mod 256, a multiple of 4, so the residue is
+    exact)."""
     x, z = xa ^ xb, za ^ zb
     e = (
         np.bitwise_count(xa & za)
@@ -158,19 +143,6 @@ def _multiply_masks(xa, za, xb, zb) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         + 2 * np.bitwise_count(za & xb)
     )
     return x, z, e & 3
-
-
-def commutes(a: PauliString, b: PauliString) -> bool:
-    """Symplectic commutation test: parity of anticommuting letter overlaps."""
-    _check_qubits(a.n_qubits, b.n_qubits)
-    return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
-
-
-def qubit_wise_commutes(a: PauliString, b: PauliString) -> bool:
-    """True when on every qubit the letters are equal or one side is identity."""
-    _check_qubits(a.n_qubits, b.n_qubits)
-    shared = (a.x | a.z) & (b.x | b.z)
-    return (a.x ^ b.x) & shared == 0 and (a.z ^ b.z) & shared == 0
 
 
 def _check_qubits(na: int, nb: int) -> None:
@@ -244,10 +216,6 @@ class PauliSum:
         out._product_cache = None
         return out
 
-    @classmethod
-    def from_labels(cls, n_qubits: int, labels: dict[str, complex]) -> "PauliSum":
-        return cls(n_qubits, ((PauliString.from_label(k), c) for k, c in labels.items()))
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -272,16 +240,6 @@ class PauliSum:
         lo, hi = np.searchsorted(self._z, z, "left"), np.searchsorted(self._z, z, "right")
         k = lo + np.searchsorted(self._x[lo:hi], x)
         return self._c[k].item() if k < hi and self._x[k] == x else 0.0
-
-    @property
-    def identity_coefficient(self) -> complex:
-        return self.coefficient(PauliString.identity(self.n_qubits))
-
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        return self.max_imag() <= tol
-
-    def max_imag(self) -> float:
-        return float(np.abs(self._c.imag).max(initial=0.0))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -367,34 +325,6 @@ class PauliSum:
 
     def __repr__(self) -> str:
         return f"PauliSum(n_qubits={self.n_qubits}, n_terms={self.n_terms})"
-
-
-def parse_term(line: str) -> tuple[PauliString, complex]:
-    """Parse one `coeff * LETTERS` term; spaces inside the letter block are fine."""
-    if "*" not in line:
-        raise ValueError(f"expected 'coeff * letters': {line!r}")
-    coeff_part, _, label_part = line.partition("*")
-    try:
-        coeff = complex(coeff_part.strip())
-    except ValueError:
-        raise ValueError(f"invalid coefficient in {line!r}") from None
-    return PauliString.from_label(label_part), coeff
-
-
-def parse_sum(text: str, n_qubits: int | None = None) -> PauliSum:
-    """Parse newline-separated terms into a PauliSum (round-trip of to_text)."""
-    pairs = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        string, coeff = parse_term(line)
-        if n_qubits is None:
-            n_qubits = string.n_qubits
-        pairs.append((string, coeff))
-    if n_qubits is None:
-        raise ValueError("empty Pauli-sum text and no qubit count given")
-    return PauliSum(n_qubits, pairs)
 
 
 class _ProductStructure(NamedTuple):
@@ -539,14 +469,3 @@ def _sum_in_order(
     acc.imag = np.bincount(index, weights=im, minlength=len(acc))
     keep = np.abs(acc) > drop_tol
     return PauliSum._from_canonical(n_qubits, x[first][keep], z[first][keep], acc[keep])
-
-
-def allclose(a: PauliSum, b: PauliSum, tol: float = 1e-10) -> bool:
-    """True when every string's coefficients in a and b differ by at most tol."""
-    if a.n_qubits != b.n_qubits:
-        return False
-    c = np.concatenate((a._c, -b._c))
-    return not _sum_in_order(
-        a.n_qubits, np.concatenate((a._x, b._x)), np.concatenate((a._z, b._z)),
-        c.real, c.imag, tol,
-    )

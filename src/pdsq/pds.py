@@ -37,6 +37,7 @@ from .units import EV_PER_HARTREE
 # stabilizes the ground root, but the second root of the K=10 singlet system
 # needs the two extra decades to pin the singlet gap below a milli-hartree.
 DEFAULT_SVD_CUTOFF = 1e-14
+# Largest |Im| of a companion-matrix root projected away as round-off.
 DEFAULT_IMAG_TOL = 1e-6  # hartree
 
 
@@ -77,26 +78,21 @@ class PdsResult:
     residuals: np.ndarray  # |P_K(root)| per root
     discarded_imaginary: float  # max |Im| encountered
 
-    @property
-    def ground_bound(self) -> float:
-        return float(self.roots[0])
-
-    def require_real(self, index: int, imag_tol: float = DEFAULT_IMAG_TOL) -> float:
-        """Root value at `index`, erroring if it carries imaginary weight."""
-        if self.imag_parts[index] > imag_tol:
+    def require_real(self, index: int) -> float:
+        """Root value at `index`, erroring if its |Im| exceeds DEFAULT_IMAG_TOL."""
+        if self.imag_parts[index] > DEFAULT_IMAG_TOL:
             raise ComplexRootError(
                 complex(self.roots[index], self.imag_parts[index]), index
             )
         return float(self.roots[index])
 
 
-def build_system(
-    moments: MomentTable, K: int, svd_cutoff: float = DEFAULT_SVD_CUTOFF
-) -> MomentSystem:
+def build_system(moments: MomentTable, K: int) -> MomentSystem:
     """Assemble and solve M X = -Y from a moment table covering order 2K-1.
 
-    A table with a Lanczos recurrence needs no solve; svd_cutoff applies to
-    tables of sampled values only.
+    A table with a Lanczos recurrence needs no solve.  Tables of sampled
+    values are solved by pseudoinverse, keeping the singular values above
+    DEFAULT_SVD_CUTOFF times the largest.
     """
     values = moments.values
     if len(values) < 2 * K:
@@ -110,7 +106,7 @@ def build_system(
 
     M, Y = _hankel(values, K)
     u, s, vt = np.linalg.svd(M)
-    keep = s > svd_cutoff * s[0]
+    keep = s > DEFAULT_SVD_CUTOFF * s[0]
     if not np.any(keep):
         raise ValueError("moment matrix has no singular value above the cutoff")
     inv = np.zeros_like(s)
@@ -126,17 +122,16 @@ def _hankel(values: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
     return values[2 * K - idx[:, None] - idx[None, :]], values[2 * K - idx]
 
 
-def polynomial_roots(
-    X: np.ndarray | Recurrence, imag_tol: float = DEFAULT_IMAG_TOL
-) -> PdsResult:
+def polynomial_roots(X: np.ndarray | Recurrence) -> PdsResult:
     """Roots of E^K + sum_i X_i E^{K-i}.
 
     A Lanczos recurrence gives its Gauss nodes, the eigenvalues of its Jacobi
     matrix, without passing through monomial coefficients: they are real and
     ascending.  Plain coefficients go through companion-matrix eigenvalues.
-    Imaginary parts below imag_tol are projected away silently; larger ones
-    are recorded per root, and raise immediately when they touch the ground
-    (minimum) root, whose realness every use of the functional relies on.
+    Imaginary parts up to DEFAULT_IMAG_TOL are projected away silently;
+    larger ones are recorded per root, and raise immediately when they touch
+    the ground (minimum) root, whose realness every use of the functional
+    relies on.
     """
     if isinstance(X, Recurrence):
         roots = np.linalg.eigvalsh(X.jacobi())
@@ -150,33 +145,24 @@ def polynomial_roots(
     order = np.argsort(raw.real)
     roots = raw.real[order]
     imag_parts = np.abs(raw.imag[order])
-    imag_parts[imag_parts <= imag_tol] = 0.0
-    if len(roots) and imag_parts[0] > imag_tol:
+    imag_parts[imag_parts <= DEFAULT_IMAG_TOL] = 0.0
+    if len(roots) and imag_parts[0] > DEFAULT_IMAG_TOL:
         raise ComplexRootError(complex(roots[0], imag_parts[0]), 0)
     residuals = np.abs(np.polyval(coeffs, roots))
     worst = float(np.max(imag_parts)) if len(roots) else 0.0
     return PdsResult(roots, imag_parts, residuals, worst)
 
 
-def pds_from_values(
-    moment_values: np.ndarray,
-    K: int,
-    svd_cutoff: float = DEFAULT_SVD_CUTOFF,
-    imag_tol: float = DEFAULT_IMAG_TOL,
-) -> PdsResult:
-    """PDS(K) result from a raw vector of moments <H^0>..<H^{2K-1}>."""
+def pds_from_values(moment_values: np.ndarray, K: int) -> PdsResult:
+    """PDS(K) result from a raw vector of moments <H^0>..<H^{2K-1}>: the
+    pseudoinverse solve of build_system (singular values above
+    DEFAULT_SVD_CUTOFF relative) and the roots of polynomial_roots (|Im| up
+    to DEFAULT_IMAG_TOL dropped)."""
     table = MomentTable(K, np.asarray(moment_values, dtype=float))
-    system = build_system(table, K, svd_cutoff)
-    return polynomial_roots(system.X, imag_tol)
+    return polynomial_roots(build_system(table, K).X)
 
 
-def pds_energies(
-    h: PauliSum,
-    state: StateVector,
-    K: int,
-    svd_cutoff: float = DEFAULT_SVD_CUTOFF,
-    imag_tol: float = DEFAULT_IMAG_TOL,
-) -> PdsResult:
+def pds_energies(h: PauliSum, state: StateVector, K: int) -> PdsResult:
     """Exact-moment PDS(K) bounds for one trial state.
 
     For a closed-shell reference the two lowest roots bound/approximate the
@@ -184,8 +170,7 @@ def pds_energies(
     level through its own sector.
     """
     table = moments_for_state(h, state, K)
-    system = build_system(table, K, svd_cutoff)
-    return polynomial_roots(system.X, imag_tol)
+    return polynomial_roots(build_system(table, K).X)
 
 
 @dataclass(frozen=True)

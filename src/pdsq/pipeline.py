@@ -344,27 +344,31 @@ def energy_vs_order(
 def _fig3_rows(
     problem: Problem, tables: dict[str, MomentTable], k_max: int
 ) -> list[tuple]:
-    counts = unique_string_count(problem.hamiltonian, 2 * k_max - 1, problem.cache)
+    counts = unique_string_count(problem.cache, 2 * k_max - 1)
     rows = energy_vs_order(tables["singlet"], tables["triplet"], k_max)
     return [(k, counts[2 * k - 2], *e) for k, *e in rows]
 
 
 def run_pipeline(cfg: RunConfig, problem: Problem | None = None) -> RunReport:
     """Produce the full report bundle; raises PipelineError naming the
-    failing stage on any module error.  A prebuilt problem may be passed to
-    reuse cached power ladders."""
+    failing stage on any module error.  The exception is build_problem's
+    ValueError, an input error (a bad geometry, FCIDUMP or electron count),
+    which passes unwrapped as it does from every other subcommand.  A
+    prebuilt problem may be passed to reuse cached power ladders."""
     cfg.validate()  # validation errors surface before any computation
     if cfg.k_max < 2:
         raise ValueError("run needs k_max >= 2: the report's S1 is the second singlet root")
 
-    def stage(name, fn):
+    def stage(name, fn, passes=()):
         try:
             return fn()
+        except passes:
+            raise
         except Exception as exc:
             raise PipelineError(name, exc) from exc
 
     if problem is None:
-        problem = stage("hamiltonian", lambda: build_problem(cfg))
+        problem = stage("hamiltonian", lambda: build_problem(cfg), passes=ValueError)
     ladders = stage(
         "plan",
         lambda: {s: measurement_ladder(problem, s, cfg.k_max) for s in SECTORS},

@@ -22,14 +22,6 @@ def h4(h4_problem):
 
 
 @pytest.fixture(scope="session")
-def h4_states(h4_problem):
-    return {
-        "singlet": h4_problem.sectors["singlet"].state,
-        "triplet": h4_problem.sectors["triplet"].state,
-    }
-
-
-@pytest.fixture(scope="session")
 def h2_system():
     """Small fast system: H2 near equilibrium (4 qubits)."""
     geometry = chem.build_h_chain([0.7414])

@@ -1,0 +1,88 @@
+"""Test-side conveniences on the package's public types: building sums from
+letter labels, parsing `PauliSum.to_text`, single-string products and
+commutation, sum comparison and random states."""
+
+import numpy as np
+
+from pdsq.backend import StateVector
+from pdsq.pauli import PauliString, PauliSum, _check_qubits
+
+_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+
+def from_labels(n_qubits: int, labels: dict[str, complex]) -> PauliSum:
+    """Sum of `label: coeff` terms, e.g. {"XZ": 0.5}; qubit 0 leftmost."""
+    return PauliSum(n_qubits, ((PauliString.from_label(k), c) for k, c in labels.items()))
+
+
+def parse_term(line: str) -> tuple[PauliString, complex]:
+    """Parse one `coeff * LETTERS` term; spaces inside the letter block are fine."""
+    if "*" not in line:
+        raise ValueError(f"expected 'coeff * letters': {line!r}")
+    coeff_part, _, label_part = line.partition("*")
+    try:
+        coeff = complex(coeff_part.strip())
+    except ValueError:
+        raise ValueError(f"invalid coefficient in {line!r}") from None
+    return PauliString.from_label(label_part), coeff
+
+
+def parse_sum(text: str) -> PauliSum:
+    """Parse the non-empty lines of PauliSum.to_text (round trip)."""
+    terms = [parse_term(line) for line in text.splitlines() if line.strip()]
+    return PauliSum(terms[0][0].n_qubits, terms)
+
+
+def multiply_strings(a: PauliString, b: PauliString) -> tuple[PauliString, complex]:
+    """Product a*b as (string, phase) with phase in {1, i, -1, -i}."""
+    _check_qubits(a.n_qubits, b.n_qubits)
+    x = a.x ^ b.x
+    z = a.z ^ b.z
+    # i-exponent from normalizing X^x Z^z products back to Hermitian letters.
+    e = (
+        (a.x & a.z).bit_count()
+        + (b.x & b.z).bit_count()
+        - (x & z).bit_count()
+        + 2 * (a.z & b.x).bit_count()
+    ) % 4
+    return PauliString(a.n_qubits, x, z), _PHASES[e]
+
+
+def commutes(a: PauliString, b: PauliString) -> bool:
+    """Symplectic commutation test: parity of anticommuting letter overlaps."""
+    _check_qubits(a.n_qubits, b.n_qubits)
+    return ((a.x & b.z).bit_count() + (a.z & b.x).bit_count()) % 2 == 0
+
+
+def qubit_wise_commutes(a: PauliString, b: PauliString) -> bool:
+    """True when on every qubit the letters are equal or one side is identity."""
+    _check_qubits(a.n_qubits, b.n_qubits)
+    shared = (a.x | a.z) & (b.x | b.z)
+    return (a.x ^ b.x) & shared == 0 and (a.z ^ b.z) & shared == 0
+
+
+def allclose(a: PauliSum, b: PauliSum, tol: float = 1e-10) -> bool:
+    """True when every string's coefficients in a and b differ by at most tol:
+    a's terms, then b's negated, merged in order and dropped at tol."""
+    if a.n_qubits != b.n_qubits:
+        return False
+    terms = [*a.terms(), *((s, -c) for s, c in b.terms())]
+    return not PauliSum(a.n_qubits, terms, drop_tol=tol)
+
+
+def random_sum(rng: np.random.Generator, n_qubits: int, n_terms: int, real: bool = True) -> PauliSum:
+    """Up to n_terms random strings with standard-normal coefficients
+    (complex ones unless real), repeats summed."""
+    labels = {}
+    for _ in range(n_terms):
+        label = "".join(rng.choice(list("IXYZ"), size=n_qubits))
+        c = rng.standard_normal()
+        if not real:
+            c = c + 1j * rng.standard_normal()
+        labels[label] = labels.get(label, 0.0) + c
+    return from_labels(n_qubits, labels)
+
+
+def random_state(n_qubits: int, rng: np.random.Generator) -> StateVector:
+    amps = rng.standard_normal(1 << n_qubits) + 1j * rng.standard_normal(1 << n_qubits)
+    return StateVector(n_qubits, amps / np.linalg.norm(amps))

@@ -42,14 +42,6 @@ def dense_string(label: str) -> np.ndarray:
     return out
 
 
-def dense_sum(labeled_terms: dict[str, complex]) -> np.ndarray:
-    n = len(next(iter(labeled_terms)))
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    for label, coeff in labeled_terms.items():
-        out += coeff * dense_string(label)
-    return out
-
-
 def pauli_sum_to_dense(ps) -> np.ndarray:
     """Dense matrix of a PauliSum via the kron oracle (not ps.to_matrix)."""
     n = ps.n_qubits
@@ -399,6 +391,19 @@ def spin_orbital_tables_reference(h_mo, eri_mo):
     return one, two
 
 
+def ladder_operator(index: int, n_modes: int, dagger: bool):
+    """a_index (or its dagger) as a two-term Pauli sum on n_modes qubits:
+    X_k Z_{<k} / 2 and Y_k Z_{<k} (-+i/2) for k = index."""
+    from pdsq.pauli import PauliSum
+
+    if not 0 <= index < n_modes:
+        raise ValueError(f"mode {index} outside 0..{n_modes - 1}")
+    tail = (1 << index) - 1
+    bit = 1 << index
+    y_coeff = -0.5j if dagger else 0.5j
+    return PauliSum(n_modes, {(bit, tail): 0.5, (bit, tail | bit): y_coeff})
+
+
 def jordan_wigner_reference(tables, drop_tol: float = 1e-12):
     """Qubit Hamiltonian of spin-orbital tables, one table entry at a time:
     each a+_p a_q or a+_p a+_q a_s a_r is a `multiply_sums` product of ladder
@@ -407,7 +412,7 @@ def jordan_wigner_reference(tables, drop_tol: float = 1e-12):
 
     The reference the one-pass expansion is checked against byte for byte.
     """
-    from pdsq.jw import _COEFF_CUTOFF, ladder_operator
+    from pdsq.jw import _COEFF_CUTOFF
     from pdsq.pauli import PauliSum, multiply_sums
 
     m = tables.n_spin_orbitals
@@ -524,7 +529,7 @@ def taper_operator_reference(h, td):
     for g, q in zip(td.generators, td.paulix_partners):
         u = PauliSum(n, {(1 << q, 0): inv_sqrt2, (g.x, g.z): inv_sqrt2})
         rotated = multiply_sums(multiply_sums(u, rotated), u)
-    if rotated.max_imag() > 1e-9:
+    if np.abs(rotated.mask_arrays()[2].imag).max(initial=0.0) > 1e-9:
         raise ValueError("tapering rotation broke Hermiticity; incompatible data")
     return restriction_reference(n, rotated.terms(), td)
 
@@ -533,7 +538,9 @@ def rotation_term_loop(h, td):
     """h's terms in canonical order, each rotated one generator at a time: a
     term c P with Z or Y on the partner q of g becomes the string of
     multiply_strings(multiply_strings(X_q, P), g), with c times both phases."""
-    from pdsq.pauli import PauliString, multiply_strings
+    from pdsq.pauli import PauliString
+
+    from helpers import multiply_strings
 
     terms = list(h.terms())
     for g, q in zip(td.generators, td.paulix_partners):

@@ -8,11 +8,7 @@ it pins the agreement of the moment vectors and of the lowest roots.
 import numpy as np
 import pytest
 
-from pdsq.backend import (
-    exact_expectation,
-    random_state,
-    serial_sample,
-)
+from pdsq.backend import exact_expectation, serial_sample
 from pdsq.exact import exact_spectrum
 from pdsq.grouping import (
     expectations_from_group_counts,
@@ -32,9 +28,9 @@ from pdsq.pipeline import (
     unique_measured_strings,
 )
 
+from helpers import random_state, random_sum
 from oracles import flip_channel
 from test_backend import rotated_probabilities
-from test_moments import random_hermitian_sum
 
 
 def criterion(number: int, ok: bool, detail: str) -> None:
@@ -86,7 +82,7 @@ def test_criterion_2_noiseless_pds10(sector_tables):
 
 
 def test_criterion_3_cost_plateau(h4_problem):
-    counts = unique_string_count(h4_problem.hamiltonian, 19, h4_problem.cache)
+    counts = unique_string_count(h4_problem.cache, 19)
     per_k = [counts[2 * k - 2] for k in range(3, 11)]  # K -> powers <= 2K-1
     ok = len(set(per_k)) == 1 and per_k[0] == 4223
     criterion(
@@ -123,7 +119,7 @@ def test_criterion_5_bound_property():
     violations = 0
     n_states = 0
     for _ in range(50):
-        h = random_hermitian_sum(rng, 3, 8)
+        h = random_sum(rng, 3, 8)
         if h.n_terms == 0:
             continue
         ground = np.linalg.eigvalsh(h.to_matrix())[0]

@@ -15,7 +15,6 @@ from pdsq.backend import (
     exact_expectation,
     index_to_bits,
     prepare_basis_state,
-    random_state,
     rotate_to_eigenbases,
     sample_batch,
     serial_sample,
@@ -23,6 +22,7 @@ from pdsq.backend import (
 from pdsq.grouping import PackedBatch, group_qwc
 from pdsq.pauli import PauliString, PauliSum
 
+from helpers import from_labels, random_state, random_sum
 from oracles import (
     apply_bit_flips_reference,
     apply_pauli_sum_reference,
@@ -63,18 +63,16 @@ def test_state_rejects_non_finite_amplitudes(bad):
 
 
 def test_textbook_expectations():
-    z = PauliSum.from_labels(1, {"Z": 1.0})
+    z = from_labels(1, {"Z": 1.0})
     assert exact_expectation(z, prepare_basis_state("0")) == pytest.approx(1.0)
-    x = PauliSum.from_labels(1, {"X": 1.0})
+    x = from_labels(1, {"X": 1.0})
     plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2))
     assert exact_expectation(x, plus) == pytest.approx(1.0)
 
 
 def test_expectation_matches_dense_oracle():
     rng = np.random.default_rng(12)
-    from test_moments import random_hermitian_sum
-
-    h = random_hermitian_sum(rng, 4, 12)
+    h = random_sum(rng, 4, 12)
     state = random_state(4, rng)
     dense = pauli_sum_to_dense(h)
     expected = np.real(state.amplitudes.conj() @ dense @ state.amplitudes)
@@ -143,7 +141,7 @@ def test_matvec_temporaries_stay_bounded():
 
 
 def test_expectation_dimension_mismatch():
-    z = PauliSum.from_labels(2, {"ZI": 1.0})
+    z = from_labels(2, {"ZI": 1.0})
     with pytest.raises(ValueError, match="dimensions differ"):
         exact_expectation(z, prepare_basis_state("0"))
 
@@ -157,7 +155,7 @@ def rotated_probabilities(state, group) -> np.ndarray:
 def test_basis_change_diagonalizes_x_and_y():
     for letter in ("X", "Y"):
         group = group_qwc([PauliString.from_label(letter)])[0]
-        op = PauliSum.from_labels(1, {letter: 1.0})
+        op = from_labels(1, {letter: 1.0})
         rng = np.random.default_rng(3)
         state = random_state(1, rng)
         probs = rotated_probabilities(state, group)

@@ -1,8 +1,11 @@
 """CLI subcommands, config-file handling, and exit codes."""
 
+import numpy as np
 import pytest
 
 from pdsq.cli import main
+
+from helpers import parse_sum
 
 
 def run_cli(capsys, *argv):
@@ -34,11 +37,9 @@ def test_hamiltonian_subcommand(capsys, tmp_path):
         capsys, "hamiltonian", "--spacings", "0.7414", "--out", str(path)
     )
     assert code == 0
-    from pdsq.pauli import parse_sum
-
     parsed = parse_sum(path.read_text())
     assert parsed.n_qubits == 4
-    assert parsed.is_hermitian()
+    assert np.abs(parsed.mask_arrays()[2].imag).max(initial=0.0) <= 1e-10
 
 
 def test_taper_and_plan_subcommands(capsys):
@@ -228,12 +229,29 @@ def test_output_dir_env_var(capsys, tmp_path, monkeypatch):
 
 
 def test_computation_failure_exit_code_2(capsys, tmp_path):
-    # moments of an impossible Hamiltonian source: FCIDUMP with garbled body
+    # H6: the plan's ladder step H^3 = H^2 * H is over the pair budget
+    code, _, err = run_cli(
+        capsys, "run", "--spacings", "2,2,2,2,2", "--k-max", "2",
+        "--output-dir", str(tmp_path / "bundle"),
+    )
+    assert code == 2
+    assert "stage 'plan' failed" in err
+
+
+@pytest.mark.parametrize("flag", ["--fcidump", "--spacings"])
+def test_input_errors_exit_code_1_through_run(capsys, tmp_path, flag):
+    """A garbled FCIDUMP and an odd electron count fail `run` as they fail
+    `integrals` and `hamiltonian`: exit 1, the same message, no stage named."""
     bad = tmp_path / "bad.fcidump"
     bad.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\nxyz 1 1 1 1\n")
-    code, _, err = run_cli(capsys, "run", "--fcidump", str(bad))
-    assert code == 2
-    assert "hamiltonian" in err
+    value = str(bad) if flag == "--fcidump" else "1,1"
+    results = {
+        run_cli(capsys, command, flag, value, "--output-dir", str(tmp_path))
+        for command in ("integrals", "hamiltonian", "run")
+    }
+    assert len(results) == 1
+    code, _, err = results.pop()
+    assert code == 1 and "stage" not in err
 
 
 def test_non_finite_fcidump_value_exit_code_1(capsys, tmp_path):

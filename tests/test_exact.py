@@ -13,9 +13,11 @@ from pdsq.exact import (
 from pdsq.pauli import PauliSum
 from pdsq.units import EV_PER_HARTREE
 
+from helpers import from_labels
+
 
 def test_single_qubit_z_spectrum():
-    z = PauliSum.from_labels(1, {"Z": 1.0})
+    z = from_labels(1, {"Z": 1.0})
     spec = exact_spectrum(z)
     assert np.allclose(spec.eigenvalues, [-1.0, 1.0])
 
@@ -89,9 +91,9 @@ def test_insufficient_levels_error():
 
 
 def test_dimension_guard():
-    z = PauliSum.from_labels(1, {"Z": 1.0})
+    z = from_labels(1, {"Z": 1.0})
     with pytest.raises(ValueError, match="empty sector"):
-        exact_spectrum(PauliSum.from_labels(2, {"ZI": 1.0}), (5, 0.0))
+        exact_spectrum(from_labels(2, {"ZI": 1.0}), (5, 0.0))
 
 
 def test_non_hermitian_rejected():

@@ -11,7 +11,6 @@ from pdsq.backend import (
     CountTable,
     StateVector,
     exact_expectation,
-    random_state,
 )
 from pdsq.grouping import (
     PackedBatch,
@@ -21,8 +20,9 @@ from pdsq.grouping import (
     group_qwc,
     pack_batches,
 )
-from pdsq.pauli import PauliString, PauliSum, qubit_wise_commutes
+from pdsq.pauli import PauliString, PauliSum
 
+from helpers import qubit_wise_commutes, random_state
 from oracles import group_qwc_reference
 from test_backend import rotated_probabilities
 

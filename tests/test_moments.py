@@ -6,45 +6,32 @@ import numpy as np
 import pytest
 
 from pdsq import moments
-from pdsq.backend import apply_pauli_sum, prepare_basis_state, random_state
-from pdsq.moments import (
-    PowerCache,
-    TermBudgetError,
-    hamiltonian_power,
-    moments_for_state,
-    unique_string_count,
-)
-from pdsq.pauli import PauliSum, multiply_sums
+from pdsq.backend import apply_pauli_sum, prepare_basis_state
+from pdsq.moments import PowerCache, TermBudgetError, moments_for_state, unique_string_count
+from pdsq.pauli import PauliString, PauliSum, multiply_sums
 from pdsq.pipeline import unique_measured_strings
 
+from helpers import from_labels, random_state, random_sum
 from oracles import pauli_sum_to_dense, string_ledger
 
 
-def random_hermitian_sum(rng, n_qubits, n_terms):
-    letters = "IXYZ"
-    labels = {}
-    for _ in range(n_terms):
-        label = "".join(rng.choice(list(letters), size=n_qubits))
-        labels[label] = labels.get(label, 0.0) + rng.standard_normal()
-    return PauliSum.from_labels(n_qubits, labels)
-
-
 def test_power_trivials():
-    z = PauliSum.from_labels(1, {"Z": 1.0})
-    assert hamiltonian_power(z, 2).identity_coefficient == pytest.approx(1.0)
-    assert hamiltonian_power(z, 2).n_terms == 1
+    identity = PauliString.identity(1)
+    z = from_labels(1, {"Z": 1.0})
+    assert PowerCache(z).power(2).coefficient(identity) == pytest.approx(1.0)
+    assert PowerCache(z).power(2).n_terms == 1
 
-    xz = PauliSum.from_labels(1, {"X": 1.0, "Z": 1.0})
-    sq = hamiltonian_power(xz, 2)
+    xz = from_labels(1, {"X": 1.0, "Z": 1.0})
+    sq = PowerCache(xz).power(2)
     assert sq.n_terms == 1
-    assert sq.identity_coefficient == pytest.approx(2.0)
+    assert sq.coefficient(identity) == pytest.approx(2.0)
 
-    assert hamiltonian_power(z, 0).identity_coefficient == 1.0
+    assert PowerCache(z).power(0).coefficient(identity) == 1.0
 
 
 def test_power_matches_dense_oracle():
     rng = np.random.default_rng(31)
-    h = random_hermitian_sum(rng, 3, 10)
+    h = random_sum(rng, 3, 10)
     dense = pauli_sum_to_dense(h)
     cache = PowerCache(h)
     expected = np.linalg.matrix_power(dense, 5)
@@ -53,7 +40,7 @@ def test_power_matches_dense_oracle():
 
 def test_repeated_squaring_agrees_with_iteration():
     rng = np.random.default_rng(5)
-    h = random_hermitian_sum(rng, 3, 8)
+    h = random_sum(rng, 3, 8)
     cache = PowerCache(h)
     h2 = multiply_sums(h, h)
     h4 = multiply_sums(h2, h2)
@@ -63,11 +50,7 @@ def test_repeated_squaring_agrees_with_iteration():
 
 
 def test_cache_validation():
-    h = PauliSum.from_labels(1, {"Z": 1.0})
-    other = PauliSum.from_labels(1, {"X": 1.0})
-    cache = PowerCache(h)
-    with pytest.raises(ValueError, match="different Hamiltonian"):
-        hamiltonian_power(other, 2, cache)
+    cache = PowerCache(from_labels(1, {"Z": 1.0}))
     with pytest.raises(ValueError, match="non-negative"):
         cache.power(-1)
 
@@ -75,7 +58,7 @@ def test_cache_validation():
 def test_term_budget_overflow(monkeypatch):
     """A step over the pair budget is refused before its product is built."""
     rng = np.random.default_rng(17)
-    h = random_hermitian_sum(rng, 4, 30)
+    h = random_sum(rng, 4, 30)
     cache = PowerCache(h)
     pairs = cache.power(2).n_terms * h.n_terms
     monkeypatch.setattr(moments, "MAX_PRODUCT_PAIRS", pairs - 1)
@@ -110,14 +93,14 @@ def test_over_budget_step_fails_before_allocating():
 
 
 def test_moments_of_basis_state_with_z():
-    z = PauliSum.from_labels(1, {"Z": 1.0})
+    z = from_labels(1, {"Z": 1.0})
     table = moments_for_state(z, prepare_basis_state("0"), K=3)
     assert np.allclose(table.values, 1.0)
     assert table.values[0] == 1.0
 
 
 def test_moment_table_bookkeeping():
-    z = PauliSum.from_labels(1, {"Z": 1.0})
+    z = from_labels(1, {"Z": 1.0})
     table = moments_for_state(z, prepare_basis_state("0"), K=3)
     assert table.max_power == 5
     assert len(table.values) == 6
@@ -133,7 +116,7 @@ def test_singlet_first_moment_is_scf_energy(h4_problem):
 
 def test_moments_match_dense_oracle():
     rng = np.random.default_rng(3)
-    h = random_hermitian_sum(rng, 3, 12)
+    h = random_sum(rng, 3, 12)
     state = random_state(3, rng)
     dense = pauli_sum_to_dense(h)
     table = moments_for_state(h, state, K=4)
@@ -169,8 +152,8 @@ def test_split_power_pipelined_cross_check(h4_problem):
 
 
 def test_unique_count_single_string_hamiltonian():
-    z = PauliSum.from_labels(1, {"Z": 2.0})
-    assert unique_string_count(z, 6) == [1, 1, 1, 1, 1, 1]
+    z = from_labels(1, {"Z": 2.0})
+    assert unique_string_count(PowerCache(z), 6) == [1, 1, 1, 1, 1, 1]
 
 
 @pytest.mark.parametrize(
@@ -181,12 +164,12 @@ def test_ledger_matches_string_set_oracle(n_qubits, n_terms, max_power, seed):
     """Contents, (z, x) order and per-power counts of the mask-array ledger
     equal a set of PauliStrings, also past the 32 qubits a packed key holds."""
     rng = np.random.default_rng(seed)
-    h = random_hermitian_sum(rng, n_qubits, n_terms)
+    h = random_sum(rng, n_qubits, n_terms)
     cache = PowerCache(h)
     strings, counts = string_ledger(cache.power(n) for n in range(1, max_power + 1))
     assert unique_measured_strings(cache, max_power) == strings
-    assert unique_string_count(h, max_power, cache) == counts
-    assert unique_string_count(h, max_power) == counts
+    assert unique_string_count(cache, max_power) == counts
+    assert unique_string_count(PowerCache(h), max_power) == counts
 
 
 @pytest.mark.parametrize("n_qubits, n_terms, seed", [(3, 10, 2), (5, 14, 3), (64, 6, 5)])
@@ -195,7 +178,7 @@ def test_ledger_is_kept_per_cache_and_power(n_qubits, n_terms, seed, monkeypatch
     apart from the others; a kept one is read back without touching the
     powers, and the counts still equal the string-set oracle's."""
     rng = np.random.default_rng(seed)
-    cache = PowerCache(random_hermitian_sum(rng, n_qubits, n_terms))
+    cache = PowerCache(random_sum(rng, n_qubits, n_terms))
     want = {}
     for m in (3, 2, 4):
         want[m] = string_ledger(cache.power(n) for n in range(1, m + 1))
@@ -217,13 +200,24 @@ def test_ledger_is_kept_per_cache_and_power(n_qubits, n_terms, seed, monkeypatch
     for m in (4, 2, 3):
         assert unique_measured_strings(cache, m) == want[m][0]
         assert unique_measured_strings(cache, m) == want[m][0]
-        assert unique_string_count(cache.h, m, cache) == want[m][1]
+        assert unique_string_count(cache, m) == want[m][1]
         assert all(a is b for a, b in zip(moments._string_ledger(cache, m), kept[m]))
     assert cache._powers == filled
 
 
+@pytest.mark.parametrize("sector", [None, "singlet", "triplet"])
+def test_unique_count_reads_its_own_cache(h4_problem, sector):
+    """The counts are those of the cache passed, full or tapered: cumulative
+    tallies of its own ledger's first powers, and of its own powers' strings."""
+    cache = h4_problem.cache if sector is None else h4_problem.sectors[sector].tapered_cache
+    _, _, first = moments._string_ledger(cache, 19)
+    counts = unique_string_count(cache, 19)
+    assert counts == [int(np.count_nonzero(first <= n)) for n in range(1, 20)]
+    assert counts == string_ledger(cache.power(n) for n in range(1, 20))[1]
+
+
 def test_unique_count_monotone_and_bounded(h4_problem):
-    counts = unique_string_count(h4_problem.hamiltonian, 19, h4_problem.cache)
+    counts = unique_string_count(h4_problem.cache, 19)
     assert all(b >= a for a, b in zip(counts, counts[1:]))
     n = h4_problem.hamiltonian.n_qubits
     assert counts[-1] <= 2 ** (n - 1) * (2**n + 1)

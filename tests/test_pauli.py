@@ -8,20 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdsq.pauli import (
-    _PHASES,
+    _PHASES_ARR,
     PauliString,
     PauliSum,
     _multiply_masks,
     _product_structure,
+    multiply_sums,
+)
+
+from helpers import (
     allclose,
     commutes,
+    from_labels,
     multiply_strings,
-    multiply_sums,
     parse_sum,
     parse_term,
     qubit_wise_commutes,
+    random_sum,
 )
-
 from oracles import (
     assert_same_bits,
     dense_string,
@@ -32,17 +36,6 @@ from oracles import (
 )
 
 LETTERS = "IXYZ"
-
-
-def random_sum(rng, n_qubits, n_terms, real=True):
-    labels = {}
-    for _ in range(n_terms):
-        label = "".join(rng.choice(list(LETTERS), size=n_qubits))
-        c = rng.standard_normal()
-        if not real:
-            c = c + 1j * rng.standard_normal()
-        labels[label] = labels.get(label, 0.0) + c
-    return PauliSum.from_labels(n_qubits, labels)
 
 
 # -- strings ----------------------------------------------------------------
@@ -149,7 +142,7 @@ def test_mask_products_match_the_string_products(n):
         for j, sb in enumerate(b):
             string, phase = multiply_strings(sa, sb)
             assert (int(x[i, j]), int(z[i, j])) == (string.x, string.z)
-            assert _PHASES[e[i, j]] == phase
+            assert _PHASES_ARR[e[i, j]] == phase
     if n == 64:  # all-Y times all-Y: 64 + 64 - 0 + 2 * 64 = 256 = 0 (mod 256)
         assert e[0, 0] == 0 and x[0, 0] == z[0, 0] == 0
 
@@ -191,10 +184,10 @@ def test_qwc_implies_commutes(data):
 
 
 def test_anticommuting_cross_terms_cancel():
-    h = PauliSum.from_labels(1, {"X": 1.0, "Z": 1.0})
+    h = from_labels(1, {"X": 1.0, "Z": 1.0})
     sq = multiply_sums(h, h)
     assert sq.n_terms == 1
-    assert sq.identity_coefficient == pytest.approx(2.0)
+    assert sq.coefficient(PauliString.identity(1)) == pytest.approx(2.0)
 
 
 def test_identity_is_multiplicative_unit():
@@ -218,8 +211,8 @@ def test_sum_product_matches_dense_oracle():
 def test_hermitian_product_of_hermitian_square():
     rng = np.random.default_rng(3)
     h = random_sum(rng, 3, 12)
-    assert h.is_hermitian()
-    assert multiply_sums(h, h).is_hermitian(tol=1e-12)
+    assert np.abs(h.mask_arrays()[2].imag).max(initial=0.0) <= 1e-10
+    assert np.abs(multiply_sums(h, h).mask_arrays()[2].imag).max(initial=0.0) <= 1e-12
 
 
 def test_sum_mismatched_qubits():
@@ -228,7 +221,7 @@ def test_sum_mismatched_qubits():
 
 
 def test_drop_tolerance_prunes():
-    h = PauliSum.from_labels(1, {"X": 1e-15, "Z": 1.0})
+    h = from_labels(1, {"X": 1e-15, "Z": 1.0})
     assert h.n_terms == 1
     h2 = PauliSum(1, {(1, 0): 1e-15, (0, 1): 1.0}, drop_tol=0.0)
     assert h2.n_terms == 2
@@ -277,7 +270,7 @@ def test_constructor_matches_the_dict_merge(n_qubits, drop_tol):
     )
     labels = {s.label: c for s, c in strings}
     assert_same_bits(
-        PauliSum.from_labels(n_qubits, labels),
+        from_labels(n_qubits, labels),
         pauli_sum_reference(n_qubits, [(PauliString.from_label(k), c) for k, c in labels.items()]),
     )
     assert_same_bits(PauliSum.zero(n_qubits), pauli_sum_reference(n_qubits))
@@ -290,7 +283,8 @@ def test_constructor_matches_the_dict_merge(n_qubits, drop_tol):
     for x, z in ((1, 0), (0, 1), (3, 1), (1 << n_qubits - 1, 1)):
         string = PauliString(n_qubits, x, z)
         assert got.coefficient(string) == (want.coefficient(string) if string in present else 0.0)
-    assert got.identity_coefficient == dict(want.terms()).get(PauliString.identity(n_qubits), 0.0)
+    identity = PauliString.identity(n_qubits)
+    assert got.coefficient(identity) == dict(want.terms()).get(identity, 0.0)
 
 
 def test_constructor_drops_by_numpy_abs():
@@ -318,7 +312,7 @@ def test_constructor_rejects_bad_masks_and_widths():
     with pytest.raises(ValueError, match="qubit counts differ"):
         PauliSum(3, [(PauliString.from_label("XX"), 1.0)])
     with pytest.raises(ValueError, match="qubit counts differ"):
-        PauliSum.from_labels(3, {"XXX": 1.0, "XX": 1.0})
+        from_labels(3, {"XXX": 1.0, "XX": 1.0})
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(1.0, float("-inf"))])
@@ -327,13 +321,13 @@ def test_constructor_rejects_non_finite_coefficients(bad):
     with pytest.raises(ValueError, match=r"non-finite coefficient .* on term masks \(1, 0\)"):
         PauliSum(1, {(0, 0): 1.0, (1, 0): bad})
     with pytest.raises(ValueError, match="non-finite coefficient"):
-        PauliSum.from_labels(2, {"XZ": bad})
+        from_labels(2, {"XZ": bad})
 
 
 def test_mask_arrays_are_read_only():
     """A write into a sum's arrays raises and leaves the sum as it was, for
     constructed sums and for products."""
-    a = PauliSum.from_labels(2, {"XZ": 0.5, "YY": 0.25, "ZI": 1.0})
+    a = from_labels(2, {"XZ": 0.5, "YY": 0.25, "ZI": 1.0})
     for ps in (PauliSum(1, {(1, 0): 2.0}), a, multiply_sums(a, a), a + a):
         string, coeff = next(iter(ps.terms()))
         x, z, c = ps.mask_arrays()
@@ -413,8 +407,8 @@ def test_real_operands_with_odd_phases_give_imaginary_terms(monkeypatch):
     import pdsq.pauli
 
     monkeypatch.setattr(pdsq.pauli, "_merge_complex", refuse_complex_merge)
-    h = PauliSum.from_labels(1, {"X": 1.0, "Z": 1.0})
-    minus = PauliSum.from_labels(1, {"X": 1.0, "Z": -1.0})
+    h = from_labels(1, {"X": 1.0, "Z": 1.0})
+    minus = from_labels(1, {"X": 1.0, "Z": -1.0})
     got = multiply_sums(minus, h)
     assert_same_sum(got, multiply_sums_reference(minus, h))
     assert list(got.terms()) == [(PauliString(1, 1, 1), -2j)]
@@ -488,9 +482,9 @@ def test_cache_hit_recombines_new_coefficients():
 
     # (X + Z)^2 = 2I, but (X - Z)(X + Z) = XZ - ZX = -2iY: a hit must drop
     # and keep output strings by the new coefficients
-    h = PauliSum.from_labels(1, {"X": 1.0, "Z": 1.0})
+    h = from_labels(1, {"X": 1.0, "Z": 1.0})
     assert_same_sum(multiply_sums(h, h), PauliSum.identity(1, 2.0))
-    minus = PauliSum.from_labels(1, {"X": 1.0, "Z": -1.0})
+    minus = from_labels(1, {"X": 1.0, "Z": -1.0})
     got = multiply_sums(minus, h)
     assert h._product_cache[0] == (minus.mask_arrays()[0].tobytes(),
                                    minus.mask_arrays()[1].tobytes())
@@ -578,7 +572,7 @@ def test_to_matrix_agrees_with_kron_oracle():
 
 
 def test_canonical_order_is_stable():
-    h = PauliSum.from_labels(2, {"XI": 1.0, "IZ": 2.0, "YY": 3.0})
+    h = from_labels(2, {"XI": 1.0, "IZ": 2.0, "YY": 3.0})
     labels = [s.label for s, _ in h.terms()]
     assert labels == sorted(
         labels,
@@ -587,8 +581,8 @@ def test_canonical_order_is_stable():
 
 
 def test_scalar_and_additive_arithmetic():
-    a = PauliSum.from_labels(2, {"XI": 1.0})
-    b = PauliSum.from_labels(2, {"XI": 2.0, "ZZ": -1.0})
+    a = from_labels(2, {"XI": 1.0})
+    b = from_labels(2, {"XI": 2.0, "ZZ": -1.0})
     s = a + b
     assert s.coefficient(PauliString.from_label("XI")) == pytest.approx(3.0)
     d = b - a
@@ -620,7 +614,7 @@ def test_parse_errors():
 
 
 def test_product_terms_are_plain_complex_and_round_trip():
-    h = PauliSum.from_labels(2, {"XI": 1.0, "ZZ": 0.5, "YY": 0.25})
+    h = from_labels(2, {"XI": 1.0, "ZZ": 0.5, "YY": 0.25})
     sq = multiply_sums(h, h)
     x, z, c = sq.mask_arrays()
     assert [(s.x, s.z, v) for s, v in sq.terms()] == list(

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from pdsq.backend import StateVector, exact_expectation, random_state
+from pdsq.backend import StateVector, exact_expectation
 from pdsq.moments import MomentTable, moments_for_state
-from pdsq.pauli import PauliSum
 from pdsq.pds import (
     ComplexRootError,
     build_system,
@@ -15,7 +14,7 @@ from pdsq.pds import (
     transition_energies,
 )
 
-from test_moments import random_hermitian_sum
+from helpers import from_labels, random_state, random_sum
 
 
 def table_from_values(values):
@@ -32,7 +31,7 @@ def test_k1_system_is_forced():
 
 def test_k2_system_hand_moments():
     # h = Z measured in |+>: <Z>=0, <Z^2>=1, <Z^3>=0
-    z = PauliSum.from_labels(1, {"Z": 1.0})
+    z = from_labels(1, {"Z": 1.0})
     plus = StateVector(1, np.array([1.0, 1.0]) / np.sqrt(2.0))
     table = moments_for_state(z, plus, 2)
     assert np.allclose(table.values, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
@@ -54,7 +53,7 @@ def test_polynomial_roots_trivials():
     assert np.allclose(res.roots, [-1.0, 1.0])
     res = polynomial_roots(np.array([0.7]))
     assert np.allclose(res.roots, [-0.7])
-    assert res.ground_bound == pytest.approx(-0.7)
+    assert res.roots[0] == pytest.approx(-0.7)
 
 
 def test_polynomial_roots_recovers_known_roots():
@@ -95,7 +94,7 @@ def test_exact_recovery_when_k_matches_support():
     no invented ones beside them."""
     rng = np.random.default_rng(11)
     for _ in range(5):
-        h = random_hermitian_sum(rng, 2, 6)
+        h = random_sum(rng, 2, 6)
         dense = h.to_matrix()
         evals, evecs = np.linalg.eigh(dense)
         state = random_state(2, rng)
@@ -117,7 +116,7 @@ def test_exact_recovery_when_k_matches_support():
 def test_bound_property_random_instances():
     rng = np.random.default_rng(23)
     for _ in range(20):
-        h = random_hermitian_sum(rng, 3, 8)
+        h = random_sum(rng, 3, 8)
         ground = np.linalg.eigvalsh(h.to_matrix())[0]
         state = random_state(3, rng)
         mean = exact_expectation(h, state)

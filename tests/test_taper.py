@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from pdsq import chem, jw, taper
 from pdsq.backend import exact_expectation, prepare_basis_state
 from pdsq.moments import unique_string_count
-from pdsq.pauli import PauliString, PauliSum, commutes
+from pdsq.pauli import PauliString, PauliSum
 
+from helpers import commutes, from_labels
 from oracles import (
     H4_SPACINGS,
     assert_same_bits,
@@ -23,13 +24,13 @@ from oracles import (
 
 
 def test_single_term_hamiltonian_symmetries():
-    h = PauliSum.from_labels(2, {"ZZ": 1.0})
+    h = from_labels(2, {"ZZ": 1.0})
     labels = {g.label for g in taper.find_symmetries(h)}
     assert "ZI" in labels and "IZ" in labels
 
 
 def test_no_symmetry_case():
-    h = PauliSum.from_labels(1, {"X": 1.0, "Z": 0.3})
+    h = from_labels(1, {"X": 1.0, "Z": 0.3})
     assert taper.find_symmetries(h) == []
 
 
@@ -91,14 +92,8 @@ def test_tapered_term_count_bound(h4_problem):
 
 
 def test_tapered_unique_string_tallies(h4_problem):
-    ucs = unique_string_count(
-        h4_problem.sectors["singlet"].tapered_h, 19,
-        h4_problem.sectors["singlet"].tapered_cache,
-    )
-    uct = unique_string_count(
-        h4_problem.sectors["triplet"].tapered_h, 19,
-        h4_problem.sectors["triplet"].tapered_cache,
-    )
+    ucs = unique_string_count(h4_problem.sectors["singlet"].tapered_cache, 19)
+    uct = unique_string_count(h4_problem.sectors["triplet"].tapered_cache, 19)
     assert abs(ucs[-1] - 527) <= 0.05 * 527
     assert abs(uct[-1] - 379) <= 0.05 * 379
 
@@ -127,7 +122,7 @@ def test_taper_operator_rejects_foreign_generators(h4):
 
 
 def test_exclusive_partner_required():
-    h = PauliSum.from_labels(2, {"ZZ": 1.0, "XX": 0.5})
+    h = from_labels(2, {"ZZ": 1.0, "XX": 0.5})
     gen = PauliString.from_label("ZZ")
     with pytest.raises(ValueError, match="no exclusive qubit"):
         taper.build_tapering(h, [gen, gen], [1, 1])
@@ -319,7 +314,7 @@ def test_taper_operator_checks_its_preconditions():
     taper_operator itself rejects a generator that does not commute with h,
     and a partner qubit where its generator acts as I or X or another
     generator as Z or Y (either would break the closed-form rotation)."""
-    h = PauliSum.from_labels(3, {"ZZI": 1.0, "XXI": 0.5, "IIZ": 0.25})
+    h = from_labels(3, {"ZZI": 1.0, "XXI": 0.5, "IIZ": 0.25})
 
     def tapering(labels, partners):
         gens = tuple(PauliString.from_label(g) for g in labels)
