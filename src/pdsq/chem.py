@@ -51,7 +51,6 @@ class Geometry:
     """Atoms as (element, xyz) with coordinates in Angstrom."""
 
     atoms: tuple[tuple[str, tuple[float, float, float]], ...]
-    units: str = "angstrom"
 
     def charges(self) -> list[int]:
         try:

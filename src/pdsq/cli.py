@@ -225,6 +225,8 @@ def cmd_pds(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    if args.levels < 1:
+        raise CliError(f"--levels must be at least 1, got {args.levels}")
     cfg = build_run_config(args)
     problem = build_problem(cfg)
     n_e = problem.integrals.n_electrons

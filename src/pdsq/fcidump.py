@@ -15,6 +15,8 @@ import numpy as np
 
 from .chem import IntegralSet
 
+_WRITE_THRESHOLD = 1e-14
+
 
 class FcidumpError(ValueError):
     def __init__(self, lineno: int, message: str):
@@ -41,6 +43,10 @@ def _parse_header(lines: list[str]) -> tuple[dict, int]:
             fields[key] = int(m.group(1))
     if "NORB" not in fields:
         raise FcidumpError(1, "header does not define NORB")
+    if fields["NORB"] < 1:
+        raise FcidumpError(1, f"NORB must be at least 1, got {fields['NORB']}")
+    if fields.get("NELEC", 0) < 0:
+        raise FcidumpError(1, f"NELEC must be non-negative, got {fields['NELEC']}")
     return fields, end_line + 1
 
 
@@ -96,19 +102,12 @@ def fcidump_read(path: str | Path) -> IntegralSet:
     )
 
 
-def fcidump_write(
-    ints: IntegralSet,
-    path: str | Path,
-    n_electrons: int | None = None,
-    ms2: int = 0,
-    threshold: float = 1e-14,
-) -> None:
-    """Write an IntegralSet with canonical 8-fold-unique two-body records."""
+def fcidump_write(ints: IntegralSet, path: str | Path) -> None:
+    """Write an IntegralSet with canonical 8-fold-unique two-body records;
+    integrals of magnitude <= _WRITE_THRESHOLD are left out."""
     n = ints.n_orbitals
-    if n_electrons is None:
-        n_electrons = ints.n_electrons
     out = [
-        f"&FCI NORB={n},NELEC={n_electrons},MS2={ms2},",
+        f"&FCI NORB={n},NELEC={ints.n_electrons},MS2=0,",
         " ORBSYM=" + "1," * n,
         " ISYM=1,",
         "&END",
@@ -125,12 +124,12 @@ def fcidump_write(
                     if ij < k * (k + 1) // 2 + l:
                         continue
                     v = ints.two_body[i, j, k, l]
-                    if abs(v) > threshold:
+                    if abs(v) > _WRITE_THRESHOLD:
                         out.append(record(v, i + 1, j + 1, k + 1, l + 1))
     for i in range(n):
         for j in range(i + 1):
             v = ints.one_body[i, j]
-            if abs(v) > threshold:
+            if abs(v) > _WRITE_THRESHOLD:
                 out.append(record(v, i + 1, j + 1, 0, 0))
     out.append(record(ints.core_energy, 0, 0, 0, 0))
     Path(path).write_text("\n".join(out) + "\n")

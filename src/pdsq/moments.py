@@ -27,7 +27,7 @@ import numpy as np
 # exact_expectation is not called here, but the benchmark's tracer
 # (benchmarks/tracer.py) rebinds it in this module, so the name stays.
 from .backend import REALNESS_RTOL, StateVector, apply_pauli_sum, exact_expectation  # noqa: F401
-from .pauli import PauliSum, multiply_sums
+from .pauli import PauliSum, _number_strings, multiply_sums
 
 
 # Lanczos stops once an off-diagonal falls below this fraction of the
@@ -38,11 +38,11 @@ BREAKDOWN_TOL = 1e-8
 
 # Largest |H^(n-1)| * |H| string-pair count one power-ladder step may take
 # on.  Measured with tracemalloc (2.3M-3.9M pairs onto 4096 or 65536
-# strings), a product that builds its merge structure peaks at about 14
-# (direct merge) to 66 (sorted merge; 90 past 32 qubits) bytes per pair,
-# and one that reuses it at 8, besides ~60 bytes per distinct output
-# string; so a step stays near 1 GiB.  The full H4 ladder needs at most
-# 781,440 pairs, and H6 would need 45.9M at H^3.
+# strings), a product that builds its merge structure peaks at about 17
+# (4^n table) to 42 (sort; 66 past 32 qubits) bytes per pair, and one that
+# reuses it at 8, besides ~60 bytes per distinct output string; so a step
+# stays near 1 GiB.  The full H4 ladder needs at most 781,440 pairs, and H6
+# would need 45.9M at H^3.
 MAX_PRODUCT_PAIRS = 1 << 24
 
 
@@ -62,7 +62,7 @@ class PowerCache:
     def __init__(self, h: PauliSum):
         self.h = h
         self._powers: dict[int, PauliSum] = {0: PauliSum.identity(h.n_qubits), 1: h}
-        self._ledgers: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._ledgers: dict[int, tuple[np.ndarray, ...]] = {}
 
     def power(self, n: int) -> PauliSum:
         if n < 0:
@@ -190,27 +190,30 @@ def _krylov_moments(recurrence: Recurrence, n_moments: int) -> np.ndarray:
 
 def _string_ledger(
     cache: PowerCache, max_power: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(z, x, first power) of each distinct non-identity string over
-    H^1..H^max_power, sorted on (z, x).
+    H^1..H^max_power, sorted on (z, x), and the column map: each term's index
+    among the identity and those strings, for H^0..H^max_power in turn.
 
-    The masks are kept as two uint64 columns, not one packed key, so the
-    ledger works for every qubit count a PauliSum supports.  It is built
-    once per cache and max_power and kept there, read-only.
+    Built once per cache and max_power by `pauli._number_strings` and kept
+    there, read-only.
     """
     if max_power in cache._ledgers:
         return cache._ledgers[max_power]
-    # H^0 is the identity alone: it keeps the stack non-empty and is dropped
+    # H^0 is the identity alone, so the identity is string 0, dropped below
     arrays = [cache.power(n).mask_arrays() for n in range(max_power + 1)]
-    x = np.concatenate([a[0] for a in arrays])
-    z = np.concatenate([a[1] for a in arrays])
-    power = np.repeat(np.arange(len(arrays)), [a[0].size for a in arrays])
-    order = np.lexsort((power, x, z))  # last key is primary
-    x, z, power = x[order], z[order], power[order]
-    first = np.ones(x.size, dtype=bool)
-    first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
-    first &= (x != 0) | (z != 0)
-    ledger = z[first], x[first], power[first]
+    x, z, columns = _number_strings(
+        cache.h.n_qubits,
+        np.concatenate([a[0] for a in arrays]),
+        np.concatenate([a[1] for a in arrays]),
+    )
+    bounds = np.cumsum([0, *(a[0].size for a in arrays)])
+    first = np.empty(x.size, dtype=np.intp)
+    # from the highest power down, so each string keeps its lowest; within
+    # one power the strings are distinct, so each assignment is well-defined
+    for n in range(max_power, -1, -1):
+        first[columns[bounds[n] : bounds[n + 1]]] = n
+    ledger = z[1:], x[1:], first[1:], columns
     for a in ledger:
         a.flags.writeable = False
     cache._ledgers[max_power] = ledger
@@ -224,5 +227,5 @@ def unique_string_count(cache: PowerCache, max_power: int) -> list[int]:
     Entry k (0-based) covers powers up to k+1; the sequence is monotone and
     saturates once the powers stop producing new strings.
     """
-    _, _, first = _string_ledger(cache, max_power)
+    _, _, first, _ = _string_ledger(cache, max_power)
     return np.cumsum(np.bincount(first, minlength=max_power + 1))[1:].tolist()

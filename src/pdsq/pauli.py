@@ -32,14 +32,13 @@ exactly +-ar br, real for even e and imaginary for odd e, so one float64
 sparse matrix-vector product, scattering the pairs into 2m slots, yields
 the m outputs' real and imaginary parts, laid out as complex128.
 
-Building a structure works on the operands' masks cast to the narrowest
-unsigned type of n bits (uint8 for H4's 8 qubits and the tapered 5) and
-numbers the distinct output strings by their 2n-bit code z << n | x, whose
-ascending order is the canonical one.  While there are fewer pairs than
-the 4^n possible codes, the pairs' codes are sorted as uint64; otherwise
-(the H4 ladder from H^3 on, the tapered 5-qubit ladders from H^2 on) the
-present codes, held in a type of 2n bits, are marked in a 4^n table and
-numbered by a running count, with no sort.
+Strings are numbered in one place, `_number_strings`: the distinct strings
+of two mask arrays in canonical order, as uint64 masks, and each input's
+index among them.  With at least 4^n inputs (the H4 ladder from H^3 on,
+the tapered 5-qubit ladders from H^2 on, the ledgers) it marks the codes
+z << n | x, whose ascending order is the canonical one, in a 4^n table;
+with fewer it takes one stable lexsort.  Products work on masks cast to
+the narrowest unsigned type of n bits (uint8 for H4's 8 qubits).
 
 Serialization convention, used project-wide: qubit 0 is the leftmost letter
 of a label and the leftmost character of a measurement bitstring.
@@ -59,9 +58,6 @@ _LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _LETTER_BITS = {v: k for k, v in _LETTERS.items()}
 _PHASES_ARR = np.array((1.0, 1.0j, -1.0, -1.0j), dtype=np.complex128)
 _INT32_MAX = np.iinfo(np.int32).max
-# built once: constructing them took ~4% of a 16-pair product (Jordan-Wigner
-# makes 800 of those for H4)
-_SHIFT32, _LOW32 = np.uint64(32), np.uint64(0xFFFFFFFF)
 # (term, basis state) elements per block of PauliSum.matrix_blocks: each
 # of a block's arrays then fits in a core's cache (<= 256 KiB), which
 # measured fastest for the H4 matvec
@@ -351,29 +347,8 @@ def _product_structure(a: PauliSum, b: PauliSum) -> _ProductStructure:
     mask_type = np.min_scalar_type((1 << n) - 1)
     xa, za, xb, zb = (m.astype(mask_type, copy=False) for m in (xa, za, xb, zb))
     x, z, phase_exp = _multiply_masks(xa[:, None], za[:, None], xb, zb)
-    index_type = np.int32 if 2 * x.size <= _INT32_MAX else np.int64
-    if 1 << 2 * n <= x.size:
-        # no more keys z << n | x than pairs: mark the present ones in a
-        # 4^n table, whose ascending order is the canonical (z, x) order,
-        # and number them by a running count instead of sorting the pairs
-        key_type = np.min_scalar_type((1 << 2 * n) - 1)
-        keys = (z.astype(key_type) << n | x).ravel()
-        present = np.zeros(1 << 2 * n, dtype=bool)
-        present[keys] = True
-        inverse = (np.cumsum(present, dtype=index_type) - 1)[keys]
-        uniq = np.flatnonzero(present).astype(np.uint64)
-        ux, uz = uniq & np.uint64((1 << n) - 1), uniq >> np.uint64(n)
-    elif n <= 32:
-        # one scalar key per pair, z in the high half: sorts in (z, x) order
-        x, z = x.astype(np.uint64).ravel(), z.astype(np.uint64).ravel()
-        uniq, inverse = np.unique((z << _SHIFT32) | x, return_inverse=True)
-        ux, uz = uniq & _LOW32, uniq >> _SHIFT32
-    else:
-        uniq, inverse = np.unique(
-            np.stack((z.ravel(), x.ravel()), axis=1), axis=0, return_inverse=True
-        )
-        ux, uz = uniq[:, 1], uniq[:, 0]
-    slot = inverse.ravel().astype(index_type, copy=False)
+    ux, uz, inverse = _number_strings(n, x.ravel(), z.ravel())
+    slot = inverse.astype(np.int32 if 2 * x.size <= _INT32_MAX else np.int64, copy=False)
     slot <<= 1
     slot |= (phase_exp & 1).ravel()
     # 1 - (e & 2) is 1 or 255 in uint8, i.e. 1 or -1 as int8
@@ -390,10 +365,8 @@ def multiply_sums(
 
     All |a| * |b| string products are evaluated in one vectorized pass, then
     merged; Hermitian inputs with real coefficients stay Hermitian.  The
-    merge sorts the pairs' string codes only when there are fewer pairs than
-    the 4^n possible strings, and addresses the strings directly otherwise
-    (see the module docstring); both give the same structure.  The
-    merge structure (output strings, pair slots, pair signs) comes from b's
+    pairs' product strings are numbered by `_number_strings`.  The merge
+    structure (output strings, pair slots, pair signs) comes from b's
     one-entry cache when a has exactly the strings of the last left operand
     b met (keyed on a's mask bytes), and is computed and cached on b
     otherwise.  The entry holds 5 bytes per pair (4.0 MiB for the saturated
@@ -451,6 +424,29 @@ def _merge_complex(ca: np.ndarray, cb: np.ndarray, s: _ProductStructure) -> np.n
     return acc
 
 
+def _number_strings(
+    n: int, x: np.ndarray, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(ux, uz, inverse): the distinct strings of the n-qubit unsigned mask
+    arrays x, z as uint64 masks in canonical order, and each input's index
+    among them, so ux[inverse] == x (see the module docstring)."""
+    if 1 << 2 * n <= x.size:
+        keys = z.astype(np.min_scalar_type((1 << 2 * n) - 1)) << n | x
+        present = np.zeros(1 << 2 * n, dtype=bool)
+        present[keys] = True
+        inverse = (np.cumsum(present) - 1)[keys]
+        codes = np.flatnonzero(present).astype(np.uint64)
+        return codes & np.uint64((1 << n) - 1), codes >> np.uint64(n), inverse
+    order = np.lexsort((x, z))
+    x, z = x[order], z[order]
+    first = np.ones(x.size, dtype=bool)
+    first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
+    inverse = np.empty(x.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    ux, uz = (m[first].astype(np.uint64, copy=False) for m in (x, z))
+    return ux, uz, inverse
+
+
 def _sum_in_order(
     n_qubits: int, x: np.ndarray, z: np.ndarray, re: np.ndarray, im: np.ndarray,
     drop_tol: float,
@@ -458,14 +454,9 @@ def _sum_in_order(
     """Sum of the terms (x[i], z[i], re[i] + i im[i]), each string's terms
     added one after another in array order from 0.0, the real and imaginary
     parts apart; a string with np.abs(c) <= drop_tol is dropped."""
-    order = np.lexsort((x, z))
-    x, z = x[order], z[order]
-    first = np.ones(len(x), dtype=bool)
-    first[1:] = (x[1:] != x[:-1]) | (z[1:] != z[:-1])
-    index = np.empty(len(x), dtype=np.intp)
-    index[order] = np.cumsum(first) - 1
-    acc = np.empty(np.count_nonzero(first), dtype=np.complex128)
-    acc.real = np.bincount(index, weights=re, minlength=len(acc))
-    acc.imag = np.bincount(index, weights=im, minlength=len(acc))
+    ux, uz, inverse = _number_strings(n_qubits, x, z)
+    acc = np.empty(ux.size, dtype=np.complex128)
+    acc.real = np.bincount(inverse, weights=re, minlength=ux.size)
+    acc.imag = np.bincount(inverse, weights=im, minlength=ux.size)
     keep = np.abs(acc) > drop_tol
-    return PauliSum._from_canonical(n_qubits, x[first][keep], z[first][keep], acc[keep])
+    return PauliSum._from_canonical(n_qubits, ux[keep], uz[keep], acc[keep])

@@ -23,7 +23,7 @@ from .exact import exact_spectrum, exact_transitions
 from .moments import (
     MomentTable, PowerCache, _string_ledger, moments_for_state, unique_string_count,
 )
-from .pauli import PauliString, PauliSum
+from .pauli import PauliString, PauliSum, _number_strings
 from .pds import (
     PdsResult,
     TransitionSummary,
@@ -145,7 +145,7 @@ def build_problem(cfg: RunConfig) -> Problem:
 
 def unique_measured_strings(cache: PowerCache, max_power: int) -> list[PauliString]:
     """Distinct non-identity strings across H^1..H^max_power, canonical order."""
-    z, x, _ = _string_ledger(cache, max_power)
+    z, x, _, _ = _string_ledger(cache, max_power)
     return [PauliString(cache.h.n_qubits, *xz) for xz in zip(x.tolist(), z.tolist())]
 
 
@@ -244,29 +244,30 @@ def moments_from_estimates(
     cache: PowerCache, estimates: dict[PauliString, float], k: int
 ) -> np.ndarray:
     """Assemble <H^n> for n = 0..2k-1 from per-string measured expectations:
-    each power's real coefficients times its strings' estimates, looked up by
-    (x, z) masks (the identity's expectation is 1)."""
-    powers = [cache.power(n).mask_arrays() for n in range(2 * k)]
-    known = [PauliString.identity(cache.h.n_qubits), *estimates]
-    x = np.concatenate([np.array([s.x for s in known], np.uint64), *(p[0] for p in powers)])
-    z = np.concatenate([np.array([s.z for s in known], np.uint64), *(p[1] for p in powers)])
-    # one int64 key per (x, z) pair: the ranks of x and z among all masks here
-    rank_x, rank_z = (np.unique(m, return_inverse=True)[1] for m in (x, z))
-    keys = rank_z * (rank_x.max() + 1) + rank_x
-    wanted = keys[len(known) :]
-    order = np.argsort(keys[: len(known)], kind="stable")  # identity wins ties
-    pos = order[np.minimum(np.searchsorted(keys[order], wanted), len(known) - 1)]
-    if np.any(keys[pos] != wanted):
-        i = len(known) + int(np.argmax(keys[pos] != wanted))
+    each power's real coefficients times its strings' estimates, aligned to
+    the ledger by one numbering and gathered through its column map.  The
+    identity's expectation is 1; other extra estimates are ignored, and a
+    ledger string without one raises KeyError."""
+    z, x, _, columns = _string_ledger(cache, 2 * k - 1)
+    kx, kz = np.array([(s.x, s.z) for s in estimates], np.uint64).reshape(-1, 2).T
+    # numbered as 64-qubit masks: an extra estimate's string may be wider
+    _, _, ids = _number_strings(64, np.r_[x, kx], np.r_[z, kz])
+    # of several estimates of the same masks (keys of other widths) the first wins
+    pos = np.full(ids.size, kx.size)
+    np.minimum.at(pos, ids[x.size :], np.arange(kx.size))
+    pos = pos[ids[: x.size]]
+    if np.any(pos == kx.size):
+        i = np.argmax(pos)
         raise KeyError(PauliString(cache.h.n_qubits, int(x[i]), int(z[i])))
-    values = np.array([1.0, *estimates.values()])[pos]
-    ends = np.cumsum([len(c) for *_, c in powers])
+    values = np.r_[1.0, np.array(list(estimates.values()))[pos]][columns]
+    coeffs = [cache.power(n).mask_arrays()[2] for n in range(2 * k)]
+    ends = np.cumsum([c.size for c in coeffs])
     # Summed term by term in canonical order (add.accumulate), as a loop over
     # the terms adds them: the sampled PDS solve turns 1e-15 relative changes
     # of the moments into root shifts of up to ~1e-6 Eh.
     return np.array([
         np.cumsum(np.r_[0.0, c.real * v])[-1]
-        for (*_, c), v in zip(powers, np.split(values, ends[:-1]))
+        for c, v in zip(coeffs, np.split(values, ends[:-1]))
     ])
 
 

@@ -220,6 +220,14 @@ def multiply_sums_reference(a, b, drop_tol: float = 1e-12):
     return PauliSum(a.n_qubits, terms, drop_tol=drop_tol)
 
 
+def number_strings_reference(x, z):
+    """The distinct (x, z) mask pairs in canonical (z, x) order and each
+    input's index among them, by np.unique over stacked rows: the reference
+    pauli._number_strings is checked against."""
+    uniq, inverse = np.unique(np.stack((z, x), axis=1), axis=0, return_inverse=True)
+    return uniq[:, 1], uniq[:, 0], inverse.ravel()
+
+
 def product_structure_reference(a, b):
     """The merge structure of a*b as (x, z, slot, sign), from uint64 masks
     only: every pair's phase from its bit counts and the output strings

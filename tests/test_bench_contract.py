@@ -13,6 +13,8 @@ from collections import Counter
 from pathlib import Path
 from unittest.mock import MagicMock
 
+import pytest
+
 TRACER_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
 
 
@@ -95,6 +97,30 @@ def test_power_ladder_multiplies_once_per_step(h4, monkeypatch):
     monkeypatch.setattr(moments, "multiply_sums", counted)
     moments.PowerCache(h4).power(19)
     assert len(calls) == 18
+
+
+@pytest.mark.parametrize("mode, calls", [("exact", 4), ("parallel", 6)])
+def test_run_reads_the_ledger_twice_per_sector_and_once_more_to_sample(
+    mode, calls, monkeypatch, tmp_path
+):
+    """The benchmark pins `pipeline.ledger_calls` (4 per exact run, 6 per
+    sampled one: the full and tapered ledgers of each sector's plan, then
+    each sector's tapered ledger again to sample), counted where
+    pdsq.pipeline calls `unique_measured_strings`."""
+    from pdsq import pipeline
+
+    calls_seen = []
+
+    def counted(cache, max_power):
+        calls_seen.append(max_power)
+        return original(cache, max_power)
+
+    original = pipeline.unique_measured_strings
+    monkeypatch.setattr(pipeline, "unique_measured_strings", counted)
+    pipeline.run_pipeline(pipeline.RunConfig(
+        spacings=(0.7414,), k_max=3, shots=256, mode=mode, output_dir=tmp_path
+    ))
+    assert calls_seen == [5] * calls
 
 
 def test_tracer_reads_the_strings_the_ladder_groups(h4_problem, monkeypatch):

@@ -78,6 +78,14 @@ def test_pds_and_exact_subcommands(capsys, tmp_path):
     assert "S0->T0" in out
 
 
+@pytest.mark.parametrize("levels", ["0", "-3"])
+def test_exact_levels_below_1_exit_code_1(capsys, levels):
+    # unchecked, --levels -3 printed all levels but the last three, 0 none
+    code, out, err = run_cli(capsys, "exact", "--spacings", "0.7414", "--levels", levels)
+    assert code == 1 and out == ""
+    assert f"--levels must be at least 1, got {levels}" in err
+
+
 def test_simulate_and_mitigate_subcommands(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "simulate", "--spacings", "0.7414", "--k-max", "2",
@@ -252,6 +260,17 @@ def test_input_errors_exit_code_1_through_run(capsys, tmp_path, flag):
     assert len(results) == 1
     code, _, err = results.pop()
     assert code == 1 and "stage" not in err
+
+
+@pytest.mark.parametrize("header, field", [
+    ("NORB=0,NELEC=2", "NORB"), ("NORB=-2,NELEC=2", "NORB"), ("NORB=2,NELEC=-2", "NELEC"),
+])
+def test_fcidump_header_counts_exit_code_1_through_run(capsys, tmp_path, header, field):
+    bad = tmp_path / "bad.fcidump"
+    bad.write_text(f"&FCI {header},MS2=0,\n&END\n1.0 0 0 0 0\n")
+    code, _, err = run_cli(capsys, "run", "--fcidump", str(bad), "--output-dir", str(tmp_path))
+    assert code == 1 and "stage" not in err
+    assert f"line 1: {field} must be" in err
 
 
 def test_non_finite_fcidump_value_exit_code_1(capsys, tmp_path):

@@ -98,3 +98,16 @@ def test_core_energy_record(tmp_path):
     path = tmp_path / "core.fcidump"
     path.write_text("&FCI NORB=1,NELEC=1,MS2=1,\n&END\n1.146553 0 0 0 0\n")
     assert fcidump_read(path).core_energy == pytest.approx(1.146553)
+
+
+@pytest.mark.parametrize("header, message", [
+    ("NORB=0,NELEC=2", "NORB must be at least 1, got 0"),
+    ("NORB=-2,NELEC=2", "NORB must be at least 1, got -2"),
+    ("NORB=2,NELEC=-2", "NELEC must be non-negative, got -2"),
+])
+def test_header_counts_out_of_range_name_the_field(tmp_path, header, message):
+    # unchecked, NORB < 1 failed inside NumPy and NELEC < 0 ran SCF to its cap
+    path = tmp_path / "bad.fcidump"
+    path.write_text(f"&FCI {header},MS2=0,\n&END\n1.0 0 0 0 0\n")
+    with pytest.raises(FcidumpError, match=re.escape(f"line 1: {message}")):
+        fcidump_read(path)

@@ -210,7 +210,7 @@ def test_unique_count_reads_its_own_cache(h4_problem, sector):
     """The counts are those of the cache passed, full or tapered: cumulative
     tallies of its own ledger's first powers, and of its own powers' strings."""
     cache = h4_problem.cache if sector is None else h4_problem.sectors[sector].tapered_cache
-    _, _, first = moments._string_ledger(cache, 19)
+    _, _, first, _ = moments._string_ledger(cache, 19)
     counts = unique_string_count(cache, 19)
     assert counts == [int(np.count_nonzero(first <= n)) for n in range(1, 20)]
     assert counts == string_ledger(cache.power(n) for n in range(1, 20))[1]

@@ -12,6 +12,7 @@ from pdsq.pauli import (
     PauliString,
     PauliSum,
     _multiply_masks,
+    _number_strings,
     _product_structure,
     multiply_sums,
 )
@@ -28,6 +29,7 @@ from helpers import (
 )
 from oracles import (
     assert_same_bits,
+    number_strings_reference,
     dense_string,
     multiply_sums_reference,
     pauli_sum_reference,
@@ -429,6 +431,24 @@ def distinct_sum(rng, n_qubits, n_terms, real=True):
     mask = (1 << n_qubits) - 1
     terms = [((int(k) & mask, int(k) >> n_qubits), v) for k, v in zip(keys, c.tolist())]
     return PauliSum(n_qubits, terms)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 8, 32, 33, 64])
+@pytest.mark.parametrize("wide", [False, True])
+def test_number_strings_matches_unique_oracle(n, wide):
+    """Both sides of the 4^n-input edge where a table replaces the sort, and
+    empty input, on masks of the narrowest type of n bits and on uint64."""
+    rng = np.random.default_rng(n)
+    mask_type = np.uint64 if wide else np.min_scalar_type((1 << n) - 1)
+    edge = 1 << 2 * n if n <= 8 else 300
+    for size in (0, edge - 1, edge):
+        # drawn from a pool of edge // 2 strings, so most repeat
+        pool = rng.integers(0, 1 << n, (2, max(edge // 2, 1)), dtype=np.uint64)
+        x, z = pool[:, rng.integers(0, pool.shape[1], size)].astype(mask_type)
+        got = _number_strings(n, x, z)
+        assert got[0].dtype == got[1].dtype == np.uint64
+        for g, w in zip(got, number_strings_reference(x, z)):
+            assert np.array_equal(g, w)
 
 
 def assert_structure_from_wide_masks(a, b):

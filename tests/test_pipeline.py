@@ -259,3 +259,34 @@ def test_moments_match_the_term_loop(h4_problem):
     del estimates[strings[-1]]
     with pytest.raises(KeyError):
         moments_from_estimates(cache, estimates, 10)
+
+
+def test_moments_ignore_extra_estimates_and_keep_the_identity(h4_problem):
+    """Estimates of the identity, of strings outside the ledger, of its
+    width or wider, and later ones of the same masks change no moment, and
+    <H^0> stays 1.0."""
+    import numpy as np
+
+    from pdsq.pauli import PauliString
+    from pdsq.pipeline import moments_from_estimates, unique_measured_strings
+
+    cache = h4_problem.sectors["singlet"].tapered_cache
+    n = cache.h.n_qubits
+    strings = unique_measured_strings(cache, 19)
+    estimates = dict(zip(strings, np.random.default_rng(5).uniform(-1.0, 1.0, len(strings))))
+    want = moments_from_estimates(cache, estimates, 10)
+    outside = next(
+        s for s in (PauliString(n, x, z) for z in range(1 << n) for x in range(1 << n))
+        if s not in estimates and not s.is_identity
+    )
+    extra = {
+        PauliString.identity(n): 0.25,
+        outside: 0.5,
+        PauliString(n + 3, 1 << n + 2, 0): -0.5,
+        PauliString(64, (1 << 64) - 1, 1 << 63): 0.75,
+    }
+    # the same masks at another width: the first estimate of the masks wins
+    later = PauliString(n + 1, strings[0].x, strings[0].z)
+    got = moments_from_estimates(cache, {**extra, **estimates, later: 9.0}, 10)
+    assert got[0] == 1.0
+    assert np.array_equal(got, want)
