@@ -110,7 +110,7 @@ def rotate_to_eigenbases(amplitudes: np.ndarray, x, z) -> np.ndarray:
 class NoiseModel:
     """Independent symmetric readout bit flips with probability p per qubit."""
 
-    spam_flip_probability: float = 0.0
+    spam_flip_probability: float
 
     def __post_init__(self):
         p = self.spam_flip_probability
@@ -127,7 +127,6 @@ class CountTable:
     n_bits: int
     outcomes: np.ndarray
     counts: np.ndarray
-    shots: int
 
     def __post_init__(self):
         if self.n_bits > 63:
@@ -140,9 +139,6 @@ class CountTable:
             raise ValueError("need one count per outcome")
         if np.any(counts < 0):
             raise ValueError(f"negative count {int(counts.min())} in the histogram")
-        total = int(counts.sum())
-        if total != self.shots:
-            raise ValueError(f"counts sum to {total}, expected {self.shots}")
         if outcomes.size and (
             outcomes[0] < 0 or int(outcomes[-1]) >> self.n_bits or np.any(np.diff(outcomes) <= 0)
         ):
@@ -151,13 +147,18 @@ class CountTable:
     @classmethod
     def from_indices(cls, indices: np.ndarray, n_bits: int) -> "CountTable":
         outcomes, counts = np.unique(np.asarray(indices, dtype=np.int64), return_counts=True)
-        return cls(n_bits, outcomes, counts, int(counts.sum()))
+        return cls(n_bits, outcomes, counts)
+
+    @property
+    def shots(self) -> int:
+        return int(self.counts.sum())
 
     def probabilities(self) -> np.ndarray:
         """Relative frequencies, aligned with outcomes."""
-        if self.shots == 0:
+        shots = self.shots
+        if shots == 0:
             raise ValueError("empty histogram")
-        return self.counts / self.shots
+        return self.counts / shots
 
     def to_lines(self) -> str:
         keys = [index_to_bits(o, self.n_bits) for o in self.outcomes.tolist()]
@@ -187,7 +188,7 @@ class CountTable:
         if n_bits is None:
             raise ValueError("no histogram lines found")
         outcomes = sorted(counts)
-        return cls(n_bits, outcomes, [counts[o] for o in outcomes], sum(counts.values()))
+        return cls(n_bits, outcomes, [counts[o] for o in outcomes])
 
 
 def _apply_bit_flips(
@@ -204,50 +205,40 @@ def _apply_bit_flips(
 
 
 def serial_sample(
-    state: StateVector,
-    group,
-    shots: int,
-    noise: NoiseModel | None = None,
-    seed=None,
+    state: StateVector, group, shots: int, noise: NoiseModel | None, seed
 ) -> CountTable:
     """Sample one QWC group's rotated measurement on its own register."""
-    return _sample_slots([(state, group, 0)], state.n_qubits, shots, noise, seed)
+    return _sample_slots(state, ((group, 0),), state.n_qubits, shots, noise, seed)
 
 
 def sample_batch(
-    state_per_slot: Sequence[StateVector],
-    batch,
-    shots: int,
-    noise: NoiseModel | None = None,
-    seed=None,
+    state: StateVector, batch, shots: int, noise: NoiseModel | None, seed
 ) -> CountTable:
-    """Joint counts for a packed execution: slots sampled independently and
-    concatenated (exact, since slot states are unentangled), then flipped."""
-    if len(state_per_slot) != len(batch.slots):
-        raise ValueError("need one prepared state per filled slot")
-    slots = [(s, group, offset) for s, (group, offset) in zip(state_per_slot, batch.slots)]
-    return _sample_slots(slots, batch.register_width, shots, noise, seed)
+    """Joint counts for a packed execution whose every slot holds a copy of
+    state: slots sampled independently and concatenated (exact, since the
+    copies are unentangled), then flipped."""
+    return _sample_slots(state, batch.slots, batch.register_width, shots, noise, seed)
 
 
-def _sample_slots(slots, register: int, shots: int, noise, seed) -> CountTable:
-    """Rotate the (state, group, offset) slots' states into their groups'
-    eigenbases in one stack, draw each slot in turn from one seeded
+def _sample_slots(state, slots, register: int, shots: int, noise, seed) -> CountTable:
+    """Rotate a copy of state per (group, offset) slot into the group's
+    eigenbasis in one stack, draw each slot in turn from one seeded
     generator, shift it into the register, then apply readout flips."""
     if shots <= 0:
         raise ValueError("shots must be positive")
-    for state, group, _ in slots:
+    if not slots:
+        raise ValueError("an execution needs at least one slot")
+    for group, _ in slots:
         if state.n_qubits != group.n_qubits:
             raise ValueError(f"{state.n_qubits}-qubit state in a {group.n_qubits}-qubit slot")
-    if len({group.n_qubits for _, group, _ in slots}) != 1:
-        raise ValueError("an execution needs slots, all of one width")
     rotated = rotate_to_eigenbases(
-        np.array([state.amplitudes for state, _, _ in slots]),
-        [group.rotation.x for _, group, _ in slots],
-        [group.rotation.z for _, group, _ in slots],
+        np.broadcast_to(state.amplitudes, (len(slots), state.amplitudes.size)),
+        [group.rotation.x for group, _ in slots],
+        [group.rotation.z for group, _ in slots],
     )
     rng = np.random.default_rng(seed)
     joint = np.zeros(shots, dtype=np.int64)
-    for probs, (_, _, offset) in zip(np.abs(rotated) ** 2, slots):
+    for probs, (_, offset) in zip(np.abs(rotated) ** 2, slots):
         joint |= rng.choice(probs.size, size=shots, p=probs / probs.sum()) << offset
     if noise is not None and noise.spam_flip_probability > 0.0:
         joint = _apply_bit_flips(joint, register, noise.spam_flip_probability, rng)

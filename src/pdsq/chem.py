@@ -40,6 +40,7 @@ ELEMENT_CHARGES = {"H": 1}
 
 DENSITY_TOL = 1e-10  # largest density-matrix change of a converged SCF
 DIIS_SIZE = 8  # Fock and error matrices the DIIS extrapolation keeps
+MAX_SCF_ITERATIONS = 200  # SCF cycles before ScfConvergenceError
 
 
 class ScfConvergenceError(RuntimeError):
@@ -103,21 +104,15 @@ class IntegralSet:
 
     two_body holds (pq|rs) in chemists' notation with 8-fold symmetry;
     overlap is the identity for imported orthonormal integrals.  n_electrons
-    is carried as metadata so downstream stages know the default filling.
+    is the filling that the SCF and the reference determinants use.
     """
 
     n_orbitals: int
     core_energy: float
     one_body: np.ndarray
     two_body: np.ndarray
-    overlap: np.ndarray = None
-    n_electrons: int = None
-
-    def __post_init__(self):
-        if self.overlap is None:
-            object.__setattr__(self, "overlap", np.eye(self.n_orbitals))
-        if self.n_electrons is None:
-            object.__setattr__(self, "n_electrons", self.n_orbitals)
+    overlap: np.ndarray
+    n_electrons: int
 
 
 def nuclear_repulsion(geometry: Geometry) -> float:
@@ -222,18 +217,12 @@ class ScfResult:
     n_iterations: int
 
 
-def hartree_fock(
-    ints: IntegralSet,
-    n_electrons: int | None = None,
-    *,
-    max_iterations: int = 200,
-) -> ScfResult:
-    """Restricted closed-shell SCF from a core-Hamiltonian guess, with DIIS."""
-    if n_electrons is None:
-        n_electrons = ints.n_electrons
-    if n_electrons % 2 != 0:
+def hartree_fock(ints: IntegralSet) -> ScfResult:
+    """Restricted closed-shell SCF of ints.n_electrons electrons from a
+    core-Hamiltonian guess, with DIIS."""
+    if ints.n_electrons % 2 != 0:
         raise ValueError("restricted SCF needs an even electron count")
-    n_occ = n_electrons // 2
+    n_occ = ints.n_electrons // 2
     if n_occ > ints.n_orbitals:
         raise ValueError("more electron pairs than orbitals")
 
@@ -264,7 +253,7 @@ def hartree_fock(
     fock_hist: list[np.ndarray] = []
     err_hist: list[np.ndarray] = []
     delta = np.inf
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_SCF_ITERATIONS + 1):
         fock = fock_of(p)
 
         err = x.T @ (fock @ p @ s - s @ p @ fock) @ x
@@ -297,7 +286,7 @@ def hartree_fock(
             energies, c = solve_orbitals(fock)
             return ScfResult(c, energies, e_elec + ints.core_energy, iteration)
     raise ScfConvergenceError(
-        f"SCF not converged after {max_iterations} iterations (last change {delta:.3e})"
+        f"SCF not converged after {MAX_SCF_ITERATIONS} iterations (last change {delta:.3e})"
     )
 
 
@@ -325,6 +314,7 @@ def mo_integrals(ints: IntegralSet, scf: ScfResult) -> IntegralSet:
         core_energy=ints.core_energy,
         one_body=c.T @ ints.one_body @ c,
         two_body=np.einsum(_MO_TRANSFORM, ints.two_body, c, c, c, c, optimize=path),
+        overlap=np.eye(ints.n_orbitals),
         n_electrons=ints.n_electrons,
     )
 

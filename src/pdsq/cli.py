@@ -18,6 +18,7 @@ from .exact import exact_spectrum, exact_transitions
 from .moments import moments_for_state, unique_string_count
 from .pds import build_system, polynomial_roots, transition_energies
 from .pipeline import (
+    LADDER_ROWS,
     MODES,
     SECTORS,
     RunConfig,
@@ -28,19 +29,36 @@ from .pipeline import (
     register_width,
     run_pipeline,
     sample_sector,
-    unique_measured_strings,
 )
 
 ENV_OUTPUT_DIR = "PDSQ_OUTPUT_DIR"
 
-CONFIG_KEYS = {
-    "spacings", "geometry", "fcidump", "k_max", "shots", "seed",
-    "spam_p", "mode", "output_dir", "mitigation",
-}
-
 
 class CliError(ValueError):
     pass
+
+
+def _parse_spacings(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(float(t) for t in text.replace(",", " ").split())
+    except ValueError:
+        raise CliError(f"invalid spacing list: {text!r}") from None
+
+
+# config key -> (RunConfig field, parser of its text); an unset key leaves
+# the field at RunConfig's default
+CONFIG_KEYS = {
+    "spacings": ("spacings", _parse_spacings),
+    "geometry": ("geometry_path", str),
+    "fcidump": ("fcidump_path", str),
+    "k_max": ("k_max", int),
+    "shots": ("shots", int),
+    "seed": ("seed", int),
+    "spam_p": ("spam_p", float),
+    "mode": ("mode", str),
+    "output_dir": ("output_dir", Path),
+    "mitigation": ("apply_mitigation", lambda text: text != "off"),
+}
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
@@ -59,13 +77,6 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _parse_spacings(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(t) for t in text.replace(",", " ").split())
-    except ValueError:
-        raise CliError(f"invalid spacing list: {text!r}") from None
-
-
 def build_run_config(args) -> RunConfig:
     raw = _parse_config_file(args.config) if args.config else {}
     if args.spacings is not None:
@@ -80,20 +91,11 @@ def build_run_config(args) -> RunConfig:
             raw[key] = str(flag)
     if getattr(args, "no_mitigation", False):
         raw["mitigation"] = "off"
-
-    default_out = os.environ.get(ENV_OUTPUT_DIR, "pdsq-out")
-    return RunConfig(
-        spacings=_parse_spacings(raw["spacings"]) if "spacings" in raw else None,
-        geometry_path=raw.get("geometry"),
-        fcidump_path=raw.get("fcidump"),
-        k_max=int(raw.get("k_max", 10)),
-        shots=int(raw.get("shots", 8192)),
-        seed=int(raw.get("seed", 7)),
-        spam_p=float(raw.get("spam_p", 0.0)),
-        mode=raw.get("mode", "exact"),
-        output_dir=Path(raw.get("output_dir", default_out)),
-        apply_mitigation=raw.get("mitigation", "on") != "off",
-    )
+    if ENV_OUTPUT_DIR in os.environ:
+        raw.setdefault("output_dir", os.environ[ENV_OUTPUT_DIR])
+    return RunConfig(**{
+        field: parse(raw[key]) for key, (field, parse) in CONFIG_KEYS.items() if key in raw
+    })
 
 
 def _add_source_flags(sub):
@@ -110,7 +112,6 @@ def _add_source_flags(sub):
 
 def cmd_integrals(args) -> int:
     cfg = build_run_config(args)
-    cfg.validate()
     problem = build_problem(cfg)
     ints = problem.integrals
     print(f"orbitals: {ints.n_orbitals}  electrons: {ints.n_electrons}")
@@ -144,7 +145,7 @@ def cmd_taper(args) -> int:
     cfg = build_run_config(args)
     problem = build_problem(cfg)
     max_power = 2 * cfg.k_max - 1
-    full_unique = len(unique_measured_strings(problem.cache, max_power))
+    full_unique = unique_string_count(problem.cache, max_power)[-1]
     print(f"original: {problem.hamiltonian.n_qubits} qubits, "
           f"{problem.hamiltonian.n_terms} terms, {full_unique} unique strings "
           f"(powers <= {max_power})")
@@ -155,7 +156,7 @@ def cmd_taper(args) -> int:
         for g, q, s in zip(td.generators, td.paulix_partners, td.sector_signs):
             print(f"  generator {g.label}  partner qubit {q}  sign {s:+d}")
         print(f"  removed qubits: {list(td.removed_qubits)} -> {td.n_remaining} remain")
-        tapered_unique = len(unique_measured_strings(ctx.tapered_cache, max_power))
+        tapered_unique = unique_string_count(ctx.tapered_cache, max_power)[-1]
         print(f"  tapered: {ctx.tapered_h.n_terms} terms, "
               f"{tapered_unique} unique strings")
         print(f"  tapered reference state: |{taper.taper_state(ctx.determinant, td)}>")
@@ -167,14 +168,7 @@ def cmd_plan(args) -> int:
     problem = build_problem(cfg)
     ladders = {s: measurement_ladder(problem, s, cfg.k_max) for s in SECTORS}
     print(f"{'strategy':<32} {'singlet':>8} {'triplet':>8}")
-    rows = [
-        ("original", "original"),
-        ("qwc", "qwc"),
-        ("tapering", "tapered"),
-        ("tapering+qwc", "tapered_qwc"),
-        ("tapering+qwc+parallelization", "batches"),
-    ]
-    for label, attr in rows:
+    for label, attr in LADDER_ROWS:
         s = getattr(ladders["singlet"], attr)
         t = getattr(ladders["triplet"], attr)
         print(f"{label:<32} {s:>8} {t:>8}")

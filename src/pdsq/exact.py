@@ -2,7 +2,7 @@
 
 Sector filtering selects computational basis states by electron count and
 s_z under the blocked spin-orbital convention (alpha qubits first), which is
-how "exact" singlet/triplet energies are extracted from the full spectrum.
+how "exact" singlet/triplet energies are extracted from the full Hamiltonian.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ DEGENERACY_TOL = 1e-9
 @dataclass(frozen=True)
 class SpectrumResult:
     eigenvalues: np.ndarray  # ascending, hartree
-    sector: tuple[int, float] | None = None  # (n_electrons, s_z) filter used
 
     @property
     def ground(self) -> float:
@@ -42,24 +41,20 @@ def sector_basis_indices(n_qubits: int, n_electrons: int, s_z: float) -> np.ndar
     return np.nonzero(keep)[0]
 
 
-def exact_spectrum(
-    h: PauliSum, sector: tuple[int, float] | None = None
-) -> SpectrumResult:
-    """Eigenvalues of the dense Hamiltonian, optionally restricted to a sector."""
+def exact_spectrum(h: PauliSum, sector: tuple[int, float]) -> SpectrumResult:
+    """Eigenvalues of the dense Hamiltonian restricted to the basis states of
+    sector = (n_electrons, s_z)."""
     if h.n_qubits > 16:
         raise ValueError("dense diagonalization limited to 16 qubits")
-    matrix = h.to_matrix()
-    if sector is not None:
-        n_electrons, s_z = sector
-        keep = sector_basis_indices(h.n_qubits, n_electrons, s_z)
-        if keep.size == 0:
-            raise ValueError(f"empty sector {sector}")
-        matrix = matrix[np.ix_(keep, keep)]
+    keep = sector_basis_indices(h.n_qubits, *sector)
+    if keep.size == 0:
+        raise ValueError(f"empty sector {sector}")
+    matrix = h.to_matrix()[np.ix_(keep, keep)]
     herm_defect = np.max(np.abs(matrix - matrix.conj().T))
     if herm_defect > 1e-9:
         raise ValueError(f"Hamiltonian is not Hermitian (defect {herm_defect:.2e})")
     eigenvalues = np.linalg.eigvalsh(matrix)
-    return SpectrumResult(eigenvalues, sector)
+    return SpectrumResult(eigenvalues)
 
 
 def lowest_spin_singlet_excitation(

@@ -48,7 +48,7 @@ class PackedBatch:
     """Up to register_width/slot_width groups measured in one execution."""
 
     slots: tuple[tuple[QwcGroup, int], ...]  # (group, qubit offset)
-    register_width: int = 20
+    register_width: int
 
     def __post_init__(self):
         taken = 0
@@ -118,7 +118,7 @@ def _peel_group(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.uint64, np
 
 
 def pack_batches(
-    groups: Sequence[QwcGroup], slot_width: int = 5, register: int = 20
+    groups: Sequence[QwcGroup], slot_width: int, register: int
 ) -> list[PackedBatch]:
     """Pack groups register // slot_width to an execution, in group order:
     four 5-qubit groups to the 20-qubit device, and one to an execution in

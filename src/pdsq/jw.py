@@ -51,7 +51,7 @@ def _string_products(modes: np.ndarray, daggers: tuple[bool, ...]):
     return x, z, e & 3
 
 
-def jordan_wigner(tables: SpinOrbitalTables, drop_tol: float = 1e-12) -> PauliSum:
+def jordan_wigner(tables: SpinOrbitalTables) -> PauliSum:
     """Qubit Hamiltonian of core + one-body + antisymmetrized two-body tables."""
     m = tables.n_spin_orbitals
     one, two = tables.one_body, tables.two_body
@@ -101,6 +101,5 @@ def jordan_wigner(tables: SpinOrbitalTables, drop_tol: float = 1e-12) -> PauliSu
     weight = scale[product[first][nonzero]]
     # then sum the scaled products string by string, in loop order
     return _sum_in_order(
-        m, x[first][nonzero], z[first][nonzero],
-        weight * re[nonzero], weight * im[nonzero], drop_tol,
+        m, x[first][nonzero], z[first][nonzero], weight * re[nonzero], weight * im[nonzero]
     )

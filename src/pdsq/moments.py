@@ -37,8 +37,8 @@ BREAKDOWN_TOL = 1e-8
 
 
 # Largest |H^(n-1)| * |H| string-pair count one power-ladder step may take
-# on.  Measured with tracemalloc (2.3M-3.9M pairs onto 4096 or 65536
-# strings), a product that builds its merge structure peaks at about 17
+# on.  Measured with tracemalloc (1.5M-3.9M pairs onto 4096 or 65536
+# strings), a product that builds its merge structure peaks at about 10
 # (4^n table) to 42 (sort; 66 past 32 qubits) bytes per pair, and one that
 # reuses it at 8, besides ~60 bytes per distinct output string; so a step
 # stays near 1 GiB.  The full H4 ladder needs at most 781,440 pairs, and H6

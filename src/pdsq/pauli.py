@@ -52,7 +52,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 import scipy.sparse
 
-DEFAULT_DROP_TOL = 1e-12
+# A merged coefficient with np.abs(c) <= DROP_TOL is dropped from a sum.
+DROP_TOL = 1e-12
 
 _LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _LETTER_BITS = {v: k for k, v in _LETTERS.items()}
@@ -152,13 +153,13 @@ class PauliSum:
     Its only state is the mask_arrays(): its distinct strings' x and z masks
     (uint64) and coefficients (complex128), ascending on (z_mask, x_mask).
     Constructors, + and scaling merge terms in input order, each string's
-    coefficients added one by one from 0.0, and drop np.abs(c) <= drop_tol.
+    coefficients added one by one from 0.0, and drop np.abs(c) <= DROP_TOL.
     Instances are immutable after construction; arithmetic returns new sums.
     """
 
     __slots__ = ("n_qubits", "_x", "_z", "_c", "_product_cache")
 
-    def __init__(self, n_qubits: int, terms=None, *, drop_tol: float = DEFAULT_DROP_TOL):
+    def __init__(self, n_qubits: int, terms=None):
         if n_qubits > 64:
             raise ValueError("PauliSum supports at most 64 qubits")
         mask = (1 << n_qubits) - 1
@@ -179,7 +180,7 @@ class PauliSum:
         bad = np.flatnonzero(~np.isfinite(c))
         if bad.size:
             raise ValueError(f"non-finite coefficient {cs[bad[0]]} on term masks {keys[bad[0]]}")
-        merged = _sum_in_order(n_qubits, x, z, c.real, c.imag, drop_tol)
+        merged = _sum_in_order(n_qubits, x, z, c.real, c.imag)
         self.n_qubits = n_qubits
         self._x, self._z, self._c = merged.mask_arrays()
         # (left operand's mask bytes, _ProductStructure) of the last product
@@ -193,12 +194,12 @@ class PauliSum:
         return cls(n_qubits)
 
     @classmethod
-    def identity(cls, n_qubits: int, coeff: complex = 1.0) -> "PauliSum":
-        return cls(n_qubits, {(0, 0): coeff})
+    def identity(cls, n_qubits: int) -> "PauliSum":
+        return cls(n_qubits, {(0, 0): 1.0})
 
     @classmethod
-    def from_string(cls, string: PauliString, coeff: complex = 1.0) -> "PauliSum":
-        return cls(string.n_qubits, {(string.x, string.z): coeff})
+    def from_string(cls, string: PauliString) -> "PauliSum":
+        return cls(string.n_qubits, {(string.x, string.z): 1.0})
 
     @classmethod
     def _from_canonical(cls, n_qubits: int, x, z, c) -> "PauliSum":
@@ -244,7 +245,7 @@ class PauliSum:
         c = np.concatenate((self._c, other._c))
         return _sum_in_order(
             self.n_qubits, np.concatenate((self._x, other._x)),
-            np.concatenate((self._z, other._z)), c.real, c.imag, DEFAULT_DROP_TOL,
+            np.concatenate((self._z, other._z)), c.real, c.imag,
         )
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
@@ -263,7 +264,7 @@ class PauliSum:
         # CPython's complex product, part by part: NumPy's complex128
         # multiply rounds some products differently
         re, im = re * s.real - im * s.imag, re * s.imag + im * s.real
-        return _sum_in_order(self.n_qubits, self._x, self._z, re, im, DEFAULT_DROP_TOL)
+        return _sum_in_order(self.n_qubits, self._x, self._z, re, im)
 
     # -- bulk views --------------------------------------------------------
 
@@ -358,9 +359,7 @@ def _product_structure(a: PauliSum, b: PauliSum) -> _ProductStructure:
     return structure
 
 
-def multiply_sums(
-    a: PauliSum, b: PauliSum, drop_tol: float = DEFAULT_DROP_TOL
-) -> PauliSum:
+def multiply_sums(a: PauliSum, b: PauliSum) -> PauliSum:
     """Distributed product of two sums with like-string merging.
 
     All |a| * |b| string products are evaluated in one vectorized pass, then
@@ -405,7 +404,7 @@ def multiply_sums(
             shape=(2 * len(s.x), len(ca)),
         )
         acc = (scatter @ ca.real).view(np.complex128)
-    keep = np.abs(acc) > drop_tol
+    keep = np.abs(acc) > DROP_TOL
     return PauliSum._from_canonical(a.n_qubits, s.x[keep], s.z[keep], acc[keep])
 
 
@@ -429,12 +428,17 @@ def _number_strings(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ux, uz, inverse): the distinct strings of the n-qubit unsigned mask
     arrays x, z as uint64 masks in canonical order, and each input's index
-    among them, so ux[inverse] == x (see the module docstring)."""
+    among them, so ux[inverse] == x (see the module docstring).
+
+    The 4^n-table branch counts in int32: it runs only with at least 4^n
+    inputs, so any table that fits in memory has n <= 15 and fewer than
+    2^31 entries.  The sort branch returns intp indices.
+    """
     if 1 << 2 * n <= x.size:
         keys = z.astype(np.min_scalar_type((1 << 2 * n) - 1)) << n | x
         present = np.zeros(1 << 2 * n, dtype=bool)
         present[keys] = True
-        inverse = (np.cumsum(present) - 1)[keys]
+        inverse = (np.cumsum(present, dtype=np.int32) - 1)[keys]
         codes = np.flatnonzero(present).astype(np.uint64)
         return codes & np.uint64((1 << n) - 1), codes >> np.uint64(n), inverse
     order = np.lexsort((x, z))
@@ -448,15 +452,14 @@ def _number_strings(
 
 
 def _sum_in_order(
-    n_qubits: int, x: np.ndarray, z: np.ndarray, re: np.ndarray, im: np.ndarray,
-    drop_tol: float,
+    n_qubits: int, x: np.ndarray, z: np.ndarray, re: np.ndarray, im: np.ndarray
 ) -> PauliSum:
     """Sum of the terms (x[i], z[i], re[i] + i im[i]), each string's terms
     added one after another in array order from 0.0, the real and imaginary
-    parts apart; a string with np.abs(c) <= drop_tol is dropped."""
+    parts apart; a string with np.abs(c) <= DROP_TOL is dropped."""
     ux, uz, inverse = _number_strings(n_qubits, x, z)
     acc = np.empty(ux.size, dtype=np.complex128)
     acc.real = np.bincount(inverse, weights=re, minlength=ux.size)
     acc.imag = np.bincount(inverse, weights=im, minlength=ux.size)
-    keep = np.abs(acc) > drop_tol
+    keep = np.abs(acc) > DROP_TOL
     return PauliSum._from_canonical(n_qubits, ux[keep], uz[keep], acc[keep])

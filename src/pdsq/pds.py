@@ -74,9 +74,12 @@ class MomentSystem:
 @dataclass(frozen=True)
 class PdsResult:
     roots: np.ndarray  # real parts, ascending, hartree
-    imag_parts: np.ndarray  # |Im| aligned with roots
-    residuals: np.ndarray  # |P_K(root)| per root
-    discarded_imaginary: float  # max |Im| encountered
+    imag_parts: np.ndarray  # |Im| aligned with roots, 0 up to DEFAULT_IMAG_TOL
+
+    @property
+    def discarded_imaginary(self) -> float:
+        """Largest |Im| kept in imag_parts (0.0 without roots)."""
+        return float(self.imag_parts.max(initial=0.0))
 
     def require_real(self, index: int) -> float:
         """Root value at `index`, erroring if its |Im| exceeds DEFAULT_IMAG_TOL."""
@@ -135,8 +138,7 @@ def polynomial_roots(X: np.ndarray | Recurrence) -> PdsResult:
     """
     if isinstance(X, Recurrence):
         roots = np.linalg.eigvalsh(X.jacobi())
-        residuals = np.abs(np.polyval(np.concatenate(([1.0], np.asarray(X))), roots))
-        return PdsResult(roots, np.zeros_like(roots), residuals, 0.0)
+        return PdsResult(roots, np.zeros_like(roots))
     X = np.asarray(X, dtype=float)
     if not np.all(np.isfinite(X)):
         raise ValueError("polynomial coefficients must be finite")
@@ -148,9 +150,7 @@ def polynomial_roots(X: np.ndarray | Recurrence) -> PdsResult:
     imag_parts[imag_parts <= DEFAULT_IMAG_TOL] = 0.0
     if len(roots) and imag_parts[0] > DEFAULT_IMAG_TOL:
         raise ComplexRootError(complex(roots[0], imag_parts[0]), 0)
-    residuals = np.abs(np.polyval(coeffs, roots))
-    worst = float(np.max(imag_parts)) if len(roots) else 0.0
-    return PdsResult(roots, imag_parts, residuals, worst)
+    return PdsResult(roots, imag_parts)
 
 
 def pds_from_values(moment_values: np.ndarray, K: int) -> PdsResult:

@@ -64,7 +64,7 @@ class RunConfig:
     output_dir: Path = Path("pdsq-out")
     apply_mitigation: bool = True
 
-    def validate(self) -> None:
+    def __post_init__(self):
         sources = [
             s for s in (self.spacings, self.geometry_path, self.fcidump_path)
             if s is not None
@@ -113,7 +113,6 @@ def load_geometry(cfg: RunConfig) -> chem.Geometry | None:
 
 
 def build_problem(cfg: RunConfig) -> Problem:
-    cfg.validate()
     geometry = load_geometry(cfg)
     if geometry is not None:
         ints = chem.compute_integrals(geometry)
@@ -160,6 +159,16 @@ class MeasurementLadder:
     batches: int
 
 
+# (measurement_counts.csv and `pdsq plan` row label, MeasurementLadder field)
+LADDER_ROWS = (
+    ("original", "original"),
+    ("qwc", "qwc"),
+    ("tapering", "tapered"),
+    ("tapering+qwc", "tapered_qwc"),
+    ("tapering+qwc+parallelization", "batches"),
+)
+
+
 def measurement_ladder(problem: Problem, sector: str, k_max: int) -> MeasurementLadder:
     max_power = 2 * k_max - 1
     ctx = problem.sectors[sector]
@@ -167,7 +176,7 @@ def measurement_ladder(problem: Problem, sector: str, k_max: int) -> Measurement
     tapered_strings = unique_measured_strings(ctx.tapered_cache, max_power)
     full_groups = grouping.group_qwc(full_strings)
     tapered_groups = grouping.group_qwc(tapered_strings)
-    batches = grouping.pack_batches(tapered_groups, ctx.tapered_h.n_qubits)
+    batches = grouping.pack_batches(tapered_groups, ctx.tapered_h.n_qubits, DEVICE_REGISTER)
     return MeasurementLadder(
         original=len(full_strings),
         qwc=len(full_groups),
@@ -215,8 +224,9 @@ def sample_sector(
     batches = grouping.pack_batches(groups, ctx.tapered_h.n_qubits, register)
     noise = NoiseModel(spam_p) if spam_p > 0.0 else None
     for bi, batch in enumerate(batches):
-        states = [ctx.tapered_state] * len(batch.slots)
-        yield batch, sample_batch(states, batch, shots, noise, seed=[seed, sector_index, bi])
+        yield batch, sample_batch(
+            ctx.tapered_state, batch, shots, noise, seed=[seed, sector_index, bi]
+        )
 
 
 def estimate_expectations_parallel(
@@ -356,7 +366,6 @@ def run_pipeline(cfg: RunConfig, problem: Problem | None = None) -> RunReport:
     ValueError, an input error (a bad geometry, FCIDUMP or electron count),
     which passes unwrapped as it does from every other subcommand.  A
     prebuilt problem may be passed to reuse cached power ladders."""
-    cfg.validate()  # validation errors surface before any computation
     if cfg.k_max < 2:
         raise ValueError("run needs k_max >= 2: the report's S1 is the second singlet root")
 
@@ -413,12 +422,8 @@ def _write_reports(
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["strategy", "singlet", "triplet"])
-        l_s, l_t = report.ladders["singlet"], report.ladders["triplet"]
-        writer.writerow(["original", l_s.original, l_t.original])
-        writer.writerow(["qwc", l_s.qwc, l_t.qwc])
-        writer.writerow(["tapering", l_s.tapered, l_t.tapered])
-        writer.writerow(["tapering+qwc", l_s.tapered_qwc, l_t.tapered_qwc])
-        writer.writerow(["tapering+qwc+parallelization", l_s.batches, l_t.batches])
+        for label, attr in LADDER_ROWS:
+            writer.writerow([label, *(getattr(report.ladders[s], attr) for s in SECTORS)])
     report.files.append(path)
 
     path = out / "energy_vs_order.csv"

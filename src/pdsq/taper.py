@@ -31,9 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chem import ReferenceDeterminant
-from .pauli import (
-    DEFAULT_DROP_TOL, PauliString, PauliSum, _check_qubits, _multiply_masks, _sum_in_order,
-)
+from .pauli import PauliString, PauliSum, _check_qubits, _multiply_masks, _sum_in_order
 
 
 @dataclass(frozen=True)
@@ -226,9 +224,7 @@ def taper_operator(h: PauliSum, td: TaperingData) -> PauliSum:
     x, z = _compact(x, remaining), _compact(z, remaining)
     if int((x | z).max(initial=0)) >> td.n_remaining:
         raise ValueError("term masks exceed qubit count")
-    return _sum_in_order(
-        td.n_remaining, x, z, c.real * factor, c.imag * factor, DEFAULT_DROP_TOL
-    )
+    return _sum_in_order(td.n_remaining, x, z, c.real * factor, c.imag * factor)
 
 
 def taper_state(det: ReferenceDeterminant, td: TaperingData) -> str:

@@ -26,7 +26,7 @@ def h2_system():
     """Small fast system: H2 near equilibrium (4 qubits)."""
     geometry = chem.build_h_chain([0.7414])
     ints = chem.compute_integrals(geometry)
-    scf = chem.hartree_fock(ints, 2)
+    scf = chem.hartree_fock(ints)
     tables = chem.second_quantized_hamiltonian(ints, scf)
     hamiltonian = jw.jordan_wigner(tables)
     det = chem.reference_determinant("singlet", 2, 4)

@@ -63,11 +63,13 @@ def qubit_wise_commutes(a: PauliString, b: PauliString) -> bool:
 
 def allclose(a: PauliSum, b: PauliSum, tol: float = 1e-10) -> bool:
     """True when every string's coefficients in a and b differ by at most tol:
-    a's terms, then b's negated, merged in order and dropped at tol."""
+    a's terms, then b's negated, summed string by string in order."""
     if a.n_qubits != b.n_qubits:
         return False
-    terms = [*a.terms(), *((s, -c) for s, c in b.terms())]
-    return not PauliSum(a.n_qubits, terms, drop_tol=tol)
+    diff: dict[PauliString, complex] = {}
+    for string, coeff in [*a.terms(), *((s, -c) for s, c in b.terms())]:
+        diff[string] = diff.get(string, 0.0) + coeff
+    return all(abs(c) <= tol for c in diff.values())
 
 
 def random_sum(rng: np.random.Generator, n_qubits: int, n_terms: int, real: bool = True) -> PauliSum:

@@ -153,15 +153,15 @@ def basis_change_reference(amplitudes, rotation) -> np.ndarray:
     return amps.reshape(-1)
 
 
-def sample_batch_reference(state_per_slot, batch, shots: int, noise=None, seed=None):
-    """A packed execution's counts drawn slot by slot: each slot's state
-    rotated by basis_change_reference, drawn with rng.choice, shifted to its
-    offset, then flipped by apply_bit_flips_reference."""
+def sample_batch_reference(state, batch, shots: int, noise, seed):
+    """A packed execution's counts drawn slot by slot: a copy of state per
+    slot rotated by basis_change_reference, drawn with rng.choice, shifted to
+    its offset, then flipped by apply_bit_flips_reference."""
     from pdsq.backend import CountTable
 
     rng = np.random.default_rng(seed)
     joint = np.zeros(shots, dtype=np.int64)
-    for state, (group, offset) in zip(state_per_slot, batch.slots):
+    for group, offset in batch.slots:
         probs = np.abs(basis_change_reference(state.amplitudes, group.rotation)) ** 2
         probs = probs / probs.sum()
         joint |= rng.choice(probs.size, size=shots, p=probs) << offset
@@ -217,7 +217,7 @@ def multiply_sums_reference(a, b, drop_tol: float = 1e-12):
         np.add.at(acc, inverse.ravel(), coeffs.ravel())
         keep = np.abs(acc) > drop_tol
         terms = {(int(ux), int(uz)): c for (ux, uz), c in zip(uniq[keep], acc[keep])}
-    return PauliSum(a.n_qubits, terms, drop_tol=drop_tol)
+    return pauli_sum_reference(a.n_qubits, terms, drop_tol=drop_tol)
 
 
 def number_strings_reference(x, z):
@@ -414,14 +414,15 @@ def ladder_operator(index: int, n_modes: int, dagger: bool):
 
 def jordan_wigner_reference(tables, drop_tol: float = 1e-12):
     """Qubit Hamiltonian of spin-orbital tables, one table entry at a time:
-    each a+_p a_q or a+_p a+_q a_s a_r is a `multiply_sums` product of ladder
-    operators, scaled and added into a dict in (p, q) then (p, q, r, s)
-    row-major order, starting from the core energy.
+    each a+_p a_q or a+_p a+_q a_s a_r is a `multiply_sums_reference`
+    product of ladder operators (nothing dropped), scaled and added into a
+    dict in (p, q) then (p, q, r, s) row-major order, starting from the core
+    energy.
 
     The reference the one-pass expansion is checked against byte for byte.
     """
     from pdsq.jw import _COEFF_CUTOFF
-    from pdsq.pauli import PauliSum, multiply_sums
+    from pdsq.pauli import PauliSum
 
     m = tables.n_spin_orbitals
     create = [ladder_operator(p, m, dagger=True) for p in range(m)]
@@ -437,7 +438,7 @@ def jordan_wigner_reference(tables, drop_tol: float = 1e-12):
 
     def cached_product(cache, ops, i, j):
         if (i, j) not in cache:
-            cache[(i, j)] = multiply_sums(ops[i], ops[j], drop_tol=0.0)
+            cache[(i, j)] = multiply_sums_reference(ops[i], ops[j], drop_tol=0.0)
         return cache[(i, j)]
 
     cc_cache: dict[tuple[int, int], PauliSum] = {}
@@ -447,7 +448,7 @@ def jordan_wigner_reference(tables, drop_tol: float = 1e-12):
     for p in range(m):
         for q in range(m):
             if abs(one[p, q]) > _COEFF_CUTOFF:
-                add(multiply_sums(create[p], annihilate[q], drop_tol=0.0), one[p, q])
+                add(multiply_sums_reference(create[p], annihilate[q], drop_tol=0.0), one[p, q])
 
     two = tables.two_body
     for p in range(m):
@@ -464,7 +465,7 @@ def jordan_wigner_reference(tables, drop_tol: float = 1e-12):
                         continue
                     # a+_p a+_q a_s a_r, weighted by <pq||rs>/4
                     aa = cached_product(aa_cache, annihilate, s, r)
-                    add(multiply_sums(cc, aa, drop_tol=0.0), 0.25 * v)
+                    add(multiply_sums_reference(cc, aa, drop_tol=0.0), 0.25 * v)
 
     return pauli_sum_reference(m, accum, drop_tol=drop_tol)
 
@@ -616,9 +617,7 @@ def serial_draws_reference(ctx, max_power: int, shots: int, seed: int, sector_in
 
     groups = group_qwc(unique_measured_strings(ctx.tapered_cache, max_power))
     return [
-        (group, serial_sample(
-            ctx.tapered_state, group, shots, noise, seed=[seed, sector_index, gi]
-        ))
+        (group, serial_sample(ctx.tapered_state, group, shots, noise, [seed, sector_index, gi]))
         for gi, group in enumerate(groups)
     ]
 
@@ -632,12 +631,9 @@ def packed_draws_reference(ctx, max_power: int, shots: int, seed: int, sector_in
     from pdsq.pipeline import unique_measured_strings
 
     groups = group_qwc(unique_measured_strings(ctx.tapered_cache, max_power))
-    batches = pack_batches(groups, ctx.tapered_h.n_qubits)
+    batches = pack_batches(groups, ctx.tapered_h.n_qubits, 20)
     return [
-        (batch, sample_batch(
-            [ctx.tapered_state] * len(batch.slots), batch, shots, noise,
-            seed=[seed, sector_index, bi],
-        ))
+        (batch, sample_batch(ctx.tapered_state, batch, shots, noise, [seed, sector_index, bi]))
         for bi, batch in enumerate(batches)
     ]
 

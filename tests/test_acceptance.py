@@ -200,9 +200,7 @@ def test_criterion_7_sampling_behavior(h4_problem):
     # serial-mode sampled PDS(10) at 1e5 shots per group
     estimates = {}
     for gi, group in enumerate(groups):
-        counts = serial_sample(
-            ctx.tapered_state, group, 100_000, seed=[1234, 0, gi]
-        )
+        counts = serial_sample(ctx.tapered_state, group, 100_000, None, [1234, 0, gi])
         estimates.update(expectations_from_group_counts(counts, group))
     values = moments_from_estimates(ctx.tapered_cache, estimates, 10)
     sampled = pds_from_values(values, 10)
@@ -221,9 +219,7 @@ def test_criterion_7_sampling_behavior(h4_problem):
     for shots in shot_levels:
         errs = []
         for seed in range(24):
-            counts = serial_sample(
-                ctx.tapered_state, group, shots, seed=[777, shots, seed]
-            )
+            counts = serial_sample(ctx.tapered_state, group, shots, None, [777, shots, seed])
             est = expectations_from_group_counts(counts, group)
             errs.append(
                 np.sqrt(np.mean([(est[m] - exact_vals[m]) ** 2 for m in group.members]))

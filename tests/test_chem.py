@@ -1,5 +1,6 @@
 """Geometry, STO-3G integrals, RHF, and spin-orbital tables."""
 
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -137,7 +138,7 @@ def test_h_atom_energy_matches_reference():
 def test_h2_rhf_energy_matches_reference():
     r = 1.4 / BOHR_PER_ANGSTROM
     ints = chem.compute_integrals(chem.build_h_chain([r]))
-    scf = chem.hartree_fock(ints, 2)
+    scf = chem.hartree_fock(ints)
     assert scf.scf_energy == pytest.approx(-1.1167, abs=2e-4)
     assert scf.orbital_energies.shape == (2,)
     assert scf.orbital_energies[0] < 0 < scf.orbital_energies[1]
@@ -168,14 +169,15 @@ def test_scf_orbitals_orthonormal_and_variational(h4_problem):
 def test_scf_rejects_odd_electron_counts():
     ints = chem.compute_integrals(chem.build_h_chain([1.0]))
     with pytest.raises(ValueError, match="even electron count"):
-        chem.hartree_fock(ints, 3)
+        chem.hartree_fock(dataclasses.replace(ints, n_electrons=3))
 
 
-def test_scf_convergence_error():
+def test_scf_convergence_error(monkeypatch):
     # H4 needs ~19 iterations from the core guess; 2 cannot be enough
     ints = chem.compute_integrals(chem.build_h_chain([2.0, 2.0, 2.0]))
-    with pytest.raises(chem.ScfConvergenceError):
-        chem.hartree_fock(ints, 4, max_iterations=2)
+    monkeypatch.setattr(chem, "MAX_SCF_ITERATIONS", 2)
+    with pytest.raises(chem.ScfConvergenceError, match="after 2 iterations"):
+        chem.hartree_fock(ints)
 
 
 def test_tables_reproduce_scf_energy(h4_problem):

@@ -17,8 +17,10 @@ from helpers import from_labels
 
 
 def test_single_qubit_z_spectrum():
-    z = from_labels(1, {"Z": 1.0})
-    spec = exact_spectrum(z)
+    # Z on qubit 0 over the one-alpha-electron sector of 4 qubits: the
+    # electron sits on qubit 0 (Z = -1) or on qubit 1 (Z = +1)
+    z = from_labels(4, {"ZIII": 1.0})
+    spec = exact_spectrum(z, (1, 0.5))
     assert np.allclose(spec.eigenvalues, [-1.0, 1.0])
 
 
@@ -33,9 +35,9 @@ def test_sector_indices_blocked_convention():
 
 
 def test_sector_minimum_matches_unfiltered_when_ground_in_sector(h4):
-    full = exact_spectrum(h4)
+    full = np.linalg.eigvalsh(h4.to_matrix())
     singlet = exact_spectrum(h4, (4, 0.0))
-    assert singlet.ground == pytest.approx(full.ground, abs=1e-10)
+    assert singlet.ground == pytest.approx(full[0], abs=1e-10)
 
 
 def test_h4_reference_sector_energies(h4):
@@ -91,22 +93,21 @@ def test_insufficient_levels_error():
 
 
 def test_dimension_guard():
-    z = from_labels(1, {"Z": 1.0})
     with pytest.raises(ValueError, match="empty sector"):
         exact_spectrum(from_labels(2, {"ZI": 1.0}), (5, 0.0))
 
 
 def test_non_hermitian_rejected():
-    bad = PauliSum(1, {(1, 0): 1j})
+    bad = PauliSum(2, {(0, 1): 1j})  # iZ on qubit 0
     with pytest.raises(ValueError, match="not Hermitian"):
-        exact_spectrum(bad)
+        exact_spectrum(bad, (1, 0.5))
 
 
 def test_oracle_bounds_pds_roots(h4, h4_problem):
     from pdsq.moments import moments_for_state
     from pdsq.pds import build_system, polynomial_roots
 
-    ground = exact_spectrum(h4).ground
+    ground = np.linalg.eigvalsh(h4.to_matrix())[0]
     table = moments_for_state(h4, h4_problem.sectors["singlet"].state, 10)
     for K in (1, 3, 6, 10):
         res = polynomial_roots(build_system(table, K).X)

@@ -54,7 +54,7 @@ def test_computed_integrals_round_trip(tmp_path, h2_system):
     assert np.allclose(again.one_body, mo.one_body, atol=1e-12)
     assert np.allclose(again.two_body, mo.two_body, atol=1e-12)
     # the re-imported integrals give the same SCF energy (orthonormal basis)
-    scf = chem.hartree_fock(again, 2)
+    scf = chem.hartree_fock(again)
     assert scf.scf_energy == pytest.approx(h2_system["scf"].scf_energy, abs=1e-8)
 
 

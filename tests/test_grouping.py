@@ -169,7 +169,7 @@ def test_pack_batches_counts():
     # 5 single-string groups? no: all of those are QWC-compatible -> 1 group
     assert len(groups) == 1
     many = [QwcGroup((s,), s) for s in strings("XIIII", "ZIIII", "YIIII", "IXIII", "IZIII")]
-    batches = pack_batches(many)
+    batches = pack_batches(many, 5, 20)
     assert len(batches) == 2
     assert [off for _, off in batches[0].slots] == [0, 5, 10, 15]
     assert len(batches[1].slots) == 1
@@ -178,7 +178,7 @@ def test_pack_batches_counts():
 def test_pack_batches_width_mismatch():
     g = QwcGroup(tuple(strings("XX")), PauliString.from_label("XX"))
     with pytest.raises(ValueError, match="slot width"):
-        pack_batches([g])
+        pack_batches([g], 5, 20)
 
 
 @pytest.mark.parametrize("slot_width", [0, -5, 21])
@@ -213,12 +213,12 @@ def test_batch_count_is_ceil(n_groups):
         QwcGroup((PauliString.from_label("XIIII"),), PauliString.from_label("XIIII"))
         for _ in range(n_groups)
     ]
-    assert len(pack_batches(gs)) == -(-n_groups // 4)
+    assert len(pack_batches(gs, 5, 20)) == -(-n_groups // 4)
 
 
 def test_single_shot_all_zeros_gives_plus_one_for_z_members():
     group = group_qwc(strings("ZZIII", "IZZII", "ZIIII"))[0]
-    counts = CountTable(20, [0], [1], 1)
+    counts = CountTable(20, [0], [1])
     batch = PackedBatch(((group, 0),), 20)
     values = expectations_from_counts(counts, batch)
     assert all(v == pytest.approx(1.0) for v in values.values())
@@ -246,7 +246,7 @@ def test_marginal_of_product_histogram_is_exact():
 
 def test_empty_histogram_errors():
     group = group_qwc(strings("ZIIII"))[0]
-    counts = CountTable(5, [], [], 0)
+    counts = CountTable(5, [], [])
     with pytest.raises(ValueError, match="empty histogram"):
         expectations_from_group_counts(counts, group)
 

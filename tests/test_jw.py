@@ -1,11 +1,13 @@
 """Jordan-Wigner mapping against an occupation-basis fermion oracle."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdsq import chem, fcidump, jw
+from pdsq import chem, fcidump, jw, pauli
 from pdsq.backend import prepare_basis_state, exact_expectation
 from pdsq.exact import exact_spectrum
 from pdsq.pauli import PauliSum
@@ -90,8 +92,8 @@ def test_jw_matches_dense_fermionic_build(h2_system):
 def test_hamiltonian_commutes_with_number_and_sz(h4):
     n = h4.n_qubits
     half = n // 2
-    number = PauliSum.identity(n, 0.0)
-    sz = PauliSum.identity(n, 0.0)
+    number = PauliSum.zero(n)
+    sz = PauliSum.zero(n)
     for k in range(n):
         nk = ladder_operator(k, n, True) * ladder_operator(k, n, False)
         number = number + nk
@@ -170,9 +172,9 @@ def spin_orbital_tables(draw):
 @given(spin_orbital_tables(), st.sampled_from([1e-12, 0.0]))
 @settings(max_examples=80, deadline=None)
 def test_drawn_tables_match_the_entry_loop_bit_for_bit(tables, drop_tol):
-    assert_same_bits(
-        jw.jordan_wigner(tables, drop_tol), jordan_wigner_reference(tables, drop_tol)
-    )
+    with mock.patch.object(pauli, "DROP_TOL", drop_tol):
+        got = jw.jordan_wigner(tables)
+    assert_same_bits(got, jordan_wigner_reference(tables, drop_tol))
 
 
 def test_tables_past_32_modes_match_the_entry_loop_bit_for_bit():

@@ -36,7 +36,7 @@ def test_config_validation():
 
 
 def test_p_zero_is_identity():
-    counts = CountTable(3, [0b010, 0b111], [3, 1], 4)  # "010" and "111"
+    counts = CountTable(3, [0b010, 0b111], [3, 1])  # "010" and "111"
     probs = mitigate_table(counts, 0.0)
     assert probs.tolist() == [0.75, 0.25]
 
@@ -66,7 +66,7 @@ def test_full_support_round_trip_ten_bits():
 def test_output_is_a_distribution_after_clipping():
     # partial support forces clipping: mitigation on truncated counts
     # "0000", "1000", "0100" and "0011"
-    counts = CountTable(4, [0b0000, 0b0001, 0b0010, 0b1100], [9000, 60, 55, 1], 9116)
+    counts = CountTable(4, [0b0000, 0b0001, 0b0010, 0b1100], [9000, 60, 55, 1])
     values = mitigate_table(counts, 0.02)
     assert np.all(values >= 0.0)
     assert values.sum() == pytest.approx(1.0, abs=1e-12)
@@ -76,7 +76,7 @@ def test_output_is_a_distribution_after_clipping():
 def test_empty_histogram_errors():
     with pytest.raises(ValueError, match="empty"):
         mitigate([], [], 2, MitigationConfig(0.1))
-    counts = CountTable(2, [], [], 0)
+    counts = CountTable(2, [], [])
     with pytest.raises(ValueError, match="empty histogram"):
         mitigate_table(counts, 0.1)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdsq import pauli
 from pdsq.pauli import (
     _PHASES_ARR,
     PauliString,
@@ -222,10 +223,11 @@ def test_sum_mismatched_qubits():
         multiply_sums(PauliSum.identity(2), PauliSum.identity(3))
 
 
-def test_drop_tolerance_prunes():
+def test_drop_tolerance_prunes(monkeypatch):
     h = from_labels(1, {"X": 1e-15, "Z": 1.0})
     assert h.n_terms == 1
-    h2 = PauliSum(1, {(1, 0): 1e-15, (0, 1): 1.0}, drop_tol=0.0)
+    monkeypatch.setattr(pauli, "DROP_TOL", 0.0)
+    h2 = PauliSum(1, {(1, 0): 1e-15, (0, 1): 1.0})
     assert h2.n_terms == 2
 
 
@@ -253,10 +255,11 @@ def duplicate_heavy_input(rng, n_qubits):
 
 @pytest.mark.parametrize("n_qubits", [3, 33, 64])
 @pytest.mark.parametrize("drop_tol", [1e-12, 0.0])
-def test_constructor_matches_the_dict_merge(n_qubits, drop_tol):
+def test_constructor_matches_the_dict_merge(n_qubits, drop_tol, monkeypatch):
     """Every constructor merges like a Python dict taking the terms in turn,
     byte for byte: duplicates summed in input order from 0.0, cancellations
     dropped."""
+    monkeypatch.setattr(pauli, "DROP_TOL", drop_tol)
     rng = np.random.default_rng(n_qubits)
     terms, exact, near = duplicate_heavy_input(rng, n_qubits)
     strings = [(PauliString(n_qubits, x, z), c) for (x, z), c in terms]
@@ -264,21 +267,23 @@ def test_constructor_matches_the_dict_merge(n_qubits, drop_tol):
     kept = {(s.x, s.z) for s in want.strings()}
     assert exact not in kept and (near in kept) == (drop_tol == 0.0)
     for given in (terms, strings, (t for t in terms)):
-        assert_same_bits(PauliSum(n_qubits, given, drop_tol=drop_tol), want)
+        assert_same_bits(PauliSum(n_qubits, given), want)
     as_dict = dict(terms)
     assert_same_bits(
-        PauliSum(n_qubits, as_dict, drop_tol=drop_tol),
+        PauliSum(n_qubits, as_dict),
         pauli_sum_reference(n_qubits, as_dict, drop_tol=drop_tol),
     )
     labels = {s.label: c for s, c in strings}
     assert_same_bits(
         from_labels(n_qubits, labels),
-        pauli_sum_reference(n_qubits, [(PauliString.from_label(k), c) for k, c in labels.items()]),
+        pauli_sum_reference(
+            n_qubits, [(PauliString.from_label(k), c) for k, c in labels.items()], drop_tol
+        ),
     )
     assert_same_bits(PauliSum.zero(n_qubits), pauli_sum_reference(n_qubits))
-    assert_same_bits(PauliSum.identity(n_qubits, 0.5), pauli_sum_reference(n_qubits, {(0, 0): 0.5}))
+    assert_same_bits(0.5 * PauliSum.identity(n_qubits), pauli_sum_reference(n_qubits, {(0, 0): 0.5}))
     # coefficient finds every kept string and reads 0.0 for the rest
-    got = PauliSum(n_qubits, terms, drop_tol=drop_tol)
+    got = PauliSum(n_qubits, terms)
     for string, c in want.terms():
         assert got.coefficient(string) == c
     present = set(want.strings())
@@ -289,8 +294,8 @@ def test_constructor_matches_the_dict_merge(n_qubits, drop_tol):
     assert got.coefficient(identity) == dict(want.terms()).get(identity, 0.0)
 
 
-def test_constructor_drops_by_numpy_abs():
-    """A merged string is dropped when np.abs(c) <= drop_tol.  np.abs can
+def test_constructor_drops_by_numpy_abs(monkeypatch):
+    """A merged string is dropped when np.abs(c) <= DROP_TOL.  np.abs can
     differ from Python's abs by 1 ulp, so at that boundary alone the
     constructor may keep or drop a string differently from the dict merge."""
     rng = np.random.default_rng(2)
@@ -299,8 +304,10 @@ def test_constructor_drops_by_numpy_abs():
     # a value whose magnitudes differ, where the host has one; else the first
     k = int(np.argmax(mags != np.array([abs(v) for v in values.tolist()])))
     c, mag = values[k].item(), float(mags[k])
-    assert not PauliSum(1, {(1, 0): c}, drop_tol=mag)
-    assert len(PauliSum(1, {(1, 0): c}, drop_tol=np.nextafter(mag, 0.0))) == 1
+    monkeypatch.setattr(pauli, "DROP_TOL", mag)
+    assert not PauliSum(1, {(1, 0): c})
+    monkeypatch.setattr(pauli, "DROP_TOL", np.nextafter(mag, 0.0))
+    assert len(PauliSum(1, {(1, 0): c})) == 1
     assert len(pauli_sum_reference(1, {(1, 0): c}, drop_tol=mag)) == int(abs(c) > mag)
 
 
@@ -503,7 +510,7 @@ def test_cache_hit_recombines_new_coefficients():
     # (X + Z)^2 = 2I, but (X - Z)(X + Z) = XZ - ZX = -2iY: a hit must drop
     # and keep output strings by the new coefficients
     h = from_labels(1, {"X": 1.0, "Z": 1.0})
-    assert_same_sum(multiply_sums(h, h), PauliSum.identity(1, 2.0))
+    assert_same_sum(multiply_sums(h, h), 2.0 * PauliSum.identity(1))
     minus = from_labels(1, {"X": 1.0, "Z": -1.0})
     got = multiply_sums(minus, h)
     assert h._product_cache[0] == (minus.mask_arrays()[0].tobytes(),

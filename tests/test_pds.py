@@ -62,7 +62,7 @@ def test_polynomial_roots_recovers_known_roots():
     coeffs = np.poly(roots)  # monic by construction
     res = polynomial_roots(coeffs[1:])
     assert np.allclose(res.roots, roots, atol=1e-9)
-    assert np.max(res.residuals) < 1e-8
+    assert np.max(np.abs(np.polyval(coeffs, res.roots))) < 1e-8
 
 
 def test_polynomial_roots_rejects_nonfinite():

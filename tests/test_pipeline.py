@@ -28,30 +28,26 @@ def h2_config(tmp_path, **overrides):
 
 def test_exactly_one_source_required(tmp_path):
     with pytest.raises(ValueError, match="exactly one"):
-        RunConfig(
-            spacings=(1.0,), fcidump_path="x.fcidump", output_dir=tmp_path
-        ).validate()
+        RunConfig(spacings=(1.0,), fcidump_path="x.fcidump", output_dir=tmp_path)
     with pytest.raises(ValueError, match="exactly one"):
-        RunConfig(output_dir=tmp_path).validate()
+        RunConfig(output_dir=tmp_path)
 
 
 def test_config_validation(tmp_path):
     with pytest.raises(ValueError, match="k_max"):
-        h2_config(tmp_path, k_max=0).validate()
+        h2_config(tmp_path, k_max=0)
     with pytest.raises(ValueError, match="mode"):
-        h2_config(tmp_path, mode="fast").validate()
+        h2_config(tmp_path, mode="fast")
     with pytest.raises(ValueError, match="shots"):
-        h2_config(tmp_path, mode="serial", shots=0).validate()
+        h2_config(tmp_path, mode="serial", shots=0)
     with pytest.raises(ValueError, match="spam_p"):
-        h2_config(tmp_path, spam_p=0.7).validate()
+        h2_config(tmp_path, spam_p=0.7)
 
 
 def test_validation_precedes_computation(tmp_path):
-    bad = RunConfig(
-        spacings=(2.0,), geometry_path="also.xyz", output_dir=tmp_path
-    )
+    # a config validates itself, so no invalid one reaches run_pipeline
     with pytest.raises(ValueError, match="exactly one"):
-        run_pipeline(bad)
+        RunConfig(spacings=(2.0,), geometry_path="also.xyz", output_dir=tmp_path)
 
 
 def test_pipeline_error_names_stage(tmp_path):
