@@ -72,19 +72,22 @@ def apply_pauli_sum(h: PauliSum, state: StateVector) -> np.ndarray:
         raise ValueError("operator and state dimensions differ")
     amps = state.amplitudes
     out = np.zeros_like(amps)
-    for rows, values in h.matrix_blocks():
+    for rows, values in h.matrix_blocks(np.arange(amps.size, dtype=np.uint64)):
         # np.add.at adds in array order, so term by term for each amplitude
         np.add.at(out, rows.ravel(), (values * amps).ravel())
     return out
 
 
-def exact_expectation(h: PauliSum, state: StateVector) -> float:
-    """<state|h|state>, checked to be real: |Im| at most REALNESS_RTOL times
-    max(1, |Re|)."""
-    value = np.vdot(state.amplitudes, apply_pauli_sum(h, state))
+def _checked_real(value: complex) -> float:
+    """value's real part, checked: |Im| at most REALNESS_RTOL times max(1, |Re|)."""
     if abs(value.imag) > REALNESS_RTOL * max(1.0, abs(value.real)):
         raise ValueError(f"expectation has imaginary part {value.imag:.3e}")
     return float(value.real)
+
+
+def exact_expectation(h: PauliSum, state: StateVector) -> float:
+    """<state|h|state>, checked to be real."""
+    return _checked_real(np.vdot(state.amplitudes, apply_pauli_sum(h, state)))
 
 
 def rotate_to_eigenbases(amplitudes: np.ndarray, x, z) -> np.ndarray:

@@ -18,8 +18,8 @@ P~_i = (K_hi V K_lo)[hi(i), lo(i)] exactly.  With U_hi, U_lo distinct halves
 multiply-adds instead of |B|^2 pair terms, with at most three float64 arrays
 of at most U^2 = max(U_hi, U_lo)^2 elements alive: three 1024 x 1024 arrays
 (24 MiB) for a 20-bit register.  Wider histograms (the `mitigate` subcommand
-reads any) work up to U^2 = MAX_KERNEL_ELEMENTS and are refused beyond it
-before any kernel is allocated.
+reads any) work while those 24 U^2 bytes fit in budget.MEMORY_BUDGET and
+are refused beyond it before any kernel is allocated.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Largest U^2 mitigate allocates: three arrays of 32 MiB
-MAX_KERNEL_ELEMENTS = 1 << 22
+from .budget import check_memory
 
 
 @dataclass(frozen=True)
@@ -79,11 +78,8 @@ def mitigate(
     low = n_bits // 2
     u_hi, hi = np.unique(outcomes >> low, return_inverse=True)
     u_lo, lo = np.unique(outcomes & ((1 << low) - 1), return_inverse=True)
-    if max(u_hi.size, u_lo.size) ** 2 > MAX_KERNEL_ELEMENTS:
-        raise ValueError(
-            f"{u_hi.size} x {u_lo.size} distinct outcome halves exceed the "
-            f"{MAX_KERNEL_ELEMENTS}-element kernel limit of mitigation"
-        )
+    need = 24 * max(u_hi.size, u_lo.size) ** 2
+    check_memory(f"mitigating {u_hi.size} x {u_lo.size} outcome halves", need)
     v = np.zeros((u_hi.size, u_lo.size))
     v[hi, lo] = probs
     x = _kernel(u_hi, n_bits - low, a, b) @ v

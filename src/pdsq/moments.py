@@ -26,7 +26,8 @@ import numpy as np
 
 # exact_expectation is not called here, but the benchmark's tracer
 # (benchmarks/tracer.py) rebinds it in this module, so the name stays.
-from .backend import REALNESS_RTOL, StateVector, apply_pauli_sum, exact_expectation  # noqa: F401
+from .backend import StateVector, _checked_real, apply_pauli_sum, exact_expectation  # noqa: F401
+from .budget import check_memory
 from .pauli import PauliSum, _number_strings, multiply_sums
 
 
@@ -34,21 +35,6 @@ from .pauli import PauliSum, _number_strings, multiply_sums
 # recurrence's scale (the largest |alpha| or beta so far): the state's Krylov
 # space is then invariant and no data fixes any further root.
 BREAKDOWN_TOL = 1e-8
-
-
-# Largest |H^(n-1)| * |H| string-pair count one power-ladder step may take
-# on.  Measured with tracemalloc (1.5M-3.9M pairs onto 4096 or 65536
-# strings), a product that builds its merge structure peaks at about 10
-# (4^n table) to 42 (sort; 66 past 32 qubits) bytes per pair, and one that
-# reuses it at 8, besides ~60 bytes per distinct output string; so a step
-# stays near 1 GiB.  The full H4 ladder needs at most 781,440 pairs, and H6
-# would need 45.9M at H^3.
-MAX_PRODUCT_PAIRS = 1 << 24
-
-
-class TermBudgetError(RuntimeError):
-    """A Hamiltonian power needs more string products than MAX_PRODUCT_PAIRS;
-    raised before the product is built."""
 
 
 class PowerCache:
@@ -70,11 +56,10 @@ class PowerCache:
         top = max(self._powers)
         while top < n:
             pairs = self._powers[top].n_terms * self.h.n_terms
-            if pairs > MAX_PRODUCT_PAIRS:
-                raise TermBudgetError(
-                    f"H^{top + 1} = H^{top} * H needs {pairs} string products "
-                    f"(cap MAX_PRODUCT_PAIRS = {MAX_PRODUCT_PAIRS})"
-                )
+            # 66 bytes per pair: the worst tracemalloc peak measured (1.5M-3.9M
+            # pairs; 10 to 42 bytes each, 66 past 32 qubits).  The full H4
+            # ladder takes at most 781,440 pairs, H6 would take 45.9M at H^3.
+            check_memory(f"H^{top + 1} = H^{top} * H needs {pairs} string products", 66 * pairs)
             self._powers[top + 1] = multiply_sums(self._powers[top], self.h)
             top += 1
         return self._powers[n]
@@ -154,11 +139,8 @@ def _lanczos(h: PauliSum, state: StateVector, steps: int) -> Recurrence:
     scale = 0.0
     for j in range(steps):
         w = apply_pauli_sum(h, StateVector(state.n_qubits, basis[j]))
-        a = np.vdot(basis[j], w)
-        if abs(a.imag) > REALNESS_RTOL * max(1.0, abs(a.real)):
-            raise ValueError(f"expectation has imaginary part {a.imag:.3e}")
-        alpha.append(float(a.real))
-        scale = max(scale, abs(a.real))
+        alpha.append(_checked_real(np.vdot(basis[j], w)))
+        scale = max(scale, abs(alpha[-1]))
         if j == steps - 1:
             break
         q = basis[: j + 1]

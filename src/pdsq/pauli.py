@@ -52,6 +52,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 import scipy.sparse
 
+from .budget import check_memory
+
 # A merged coefficient with np.abs(c) <= DROP_TOL is dropped from a sum.
 DROP_TOL = 1e-12
 
@@ -272,37 +274,27 @@ class PauliSum:
         """Parallel (x, z, coeff) arrays in canonical order (uint64, uint64, c128)."""
         return self._x, self._z, self._c
 
-    def matrix_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """The dense matrix's elements as (rows, values), block by block of
-        terms in canonical order.
+    def matrix_blocks(self, basis: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The dense matrix's elements in the columns basis (uint64 basis
+        indices) as (rows, values), block by block of terms in canonical order.
 
-        Term t of a block puts values[t, j] = i^{|x_t & z_t|} c_t (-1)^{|j & z_t|}
-        in row rows[t, j] = j ^ x_t (int64) of column j, for every basis index
-        j < 2^n.  A block holds max(1, _BLOCK_ELEMENTS >> n) terms, so the
-        arrays stay small whatever the number of terms.
+        Term t of a block puts values[t, j] = i^{|x_t & z_t|} c_t (-1)^{|b & z_t|}
+        in row rows[t, j] = b ^ x_t (int64) of column b = basis[j].  A block
+        holds max(1, _BLOCK_ELEMENTS // basis.size) terms, so the arrays stay
+        small whatever the number of terms.
         """
         x, z, c = self.mask_arrays()
         # folds the i^{|x & z|} letter normalization into the coefficient
         c = c * _PHASES_ARR[np.bitwise_count(x & z) & 3]
-        cols = np.arange(1 << self.n_qubits, dtype=np.uint64)
-        step = max(1, _BLOCK_ELEMENTS >> self.n_qubits)
+        step = max(1, _BLOCK_ELEMENTS // basis.size)
         for lo in range(0, c.size, step):
             block = slice(lo, lo + step)
-            signs = np.where(np.bitwise_count(cols & z[block, None]) & 1, -1.0, 1.0)
-            yield (cols ^ x[block, None]).view(np.int64), c[block, None] * signs
+            signs = np.where(np.bitwise_count(basis & z[block, None]) & 1, -1.0, 1.0)
+            yield (basis ^ x[block, None]).view(np.int64), c[block, None] * signs
 
     def to_matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix; refuse beyond 16 qubits."""
-        n = self.n_qubits
-        if n > 16:
-            raise ValueError("dense matrix limited to 16 qubits")
-        dim = 1 << n
-        cols = np.arange(dim)
-        out = np.zeros(dim * dim, dtype=np.complex128)
-        for rows, values in self.matrix_blocks():
-            # np.add.at adds in array order: each entry sums its terms in turn
-            np.add.at(out, (rows * dim + cols).ravel(), values.ravel())
-        return out.reshape(dim, dim)
+        """Dense 2^n x 2^n matrix: _dense_block over every basis index."""
+        return _dense_block(self, np.arange(1 << self.n_qubits, dtype=np.uint64), 16)
 
     # -- serialization -----------------------------------------------------
 
@@ -463,3 +455,21 @@ def _sum_in_order(
     acc.imag = np.bincount(inverse, weights=im, minlength=ux.size)
     keep = np.abs(acc) > DROP_TOL
     return PauliSum._from_canonical(n_qubits, ux[keep], uz[keep], acc[keep])
+
+
+def _dense_block(h: PauliSum, basis: np.ndarray, entry_bytes: int) -> np.ndarray:
+    """h's dense matrix on the d ascending uint64 indices basis, each entry
+    summing its terms in canonical order from 0.0; rows outside basis go to
+    a dropped spill row.  Budgeted before allocating: the 2^n-entry position
+    map and basis, and entry_bytes (16, more for the caller's temporaries)
+    per entry of the block and spill row."""
+    n, d = h.n_qubits, basis.size
+    check_memory(f"a dense {d} x {d} block on {n} qubits", (16 << n) + entry_bytes * (d + 1) * d)
+    where = np.full(1 << n, d)
+    where[basis] = np.arange(d)
+    cols = np.arange(d)
+    out = np.zeros((d + 1) * d, dtype=np.complex128)
+    for rows, values in h.matrix_blocks(basis):
+        # np.add.at adds in array order: each entry sums its terms in turn
+        np.add.at(out, (where[rows] * d + cols).ravel(), values.ravel())
+    return out[: d * d].reshape(d, d)

@@ -235,8 +235,8 @@ def estimate_expectations_parallel(
     shots: int,
     seed: int,
     sector_index: int,
-    spam_p: float = 0.0,
-    apply_mitigation: bool = True,
+    spam_p: float,
+    apply_mitigation: bool,
     register: int = DEVICE_REGISTER,
 ) -> dict[PauliString, float]:
     """Estimate every unique tapered string from sample_sector's executions,
@@ -312,14 +312,8 @@ def sector_energies(
         system = build_system(exact_table, k)
         return SectorEnergies(sector, polynomial_roots(system.X), exact_table.values)
     estimates = estimate_expectations_parallel(
-        ctx,
-        2 * k - 1,
-        cfg.shots,
-        cfg.seed,
-        sector_index,
-        spam_p=cfg.spam_p,
-        apply_mitigation=cfg.apply_mitigation,
-        register=register_width(ctx, cfg.mode),
+        ctx, 2 * k - 1, cfg.shots, cfg.seed, sector_index, cfg.spam_p,
+        cfg.apply_mitigation, register_width(ctx, cfg.mode),
     )
     values = moments_from_estimates(ctx.tapered_cache, estimates, k)
     return SectorEnergies(sector, pds_from_values(values, k), values)

@@ -37,10 +37,13 @@ from .pauli import PauliString, PauliSum, _check_qubits, _multiply_masks, _sum_i
 @dataclass(frozen=True)
 class TaperingData:
     generators: tuple[PauliString, ...]
-    paulix_partners: tuple[int, ...]  # one exclusive qubit per generator
+    paulix_partners: tuple[int, ...]  # one exclusive qubit per generator, each removed
     sector_signs: tuple[int, ...]
-    removed_qubits: tuple[int, ...]
     n_remaining: int
+
+    @property
+    def removed_qubits(self) -> tuple[int, ...]:
+        return self.paulix_partners
 
 
 def _gf2_rref(rows: np.ndarray) -> np.ndarray:
@@ -146,11 +149,7 @@ def build_tapering(
                 f"generator {g.label} has no exclusive qubit for an X partner"
             )
         partners.append((exclusive & -exclusive).bit_length() - 1)
-    partners = tuple(partners)
-    return TaperingData(
-        generators, partners, sector_signs, removed_qubits=partners,
-        n_remaining=h.n_qubits - len(partners),
-    )
+    return TaperingData(generators, tuple(partners), sector_signs, h.n_qubits - len(partners))
 
 
 def tapering_for_determinant(h: PauliSum, det: ReferenceDeterminant) -> TaperingData:

@@ -1,5 +1,10 @@
 """CLI subcommands, config-file handling, and exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -291,8 +296,33 @@ def test_over_budget_ladder_exit_code_2(capsys):
     # H6: H^3 would take 49,910 x 919 string pairs, some 3 GB
     code, _, err = run_cli(capsys, "plan", "--spacings", "2,2,2,2,2", "--k-max", "2")
     assert code == 2
-    assert "H^3 = H^2 * H needs 45867290 string products" in err
-    assert "MAX_PRODUCT_PAIRS" in err
+    assert "H^3 = H^2 * H needs 45867290 string products: 3027241140 bytes" in err
+    assert "cap MEMORY_BUDGET = 1073741824 bytes" in err
+
+
+def test_h8_exact_exits_2_before_allocating_its_block():
+    """H8 (16 qubits): the 4900-state singlet block and the temporaries of
+    its Hermiticity check would take 1.15 GB, so `pdsq exact` refuses it
+    before allocating, naming the bytes and the cap.  It runs in a child
+    process under a 3 GB address-space limit, so that a regression fails
+    fast instead of swapping the host."""
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))\n"
+        "from pdsq.cli import main\n"
+        "sys.exit(main(['exact', '--spacings', '2,2,2,2,2,2,2']))\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "computation failed: a dense 4900 x 4900 block on 16 qubits: 1153763776 "
+        "bytes exceed the cap MEMORY_BUDGET = 1073741824 bytes\n"
+    )
 
 
 def test_negative_seed_exit_code_1_before_any_computation(capsys, tmp_path, monkeypatch):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from pdsq.backend import CountTable
-from pdsq.mitigation import MAX_KERNEL_ELEMENTS, MitigationConfig, mitigate
+from pdsq.budget import MEMORY_BUDGET, MemoryBudgetError
+from pdsq.mitigation import MitigationConfig, mitigate
 
 from oracles import flip_channel, restricted_inverse
 
@@ -165,14 +166,22 @@ def test_twenty_bit_register_needs_at_most_three_kernels():
 
 
 def test_too_many_distinct_halves_fail_before_allocation():
+    """Some 7980 distinct 20-bit halves: three U x U float64 kernels would
+    take 24 U^2 > 2^30 bytes, so mitigate refuses before allocating them."""
     rng = np.random.default_rng(40)
-    outcomes = np.unique(rng.integers(0, 1 << 40, 3000))
-    assert 3000**2 > MAX_KERNEL_ELEMENTS
+    outcomes = np.unique(rng.integers(0, 1 << 40, 8000))
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="kernel limit"):
+        with pytest.raises(MemoryBudgetError, match="cap MEMORY_BUDGET") as err:
             mitigate(outcomes, np.ones(outcomes.size), 40, MitigationConfig(0.01))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    u_hi, u_lo = np.unique(outcomes >> 20).size, np.unique(outcomes & (1 << 20) - 1).size
+    u = max(u_hi, u_lo)
+    assert 24 * u**2 > MEMORY_BUDGET
+    assert str(err.value) == (
+        f"mitigating {u_hi} x {u_lo} outcome halves: {24 * u**2} bytes exceed the cap "
+        f"MEMORY_BUDGET = {MEMORY_BUDGET} bytes"
+    )
     assert peak < 1 << 20

@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pdsq import moments
-from pdsq.backend import apply_pauli_sum, prepare_basis_state
-from pdsq.moments import PowerCache, TermBudgetError, moments_for_state, unique_string_count
+from pdsq import budget, moments
+from pdsq.backend import apply_pauli_sum, exact_expectation, prepare_basis_state
+from pdsq.budget import MemoryBudgetError
+from pdsq.moments import PowerCache, moments_for_state, unique_string_count
 from pdsq.pauli import PauliString, PauliSum, multiply_sums
 from pdsq.pipeline import unique_measured_strings
 
@@ -56,38 +57,39 @@ def test_cache_validation():
 
 
 def test_term_budget_overflow(monkeypatch):
-    """A step over the pair budget is refused before its product is built."""
+    """A step over the memory budget is refused before its product is built."""
     rng = np.random.default_rng(17)
     h = random_sum(rng, 4, 30)
     cache = PowerCache(h)
     pairs = cache.power(2).n_terms * h.n_terms
-    monkeypatch.setattr(moments, "MAX_PRODUCT_PAIRS", pairs - 1)
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", 66 * pairs - 1)
     products = []
     monkeypatch.setattr(
         moments, "multiply_sums", lambda a, b: products.append((a, b))
     )
-    with pytest.raises(TermBudgetError, match="cap"):
+    with pytest.raises(MemoryBudgetError, match="cap"):
         cache.power(3)
     assert products == []
     assert max(cache._powers) == 2
 
 
 def test_over_budget_step_fails_before_allocating():
-    """4097^2 string pairs exceed MAX_PRODUCT_PAIRS (2^24) by 8193: H^2 is
-    refused before its ~1 GiB product is built, naming step, count and cap."""
-    h = PauliSum(12, [((k & 0xFFF, k >> 12), 1.0) for k in range(4097)])
+    """4034^2 string pairs at 66 bytes each are the fewest over MEMORY_BUDGET
+    (2^30 bytes): H^2 is refused before its ~1 GiB product is built, naming
+    step, count, bytes and cap."""
+    h = PauliSum(12, [((k, 0), 1.0) for k in range(4034)])
     cache = PowerCache(h)
     tracemalloc.start()
     try:
-        with pytest.raises(TermBudgetError) as err:
+        with pytest.raises(MemoryBudgetError) as err:
             cache.power(2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert h.n_terms**2 > moments.MAX_PRODUCT_PAIRS
+    assert 66 * 4033**2 <= budget.MEMORY_BUDGET < 66 * 4034**2
     assert str(err.value) == (
-        "H^2 = H^1 * H needs 16785409 string products "
-        "(cap MAX_PRODUCT_PAIRS = 16777216)"
+        "H^2 = H^1 * H needs 16273156 string products: 1074028296 bytes "
+        "exceed the cap MEMORY_BUDGET = 1073741824 bytes"
     )
     assert peak < 1 << 20
 
@@ -97,6 +99,16 @@ def test_moments_of_basis_state_with_z():
     table = moments_for_state(z, prepare_basis_state("0"), K=3)
     assert np.allclose(table.values, 1.0)
     assert table.values[0] == 1.0
+
+
+def test_complex_expectations_are_refused_alike():
+    """exact_expectation and the Lanczos diagonal share one realness check,
+    with one message."""
+    iz = PauliSum(1, {(0, 1): 0.5j})
+    state = prepare_basis_state("0")
+    for call in (lambda: exact_expectation(iz, state), lambda: moments_for_state(iz, state, 2)):
+        with pytest.raises(ValueError, match=r"^expectation has imaginary part 5\.000e-01$"):
+            call()
 
 
 def test_moment_table_bookkeeping():

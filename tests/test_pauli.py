@@ -598,6 +598,28 @@ def test_to_matrix_agrees_with_kron_oracle():
     assert np.allclose(h.to_matrix(), pauli_sum_to_dense(h), atol=1e-12)
 
 
+@pytest.mark.parametrize("seed, block_elements", [(0, 1 << 14), (1, 1 << 14), (2, 40), (3, 7)])
+def test_dense_block_is_the_sliced_matrix_bit_for_bit(monkeypatch, seed, block_elements):
+    """The assembly on a subset of basis indices gives the bits of a loop
+    that adds each term's entries in canonical order, however the terms fall
+    into blocks, and so the full matrix's entries there; rows outside the
+    subset go to the dropped spill row."""
+    monkeypatch.setattr(pauli, "_BLOCK_ELEMENTS", block_elements)
+    rng = np.random.default_rng(seed)
+    h = random_sum(rng, 5, 80, real=False)
+    basis = np.sort(rng.choice(32, size=rng.integers(1, 33), replace=False)).astype(np.uint64)
+    position = {b: k for k, b in enumerate(basis.tolist())}
+    want = np.zeros((basis.size, basis.size), dtype=complex)
+    for s, c in h.terms():
+        c = c * _PHASES_ARR[(s.x & s.z).bit_count() & 3]
+        for j, b in enumerate(basis.tolist()):
+            if b ^ s.x in position:
+                want[position[b ^ s.x], j] += c * (-1.0) ** (b & s.z).bit_count()
+    block = pauli._dense_block(h, basis, 16)
+    assert block.tobytes() == want.tobytes()
+    assert block.tobytes() == h.to_matrix()[np.ix_(basis, basis)].tobytes()
+
+
 def test_canonical_order_is_stable():
     h = from_labels(2, {"XI": 1.0, "IZ": 2.0, "YY": 3.0})
     labels = [s.label for s, _ in h.terms()]

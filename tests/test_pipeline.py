@@ -155,7 +155,8 @@ def test_h4_serial_8192_shot_ground_energy(h4_problem):
 
     ctx = h4_problem.sectors["singlet"]
     estimates = estimate_expectations_parallel(
-        ctx, 19, 8192, 19, 0, register=register_width(ctx, "serial")
+        ctx, 19, 8192, 19, 0, spam_p=0.0, apply_mitigation=True,
+        register=register_width(ctx, "serial"),
     )
     values = moments_from_estimates(ctx.tapered_cache, estimates, 10)
     result = pds_from_values(values, 10)
@@ -178,9 +179,12 @@ def test_sampled_path_builds_no_bitstrings(h4_problem, monkeypatch):
                 if hasattr(module, attr):
                     monkeypatch.setattr(module, attr, refuse)
     ctx = h4_problem.sectors["singlet"]
-    parallel = estimate_expectations_parallel(ctx, 19, 256, 5, 0, spam_p=1e-3)
+    parallel = estimate_expectations_parallel(
+        ctx, 19, 256, 5, 0, spam_p=1e-3, apply_mitigation=True
+    )
     serial = estimate_expectations_parallel(
-        ctx, 19, 256, 5, 0, register=register_width(ctx, "serial")
+        ctx, 19, 256, 5, 0, spam_p=0.0, apply_mitigation=True,
+        register=register_width(ctx, "serial"),
     )
     assert parallel.keys() == serial.keys()
 

@@ -179,8 +179,7 @@ def assert_within_clifford_round_off(tapered, h, td):
     # moduli, and of ones, with every sector sign +1
     rotated = rotation_term_loop(h, td)
     plus = taper.TaperingData(
-        td.generators, td.paulix_partners, (1,) * len(td.sector_signs),
-        td.removed_qubits, td.n_remaining,
+        td.generators, td.paulix_partners, (1,) * len(td.sector_signs), td.n_remaining,
     )
     mass, count = (
         dict(restriction_reference(h.n_qubits, [(s, w(c)) for s, c in rotated], plus).terms())
@@ -225,7 +224,7 @@ def restrictions(draw):
             (x | bits(removed, 0.5), z | bits(removed, z_on_removed)),
             rng.choice([rng.normal(), 0.5, -0.5, 1e-13]),
         ))
-    td = taper.TaperingData((), (), tuple(signs), tuple(removed), n - len(removed))
+    td = taper.TaperingData((), tuple(removed), tuple(signs), n - len(removed))
     return PauliSum(n, terms), td
 
 
@@ -295,7 +294,7 @@ def commuting_sums(draw):
     signs = tuple(draw(st.sampled_from([1, -1])) for _ in partners)
     event(f"{len(partners)} generators")
     return PauliSum(n, terms), taper.TaperingData(
-        tuple(generators), tuple(partners), signs, tuple(partners), n - len(partners)
+        tuple(generators), tuple(partners), signs, n - len(partners)
     )
 
 
@@ -318,7 +317,7 @@ def test_taper_operator_checks_its_preconditions():
 
     def tapering(labels, partners):
         gens = tuple(PauliString.from_label(g) for g in labels)
-        return taper.TaperingData(gens, partners, (1,) * len(gens), partners, 3 - len(gens))
+        return taper.TaperingData(gens, partners, (1,) * len(gens), 3 - len(gens))
 
     assert taper.taper_operator(h, tapering(["ZZI", "IIZ"], (0, 2))).n_qubits == 1
     with pytest.raises(ValueError, match="generator XII does not commute with term ZZI"):
