@@ -14,12 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .pauli import PauliSum
+from .pauli import PauliSum, _require_hermitian
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-# An expectation of a Hermitian operator is real: its imaginary part may be
-# at most this fraction of max(1, |real part|), or it is an error.
-REALNESS_RTOL = 1e-10
 
 
 def index_to_bits(index: int, n_bits: int) -> str:
@@ -52,9 +49,6 @@ class StateVector:
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"state is not normalized (norm {norm!r})")
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
 
 def prepare_basis_state(bits: str | Sequence[int]) -> StateVector:
     """One-hot state |bits>, qubit 0 given by the leftmost bit."""
@@ -78,16 +72,10 @@ def apply_pauli_sum(h: PauliSum, state: StateVector) -> np.ndarray:
     return out
 
 
-def _checked_real(value: complex) -> float:
-    """value's real part, checked: |Im| at most REALNESS_RTOL times max(1, |Re|)."""
-    if abs(value.imag) > REALNESS_RTOL * max(1.0, abs(value.real)):
-        raise ValueError(f"expectation has imaginary part {value.imag:.3e}")
-    return float(value.real)
-
-
 def exact_expectation(h: PauliSum, state: StateVector) -> float:
-    """<state|h|state>, checked to be real."""
-    return _checked_real(np.vdot(state.amplitudes, apply_pauli_sum(h, state)))
+    """<state|h|state>, real since h is checked Hermitian on its coefficients."""
+    _require_hermitian(h)
+    return float(np.vdot(state.amplitudes, apply_pauli_sum(h, state)).real)
 
 
 def rotate_to_eigenbases(amplitudes: np.ndarray, x, z) -> np.ndarray:
@@ -155,13 +143,6 @@ class CountTable:
     @property
     def shots(self) -> int:
         return int(self.counts.sum())
-
-    def probabilities(self) -> np.ndarray:
-        """Relative frequencies, aligned with outcomes."""
-        shots = self.shots
-        if shots == 0:
-            raise ValueError("empty histogram")
-        return self.counts / shots
 
     def to_lines(self) -> str:
         keys = [index_to_bits(o, self.n_bits) for o in self.outcomes.tolist()]

@@ -2,7 +2,7 @@
 
 Configuration is a flat key=value text file; every key can be overridden by
 a command-line flag, and flags win.  Exit codes: 0 success, 1 validation
-error, 2 computation failure.
+error or missing input file, 2 computation failure.
 """
 
 from __future__ import annotations
@@ -339,7 +339,7 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # computation failures

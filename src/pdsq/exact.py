@@ -2,17 +2,20 @@
 
 Sector filtering selects computational basis states by electron count and
 s_z under the blocked spin-orbital convention (alpha qubits first); the
-"exact" singlet/triplet energies come from the Hamiltonian's block on those
-states, assembled without the full 2^n x 2^n matrix.
+"exact" singlet/triplet energies come from the Hamiltonian, checked
+Hermitian on its coefficients, on the block of those d states.  The states
+are listed from the alpha and beta occupations and the block is assembled
+on them alone, so no array has 2^n entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .pauli import PauliSum, _dense_block
+from .pauli import PauliSum, _dense_block, _require_hermitian
 from .units import EV_PER_HARTREE
 
 # Two levels closer than this (hartree) count as degenerate spin partners.
@@ -28,32 +31,35 @@ class SpectrumResult:
         return float(self.eigenvalues[0])
 
 
+def _occupations(n_orbitals: int, n_occupied: int) -> np.ndarray:
+    """Ascending uint64 masks of n_orbitals bits with n_occupied >= 0 set."""
+    occupations = combinations(range(n_orbitals), n_occupied)
+    return np.sort(np.array([sum(1 << k for k in occ) for occ in occupations], dtype=np.uint64))
+
+
 def sector_basis_indices(n_qubits: int, n_electrons: int, s_z: float) -> np.ndarray:
     """Basis-state indices (ascending uint64) with the requested occupation
-    and spin projection."""
+    and spin projection: each beta occupation (high half) over each alpha
+    occupation (low half)."""
     if n_qubits % 2 != 0:
         raise ValueError("sector filtering expects an even qubit count")
     half = n_qubits // 2
-    idx = np.arange(1 << n_qubits, dtype=np.uint64)
-    n_alpha = np.bitwise_count(idx & np.uint64((1 << half) - 1)).astype(int)
-    n_beta = np.bitwise_count(idx >> np.uint64(half)).astype(int)
-    keep = (n_alpha + n_beta == n_electrons) & (n_alpha - n_beta == round(2 * s_z))
-    return idx[keep]
+    n_alpha, odd = divmod(n_electrons + round(2 * s_z), 2)
+    n_beta = n_electrons - n_alpha
+    if odd or min(n_alpha, n_beta) < 0:
+        return np.zeros(0, dtype=np.uint64)
+    alpha, beta = _occupations(half, n_alpha), _occupations(half, n_beta)
+    return (beta[:, None] << np.uint64(half) | alpha).ravel()
 
 
 def exact_spectrum(h: PauliSum, sector: tuple[int, float]) -> SpectrumResult:
-    """Eigenvalues of the dense Hamiltonian restricted to the basis states of
+    """Eigenvalues of the Hermitian h restricted to the basis states of
     sector = (n_electrons, s_z), assembled on that block alone."""
+    _require_hermitian(h)
     keep = sector_basis_indices(h.n_qubits, *sector)
     if keep.size == 0:
         raise ValueError(f"empty sector {sector}")
-    # 48 bytes per entry: the block, its conjugate and their difference in
-    # the Hermiticity check; eigvalsh's copy of the block needs less
-    matrix = _dense_block(h, keep, 48)
-    herm_defect = np.max(np.abs(matrix - matrix.conj().T))
-    if herm_defect > 1e-9:
-        raise ValueError(f"Hamiltonian is not Hermitian (defect {herm_defect:.2e})")
-    return SpectrumResult(np.linalg.eigvalsh(matrix))
+    return SpectrumResult(np.linalg.eigvalsh(_dense_block(h, keep)))
 
 
 def lowest_spin_singlet_excitation(

@@ -26,9 +26,9 @@ import numpy as np
 
 # exact_expectation is not called here, but the benchmark's tracer
 # (benchmarks/tracer.py) rebinds it in this module, so the name stays.
-from .backend import StateVector, _checked_real, apply_pauli_sum, exact_expectation  # noqa: F401
+from .backend import StateVector, apply_pauli_sum, exact_expectation  # noqa: F401
 from .budget import check_memory
-from .pauli import PauliSum, _number_strings, multiply_sums
+from .pauli import PauliSum, _number_strings, _require_hermitian, multiply_sums
 
 
 # Lanczos stops once an off-diagonal falls below this fraction of the
@@ -120,10 +120,12 @@ class MomentTable:
 
 
 def moments_for_state(h: PauliSum, state: StateVector, K: int) -> MomentTable:
-    """Exact statevector moments of H up to order 2K-1 for one trial state,
-    with the recurrence of the K-step Lanczos run they come from."""
+    """Exact statevector moments of h, checked Hermitian on its coefficients,
+    up to order 2K-1 for one trial state, with the recurrence of the K-step
+    Lanczos run they come from."""
     if K < 1:
         raise ValueError("K must be at least 1")
+    _require_hermitian(h)
     recurrence = _lanczos(h, state, K)
     return MomentTable(K, _krylov_moments(recurrence, 2 * K), recurrence)
 
@@ -131,7 +133,7 @@ def moments_for_state(h: PauliSum, state: StateVector, K: int) -> MomentTable:
 def _lanczos(h: PauliSum, state: StateVector, steps: int) -> Recurrence:
     """Up to `steps` Lanczos steps of h from state, with full
     reorthogonalisation; stops early when the Krylov space is invariant.
-    Each diagonal element is checked to be real as in exact_expectation."""
+    h is Hermitian, so each diagonal element is the real part of its vdot."""
     basis = np.empty((steps, state.amplitudes.size), dtype=complex)
     basis[0] = state.amplitudes
     alpha: list[float] = []
@@ -139,7 +141,7 @@ def _lanczos(h: PauliSum, state: StateVector, steps: int) -> Recurrence:
     scale = 0.0
     for j in range(steps):
         w = apply_pauli_sum(h, StateVector(state.n_qubits, basis[j]))
-        alpha.append(_checked_real(np.vdot(basis[j], w)))
+        alpha.append(float(np.vdot(basis[j], w).real))
         scale = max(scale, abs(alpha[-1]))
         if j == steps - 1:
             break

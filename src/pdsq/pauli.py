@@ -115,15 +115,8 @@ class PauliString:
         return self.x | self.z
 
     @property
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
-
-    @property
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0
-
-    def letter(self, k: int) -> str:
-        return _LETTERS[((self.x >> k) & 1, (self.z >> k) & 1)]
 
     def __str__(self) -> str:
         return self.label
@@ -230,9 +223,6 @@ class PauliSum:
         for xm, zm, coeff in zip(x.tolist(), z.tolist(), c.tolist()):
             yield PauliString(self.n_qubits, xm, zm), coeff
 
-    def strings(self) -> list[PauliString]:
-        return [s for s, _ in self.terms()]
-
     def coefficient(self, string: PauliString) -> complex:
         _check_qubits(string.n_qubits, self.n_qubits)
         x, z = np.uint64(string.x), np.uint64(string.z)
@@ -294,7 +284,7 @@ class PauliSum:
 
     def to_matrix(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix: _dense_block over every basis index."""
-        return _dense_block(self, np.arange(1 << self.n_qubits, dtype=np.uint64), 16)
+        return _dense_block(self, np.arange(1 << self.n_qubits, dtype=np.uint64))
 
     # -- serialization -----------------------------------------------------
 
@@ -457,19 +447,30 @@ def _sum_in_order(
     return PauliSum._from_canonical(n_qubits, ux[keep], uz[keep], acc[keep])
 
 
-def _dense_block(h: PauliSum, basis: np.ndarray, entry_bytes: int) -> np.ndarray:
+def _require_hermitian(h: PauliSum) -> None:
+    """Refuse a non-Hermitian h.  Every string is Hermitian, so h is exactly
+    when its coefficients are real: none with |Im c| above DROP_TOL."""
+    x, z, c = h.mask_arrays()
+    if np.any(np.abs(c.imag) > DROP_TOL):
+        k = np.abs(c.imag).argmax()
+        label = PauliString(h.n_qubits, int(x[k]), int(z[k])).label
+        raise ValueError(f"sum is not Hermitian: {label} has coefficient {c[k]:.3e}")
+
+
+def _dense_block(h: PauliSum, basis: np.ndarray) -> np.ndarray:
     """h's dense matrix on the d ascending uint64 indices basis, each entry
-    summing its terms in canonical order from 0.0; rows outside basis go to
-    a dropped spill row.  Budgeted before allocating: the 2^n-entry position
-    map and basis, and entry_bytes (16, more for the caller's temporaries)
-    per entry of the block and spill row."""
+    summing its terms in canonical order from 0.0; a term's row is found by
+    binary search in basis, and rows outside it go to a dropped spill row.
+    Budgeted before allocating at 32 bytes per entry of the block and spill
+    row: the block itself and the copy eigvalsh takes of it."""
     n, d = h.n_qubits, basis.size
-    check_memory(f"a dense {d} x {d} block on {n} qubits", (16 << n) + entry_bytes * (d + 1) * d)
-    where = np.full(1 << n, d)
-    where[basis] = np.arange(d)
+    check_memory(f"a dense {d} x {d} block on {n} qubits", 32 * (d + 1) * d)
     cols = np.arange(d)
     out = np.zeros((d + 1) * d, dtype=np.complex128)
     for rows, values in h.matrix_blocks(basis):
+        rows = rows.view(np.uint64)
+        where = np.searchsorted(basis, rows)
+        where[basis[np.minimum(where, d - 1)] != rows] = d
         # np.add.at adds in array order: each entry sums its terms in turn
-        np.add.at(out, (where[rows] * d + cols).ravel(), values.ravel())
+        np.add.at(out, (where * d + cols).ravel(), values.ravel())
     return out[: d * d].reshape(d, d)

@@ -88,9 +88,12 @@ class SectorContext:
     determinant: chem.ReferenceDeterminant
     state: StateVector
     tapering: taper.TaperingData
-    tapered_h: PauliSum
     tapered_state: StateVector
     tapered_cache: PowerCache
+
+    @property
+    def tapered_h(self) -> PauliSum:
+        return self.tapered_cache.h
 
 
 @dataclass
@@ -99,9 +102,12 @@ class Problem:
 
     integrals: chem.IntegralSet
     scf: chem.ScfResult
-    hamiltonian: PauliSum
     cache: PowerCache
     sectors: dict[str, SectorContext]
+
+    @property
+    def hamiltonian(self) -> PauliSum:
+        return self.cache.h
 
 
 def load_geometry(cfg: RunConfig) -> chem.Geometry | None:
@@ -121,22 +127,19 @@ def build_problem(cfg: RunConfig) -> Problem:
     scf = chem.hartree_fock(ints)
     tables = chem.second_quantized_hamiltonian(ints, scf)
     h = jw.jordan_wigner(tables)
-    cache = PowerCache(h)
     sectors: dict[str, SectorContext] = {}
     for sector in SECTORS:
         det = chem.reference_determinant(sector, ints.n_electrons, 2 * ints.n_orbitals)
         td = taper.tapering_for_determinant(h, det)
-        ht = taper.taper_operator(h, td)
         tstate = prepare_basis_state(taper.taper_state(det, td))
         sectors[sector] = SectorContext(
             determinant=det,
             state=prepare_basis_state(det.bits),
             tapering=td,
-            tapered_h=ht,
             tapered_state=tstate,
-            tapered_cache=PowerCache(ht),
+            tapered_cache=PowerCache(taper.taper_operator(h, td)),
         )
-    return Problem(ints, scf, h, cache, sectors)
+    return Problem(ints, scf, PowerCache(h), sectors)
 
 
 # -- measurement planning ----------------------------------------------------
@@ -357,9 +360,10 @@ def _fig3_rows(
 def run_pipeline(cfg: RunConfig, problem: Problem | None = None) -> RunReport:
     """Produce the full report bundle; raises PipelineError naming the
     failing stage on any module error.  The exception is build_problem's
-    ValueError, an input error (a bad geometry, FCIDUMP or electron count),
-    which passes unwrapped as it does from every other subcommand.  A
-    prebuilt problem may be passed to reuse cached power ladders."""
+    input errors, a ValueError (a bad geometry, FCIDUMP or electron count)
+    or a FileNotFoundError (a missing geometry or FCIDUMP file), which pass
+    unwrapped as they do from every other subcommand.  A prebuilt problem
+    may be passed to reuse cached power ladders."""
     if cfg.k_max < 2:
         raise ValueError("run needs k_max >= 2: the report's S1 is the second singlet root")
 
@@ -372,7 +376,9 @@ def run_pipeline(cfg: RunConfig, problem: Problem | None = None) -> RunReport:
             raise PipelineError(name, exc) from exc
 
     if problem is None:
-        problem = stage("hamiltonian", lambda: build_problem(cfg), passes=ValueError)
+        problem = stage(
+            "hamiltonian", lambda: build_problem(cfg), passes=(ValueError, FileNotFoundError)
+        )
     ladders = stage(
         "plan",
         lambda: {s: measurement_ladder(problem, s, cfg.k_max) for s in SECTORS},

@@ -61,7 +61,7 @@ def string_ledger(powers) -> tuple[list, list[int]]:
     seen = set()
     counts = []
     for power in powers:
-        seen.update(s for s in power.strings() if not s.is_identity)
+        seen.update(s for s, _ in power.terms() if not s.is_identity)
         counts.append(len(seen))
     return sorted(seen, key=lambda s: (s.z, s.x)), counts
 
@@ -134,7 +134,7 @@ _BASIS_CHANGE = {
 def _rotation_gates(rotation) -> list[list[str]]:
     """Per-qubit gate names: X -> H, Y -> SDG then H, Z/I -> none."""
     names = {"X": ["H"], "Y": ["SDG", "H"]}
-    return [names.get(rotation.letter(k), []) for k in range(rotation.n_qubits)]
+    return [names.get(letter, []) for letter in rotation.label]
 
 
 def basis_change_reference(amplitudes, rotation) -> np.ndarray:
@@ -306,7 +306,7 @@ def group_qwc_reference(strings):
             raise ValueError("strings must share one qubit count")
         if s.is_identity:
             raise ValueError("the identity string is never measured; exclude it")
-    ordered = sorted(pauli_list, key=lambda s: (-s.weight, s.z, s.x))
+    ordered = sorted(pauli_list, key=lambda s: (-(s.x | s.z).bit_count(), s.z, s.x))
 
     rotations: list[tuple[int, int]] = []  # running (x, z) masks per group
     members: list[list[PauliString]] = []
@@ -474,6 +474,17 @@ def _mask_to_bits(mask: int, n: int) -> np.ndarray:
     return np.array([(mask >> k) & 1 for k in range(n)], dtype=np.uint8)
 
 
+def sector_basis_reference(n_qubits: int, n_electrons: int, s_z: float) -> np.ndarray:
+    """Sector indices by filtering all 2^n basis states on their alpha
+    (low half) and beta (high half) occupations."""
+    half = n_qubits // 2
+    idx = np.arange(1 << n_qubits, dtype=np.uint64)
+    n_alpha = np.bitwise_count(idx & np.uint64((1 << half) - 1)).astype(int)
+    n_beta = np.bitwise_count(idx >> np.uint64(half)).astype(int)
+    keep = (n_alpha + n_beta == n_electrons) & (n_alpha - n_beta == round(2 * s_z))
+    return idx[keep]
+
+
 def symmetry_check_matrix_reference(h) -> np.ndarray:
     """The symplectic check matrix of h, one Python row per term in
     canonical order: the term's z bits, then its x bits.
@@ -481,7 +492,7 @@ def symmetry_check_matrix_reference(h) -> np.ndarray:
     The reference `taper.find_symmetries`' array build is checked against.
     """
     n = h.n_qubits
-    strings = h.strings()
+    strings = [s for s, _ in h.terms()]
     check = np.zeros((len(strings), 2 * n), dtype=np.uint8)
     for row, s in enumerate(strings):
         check[row, :n] = _mask_to_bits(s.z, n)  # multiplies candidate x-part

@@ -208,7 +208,7 @@ def test_count_table_validation():
         CountTable(2, [2, 1], [1, 1])  # outcomes must increase
     table = CountTable(2, [0b01, 0b10], [1, 3])  # "10" and "01"
     assert table.shots == 4
-    assert table.probabilities().tolist() == [0.25, 0.75]
+    assert (table.counts / table.shots).tolist() == [0.25, 0.75]
 
 
 def test_count_table_lines_round_trip():

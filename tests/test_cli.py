@@ -300,17 +300,17 @@ def test_over_budget_ladder_exit_code_2(capsys):
     assert "cap MEMORY_BUDGET = 1073741824 bytes" in err
 
 
-def test_h8_exact_exits_2_before_allocating_its_block():
-    """H8 (16 qubits): the 4900-state singlet block and the temporaries of
-    its Hermiticity check would take 1.15 GB, so `pdsq exact` refuses it
-    before allocating, naming the bytes and the cap.  It runs in a child
-    process under a 3 GB address-space limit, so that a regression fails
-    fast instead of swapping the host."""
+def test_h10_exact_exits_2_before_allocating_its_block():
+    """H10 (20 qubits): the 63504-state singlet block, with eigvalsh's copy,
+    would take 129 GB, so `pdsq exact` refuses it before allocating, naming
+    the bytes and the cap.  It runs in a child process under a 3 GB
+    address-space limit, so that a regression fails fast instead of
+    swapping the host."""
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))\n"
         "from pdsq.cli import main\n"
-        "sys.exit(main(['exact', '--spacings', '2,2,2,2,2,2,2']))\n"
+        "sys.exit(main(['exact', '--spacings', '2,2,2,2,2,2,2,2,2']))\n"
     )
     src = str(Path(__file__).parents[1] / "src")
     proc = subprocess.run(
@@ -320,9 +320,48 @@ def test_h8_exact_exits_2_before_allocating_its_block():
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == (
-        "computation failed: a dense 4900 x 4900 block on 16 qubits: 1153763776 "
+        "computation failed: a dense 63504 x 63504 block on 20 qubits: 129050288640 "
         "bytes exceed the cap MEMORY_BUDGET = 1073741824 bytes\n"
     )
+
+
+def test_h8_exact_admits_its_singlet_block(capsys, monkeypatch):
+    """H8 (16 qubits): the 4900-state singlet block and eigvalsh's copy fit
+    the budget at 768476800 bytes.  The admitted check is recorded and the
+    command stopped there, before its ~24 s eigvalsh."""
+    from pdsq import budget, pauli
+
+    class Admitted(Exception):
+        pass
+
+    seen = []
+
+    def record(step, nbytes):
+        budget.check_memory(step, nbytes)
+        seen.append((step, nbytes))
+        raise Admitted
+
+    monkeypatch.setattr(pauli, "check_memory", record)
+    code, out, _ = run_cli(capsys, "exact", "--spacings", "2,2,2,2,2,2,2")
+    assert code == 2 and out == ""
+    assert seen == [("a dense 4900 x 4900 block on 16 qubits", 768476800)]
+    assert 768476800 <= budget.MEMORY_BUDGET == 1 << 30
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrals", "--geometry", "{missing}"],
+    ["run", "--fcidump", "{missing}", "--output-dir", "{bundle}"],
+    ["mitigate", "{missing}", "--p", "0.01"],
+    ["plan", "--config", "{missing}"],
+])
+def test_missing_input_file_exit_code_1(capsys, tmp_path, argv):
+    """A missing input file is an input error: exit 1, naming the path, and
+    no stage named."""
+    missing, bundle = tmp_path / "missing.txt", tmp_path / "bundle"
+    code, out, err = run_cli(capsys, *(a.format(missing=missing, bundle=bundle) for a in argv))
+    assert code == 1 and out == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert not bundle.exists()
 
 
 def test_negative_seed_exit_code_1_before_any_computation(capsys, tmp_path, monkeypatch):

@@ -1,6 +1,10 @@
 """Dense sector-filtered diagonalization and transition extraction."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from pdsq.pipeline import RunConfig, build_problem
 from pdsq.units import EV_PER_HARTREE
 
 from helpers import from_labels
+from oracles import sector_basis_reference
 
 
 def test_single_qubit_z_spectrum():
@@ -35,6 +40,39 @@ def test_sector_indices_blocked_convention():
         n_beta = bin(i & 0b1100).count("1")
         assert n_alpha == 1 and n_beta == 1
     assert len(idx) == 4
+
+
+@pytest.mark.parametrize("n_qubits", [8, 12])
+@pytest.mark.parametrize("s_z", [0.0, 1.0])
+def test_sector_indices_match_the_full_enumeration(n_qubits, s_z):
+    """Every H4 and H6 sector: the indices built from the alpha and beta
+    occupations are those of filtering all 2^n basis states."""
+    for n_electrons in range(n_qubits + 1):
+        got = sector_basis_indices(n_qubits, n_electrons, s_z)
+        want = sector_basis_reference(n_qubits, n_electrons, s_z)
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, want)
+
+
+def test_sector_indices_need_no_2n_array():
+    """28 qubits, two electrons: 196 indices, built in a child process under
+    a 2 GB address-space limit, where one 2^28 uint64 array takes 2 GiB."""
+    script = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))\n"
+        "import numpy as np\n"
+        "from pdsq.exact import sector_basis_indices\n"
+        "idx = sector_basis_indices(28, 2, 0.0)\n"
+        "assert idx.dtype == np.uint64 and np.all(np.diff(idx) > 0)\n"
+        "print(idx.size)\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "196\n"
 
 
 def test_sector_minimum_matches_unfiltered_when_ground_in_sector(h4):

@@ -8,6 +8,7 @@ import pytest
 from pdsq import budget, moments
 from pdsq.backend import apply_pauli_sum, exact_expectation, prepare_basis_state
 from pdsq.budget import MemoryBudgetError
+from pdsq.exact import exact_spectrum
 from pdsq.moments import PowerCache, moments_for_state, unique_string_count
 from pdsq.pauli import PauliString, PauliSum, multiply_sums
 from pdsq.pipeline import unique_measured_strings
@@ -102,12 +103,19 @@ def test_moments_of_basis_state_with_z():
 
 
 def test_complex_expectations_are_refused_alike():
-    """exact_expectation and the Lanczos diagonal share one realness check,
-    with one message."""
-    iz = PauliSum(1, {(0, 1): 0.5j})
-    state = prepare_basis_state("0")
-    for call in (lambda: exact_expectation(iz, state), lambda: moments_for_state(iz, state, 2)):
-        with pytest.raises(ValueError, match=r"^expectation has imaginary part 5\.000e-01$"):
+    """exact_expectation, moments_for_state and exact_spectrum share one
+    Hermiticity check, on the sum's coefficients, with one message."""
+    iz = PauliSum(2, {(0, 1): 0.5j})  # 0.5i Z on qubit 0
+    state = prepare_basis_state("00")
+    for call in (
+        lambda: exact_expectation(iz, state),
+        lambda: moments_for_state(iz, state, 2),
+        lambda: exact_spectrum(iz, (1, 0.5)),
+    ):
+        with pytest.raises(
+            ValueError,
+            match=r"^sum is not Hermitian: ZI has coefficient 0\.000e\+00\+5\.000e-01j$",
+        ):
             call()
 
 

@@ -50,10 +50,21 @@ def test_validation_precedes_computation(tmp_path):
         RunConfig(spacings=(2.0,), geometry_path="also.xyz", output_dir=tmp_path)
 
 
-def test_pipeline_error_names_stage(tmp_path):
+def test_pipeline_error_names_stage(tmp_path, monkeypatch):
+    """A computation failure while building the problem is wrapped, naming
+    the stage; a missing FCIDUMP is an input error and passes unwrapped."""
+    from pdsq import pipeline
+
     cfg = h2_config(tmp_path, fcidump_path=str(tmp_path / "missing.fcidump"),
                     spacings=None)
-    with pytest.raises(PipelineError, match="hamiltonian"):
+    with pytest.raises(FileNotFoundError, match="missing.fcidump"):
+        run_pipeline(cfg)
+
+    def no_convergence(cfg):
+        raise RuntimeError("RHF did not converge")
+
+    monkeypatch.setattr(pipeline, "build_problem", no_convergence)
+    with pytest.raises(PipelineError, match="stage 'hamiltonian' failed"):
         run_pipeline(cfg)
 
 

@@ -39,7 +39,7 @@ def test_generators_commute_with_every_term(h4):
     assert len(gens) == 3
     for g in gens:
         assert g.x == 0  # purely Z on this Hamiltonian
-        for t in h4.strings():
+        for t, _ in h4.terms():
             assert commutes(g, t)
 
 
@@ -249,7 +249,7 @@ def test_first_anticommuting_term_is_named(h4):
     anticommuting term in canonical order."""
     good = taper.find_symmetries(h4)[0]
     bad = PauliString.from_label("IIXIIIII")
-    first = next(t for t in h4.strings() if not commutes(bad, t))
+    first = next(t for t, _ in h4.terms() if not commutes(bad, t))
     with pytest.raises(ValueError) as err:
         taper.build_tapering(h4, [good, bad], [1, 1])
     assert str(err.value) == (
