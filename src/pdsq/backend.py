@@ -2,9 +2,11 @@
 
 Basis-state indexing: bit k of an index is qubit k, and serialized
 bitstrings put qubit 0 leftmost, so `index_to_bits(5, 4) == "1010"`.
-Packed 20-qubit executions are sampled slot by slot and concatenated, which
-is exact because slots never share entanglement.  The basis change of every
-slot of an execution is read from its group's rotation masks in one pass.
+The sampler takes a computational basis state |b> (the tapered reference
+determinant is one) and measures it in closed form: in a QWC group's rotated
+basis, a qubit where the rotation has X or Y gives a uniform bit, each
+independently, and any other qubit gives b's bit.  So a packed execution is
+two seeded draws on int64 outcomes, with no statevector.
 """
 
 from __future__ import annotations
@@ -14,9 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
+from .budget import check_memory
 from .pauli import PauliSum, _require_hermitian
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
+# Peak bytes of the sampler, with room over those traced: per shot, the int64
+# outcomes and np.unique's copies in CountTable.from_indices (41); per flip,
+# its position, the redraws and the XOR's shot and bit arrays (32).
+SHOT_BYTES, FLIP_BYTES = 48, 40
 
 
 def index_to_bits(index: int, n_bits: int) -> str:
@@ -76,25 +82,6 @@ def exact_expectation(h: PauliSum, state: StateVector) -> float:
     """<state|h|state>, real since h is checked Hermitian on its coefficients."""
     _require_hermitian(h)
     return float(np.vdot(state.amplitudes, apply_pauli_sum(h, state)).real)
-
-
-def rotate_to_eigenbases(amplitudes: np.ndarray, x, z) -> np.ndarray:
-    """Row i of a (slots, 2**n) amplitude stack, rotated into the eigenbasis
-    of the rotation masks (x[i], z[i]), as a new array: qubit by qubit,
-    S-dagger on the rows with Y there, then the Hadamard on those with X or Y."""
-    amps = np.array(amplitudes, dtype=complex)
-    slots, dim = amps.shape
-    x, z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
-    for k in range(dim.bit_length() - 1):
-        # axis 2 of the view is qubit k, since bit k of an index is qubit k
-        pairs = amps.reshape(slots, dim >> (k + 1), 2, 1 << k)
-        y_rows = np.flatnonzero((x & z) >> k & 1)
-        pairs[y_rows, :, 1] *= -1j
-        h_rows = np.flatnonzero(x >> k & 1)
-        low, high = pairs[h_rows, :, 0], pairs[h_rows, :, 1]
-        pairs[h_rows, :, 0] = (low + high) * _INV_SQRT2
-        pairs[h_rows, :, 1] = (low - high) * _INV_SQRT2
-    return amps
 
 
 @dataclass(frozen=True)
@@ -175,19 +162,6 @@ class CountTable:
         return cls(n_bits, outcomes, [counts[o] for o in outcomes])
 
 
-def _apply_bit_flips(
-    indices: np.ndarray, n_bits: int, p: float, rng: np.random.Generator
-) -> np.ndarray:
-    if p <= 0.0:
-        return indices
-    flagged = np.flatnonzero(rng.random((indices.size, n_bits)) < p)
-    out = indices.copy()
-    # flat position f of the (shots, n_bits) draw is shot f // n_bits, bit
-    # f % n_bits; the XORs are unbuffered, so a shot may flip several bits
-    np.bitwise_xor.at(out, flagged // n_bits, np.left_shift(1, flagged % n_bits))
-    return out
-
-
 def serial_sample(
     state: StateVector, group, shots: int, noise: NoiseModel | None, seed
 ) -> CountTable:
@@ -199,31 +173,56 @@ def sample_batch(
     state: StateVector, batch, shots: int, noise: NoiseModel | None, seed
 ) -> CountTable:
     """Joint counts for a packed execution whose every slot holds a copy of
-    state: slots sampled independently and concatenated (exact, since the
-    copies are unentangled), then flipped."""
+    the basis state: slots measured independently and concatenated (exact,
+    since the copies are unentangled), then flipped."""
     return _sample_slots(state, batch.slots, batch.register_width, shots, noise, seed)
 
 
+def _distinct_positions(rng: np.random.Generator, size: int, count: int) -> np.ndarray:
+    """count distinct positions of range(size), sorted and uniform over the
+    count-subsets: uniform draws with repeats redrawn, in O(count) memory."""
+    positions = np.empty(0, dtype=np.int64)
+    while positions.size < count:
+        positions = np.sort(np.r_[positions, rng.integers(0, size, count - positions.size)])
+        positions = positions[np.r_[True, positions[1:] != positions[:-1]]]
+    return positions
+
+
 def _sample_slots(state, slots, register: int, shots: int, noise, seed) -> CountTable:
-    """Rotate a copy of state per (group, offset) slot into the group's
-    eigenbasis in one stack, draw each slot in turn from one seeded
-    generator, shift it into the register, then apply readout flips."""
+    """Measure a copy of the basis state |b> in each (group, offset) slot's
+    rotated basis: one seeded generator draws uniform register bits, kept
+    where a slot's rotation has X or Y and set to b's bits elsewhere.  Then
+    it draws the readout flips: a Binomial(shots * register, p) count of
+    distinct (shot, bit) positions chosen uniformly, which is exactly an
+    independent Bernoulli(p) flip of every bit."""
     if shots <= 0:
         raise ValueError("shots must be positive")
     if not slots:
         raise ValueError("an execution needs at least one slot")
-    for group, _ in slots:
+    nonzero = np.flatnonzero(state.amplitudes)
+    if nonzero.size != 1:
+        raise ValueError(
+            "the sampler takes a computational basis state (one nonzero amplitude); "
+            f"this state has {nonzero.size}"
+        )
+    b = int(nonzero[0])
+    free = fixed = 0
+    for group, offset in slots:
         if state.n_qubits != group.n_qubits:
             raise ValueError(f"{state.n_qubits}-qubit state in a {group.n_qubits}-qubit slot")
-    rotated = rotate_to_eigenbases(
-        np.broadcast_to(state.amplitudes, (len(slots), state.amplitudes.size)),
-        [group.rotation.x for group, _ in slots],
-        [group.rotation.z for group, _ in slots],
-    )
+        free |= group.rotation.x << offset
+        fixed |= (b & ~group.rotation.x) << offset
+    check_memory(f"sampling {shots} shots", shots * SHOT_BYTES)
     rng = np.random.default_rng(seed)
-    joint = np.zeros(shots, dtype=np.int64)
-    for probs, (_, offset) in zip(np.abs(rotated) ** 2, slots):
-        joint |= rng.choice(probs.size, size=shots, p=probs / probs.sum()) << offset
-    if noise is not None and noise.spam_flip_probability > 0.0:
-        joint = _apply_bit_flips(joint, register, noise.spam_flip_probability, rng)
+    joint = rng.integers(0, (1 << register) - 1, shots, dtype=np.int64, endpoint=True)
+    joint &= free
+    joint |= fixed
+    p = 0.0 if noise is None else noise.spam_flip_probability
+    if p > 0.0:
+        count = int(rng.binomial(shots * register, p))
+        need = shots * SHOT_BYTES + count * FLIP_BYTES
+        check_memory(f"sampling {shots} shots with {count} readout flips", need)
+        flips = _distinct_positions(rng, shots * register, count)
+        # flat position f is shot f // register, bit f % register
+        np.bitwise_xor.at(joint, flips // register, np.left_shift(1, flips % register))
     return CountTable.from_indices(joint, register)

@@ -16,8 +16,8 @@ strings left (n qubits), where the per-string loop tried every open group
 for every string.
 
 A group is measured in the basis its rotation masks name, which the sampler
-reads directly (backend.rotate_to_eigenbases): each member's eigenvalue is
-then a parity of the outcome bits on its support.
+reads directly (a uniform bit where the rotation has X or Y): each member's
+eigenvalue is then a parity of the outcome bits on its support.
 """
 
 from __future__ import annotations

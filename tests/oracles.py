@@ -111,19 +111,8 @@ def flip_channel(probs, p: float) -> np.ndarray:
     return out
 
 
-def apply_bit_flips_reference(indices, n_bits: int, p: float, rng) -> np.ndarray:
-    """Readout flips as one (shots, n_bits) uniform draw thresholded at p,
-    turned into XOR masks by a bool x int64 matrix product with the bit
-    values: the reference the flagged-position XOR is checked against."""
-    if p <= 0.0:
-        return indices
-    flips = rng.random((indices.size, n_bits)) < p
-    masks = flips @ (1 << np.arange(n_bits, dtype=np.int64))
-    return indices ^ masks
-
-
-# The gate-name basis change that sampling used before it read the rotation
-# masks directly: the reference the mask kernel is checked against.
+# Dense basis changes, by gate names and by rotation masks: the references
+# that the closed-form sampler's distributions are checked against.
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _BASIS_CHANGE = {
     "H": np.array([[1, 1], [1, -1]], dtype=complex) * _INV_SQRT2,
@@ -153,23 +142,39 @@ def basis_change_reference(amplitudes, rotation) -> np.ndarray:
     return amps.reshape(-1)
 
 
-def sample_batch_reference(state, batch, shots: int, noise, seed):
-    """A packed execution's counts drawn slot by slot: a copy of state per
-    slot rotated by basis_change_reference, drawn with rng.choice, shifted to
-    its offset, then flipped by apply_bit_flips_reference."""
-    from pdsq.backend import CountTable
+def rotate_to_eigenbases(amplitudes: np.ndarray, x, z) -> np.ndarray:
+    """Row i of a (slots, 2**n) amplitude stack, rotated into the eigenbasis
+    of the rotation masks (x[i], z[i]), as a new array: qubit by qubit,
+    S-dagger on the rows with Y there, then the Hadamard on those with X or Y."""
+    amps = np.array(amplitudes, dtype=complex)
+    slots, dim = amps.shape
+    x, z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
+    for k in range(dim.bit_length() - 1):
+        # axis 2 of the view is qubit k, since bit k of an index is qubit k
+        pairs = amps.reshape(slots, dim >> (k + 1), 2, 1 << k)
+        y_rows = np.flatnonzero((x & z) >> k & 1)
+        pairs[y_rows, :, 1] *= -1j
+        h_rows = np.flatnonzero(x >> k & 1)
+        low, high = pairs[h_rows, :, 0], pairs[h_rows, :, 1]
+        pairs[h_rows, :, 0] = (low + high) * _INV_SQRT2
+        pairs[h_rows, :, 1] = (low - high) * _INV_SQRT2
+    return amps
 
-    rng = np.random.default_rng(seed)
-    joint = np.zeros(shots, dtype=np.int64)
+
+def packed_distribution_reference(state, batch) -> tuple[np.ndarray, np.ndarray]:
+    """A packed execution's exact joint outcome distribution on its support,
+    as increasing int64 outcomes and their probabilities: per slot, a copy
+    of state rotated by basis_change_reference and squared, kept above
+    1e-12, shifted to the slot's offset; the slots' product over the
+    register."""
+    outcomes, probs = np.zeros(1, dtype=np.int64), np.ones(1)
     for group, offset in batch.slots:
-        probs = np.abs(basis_change_reference(state.amplitudes, group.rotation)) ** 2
-        probs = probs / probs.sum()
-        joint |= rng.choice(probs.size, size=shots, p=probs) << offset
-    if noise is not None and noise.spam_flip_probability > 0.0:
-        joint = apply_bit_flips_reference(
-            joint, batch.register_width, noise.spam_flip_probability, rng
-        )
-    return CountTable.from_indices(joint, batch.register_width)
+        slot = np.abs(basis_change_reference(state.amplitudes, group.rotation)) ** 2
+        support = np.flatnonzero(slot > 1e-12)
+        outcomes = np.add.outer(outcomes, support << offset).ravel()
+        probs = np.multiply.outer(probs, slot[support]).ravel()
+    order = np.argsort(outcomes)
+    return outcomes[order], probs[order]
 
 
 def multiply_sums_reference(a, b, drop_tol: float = 1e-12):

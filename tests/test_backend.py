@@ -4,32 +4,40 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from pdsq import budget
 from pdsq.backend import (
+    FLIP_BYTES,
+    SHOT_BYTES,
     CountTable,
     NoiseModel,
     StateVector,
-    _apply_bit_flips,
+    _distinct_positions,
     apply_pauli_sum,
     bits_to_index,
     exact_expectation,
     index_to_bits,
     prepare_basis_state,
-    rotate_to_eigenbases,
     sample_batch,
     serial_sample,
 )
+from pdsq.budget import MemoryBudgetError
 from pdsq.grouping import PackedBatch, group_qwc
 from pdsq.pauli import PauliString, PauliSum
 
 from helpers import from_labels, random_state, random_sum
 from oracles import (
-    apply_bit_flips_reference,
     apply_pauli_sum_reference,
     basis_change_reference,
+    packed_distribution_reference,
     pauli_sum_to_dense,
-    sample_batch_reference,
+    rotate_to_eigenbases,
 )
+
+# False-alarm rate of each statistical check of the sampler: the probability
+# that a correct sampler fails it at a fresh seed.
+ALPHA = 1e-5
 
 
 def test_bit_conventions():
@@ -256,8 +264,7 @@ def test_all_zero_state_batch_sampling():
 
 def test_seeded_runs_bit_identical():
     group = group_qwc([PauliString.from_label("XYZIX")])[0]
-    rng = np.random.default_rng(0)
-    state = random_state(5, rng)
+    state = prepare_basis_state("10110")
     def histogram(table):
         return table.outcomes.tolist(), table.counts.tolist()
 
@@ -266,6 +273,32 @@ def test_seeded_runs_bit_identical():
     assert histogram(a) == histogram(b)
     c = serial_sample(state, group, 2000, NoiseModel(0.01), 43)
     assert histogram(c) != histogram(a)
+
+
+@pytest.mark.parametrize(
+    "amps, nonzero",
+    [([1.0, 1.0, 0.0, 0.0], 2), ([0.6, 0.0, 0.0, 0.8j], 2), (np.full(4, 0.5), 4)],
+)
+def test_sampler_refuses_a_state_that_is_not_a_basis_state(amps, nonzero):
+    """The closed form holds for a computational basis state only, so both
+    entry points refuse any other state by name."""
+    state = StateVector(2, np.array(amps) / np.linalg.norm(amps))
+    group = group_qwc([PauliString.from_label("XZ")])[0]
+    message = f"computational basis state \\(one nonzero amplitude\\); this state has {nonzero}"
+    with pytest.raises(ValueError, match=message):
+        serial_sample(state, group, 10, None, 1)
+    with pytest.raises(ValueError, match=message):
+        sample_batch(state, PackedBatch(((group, 0), (group, 2)), 4), 10, None, 1)
+
+
+def test_a_global_phase_samples_as_the_basis_state():
+    group = group_qwc([PauliString.from_label("XZIY")])[0]
+    want = serial_sample(prepare_basis_state("0110"), group, 500, NoiseModel(0.1), 9)
+    amps = np.zeros(16, dtype=complex)
+    amps[bits_to_index("0110")] = -1j
+    got = serial_sample(StateVector(4, amps), group, 500, NoiseModel(0.1), 9)
+    assert got.outcomes.tobytes() == want.outcomes.tobytes()
+    assert got.counts.tobytes() == want.counts.tobytes()
 
 
 def test_slot_width_mismatch_names_both_widths():
@@ -297,10 +330,10 @@ def test_shot_validation():
 def test_sampled_expectations_within_binomial_error():
     from pdsq.grouping import expectations_from_group_counts
 
-    rng = np.random.default_rng(8)
-    state = random_state(5, rng)
-    labels = ["XXIII", "IXXII", "XIXIX"]
+    state = prepare_basis_state("10110")
+    labels = ["XXIII", "IXXII", "XIXIX", "IIIZI", "IIIZX"]
     group = group_qwc([PauliString.from_label(s) for s in labels])[0]
+    assert len(group.members) == len(labels)
     shots = 200_000
     counts = serial_sample(state, group, shots, None, 77)
     values = expectations_from_group_counts(counts, group)
@@ -320,39 +353,115 @@ def test_spam_flips_shift_distribution():
     assert p_clean == pytest.approx(0.95**5, abs=5e-3)
 
 
+def _chi_square_pvalue(observed, expected) -> float:
+    """Pearson's goodness of fit, tail cells merged so that each expects >= 5."""
+    observed, expected = np.asarray(observed, float), np.asarray(expected, float)
+    order = np.argsort(expected)
+    merged = np.searchsorted(np.cumsum(expected[order]), 5.0, side="right") + 1
+    o = np.r_[observed[order][:merged].sum(), observed[order][merged:]]
+    e = np.r_[expected[order][:merged].sum(), expected[order][merged:]]
+    if e.size < 2:
+        return 1.0
+    return float(stats.chi2.sf(np.sum((o - e) ** 2 / e), e.size - 1))
+
+
 @pytest.mark.parametrize("p", [1e-3, 0.3])
 def test_bit_flips_match_the_matrix_product(p):
-    """Flagged-position XORs give the matrix product's masks, also where a
-    shot flips several bits, and consume the generator alike."""
+    """Readout flips have the law of the reference flip model: a (shots, bits)
+    matrix of independent Bernoulli(p) flags, whose product with the bit
+    values gives each shot's XOR mask.  On an execution measured in Z, whose
+    clean outcome is fixed, over 20,000 shots: the total flip count is
+    Binomial(shots * 20, p), each bit's count is Binomial(shots, p), and the
+    number of bits a shot flips is Binomial(20, p), several per shot included."""
+    group = group_qwc([PauliString.from_label("ZZZZZ")])[0]
+    batch = PackedBatch(tuple((group, offset) for offset in (0, 5, 10, 15)), 20)
+    clean = bits_to_index("10110" * 4)
+    shots = 20_000
     for seed in (1, 2, 3):
-        indices = np.random.default_rng(seed).integers(0, 1 << 20, 4096)
-        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _apply_bit_flips(indices, 20, p, got_rng)
-        want = apply_bit_flips_reference(indices, 20, p, want_rng)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-        assert got_rng.random() == want_rng.random()
-    assert np.array_equal(_apply_bit_flips(indices, 20, 0.0, got_rng), indices)
+        counts = sample_batch(prepare_basis_state("10110"), batch, shots, NoiseModel(p), seed)
+        masks = counts.outcomes ^ clean
+        per_bit = np.array([counts.counts[masks >> k & 1 == 1].sum() for k in range(20)])
+        total = int(per_bit.sum())
+        assert stats.binomtest(total, shots * 20, p).pvalue > ALPHA
+        assert _chi_square_pvalue(per_bit, np.full(20, shots * p)) > ALPHA
+        flips = [bin(mask).count("1") for mask in masks.tolist()]
+        per_shot = np.bincount(flips, weights=counts.counts, minlength=21)
+        assert _chi_square_pvalue(per_shot, shots * stats.binom.pmf(np.arange(21), 20, p)) > ALPHA
+
+
+@pytest.mark.parametrize("size, count", [(1, 1), (50, 0), (50, 49), (50, 50), (10**6, 3000)])
+def test_flip_positions_are_distinct(size, count):
+    """No (shot, bit) position is drawn twice, so none flips back."""
+    positions = _distinct_positions(np.random.default_rng(size + count), size, count)
+    assert positions.size == count and positions.dtype == np.int64
+    assert np.all(np.diff(positions) > 0)
+    assert count == 0 or 0 <= positions[0] <= positions[-1] < size
+
+
+def test_flip_positions_are_a_uniform_subset():
+    """All 15 two-element subsets of 6 positions, 6000 draws: a chi-square
+    test at the false-alarm rate ALPHA."""
+    rng = np.random.default_rng(4)
+    draws = [tuple(_distinct_positions(rng, 6, 2).tolist()) for _ in range(6000)]
+    subsets, seen = np.unique(np.array(draws), axis=0, return_counts=True)
+    assert len(subsets) == 15
+    assert _chi_square_pvalue(seen, np.full(15, 400.0)) > ALPHA
 
 
 @pytest.mark.parametrize("register", [5, 20])
-def test_sample_sector_matches_the_gate_loop_sampler(h4_problem, monkeypatch, register):
-    """Every H4 execution's counts, both sectors, seeds 3, 77 and 20261022,
-    with and without readout flips: the same bits as a sampler that rotates
-    slot by slot through the tensordot gate loop."""
-    from pdsq import pipeline
+def test_sample_sector_matches_the_gate_loop_sampler(h4_problem, register):
+    """Every execution of both tapered H4 sectors, one group (register 5) or
+    four (register 20) to an execution, at the pipeline's batches and seeds,
+    against the gate loop's dense product distribution over the whole joint
+    outcome: every outcome lies in its support, and Pearson's chi-square
+    over the support, at 8 shots per outcome, passes at the false-alarm
+    rate ALPHA per execution (under 2e-3 for the 188 executions at 5)."""
+    from pdsq.pipeline import sample_sector
 
-    def tables(sector_index, ctx, seed, p):
-        draws = pipeline.sample_sector(ctx, 19, 2048, seed, sector_index, p, register)
-        return [(c.n_bits, c.shots, c.outcomes.tobytes(), c.counts.tobytes()) for _, c in draws]
+    checked = 0
+    for si, ctx in enumerate(h4_problem.sectors.values()):
+        for bi, (batch, _) in enumerate(sample_sector(ctx, 19, 1, 3, si, 0.0, register)):
+            support, probs = packed_distribution_reference(ctx.tapered_state, batch)
+            shots = 8 * support.size
+            counts = sample_batch(ctx.tapered_state, batch, shots, None, [3, si, bi])
+            assert counts.n_bits == register and counts.shots == shots
+            cells = np.searchsorted(support, counts.outcomes)
+            assert np.array_equal(support[np.minimum(cells, support.size - 1)], counts.outcomes)
+            observed = np.bincount(cells, weights=counts.counts, minlength=support.size)
+            assert _chi_square_pvalue(observed, shots * probs) > ALPHA
+            checked += len(batch.slots)
+    assert checked == 122 + 66
 
-    cases = [
-        (si, ctx, seed, p)
-        for si, ctx in enumerate(h4_problem.sectors.values())
-        for seed in (3, 77, 20261022)
-        for p in (0.0, 1e-3)
-    ]
-    got = [tables(*case) for case in cases]
-    monkeypatch.setattr(pipeline, "sample_batch", sample_batch_reference)
-    want = [tables(*case) for case in cases]
-    assert got == want
-    assert len(got) == 12 and all(len(t) >= 17 for t in got)
+
+def test_sampler_memory_is_checked_before_allocating(monkeypatch):
+    """Shots whose outcome arrays, or readout flips whose positions, would
+    take more than MEMORY_BUDGET bytes are refused before those arrays
+    exist; within budget the traced peak stays under the bytes checked."""
+    group = group_qwc([PauliString.from_label("XXXXX")])[0]
+    batch = PackedBatch(tuple((group, offset) for offset in (0, 5, 10, 15)), 20)
+    state = prepare_basis_state("10110")
+    shots = budget.MEMORY_BUDGET // SHOT_BYTES + 1
+    message = f"sampling {shots} shots: {shots * SHOT_BYTES} bytes exceed the cap"
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetError, match=message):
+            sample_batch(state, batch, shots, None, 1)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    # 10,000 shots fit a 1 MB cap; their ~60,000 flips at p = 0.3 do not
+    with monkeypatch.context() as m:
+        m.setattr(budget, "MEMORY_BUDGET", 1 << 20)
+        with pytest.raises(MemoryBudgetError, match="10000 shots with [0-9]+ readout flips"):
+            sample_batch(state, batch, 10_000, NoiseModel(0.3), 1)
+    shots = 50_000
+    for p in (0.0, 1e-3, 0.3):
+        noise = NoiseModel(p) if p else None
+        sample_batch(state, batch, 100, noise, 2)  # allocator warm
+        tracemalloc.start()
+        try:
+            sample_batch(state, batch, shots, noise, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= shots * SHOT_BYTES + 1.1 * p * shots * 20 * FLIP_BYTES

@@ -325,6 +325,32 @@ def test_h10_exact_exits_2_before_allocating_its_block():
     )
 
 
+def test_simulate_refuses_over_budget_shots_before_allocating(tmp_path):
+    """2e8 shots of a 20-qubit execution would need 9.6 GB of outcome arrays,
+    so `pdsq simulate` exits 2 naming the bytes and the cap, in a child
+    process under a 3 GB address-space limit in which NumPy's own
+    allocation of the outcomes would fail instead."""
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))\n"
+        "from pdsq.cli import main\n"
+        "sys.exit(main(['simulate', '--spacings', '2,2,2', '--mode', 'parallel',\n"
+        "               '--shots', '200000000', '--k-max', '2', '--output-dir', sys.argv[1]]))\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True,
+        timeout=300, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert list(tmp_path.iterdir()) == []
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "computation failed: sampling 200000000 shots: 9600000000 bytes exceed the cap "
+        "MEMORY_BUDGET = 1073741824 bytes\n"
+    )
+
+
 def test_h8_exact_admits_its_singlet_block(capsys, monkeypatch):
     """H8 (16 qubits): the 4900-state singlet block and eigvalsh's copy fit
     the budget at 768476800 bytes.  The admitted check is recorded and the

@@ -1,5 +1,8 @@
 """PDS(K) moment systems, polynomial roots, and energy bounds."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -151,3 +154,52 @@ def test_transition_energies_trivial_and_error_paths():
     single = polynomial_roots(np.array([0.5]))
     with pytest.raises(ValueError, match="two singlet roots"):
         transition_energies(single, res)
+
+
+# Sampled moment vectors that show ROADMAP item 2's spurious triplet roots,
+# stored because a seed alone no longer draws them (see the file's "about").
+STORED_MOMENTS = Path(__file__).parent / "data" / "sampled_moments_h4_k10.json"
+STORED_SEEDS = (279172786, 1929245186, 893149980, 20261022)
+
+
+def stored_moments(seed: int, sector: str) -> np.ndarray:
+    doc = json.loads(STORED_MOMENTS.read_text())
+    return np.array([float.fromhex(v) for v in doc["moments"][str(seed)][sector]])
+
+
+@pytest.fixture(scope="module")
+def exact_grounds(h4_problem):
+    from pdsq.exact import exact_spectrum
+
+    n_e = h4_problem.integrals.n_electrons
+    return {
+        sector: exact_spectrum(h4_problem.hamiltonian, (n_e, sz)).ground
+        for sector, sz in (("singlet", 0.0), ("triplet", 1.0))
+    }
+
+
+@pytest.mark.parametrize("seed", STORED_SEEDS)
+def test_stored_sampled_moments_resolve_the_grounds_below_k9(seed, exact_grounds):
+    """The stored vectors are sound data: 20 moments each, and PDS(8) puts S0
+    and T0 within 1 mEh of exact; only orders 9-10 fit the triplet's noise."""
+    for sector, ground in exact_grounds.items():
+        values = stored_moments(seed, sector)
+        assert values.shape == (20,) and values[0] == 1.0
+        assert abs(pds_from_values(values, 8).roots[0] - ground) < 1e-3
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 2: sampled PDS(10) invents a triplet root below T0",
+)
+@pytest.mark.parametrize("seed", STORED_SEEDS)
+def test_stored_sampled_t0_within_1_mEh_or_unresolved(seed, exact_grounds):
+    """Item 2's gate on the stored vectors: PDS(10) T0 lands within 1 mEh of
+    exact, or the solver reports it unresolved rather than give a number."""
+    values = stored_moments(seed, "triplet")
+    try:
+        t0 = pds_from_values(values, 10).require_real(0)
+    except (ValueError, RuntimeError) as exc:
+        assert "unresolved" in str(exc)
+        return
+    assert abs(t0 - exact_grounds["triplet"]) < 1e-3
