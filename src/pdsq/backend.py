@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .budget import check_memory
-from .pauli import PauliSum, _require_hermitian
+from .pauli import PauliSum
 
 # Peak bytes of the sampler, with room over those traced: per shot, the int64
 # outcomes and np.unique's copies in CountTable.from_indices (41); per flip,
@@ -41,26 +41,33 @@ def bits_to_index(bits: str | Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class StateVector:
+    """float64 amplitudes: every operator is real symmetric, so a real state loses nothing."""
+
     n_qubits: int
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
+        amps = np.asarray(self.amplitudes)
         if amps.shape != (1 << self.n_qubits,):
             raise ValueError("amplitude length must be 2**n_qubits")
         if not np.isfinite(amps).all():
             raise ValueError("state has a non-finite amplitude")
+        if np.iscomplexobj(amps) and amps.imag.any():
+            raise ValueError("state has a complex amplitude: states are real")
+        amps = np.asarray(amps.real, dtype=np.float64)
+        object.__setattr__(self, "amplitudes", amps)
         norm = np.linalg.norm(amps)
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"state is not normalized (norm {norm!r})")
 
 
 def prepare_basis_state(bits: str | Sequence[int]) -> StateVector:
-    """One-hot state |bits>, qubit 0 given by the leftmost bit."""
-    n = len(bits)
-    amps = np.zeros(1 << n, dtype=complex)
-    amps[bits_to_index(bits)] = 1.0
+    """One-hot state |bits>, qubit 0 given by the leftmost bit, budgeted
+    before its 2^n amplitudes are allocated."""
+    n, index = len(bits), bits_to_index(bits)
+    check_memory(f"a {n}-qubit state", 8 << n)
+    amps = np.zeros(1 << n)
+    amps[index] = 1.0
     return StateVector(n, amps)
 
 
@@ -79,9 +86,8 @@ def apply_pauli_sum(h: PauliSum, state: StateVector) -> np.ndarray:
 
 
 def exact_expectation(h: PauliSum, state: StateVector) -> float:
-    """<state|h|state>, real since h is checked Hermitian on its coefficients."""
-    _require_hermitian(h)
-    return float(np.vdot(state.amplitudes, apply_pauli_sum(h, state)).real)
+    """<state|h|state> of the real symmetric h and the real state."""
+    return float(state.amplitudes @ apply_pauli_sum(h, state))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Sector filtering selects computational basis states by electron count and
 s_z under the blocked spin-orbital convention (alpha qubits first); the
-"exact" singlet/triplet energies come from the Hamiltonian, checked
-Hermitian on its coefficients, on the block of those d states.  The states
+"exact" singlet/triplet energies come from the real symmetric Hamiltonian
+on the float64 block of those d states.  The states
 are listed from the alpha and beta occupations and the block is assembled
 on them alone, so no array has 2^n entries.
 """
@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .pauli import PauliSum, _dense_block, _require_hermitian
+from .pauli import PauliSum, _dense_block
 from .units import EV_PER_HARTREE
 
 # Two levels closer than this (hartree) count as degenerate spin partners.
@@ -53,9 +53,8 @@ def sector_basis_indices(n_qubits: int, n_electrons: int, s_z: float) -> np.ndar
 
 
 def exact_spectrum(h: PauliSum, sector: tuple[int, float]) -> SpectrumResult:
-    """Eigenvalues of the Hermitian h restricted to the basis states of
-    sector = (n_electrons, s_z), assembled on that block alone."""
-    _require_hermitian(h)
+    """Eigenvalues of h restricted to the basis states of sector =
+    (n_electrons, s_z), assembled on that block alone."""
     keep = sector_basis_indices(h.n_qubits, *sector)
     if keep.size == 0:
         raise ValueError(f"empty sector {sector}")

@@ -10,13 +10,17 @@ X_k Z_{<k} / 2 and Y_k Z_{<k} (-+i/2), so a+_p a_q is a sum of 4 string
 products and a+_p a+_q a_s a_r of 16, each with coefficient 2^-k i^e, whose
 phase e follows from the running product of the factors' strings, one
 `pauli._multiply_masks` call per factor over all rows and products at once.
+Ladder operators are real matrices, and so is each part: e is odd exactly
+on strings with an odd number of Y letters, so a part is carried as the
+real 2^-k (-1)^{e >> 1}, its coefficient, or its coefficient over i there.
 Like strings are merged within each product first: the parts are +-2^-k, so
 that sum is exact in any order.  Each merged product is scaled by h[p, q] or
 <pq||rs>/4, and the scaled terms are summed string by string in table order
 (one-body (p, q), then two-body (p, q, r, s), both row-major), starting from
 the core energy.  Those are the additions, in the order, that accumulating
 one product after another makes, so every coefficient carries the same bits
-whatever the layout of the pass.
+whatever the layout of the pass.  Symmetric tables leave the odd strings at
+round-off, which the sum drops; a remainder above DROP_TOL is refused.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .chem import SpinOrbitalTables
-from .pauli import _PHASES_ARR, PauliSum, _multiply_masks, _sum_in_order
+from .pauli import PauliSum, _multiply_masks, _sum_in_order
 
 _COEFF_CUTOFF = 1e-14
 
@@ -85,21 +89,17 @@ def jordan_wigner(tables: SpinOrbitalTables) -> PauliSum:
     z = np.concatenate(([np.uint64(0)], z1.ravel(), z2.ravel()))
     e = np.concatenate((e1.ravel(), e2.ravel()))
     unit = np.concatenate((np.full(e1.size, 0.25), np.full(e2.size, 0.0625)))
-    re = np.concatenate(([float(tables.core_energy)], unit * _PHASES_ARR.real[e]))
-    im = np.concatenate(([0.0], unit * _PHASES_ARR.imag[e]))
+    c = np.concatenate(([float(tables.core_energy)], np.where(e & 2, -unit, unit)))
 
     # merge like strings within each product: exact, as the parts are +-2^-k
     order = np.lexsort((x, z, product))
-    x, z, product, re, im = x[order], z[order], product[order], re[order], im[order]
+    x, z, product, c = x[order], z[order], product[order], c[order]
     first = np.concatenate((
         [True],
         (product[1:] != product[:-1]) | (x[1:] != x[:-1]) | (z[1:] != z[:-1]),
     ))
-    pair = np.cumsum(first) - 1
-    re, im = np.bincount(pair, weights=re), np.bincount(pair, weights=im)
-    nonzero = (re != 0) | (im != 0)
+    c = np.bincount(np.cumsum(first) - 1, weights=c)
+    nonzero = c != 0
     weight = scale[product[first][nonzero]]
     # then sum the scaled products string by string, in loop order
-    return _sum_in_order(
-        m, x[first][nonzero], z[first][nonzero], weight * re[nonzero], weight * im[nonzero]
-    )
+    return _sum_in_order(m, x[first][nonzero], z[first][nonzero], weight * c[nonzero])

@@ -28,7 +28,7 @@ import numpy as np
 # (benchmarks/tracer.py) rebinds it in this module, so the name stays.
 from .backend import StateVector, apply_pauli_sum, exact_expectation  # noqa: F401
 from .budget import check_memory
-from .pauli import PauliSum, _number_strings, _require_hermitian, multiply_sums
+from .pauli import PauliSum, _number_strings, multiply_sums
 
 
 # Lanczos stops once an off-diagonal falls below this fraction of the
@@ -120,12 +120,10 @@ class MomentTable:
 
 
 def moments_for_state(h: PauliSum, state: StateVector, K: int) -> MomentTable:
-    """Exact statevector moments of h, checked Hermitian on its coefficients,
-    up to order 2K-1 for one trial state, with the recurrence of the K-step
-    Lanczos run they come from."""
+    """Exact statevector moments of h up to order 2K-1 for one trial
+    state, with the recurrence of the K-step Lanczos run they come from."""
     if K < 1:
         raise ValueError("K must be at least 1")
-    _require_hermitian(h)
     recurrence = _lanczos(h, state, K)
     return MomentTable(K, _krylov_moments(recurrence, 2 * K), recurrence)
 
@@ -133,21 +131,24 @@ def moments_for_state(h: PauliSum, state: StateVector, K: int) -> MomentTable:
 def _lanczos(h: PauliSum, state: StateVector, steps: int) -> Recurrence:
     """Up to `steps` Lanczos steps of h from state, with full
     reorthogonalisation; stops early when the Krylov space is invariant.
-    h is Hermitian, so each diagonal element is the real part of its vdot."""
-    basis = np.empty((steps, state.amplitudes.size), dtype=complex)
+    h and the state are real, and so is every vector of the run."""
+    size = state.amplitudes.size
+    # the basis, and the matvec's input, output and basis indices
+    check_memory(f"{steps} Lanczos vectors of {size} amplitudes", 8 * (steps + 3) * size)
+    basis = np.empty((steps, size))
     basis[0] = state.amplitudes
     alpha: list[float] = []
     beta: list[float] = []
     scale = 0.0
     for j in range(steps):
         w = apply_pauli_sum(h, StateVector(state.n_qubits, basis[j]))
-        alpha.append(float(np.vdot(basis[j], w).real))
+        alpha.append(float(basis[j] @ w))
         scale = max(scale, abs(alpha[-1]))
         if j == steps - 1:
             break
         q = basis[: j + 1]
         for _ in range(2):  # classical Gram-Schmidt, twice, against all of Q
-            w = w - q.T @ (q.conj() @ w)
+            w = w - q.T @ (q @ w)
         b = float(np.linalg.norm(w))
         if b <= BREAKDOWN_TOL * scale:
             break

@@ -10,27 +10,32 @@ Hermitian operator
 so products of strings are again strings times a phase in {1, i, -1, -i}.
 `_multiply_masks` computes them on mask arrays for the products of sums, the
 Jordan-Wigner expansion and the tapering rotation.
-A sum is three parallel arrays in canonical (z, x) order, uint64 masks and
-complex128 coefficients, which limits sums (not strings) to 64 qubits; sums
-are built, added and scaled through one in-order merge (see PauliSum).
+A sum is a real symmetric operator, as every qubit Hamiltonian of the
+program (real JW tables, tapered sums, powers) is: real coefficients on
+strings with an even number of Y letters, the real symmetric strings
+P = (-1)^{|x & z| / 2} X^x Z^z.  It is three parallel arrays in canonical
+(z, x) order, uint64 masks and float64 coefficients, which limits sums (not
+strings) to 64 qubits; sums are built, added and scaled through one
+in-order merge (see PauliSum).
 
 Which strings a product a*b holds, and how its |a|*|b| string products
 merge into them, depends only on the two operands' masks, never on their
 coefficients.  So the right operand keeps that merge structure for the last
 left operand it met: the distinct output strings in canonical order and,
-per string pair, a slot 2k + (e & 1) for output k and i-exponent e (int32
-while 2|a||b| fits) and a sign byte, -1 for e >= 2.  The entry is keyed on
-the left operand's exact mask bytes and replaced on a miss; since sums are
-immutable it stays valid for the right operand's lifetime.  A Hamiltonian
-power ladder multiplies by the same H every step, so once H^n's strings
-stop changing each step only recombines coefficients; for the saturated H4
-step (4224 x 185 pairs) H keeps 4.0 MiB.
+per string pair, its output's index (int32 while |a||b| fits) and a sign
+byte, -1 for i-exponent e >= 2.  The entry is keyed on the left operand's
+exact mask bytes and replaced on a miss; since sums are immutable it stays
+valid for the right operand's lifetime.  A Hamiltonian power ladder
+multiplies by the same H every step, so once H^n's strings stop changing
+each step only recombines coefficients; for the saturated H4 step (4224 x
+185 pairs) H keeps 4.0 MiB.
 
-The slots serve real coefficients, which every JW Hamiltonian in a real
-orbital basis and all its powers have: a pair's product i^e ar br is then
-exactly +-ar br, real for even e and imaginary for odd e, so one float64
-sparse matrix-vector product, scattering the pairs into 2m slots, yields
-the m outputs' real and imaginary parts, laid out as complex128.
+For such operands a pair's i-exponent is odd exactly when its output has
+an odd number of Y letters, so its product i^e ar br is +-ar br on an even
+output and +-i ar br on an odd one: one float64 sparse matrix-vector
+product with the signs (-1)^{e >> 1} yields the even outputs' coefficients
+and the odd ones' over i.  Those cancel up to round-off when the operands
+commute, as the powers of one sum do.
 
 Strings are numbered in one place, `_number_strings`: the distinct strings
 of two mask arrays in canonical order, as uint64 masks, and each input's
@@ -46,6 +51,7 @@ of a label and the leftmost character of a measurement bitstring.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -54,12 +60,12 @@ import scipy.sparse
 
 from .budget import check_memory
 
-# A merged coefficient with np.abs(c) <= DROP_TOL is dropped from a sum.
+# A merged coefficient with np.abs(c) <= DROP_TOL is dropped from a sum,
+# and one with np.abs(c) <= DROP_TOL * (the largest np.abs(c)) from a product.
 DROP_TOL = 1e-12
 
 _LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _LETTER_BITS = {v: k for k, v in _LETTERS.items()}
-_PHASES_ARR = np.array((1.0, 1.0j, -1.0, -1.0j), dtype=np.complex128)
 _INT32_MAX = np.iinfo(np.int32).max
 # (term, basis state) elements per block of PauliSum.matrix_blocks: each
 # of a block's arrays then fits in a core's cache (<= 256 KiB), which
@@ -143,13 +149,16 @@ def _check_qubits(na: int, nb: int) -> None:
 
 
 class PauliSum:
-    """Sparse complex-weighted sum of Pauli strings on a fixed qubit count.
+    """Real symmetric operator: a sparse real-weighted sum of Pauli strings
+    with an even number of Y letters, on a fixed qubit count.
 
     Its only state is the mask_arrays(): its distinct strings' x and z masks
-    (uint64) and coefficients (complex128), ascending on (z_mask, x_mask).
+    (uint64) and coefficients (float64), ascending on (z_mask, x_mask).
     Constructors, + and scaling merge terms in input order, each string's
     coefficients added one by one from 0.0, and drop np.abs(c) <= DROP_TOL.
-    Instances are immutable after construction; arithmetic returns new sums.
+    They refuse a complex coefficient or scalar, and a kept string with an
+    odd number of Y letters.  Instances are immutable after construction;
+    arithmetic returns new sums.
     """
 
     __slots__ = ("n_qubits", "_x", "_z", "_c", "_product_cache")
@@ -169,13 +178,9 @@ class PauliSum:
             if xm & ~mask or zm & ~mask:
                 raise ValueError("term masks exceed qubit count")
             keys.append(key)
-            cs.append(complex(coeff))
+            cs.append(_real(coeff, f" on term masks {key}"))
         x, z = np.array(keys, dtype=np.uint64).reshape(-1, 2).T
-        c = np.array(cs, dtype=np.complex128)
-        bad = np.flatnonzero(~np.isfinite(c))
-        if bad.size:
-            raise ValueError(f"non-finite coefficient {cs[bad[0]]} on term masks {keys[bad[0]]}")
-        merged = _sum_in_order(n_qubits, x, z, c.real, c.imag)
+        merged = _sum_in_order(n_qubits, x, z, np.array(cs, dtype=np.float64))
         self.n_qubits = n_qubits
         self._x, self._z, self._c = merged.mask_arrays()
         # (left operand's mask bytes, _ProductStructure) of the last product
@@ -199,7 +204,14 @@ class PauliSum:
     @classmethod
     def _from_canonical(cls, n_qubits: int, x, z, c) -> "PauliSum":
         """Sum of distinct strings given as (x, z, coeff) arrays already in
-        canonical order; they become the sum's read-only mask_arrays()."""
+        canonical order; they become the sum's read-only mask_arrays().
+        Refuses a string with an odd number of Y letters."""
+        odd = np.flatnonzero(np.bitwise_count(x & z) & 1)
+        if odd.size:
+            k = odd[0]
+            label = PauliString(n_qubits, int(x[k]), int(z[k])).label
+            raise ValueError(f"sum is not real symmetric: {label} has an odd number of Y "
+                             f"letters and a coefficient of modulus {abs(c[k]):.3e}")
         out = cls.__new__(cls)
         out.n_qubits = n_qubits
         for a in (x, z, c):
@@ -217,13 +229,13 @@ class PauliSum:
     def __len__(self) -> int:
         return len(self._c)
 
-    def terms(self) -> Iterator[tuple[PauliString, complex]]:
+    def terms(self) -> Iterator[tuple[PauliString, float]]:
         """Terms in canonical order: lexicographic on (z_mask, x_mask)."""
         x, z, c = self.mask_arrays()
         for xm, zm, coeff in zip(x.tolist(), z.tolist(), c.tolist()):
             yield PauliString(self.n_qubits, xm, zm), coeff
 
-    def coefficient(self, string: PauliString) -> complex:
+    def coefficient(self, string: PauliString) -> float:
         _check_qubits(string.n_qubits, self.n_qubits)
         x, z = np.uint64(string.x), np.uint64(string.z)
         lo, hi = np.searchsorted(self._z, z, "left"), np.searchsorted(self._z, z, "right")
@@ -234,10 +246,9 @@ class PauliSum:
 
     def __add__(self, other: "PauliSum") -> "PauliSum":
         _check_qubits(self.n_qubits, other.n_qubits)
-        c = np.concatenate((self._c, other._c))
         return _sum_in_order(
             self.n_qubits, np.concatenate((self._x, other._x)),
-            np.concatenate((self._z, other._z)), c.real, c.imag,
+            np.concatenate((self._z, other._z)), np.concatenate((self._c, other._c)),
         )
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":
@@ -252,30 +263,26 @@ class PauliSum:
         return self._scaled(scalar)
 
     def _scaled(self, scalar) -> "PauliSum":
-        s, re, im = complex(scalar), self._c.real, self._c.imag
-        # CPython's complex product, part by part: NumPy's complex128
-        # multiply rounds some products differently
-        re, im = re * s.real - im * s.imag, re * s.imag + im * s.real
-        return _sum_in_order(self.n_qubits, self._x, self._z, re, im)
+        return _sum_in_order(self.n_qubits, self._x, self._z, self._c * _real(scalar, " (scalar)"))
 
     # -- bulk views --------------------------------------------------------
 
     def mask_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Parallel (x, z, coeff) arrays in canonical order (uint64, uint64, c128)."""
+        """Parallel (x, z, coeff) arrays in canonical order (uint64, uint64, float64)."""
         return self._x, self._z, self._c
 
     def matrix_blocks(self, basis: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         """The dense matrix's elements in the columns basis (uint64 basis
         indices) as (rows, values), block by block of terms in canonical order.
 
-        Term t of a block puts values[t, j] = i^{|x_t & z_t|} c_t (-1)^{|b & z_t|}
-        in row rows[t, j] = b ^ x_t (int64) of column b = basis[j].  A block
-        holds max(1, _BLOCK_ELEMENTS // basis.size) terms, so the arrays stay
-        small whatever the number of terms.
+        Term t of a block puts values[t, j] = (-1)^{|x_t & z_t| / 2} c_t
+        (-1)^{|b & z_t|} in row rows[t, j] = b ^ x_t (int64) of column b =
+        basis[j].  A block holds max(1, _BLOCK_ELEMENTS // basis.size) terms,
+        so the arrays stay small whatever the number of terms.
         """
         x, z, c = self.mask_arrays()
-        # folds the i^{|x & z|} letter normalization into the coefficient
-        c = c * _PHASES_ARR[np.bitwise_count(x & z) & 3]
+        # folds the letter normalization i^{|x & z|} = +-1 into the coefficient
+        c = np.where(np.bitwise_count(x & z) & 2, -c, c)
         step = max(1, _BLOCK_ELEMENTS // basis.size)
         for lo in range(0, c.size, step):
             block = slice(lo, lo + step)
@@ -283,21 +290,16 @@ class PauliSum:
             yield (basis ^ x[block, None]).view(np.int64), c[block, None] * signs
 
     def to_matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix: _dense_block over every basis index."""
+        """Dense 2^n x 2^n matrix: _dense_block over every basis index,
+        budgeted before the 2^n indices exist."""
+        _check_block(self.n_qubits, 1 << self.n_qubits)
         return _dense_block(self, np.arange(1 << self.n_qubits, dtype=np.uint64))
 
     # -- serialization -----------------------------------------------------
 
     def to_text(self) -> str:
         """One `coeff * LETTERS` line per term in canonical order."""
-        lines = []
-        for string, coeff in self.terms():
-            if abs(coeff.imag) <= 1e-15:
-                cs = repr(coeff.real)
-            else:
-                cs = repr(coeff).strip("()")
-            lines.append(f"{cs} * {string.label}")
-        return "\n".join(lines)
+        return "\n".join(f"{coeff!r} * {string.label}" for string, coeff in self.terms())
 
     def __str__(self) -> str:
         return self.to_text() if self else f"0 (on {self.n_qubits} qubits)"
@@ -311,8 +313,7 @@ class _ProductStructure(NamedTuple):
 
     x: np.ndarray  # distinct output strings, canonical (z, x) order
     z: np.ndarray
-    # (|a| * |b|,) 2 * (index of each pair's output string) + (i-exponent & 1)
-    slot: np.ndarray
+    slot: np.ndarray  # (|a| * |b|,) index of each pair's output string
     sign: np.ndarray  # (|a|, |b|) int8: -1 where the i-exponent is 2 or 3, else 1
 
 
@@ -331,9 +332,7 @@ def _product_structure(a: PauliSum, b: PauliSum) -> _ProductStructure:
     xa, za, xb, zb = (m.astype(mask_type, copy=False) for m in (xa, za, xb, zb))
     x, z, phase_exp = _multiply_masks(xa[:, None], za[:, None], xb, zb)
     ux, uz, inverse = _number_strings(n, x.ravel(), z.ravel())
-    slot = inverse.astype(np.int32 if 2 * x.size <= _INT32_MAX else np.int64, copy=False)
-    slot <<= 1
-    slot |= (phase_exp & 1).ravel()
+    slot = inverse.astype(np.int32 if x.size <= _INT32_MAX else np.int64, copy=False)
     # 1 - (e & 2) is 1 or 255 in uint8, i.e. 1 or -1 as int8
     sign = (1 - (phase_exp & 2)).view(np.int8)
     structure = _ProductStructure(ux, uz, slot, sign)
@@ -342,67 +341,44 @@ def _product_structure(a: PauliSum, b: PauliSum) -> _ProductStructure:
 
 
 def multiply_sums(a: PauliSum, b: PauliSum) -> PauliSum:
-    """Distributed product of two sums with like-string merging.
+    """Distributed product of two commuting sums with like-string merging.
 
     All |a| * |b| string products are evaluated in one vectorized pass, then
-    merged; Hermitian inputs with real coefficients stay Hermitian.  The
-    pairs' product strings are numbered by `_number_strings`.  The merge
-    structure (output strings, pair slots, pair signs) comes from b's
-    one-entry cache when a has exactly the strings of the last left operand
-    b met (keyed on a's mask bytes), and is computed and cached on b
+    merged.  The pairs' product strings are numbered by `_number_strings`.
+    The merge structure (output strings, pair slots, pair signs) comes from
+    b's one-entry cache when a has exactly the strings of the last left
+    operand b met (keyed on a's mask bytes), and is computed and cached on b
     otherwise.  The entry holds 5 bytes per pair (4.0 MiB for the saturated
     4224 x 185 H4 step) and lives as long as b.
 
-    When neither operand has an imaginary part (JW Hamiltonians in a real
-    orbital basis and all their powers), each pair's product i^e ar br is
-    exactly +-ar br, real for even e and imaginary for odd e.  One sparse
-    (2m, |a|) matrix, built per call, holds +-br[j] in column i at row
-    slot[i, j]; its product with ar adds each pair's rounded (+-br) ar into
-    its slot from 0.0, the 2m slots being the m outputs' real and imaginary
-    parts side by side.  Complex arithmetic on the same finite operands
-    gives those values plus signed zeros, which leave a sum from 0.0
-    unchanged, so the bits are those of the complex product.  That holds
-    while scipy's csc_matvec rounds each product and add apart: a build
-    that fuses them into one multiply-add would move last bits, and the
+    One sparse (m, |a|) matrix, built per call, holds +-br[j] in column i at
+    row slot[i, j]; its product with ar adds each pair's rounded (+-br) ar
+    into its output string from 0.0, in row-major (a, b) order (scipy walks
+    column i's entries in j order), whether or not the structure was
+    cached, so the result does not depend on the cache.  That holds while
+    scipy's csc_matvec rounds each product and add apart: a build that
+    fuses them into one multiply-add would move last bits, and the
     bit-for-bit checks against the uncached reference in tests/test_pauli.py
-    would fail there.  Complex operands take the complex product times i^e
-    and two bincounts.  Either way like strings are summed pair by pair in
-    row-major (a, b) order (scipy walks column i's entries in j order),
-    whether or not the structure was cached, so the result does not depend
-    on the cache.
+    would fail there.
+
+    The product keeps np.abs(c) > DROP_TOL * max np.abs(c).  An output
+    with an odd number of Y letters (its coefficient over i, see the module
+    docstring) is round-off and dropped below that bound, and refuses the
+    product above it: a and b do not commute.
     """
     _check_qubits(a.n_qubits, b.n_qubits)
     if not a or not b:
         return PauliSum.zero(a.n_qubits)
     s = _product_structure(a, b)
-    ca, cb = a._c, b._c
-    if ca.imag.any() or cb.imag.any():
-        acc = _merge_complex(ca, cb, s)
-    else:
-        # column i of this (2m, |a|) matrix holds +-cb[j] in row slot[i, j]
-        scatter = scipy.sparse.csc_array(
-            ((s.sign * cb.real).ravel(), s.slot,
-             np.arange(0, s.slot.size + 1, len(cb), dtype=s.slot.dtype)),
-            shape=(2 * len(s.x), len(ca)),
-        )
-        acc = (scatter @ ca.real).view(np.complex128)
-    keep = np.abs(acc) > DROP_TOL
-    return PauliSum._from_canonical(a.n_qubits, s.x[keep], s.z[keep], acc[keep])
-
-
-def _merge_complex(ca: np.ndarray, cb: np.ndarray, s: _ProductStructure) -> np.ndarray:
-    """Output coefficients of a*b for complex operand coefficients: each
-    pair's ca cb i^e, with e = (1 - sign) + (slot & 1), added per output
-    string."""
-    coeffs = ca[:, None] * cb[None, :]
-    coeffs *= _PHASES_ARR[1 - s.sign + (s.slot & 1).reshape(s.sign.shape)]
-    coeffs = coeffs.ravel()
-    inverse = s.slot >> 1
-    m = len(s.x)
-    acc = np.empty(m, dtype=np.complex128)
-    acc.real = np.bincount(inverse, weights=coeffs.real, minlength=m)
-    acc.imag = np.bincount(inverse, weights=coeffs.imag, minlength=m)
-    return acc
+    # column i of this (m, |a|) matrix holds +-cb[j] in row slot[i, j]
+    scatter = scipy.sparse.csc_array(
+        ((s.sign * b._c).ravel(), s.slot,
+         np.arange(0, s.slot.size + 1, len(b), dtype=s.slot.dtype)),
+        shape=(len(s.x), len(a)),
+    )
+    c = scatter @ a._c
+    kept = np.abs(c) > DROP_TOL * np.abs(c).max()
+    return PauliSum._from_canonical(a.n_qubits, s.x[kept], s.z[kept], c[kept])
 
 
 def _number_strings(
@@ -433,40 +409,43 @@ def _number_strings(
     return ux, uz, inverse
 
 
-def _sum_in_order(
-    n_qubits: int, x: np.ndarray, z: np.ndarray, re: np.ndarray, im: np.ndarray
-) -> PauliSum:
-    """Sum of the terms (x[i], z[i], re[i] + i im[i]), each string's terms
-    added one after another in array order from 0.0, the real and imaginary
-    parts apart; a string with np.abs(c) <= DROP_TOL is dropped."""
+def _sum_in_order(n_qubits: int, x: np.ndarray, z: np.ndarray, c: np.ndarray) -> PauliSum:
+    """Sum of the terms (x[i], z[i], c[i]), each string's terms added one
+    after another in array order from 0.0; a string with np.abs(c) <=
+    DROP_TOL is dropped, and a kept one with an odd number of Y letters
+    refused."""
     ux, uz, inverse = _number_strings(n_qubits, x, z)
-    acc = np.empty(ux.size, dtype=np.complex128)
-    acc.real = np.bincount(inverse, weights=re, minlength=ux.size)
-    acc.imag = np.bincount(inverse, weights=im, minlength=ux.size)
+    # float64 even with no terms, where bincount gives int64
+    acc = np.bincount(inverse, weights=c, minlength=ux.size).astype(np.float64, copy=False)
     keep = np.abs(acc) > DROP_TOL
     return PauliSum._from_canonical(n_qubits, ux[keep], uz[keep], acc[keep])
 
 
-def _require_hermitian(h: PauliSum) -> None:
-    """Refuse a non-Hermitian h.  Every string is Hermitian, so h is exactly
-    when its coefficients are real: none with |Im c| above DROP_TOL."""
-    x, z, c = h.mask_arrays()
-    if np.any(np.abs(c.imag) > DROP_TOL):
-        k = np.abs(c.imag).argmax()
-        label = PauliString(h.n_qubits, int(x[k]), int(z[k])).label
-        raise ValueError(f"sum is not Hermitian: {label} has coefficient {c[k]:.3e}")
+def _real(value, where: str) -> float:
+    """value as a float; refuses a non-finite or complex one, naming where."""
+    c = complex(value)
+    if not cmath.isfinite(c):
+        raise ValueError(f"non-finite coefficient {value}{where}")
+    if c.imag:
+        raise ValueError(f"complex coefficient {value}{where}: a PauliSum is real symmetric")
+    return c.real
+
+
+def _check_block(n: int, d: int) -> None:
+    """Budget a dense d x d block: 16 bytes per entry of the block and its
+    spill row, for the block itself and the copy eigvalsh takes of it."""
+    check_memory(f"a dense {d} x {d} block on {n} qubits", 16 * (d + 1) * d)
 
 
 def _dense_block(h: PauliSum, basis: np.ndarray) -> np.ndarray:
     """h's dense matrix on the d ascending uint64 indices basis, each entry
     summing its terms in canonical order from 0.0; a term's row is found by
     binary search in basis, and rows outside it go to a dropped spill row.
-    Budgeted before allocating at 32 bytes per entry of the block and spill
-    row: the block itself and the copy eigvalsh takes of it."""
+    Budgeted by _check_block before allocating."""
     n, d = h.n_qubits, basis.size
-    check_memory(f"a dense {d} x {d} block on {n} qubits", 32 * (d + 1) * d)
+    _check_block(n, d)
     cols = np.arange(d)
-    out = np.zeros((d + 1) * d, dtype=np.complex128)
+    out = np.zeros((d + 1) * d)
     for rows, values in h.matrix_blocks(basis):
         rows = rows.view(np.uint64)
         where = np.searchsorted(basis, rows)

@@ -130,11 +130,12 @@ def build_problem(cfg: RunConfig) -> Problem:
     sectors: dict[str, SectorContext] = {}
     for sector in SECTORS:
         det = chem.reference_determinant(sector, ints.n_electrons, 2 * ints.n_orbitals)
+        state = prepare_basis_state(det.bits)  # the largest allocation, budgeted first
         td = taper.tapering_for_determinant(h, det)
         tstate = prepare_basis_state(taper.taper_state(det, td))
         sectors[sector] = SectorContext(
             determinant=det,
-            state=prepare_basis_state(det.bits),
+            state=state,
             tapering=td,
             tapered_state=tstate,
             tapered_cache=PowerCache(taper.taper_operator(h, td)),
@@ -279,7 +280,7 @@ def moments_from_estimates(
     # the terms adds them: the sampled PDS solve turns 1e-15 relative changes
     # of the moments into root shifts of up to ~1e-6 Eh.
     return np.array([
-        np.cumsum(np.r_[0.0, c.real * v])[-1]
+        np.cumsum(np.r_[0.0, c * v])[-1]
         for c, v in zip(coeffs, np.split(values, ends[:-1]))
     ])
 

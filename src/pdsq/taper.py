@@ -223,7 +223,7 @@ def taper_operator(h: PauliSum, td: TaperingData) -> PauliSum:
     x, z = _compact(x, remaining), _compact(z, remaining)
     if int((x | z).max(initial=0)) >> td.n_remaining:
         raise ValueError("term masks exceed qubit count")
-    return _sum_in_order(td.n_remaining, x, z, c.real * factor, c.imag * factor)
+    return _sum_in_order(td.n_remaining, x, z, c * factor)
 
 
 def taper_state(det: ReferenceDeterminant, td: TaperingData) -> str:

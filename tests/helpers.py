@@ -1,6 +1,7 @@
 """Test-side conveniences on the package's public types: building sums from
 letter labels, parsing `PauliSum.to_text`, single-string products and
-commutation, sum comparison and random states."""
+commutation, sum comparison, random real symmetric sums and random real
+states."""
 
 import numpy as np
 
@@ -10,18 +11,18 @@ from pdsq.pauli import PauliString, PauliSum, _check_qubits
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
-def from_labels(n_qubits: int, labels: dict[str, complex]) -> PauliSum:
+def from_labels(n_qubits: int, labels: dict[str, float]) -> PauliSum:
     """Sum of `label: coeff` terms, e.g. {"XZ": 0.5}; qubit 0 leftmost."""
     return PauliSum(n_qubits, ((PauliString.from_label(k), c) for k, c in labels.items()))
 
 
-def parse_term(line: str) -> tuple[PauliString, complex]:
+def parse_term(line: str) -> tuple[PauliString, float]:
     """Parse one `coeff * LETTERS` term; spaces inside the letter block are fine."""
     if "*" not in line:
         raise ValueError(f"expected 'coeff * letters': {line!r}")
     coeff_part, _, label_part = line.partition("*")
     try:
-        coeff = complex(coeff_part.strip())
+        coeff = float(coeff_part.strip())
     except ValueError:
         raise ValueError(f"invalid coefficient in {line!r}") from None
     return PauliString.from_label(label_part), coeff
@@ -66,25 +67,54 @@ def allclose(a: PauliSum, b: PauliSum, tol: float = 1e-10) -> bool:
     a's terms, then b's negated, summed string by string in order."""
     if a.n_qubits != b.n_qubits:
         return False
-    diff: dict[PauliString, complex] = {}
+    diff: dict[PauliString, float] = {}
     for string, coeff in [*a.terms(), *((s, -c) for s, c in b.terms())]:
         diff[string] = diff.get(string, 0.0) + coeff
     return all(abs(c) <= tol for c in diff.values())
 
 
-def random_sum(rng: np.random.Generator, n_qubits: int, n_terms: int, real: bool = True) -> PauliSum:
-    """Up to n_terms random strings with standard-normal coefficients
-    (complex ones unless real), repeats summed."""
+def random_sum(rng: np.random.Generator, n_qubits: int, n_terms: int) -> PauliSum:
+    """A random real symmetric sum: n_terms draws of a string with an even
+    number of Y letters and a standard-normal coefficient, repeats summed."""
     labels = {}
-    for _ in range(n_terms):
+    while n_terms:
         label = "".join(rng.choice(list("IXYZ"), size=n_qubits))
-        c = rng.standard_normal()
-        if not real:
-            c = c + 1j * rng.standard_normal()
-        labels[label] = labels.get(label, 0.0) + c
+        if label.count("Y") % 2 == 0:
+            labels[label] = labels.get(label, 0.0) + rng.standard_normal()
+            n_terms -= 1
     return from_labels(n_qubits, labels)
 
 
+def commuting_sums(rng: np.random.Generator, n_qubits: int, *sizes: int) -> list[PauliSum]:
+    """Random real symmetric sums that commute with each other, one per
+    size: each has standard-normal coefficients on that many distinct
+    strings (at most 2^n_qubits) of one maximal commuting set, the Z strings
+    conjugated by a random circuit of Hadamard and CNOT gates.  Those gates
+    are real orthogonal, so every image has an even number of Y letters."""
+    gates = [(int(rng.integers(2)), *rng.integers(0, n_qubits, 2).tolist())
+             for _ in range(4 * n_qubits)]
+    mask = (1 << n_qubits) - 1
+    sums = []
+    for size in sizes:
+        drawn: set[int] = set()
+        while len(drawn) < size:  # distinct Z strings, so distinct images
+            drawn.add(int.from_bytes(rng.bytes(8), "little") & mask)
+        x, z = np.zeros(size, dtype=np.uint64), np.array(sorted(drawn), dtype=np.uint64)
+        one = np.uint64(1)
+        for hadamard, c, t in gates:
+            c, t = np.uint64(c), np.uint64(t)
+            if hadamard:  # swap the X and Z bits of qubit c
+                flip = ((x >> c) ^ (z >> c)) & one
+                x ^= flip << c
+                z ^= flip << c
+            elif c != t:  # CNOT from c to t
+                x ^= ((x >> c) & one) << t
+                z ^= ((z >> t) & one) << c
+        terms = zip(zip(x.tolist(), z.tolist()), rng.standard_normal(size).tolist())
+        sums.append(PauliSum(n_qubits, terms))
+    return sums
+
+
 def random_state(n_qubits: int, rng: np.random.Generator) -> StateVector:
-    amps = rng.standard_normal(1 << n_qubits) + 1j * rng.standard_normal(1 << n_qubits)
+    amps = rng.standard_normal(1 << n_qubits)
     return StateVector(n_qubits, amps / np.linalg.norm(amps))

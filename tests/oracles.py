@@ -91,7 +91,7 @@ def moments_by_term_loop(cache, estimates: dict, k: int) -> np.ndarray:
     for n in range(2 * k):
         total = 0.0
         for string, coeff in cache.power(n).terms():
-            total += coeff.real * (1.0 if string.is_identity else estimates[string])
+            total += coeff * (1.0 if string.is_identity else estimates[string])
         values[n] = total
     return values
 
@@ -177,52 +177,51 @@ def packed_distribution_reference(state, batch) -> tuple[np.ndarray, np.ndarray]
     return outcomes[order], probs[order]
 
 
+def product_reference(n_qubits: int, a, b):
+    """The merged product of two sums given as (x, z, coeff) arrays, with no
+    merge-structure cache and nothing dropped: every call computes all
+    |a| * |b| complex phases, sorts the merge keys with np.unique and adds
+    like strings with np.add.at, in row-major (a, b) pair order.  Returns
+    the distinct output strings in canonical (z, x) order and their complex
+    coefficients."""
+    phases = np.array([1.0, 1.0j, -1.0, -1.0j])
+    (xa, za, ca), (xb, zb, cb) = a, b
+    x = (xa[:, None] ^ xb[None, :]).ravel()
+    z = (za[:, None] ^ zb[None, :]).ravel()
+    ya = np.bitwise_count(xa & za).astype(np.int64)
+    yb = np.bitwise_count(xb & zb).astype(np.int64)
+    anti = np.bitwise_count(za[:, None] & xb[None, :]).astype(np.int64)
+    e = ((ya[:, None] + yb[None, :] + 2 * anti).ravel()
+         - np.bitwise_count(x & z).astype(np.int64)) % 4
+    coeffs = (ca[:, None] * cb[None, :]).ravel() * phases[e]
+    if n_qubits <= 32:
+        uniq, inverse = np.unique((z << np.uint64(32)) | x, return_inverse=True)
+        ux, uz = uniq & np.uint64(0xFFFFFFFF), uniq >> np.uint64(32)
+    else:
+        uniq, inverse = np.unique(np.stack((z, x), axis=1), axis=0, return_inverse=True)
+        ux, uz = uniq[:, 1].copy(), uniq[:, 0].copy()
+    acc = np.zeros(len(ux), dtype=np.complex128)
+    np.add.at(acc, inverse.ravel(), coeffs)
+    return ux, uz, acc
+
+
 def multiply_sums_reference(a, b, drop_tol: float = 1e-12):
-    """Product of two PauliSums with no merge-structure cache: every call
-    computes all |a| * |b| phases, sorts the merge keys with np.unique and
-    adds like strings with np.add.at, in row-major (a, b) pair order.
+    """Product of two PauliSums by `product_reference`: it keeps abs(c) >
+    drop_tol * max abs(c), and a kept string with an odd number of Y
+    letters (its coefficient over i) refuses the product.
 
     The reference the cached product is checked against bit for bit.
     """
     from pdsq.pauli import PauliSum
 
-    phases = np.array([1.0, 1.0j, -1.0, -1.0j])
     if a.n_qubits != b.n_qubits:
         raise ValueError(f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}")
     if not a or not b:
         return PauliSum.zero(a.n_qubits)
-    xa, za, ca = a.mask_arrays()
-    xb, zb, cb = b.mask_arrays()
-
-    x = xa[:, None] ^ xb[None, :]
-    z = za[:, None] ^ zb[None, :]
-    ya = np.bitwise_count(xa & za).astype(np.int64)
-    yb = np.bitwise_count(xb & zb).astype(np.int64)
-    yab = np.bitwise_count(x & z).astype(np.int64)
-    anti = np.bitwise_count(za[:, None] & xb[None, :]).astype(np.int64)
-    e = (ya[:, None] + yb[None, :] - yab + 2 * anti) % 4
-    coeffs = ca[:, None] * cb[None, :] * phases[e]
-
-    if a.n_qubits <= 32:
-        packed = (x.ravel() << np.uint64(32)) | z.ravel()
-        uniq, inverse = np.unique(packed, return_inverse=True)
-        acc = np.zeros(len(uniq), dtype=np.complex128)
-        np.add.at(acc, inverse.ravel(), coeffs.ravel())
-        keep = np.abs(acc) > drop_tol
-        terms = {
-            (int(k >> np.uint64(32)), int(k & np.uint64(0xFFFFFFFF))): c
-            for k, c in zip(uniq[keep], acc[keep])
-        }
-    else:
-        keys = np.empty((x.size, 2), dtype=np.uint64)
-        keys[:, 0] = x.ravel()
-        keys[:, 1] = z.ravel()
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        acc = np.zeros(len(uniq), dtype=np.complex128)
-        np.add.at(acc, inverse.ravel(), coeffs.ravel())
-        keep = np.abs(acc) > drop_tol
-        terms = {(int(ux), int(uz)): c for (ux, uz), c in zip(uniq[keep], acc[keep])}
-    return pauli_sum_reference(a.n_qubits, terms, drop_tol=drop_tol)
+    x, z, c = product_reference(a.n_qubits, a.mask_arrays(), b.mask_arrays())
+    kept = np.abs(c) > drop_tol * np.abs(c).max()
+    c = np.where(np.bitwise_count(x & z) % 2 == 1, c.imag, c.real)
+    return PauliSum._from_canonical(a.n_qubits, x[kept], z[kept], c[kept])
 
 
 def number_strings_reference(x, z):
@@ -237,8 +236,8 @@ def product_structure_reference(a, b):
     """The merge structure of a*b as (x, z, slot, sign), from uint64 masks
     only: every pair's phase from its bit counts and the output strings
     numbered by sorting the pairs' keys with np.unique, whatever the qubit
-    count; slot is 2 * (output index) + (i-exponent & 1), int32 while
-    2 |a| |b| fits, and sign is -1 (int8) where the i-exponent is 2 or 3.
+    count; slot is the output index, int32 while |a| |b| fits, and sign is
+    -1 (int8) where the i-exponent is 2 or 3.
 
     The reference pauli._product_structure is checked against, array for
     array and dtype for dtype.
@@ -253,8 +252,8 @@ def product_structure_reference(a, b):
     e = ((ya[:, None] + yb[None, :] + 2 * anti).ravel()
          - np.bitwise_count(x & z).astype(np.int64)) % 4
     uniq, inverse = np.unique(np.stack((z, x), axis=1), axis=0, return_inverse=True)
-    index_type = np.int32 if 2 * x.size <= np.iinfo(np.int32).max else np.int64
-    slot = (2 * inverse.ravel() + (e & 1)).astype(index_type)
+    index_type = np.int32 if x.size <= np.iinfo(np.int32).max else np.int64
+    slot = inverse.ravel().astype(index_type)
     sign = np.where(e >= 2, -1, 1).astype(np.int8).reshape(len(xa), len(xb))
     return uniq[:, 1].copy(), uniq[:, 0].copy(), slot, sign
 
@@ -263,6 +262,9 @@ def pauli_sum_reference(n_qubits: int, terms=None, drop_tol: float = 1e-12):
     """A PauliSum merged in a Python dict: each (x, z) key's coefficients
     added one after another as Python complex from 0.0, keys with
     abs(c) <= drop_tol (Python's abs) dropped, the rest sorted on (z, x).
+    A kept coefficient must be real on a string with an even number of Y
+    letters; one on a string with an odd number is refused by name, with
+    its coefficient over i.
 
     The reference the array constructor is checked against byte for byte.
     """
@@ -288,7 +290,10 @@ def pauli_sum_reference(n_qubits: int, terms=None, drop_tol: float = 1e-12):
     x = np.array([k[0] for k in keys], dtype=np.uint64)
     z = np.array([k[1] for k in keys], dtype=np.uint64)
     c = np.array([kept[k] for k in keys], dtype=np.complex128)
-    return PauliSum._from_canonical(n_qubits, x, z, c)
+    odd = np.bitwise_count(x & z) % 2 == 1
+    if np.any(c.imag[~odd]):
+        raise ValueError("complex coefficient: a PauliSum is real symmetric")
+    return PauliSum._from_canonical(n_qubits, x, z, np.where(odd, c.imag, c.real))
 
 
 def group_qwc_reference(strings):
@@ -334,20 +339,19 @@ def group_qwc_reference(strings):
 
 def apply_pauli_sum_reference(h, state) -> np.ndarray:
     """Amplitudes of h|state> as a Python loop over h's terms in canonical
-    order: fold i^{|x & z|} into the coefficient, multiply by the signs
-    (-1)^{|j & z|} and the amplitudes, and add the rows j ^ x into the
-    result one term at a time.
+    order: fold i^{|x & z|} = (-1)^{|x & z| / 2} into the coefficient,
+    multiply by the signs (-1)^{|j & z|} and the amplitudes, and add the
+    rows j ^ x into the result one term at a time.
 
     The reference the one-pass matvec is checked against byte for byte.
     """
-    phases = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
     amps = state.amplitudes
     if 1 << h.n_qubits != amps.size:
         raise ValueError("operator and state dimensions differ")
     idx = np.arange(amps.size, dtype=np.uint64)
     out = np.zeros_like(amps)
     for string, coeff in h.terms():
-        phase_coeff = coeff * phases[(string.x & string.z).bit_count() % 4]
+        phase_coeff = coeff * (-1.0) ** ((string.x & string.z).bit_count() // 2)
         signs = 1.0 - 2.0 * (
             np.bitwise_count(idx & np.uint64(string.z)).astype(np.int64) & 1
         )
@@ -405,29 +409,26 @@ def spin_orbital_tables_reference(h_mo, eri_mo):
 
 
 def ladder_operator(index: int, n_modes: int, dagger: bool):
-    """a_index (or its dagger) as a two-term Pauli sum on n_modes qubits:
-    X_k Z_{<k} / 2 and Y_k Z_{<k} (-+i/2) for k = index."""
-    from pdsq.pauli import PauliSum
-
+    """a_index (or its dagger) as two (x, z, complex coeff) terms on n_modes
+    qubits: X_k Z_{<k} / 2 and Y_k Z_{<k} (-+i/2) for k = index."""
     if not 0 <= index < n_modes:
         raise ValueError(f"mode {index} outside 0..{n_modes - 1}")
     tail = (1 << index) - 1
     bit = 1 << index
     y_coeff = -0.5j if dagger else 0.5j
-    return PauliSum(n_modes, {(bit, tail): 0.5, (bit, tail | bit): y_coeff})
+    return (np.array([bit, bit], dtype=np.uint64), np.array([tail, tail | bit], dtype=np.uint64),
+            np.array([0.5, y_coeff]))
 
 
 def jordan_wigner_reference(tables, drop_tol: float = 1e-12):
     """Qubit Hamiltonian of spin-orbital tables, one table entry at a time:
-    each a+_p a_q or a+_p a+_q a_s a_r is a `multiply_sums_reference`
-    product of ladder operators (nothing dropped), scaled and added into a
-    dict in (p, q) then (p, q, r, s) row-major order, starting from the core
-    energy.
+    each a+_p a_q or a+_p a+_q a_s a_r is a `product_reference` of ladder
+    operators (exact zeros dropped), scaled and added into a dict in (p, q)
+    then (p, q, r, s) row-major order, starting from the core energy.
 
     The reference the one-pass expansion is checked against byte for byte.
     """
     from pdsq.jw import _COEFF_CUTOFF
-    from pdsq.pauli import PauliSum
 
     m = tables.n_spin_orbitals
     create = [ladder_operator(p, m, dagger=True) for p in range(m)]
@@ -435,25 +436,29 @@ def jordan_wigner_reference(tables, drop_tol: float = 1e-12):
 
     accum: dict[tuple[int, int], complex] = {(0, 0): complex(tables.core_energy)}
 
-    def add(op: PauliSum, scale: complex) -> None:
+    def add(op, scale: complex) -> None:
         scale = complex(scale)  # a NumPy scalar times a Python complex is slow
-        for string, coeff in op.terms():
-            key = (string.x, string.z)
+        for key, coeff in zip(zip(*(a.tolist() for a in op[:2])), op[2].tolist()):
             accum[key] = accum.get(key, 0.0) + scale * coeff
+
+    def product(a, b):
+        x, z, c = product_reference(m, a, b)
+        nonzero = c != 0
+        return x[nonzero], z[nonzero], c[nonzero]
 
     def cached_product(cache, ops, i, j):
         if (i, j) not in cache:
-            cache[(i, j)] = multiply_sums_reference(ops[i], ops[j], drop_tol=0.0)
+            cache[(i, j)] = product(ops[i], ops[j])
         return cache[(i, j)]
 
-    cc_cache: dict[tuple[int, int], PauliSum] = {}
-    aa_cache: dict[tuple[int, int], PauliSum] = {}
+    cc_cache: dict[tuple[int, int], tuple] = {}
+    aa_cache: dict[tuple[int, int], tuple] = {}
 
     one = tables.one_body
     for p in range(m):
         for q in range(m):
             if abs(one[p, q]) > _COEFF_CUTOFF:
-                add(multiply_sums_reference(create[p], annihilate[q], drop_tol=0.0), one[p, q])
+                add(product(create[p], annihilate[q]), one[p, q])
 
     two = tables.two_body
     for p in range(m):
@@ -470,7 +475,7 @@ def jordan_wigner_reference(tables, drop_tol: float = 1e-12):
                         continue
                     # a+_p a+_q a_s a_r, weighted by <pq||rs>/4
                     aa = cached_product(aa_cache, annihilate, s, r)
-                    add(multiply_sums_reference(cc, aa, drop_tol=0.0), 0.25 * v)
+                    add(product(cc, aa), 0.25 * v)
 
     return pauli_sum_reference(m, accum, drop_tol=drop_tol)
 
@@ -538,7 +543,8 @@ def _compact_mask(mask: int, remaining: list[int]) -> int:
 
 def taper_operator_reference(h, td):
     """h restricted to td's sector: the Clifford rotations U = (X_q + g)/sqrt(2)
-    as products of sums, (U h) U per generator with 1/sqrt(2) rounded, then
+    as `product_reference` products, (U h) U per generator with 1/sqrt(2)
+    rounded and each product's abs(c) <= 1e-12 dropped, then
     `restriction_reference` of the rotated terms in canonical order.
 
     The reference the closed-form rotation is checked against up to the
@@ -546,17 +552,26 @@ def taper_operator_reference(h, td):
     """
     from math import sqrt
 
-    from pdsq.pauli import PauliSum, multiply_sums
+    from pdsq.pauli import PauliString
 
     n = h.n_qubits
-    rotated = h
+
+    def product(a, b):
+        x, z, c = product_reference(n, a, b)
+        kept = np.abs(c) > 1e-12
+        return x[kept], z[kept], c[kept]
+
+    rotated = h.mask_arrays()
     inv_sqrt2 = 1.0 / sqrt(2.0)
     for g, q in zip(td.generators, td.paulix_partners):
-        u = PauliSum(n, {(1 << q, 0): inv_sqrt2, (g.x, g.z): inv_sqrt2})
-        rotated = multiply_sums(multiply_sums(u, rotated), u)
-    if np.abs(rotated.mask_arrays()[2].imag).max(initial=0.0) > 1e-9:
+        u = (np.array([1 << q, g.x], np.uint64), np.array([0, g.z], np.uint64),
+             np.full(2, inv_sqrt2))
+        rotated = product(product(u, rotated), u)
+    x, z, c = rotated
+    if np.abs(c.imag).max(initial=0.0) > 1e-9:
         raise ValueError("tapering rotation broke Hermiticity; incompatible data")
-    return restriction_reference(n, rotated.terms(), td)
+    terms = [(PauliString(n, xm, zm), cm) for xm, zm, cm in zip(x.tolist(), z.tolist(), c.tolist())]
+    return restriction_reference(n, terms, td)
 
 
 def rotation_term_loop(h, td):

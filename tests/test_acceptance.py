@@ -253,7 +253,7 @@ def test_criterion_8_mitigation(h4_problem):
         groups = group_qwc(strings)
         clean, corrected = {}, {}
         for group in groups:
-            probs = rotated_probabilities(ctx.tapered_state, group)
+            probs = rotated_probabilities(ctx.tapered_state.amplitudes, group)
             support = np.flatnonzero(probs > 1e-12)
             clean.update(expectations_from_group_weights(support, probs[support], group))
             noisy = flip_channel(np.where(probs > 1e-12, probs, 0.0), p)

@@ -30,6 +30,7 @@ from helpers import from_labels, random_state, random_sum
 from oracles import (
     apply_pauli_sum_reference,
     basis_change_reference,
+    dense_string,
     packed_distribution_reference,
     pauli_sum_to_dense,
     rotate_to_eigenbases,
@@ -56,11 +57,40 @@ def test_prepare_basis_state():
     assert np.count_nonzero(s.amplitudes) == 1
 
 
+def test_basis_state_is_budgeted_before_its_amplitudes():
+    """A 28-qubit state would take 2 GiB of float64 amplitudes: refused
+    before any is allocated, naming the bytes and the cap."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetError) as err:
+            prepare_basis_state("0" * 28)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "a 28-qubit state: 2147483648 bytes exceed the cap MEMORY_BUDGET = 1073741824 bytes"
+    )
+    assert peak < 1 << 20
+
+
 def test_state_validation():
     with pytest.raises(ValueError, match="not normalized"):
         StateVector(1, np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="length"):
         StateVector(2, np.array([1.0, 0.0]))
+
+
+def test_states_are_real():
+    """A complex amplitude is refused at construction; complex input with
+    zero imaginary parts, lists and integers become float64 amplitudes."""
+    with pytest.raises(ValueError, match="^state has a complex amplitude: states are real$"):
+        StateVector(1, np.array([0.6, 0.8j]))
+    with pytest.raises(ValueError, match="complex amplitude"):
+        StateVector(1, np.array([1.0, 1e-300j]))
+    for amps in (np.array([complex(-1.0, -0.0), 0.0]), [-1, 0], np.array([-1.0, 0.0])):
+        state = StateVector(1, amps)
+        assert state.amplitudes.dtype == np.float64
+        assert state.amplitudes.tolist() == [-1.0, 0.0]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
@@ -87,22 +117,25 @@ def test_expectation_matches_dense_oracle():
     assert exact_expectation(h, state) == pytest.approx(expected, abs=1e-10)
 
 
-def _random_complex_sum(rng, n_qubits, n_terms, x_free=0):
-    """n_terms draws of (x, z, complex coefficient); the first x_free have x = 0."""
+def _random_real_sum(rng, n_qubits, n_terms, x_free=0):
+    """n_terms draws of (x, z, coefficient), those with an odd number of Y
+    letters left out: a random real symmetric sum; the first x_free have
+    x = 0."""
     x = rng.integers(0, 1 << n_qubits, n_terms)
     x[:x_free] = 0
     z = rng.integers(0, 1 << n_qubits, n_terms)
-    c = rng.standard_normal(n_terms) + 1j * rng.standard_normal(n_terms)
-    return PauliSum(n_qubits, zip(zip(x.tolist(), z.tolist()), c.tolist()))
+    even = np.bitwise_count(x & z) % 2 == 0
+    c = rng.standard_normal(n_terms)
+    return PauliSum(n_qubits, zip(zip(x[even].tolist(), z[even].tolist()), c[even].tolist()))
 
 
 @pytest.mark.parametrize("n_qubits", range(1, 9))
 def test_matvec_matches_the_term_loop_byte_for_byte(n_qubits):
     rng = np.random.default_rng(40 + n_qubits)
     sums = [
-        _random_complex_sum(rng, n_qubits, 3 * 4**n_qubits // 4, x_free=n_qubits),
-        _random_complex_sum(rng, n_qubits, 5, x_free=5),  # diagonal only
-        (0.3 - 0.7j) * PauliSum.identity(n_qubits),
+        _random_real_sum(rng, n_qubits, 3 * 4**n_qubits // 4, x_free=n_qubits),
+        _random_real_sum(rng, n_qubits, 5, x_free=5),  # diagonal only
+        -0.7 * PauliSum.identity(n_qubits),
         PauliSum.zero(n_qubits),
     ]
     for h in sums:
@@ -133,9 +166,9 @@ def test_lanczos_matvecs_match_the_term_loop(h4_problem, monkeypatch):
 
 def test_matvec_temporaries_stay_bounded():
     """919 terms on 12 qubits (an H6-sized sum): 919 x 4096 elements would
-    take 60 MB as one complex array; blocks of terms keep it to a few."""
+    take 30 MB as one float64 array; blocks of terms keep it to a few."""
     rng = np.random.default_rng(12)
-    h = _random_complex_sum(rng, 12, 919)
+    h = _random_real_sum(rng, 12, 1838)
     state = random_state(12, rng)
     apply_pauli_sum(h, state)  # mask arrays cached, allocator warm
     tracemalloc.start()
@@ -154,21 +187,23 @@ def test_expectation_dimension_mismatch():
         exact_expectation(z, prepare_basis_state("0"))
 
 
-def rotated_probabilities(state, group) -> np.ndarray:
-    """Outcome probabilities of one state measured in a group's basis."""
+def rotated_probabilities(amplitudes, group) -> np.ndarray:
+    """Outcome probabilities of one amplitude vector, real or complex,
+    measured in a group's basis."""
     rot = group.rotation
-    return np.abs(rotate_to_eigenbases(state.amplitudes[None], [rot.x], [rot.z])[0]) ** 2
+    return np.abs(rotate_to_eigenbases(np.asarray(amplitudes)[None], [rot.x], [rot.z])[0]) ** 2
 
 
 def test_basis_change_diagonalizes_x_and_y():
+    """On a random complex amplitude vector, as the oracle rotation takes
+    any: the rotated Z value is the letter's dense expectation."""
+    rng = np.random.default_rng(3)
+    amps = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    amps /= np.linalg.norm(amps)
     for letter in ("X", "Y"):
-        group = group_qwc([PauliString.from_label(letter)])[0]
-        op = from_labels(1, {letter: 1.0})
-        rng = np.random.default_rng(3)
-        state = random_state(1, rng)
-        probs = rotated_probabilities(state, group)
-        z_value = probs[0] - probs[1]
-        assert exact_expectation(op, state) == pytest.approx(z_value, abs=1e-12)
+        probs = rotated_probabilities(amps, group_qwc([PauliString.from_label(letter)])[0])
+        want = np.vdot(amps, dense_string(letter) @ amps).real
+        assert probs[0] - probs[1] == pytest.approx(want, abs=1e-12)
 
 
 def test_basis_change_matches_the_gate_loop_on_h4_groups(h4_problem):
@@ -277,7 +312,7 @@ def test_seeded_runs_bit_identical():
 
 @pytest.mark.parametrize(
     "amps, nonzero",
-    [([1.0, 1.0, 0.0, 0.0], 2), ([0.6, 0.0, 0.0, 0.8j], 2), (np.full(4, 0.5), 4)],
+    [([1.0, 1.0, 0.0, 0.0], 2), ([0.6, 0.0, 0.0, -0.8], 2), (np.full(4, 0.5), 4)],
 )
 def test_sampler_refuses_a_state_that_is_not_a_basis_state(amps, nonzero):
     """The closed form holds for a computational basis state only, so both
@@ -294,8 +329,8 @@ def test_sampler_refuses_a_state_that_is_not_a_basis_state(amps, nonzero):
 def test_a_global_phase_samples_as_the_basis_state():
     group = group_qwc([PauliString.from_label("XZIY")])[0]
     want = serial_sample(prepare_basis_state("0110"), group, 500, NoiseModel(0.1), 9)
-    amps = np.zeros(16, dtype=complex)
-    amps[bits_to_index("0110")] = -1j
+    amps = np.zeros(16)
+    amps[bits_to_index("0110")] = -1.0
     got = serial_sample(StateVector(4, amps), group, 500, NoiseModel(0.1), 9)
     assert got.outcomes.tobytes() == want.outcomes.tobytes()
     assert got.counts.tobytes() == want.counts.tobytes()

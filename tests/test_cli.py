@@ -44,7 +44,7 @@ def test_hamiltonian_subcommand(capsys, tmp_path):
     assert code == 0
     parsed = parse_sum(path.read_text())
     assert parsed.n_qubits == 4
-    assert np.abs(parsed.mask_arrays()[2].imag).max(initial=0.0) <= 1e-10
+    assert parsed.mask_arrays()[2].dtype == np.float64
 
 
 def test_taper_and_plan_subcommands(capsys):
@@ -292,6 +292,23 @@ def test_non_finite_fcidump_value_exit_code_1(capsys, tmp_path):
     assert f"line {record + 1}: non-finite value 'nan'" in err
 
 
+@pytest.mark.parametrize("spacings", ["2,2,2", "1.0,1.5,1.0"])
+def test_plan_counts_do_not_depend_on_round_off(capsys, spacings):
+    """At both geometries the singlet row reads 4223/441/527/122/31 and the
+    triplet row 4223/441/379/66/17: no string that is round-off of an exact
+    zero reaches a ledger."""
+    code, out, _ = run_cli(capsys, "plan", "--spacings", spacings)
+    assert code == 0
+    assert out.splitlines() == [
+        "strategy                          singlet  triplet",
+        "original                             4223     4223",
+        "qwc                                   441      441",
+        "tapering                              527      379",
+        "tapering+qwc                          122       66",
+        "tapering+qwc+parallelization           31       17",
+    ]
+
+
 def test_over_budget_ladder_exit_code_2(capsys):
     # H6: H^3 would take 49,910 x 919 string pairs, some 3 GB
     code, _, err = run_cli(capsys, "plan", "--spacings", "2,2,2,2,2", "--k-max", "2")
@@ -302,7 +319,7 @@ def test_over_budget_ladder_exit_code_2(capsys):
 
 def test_h10_exact_exits_2_before_allocating_its_block():
     """H10 (20 qubits): the 63504-state singlet block, with eigvalsh's copy,
-    would take 129 GB, so `pdsq exact` refuses it before allocating, naming
+    would take 65 GB, so `pdsq exact` refuses it before allocating, naming
     the bytes and the cap.  It runs in a child process under a 3 GB
     address-space limit, so that a regression fails fast instead of
     swapping the host."""
@@ -320,7 +337,7 @@ def test_h10_exact_exits_2_before_allocating_its_block():
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == (
-        "computation failed: a dense 63504 x 63504 block on 20 qubits: 129050288640 "
+        "computation failed: a dense 63504 x 63504 block on 20 qubits: 64525144320 "
         "bytes exceed the cap MEMORY_BUDGET = 1073741824 bytes\n"
     )
 
@@ -351,10 +368,43 @@ def test_simulate_refuses_over_budget_shots_before_allocating(tmp_path):
     )
 
 
+def test_fourteen_orbital_fcidump_exits_2_before_its_state(tmp_path):
+    """14 orbitals: the 28-qubit reference state would take 2 GiB of
+    amplitudes, so `pdsq plan` refuses it before allocating, naming the
+    bytes and the cap.  It runs in a child process under a 3 GB
+    address-space limit; the integrals are a sparse chain (hopping and
+    on-site terms), so everything before the state is small."""
+    from pdsq import chem, fcidump
+
+    n = 14
+    one = np.diag(-1.0 + 0.1 * np.arange(n)) - 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    two = np.zeros((n,) * 4)
+    two[(np.arange(n),) * 4] = 0.8
+    path = tmp_path / "chain14.fcidump"
+    fcidump.fcidump_write(chem.IntegralSet(n, 0.0, one, two, np.eye(n), n), path)
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))\n"
+        "from pdsq.cli import main\n"
+        "sys.exit(main(['plan', '--fcidump', sys.argv[1]]))\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path)], capture_output=True, text=True,
+        timeout=300, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "computation failed: a 28-qubit state: 2147483648 bytes exceed the cap "
+        "MEMORY_BUDGET = 1073741824 bytes\n"
+    )
+
+
 def test_h8_exact_admits_its_singlet_block(capsys, monkeypatch):
-    """H8 (16 qubits): the 4900-state singlet block and eigvalsh's copy fit
-    the budget at 768476800 bytes.  The admitted check is recorded and the
-    command stopped there, before its ~24 s eigvalsh."""
+    """H8 (16 qubits): the 4900-state float64 singlet block and eigvalsh's
+    copy fit the budget at 384238400 bytes.  The admitted check is recorded
+    and the command stopped there, before its eigvalsh."""
     from pdsq import budget, pauli
 
     class Admitted(Exception):
@@ -370,8 +420,8 @@ def test_h8_exact_admits_its_singlet_block(capsys, monkeypatch):
     monkeypatch.setattr(pauli, "check_memory", record)
     code, out, _ = run_cli(capsys, "exact", "--spacings", "2,2,2,2,2,2,2")
     assert code == 2 and out == ""
-    assert seen == [("a dense 4900 x 4900 block on 16 qubits", 768476800)]
-    assert 768476800 <= budget.MEMORY_BUDGET == 1 << 30
+    assert seen == [("a dense 4900 x 4900 block on 16 qubits", 384238400)]
+    assert 384238400 <= budget.MEMORY_BUDGET == 1 << 30
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,11 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdsq.backend import (
-    CountTable,
-    StateVector,
-    exact_expectation,
-)
+from pdsq.backend import CountTable, exact_expectation
 from pdsq.grouping import (
     PackedBatch,
     QwcGroup,
@@ -22,8 +18,8 @@ from pdsq.grouping import (
 )
 from pdsq.pauli import PauliString, PauliSum
 
-from helpers import qubit_wise_commutes, random_state
-from oracles import group_qwc_reference
+from helpers import qubit_wise_commutes
+from oracles import dense_string, group_qwc_reference
 from test_backend import rotated_probabilities
 
 
@@ -160,7 +156,7 @@ def test_rotation_masks_read_eigenstates_with_certainty():
                 amps = np.ones(1)
                 for k in reversed(range(n)):  # qubit 0 is the fastest index bit
                     amps = np.kron(amps, eigenstates[letters[k]][outcome >> k & 1])
-                probs = rotated_probabilities(StateVector(n, amps), group)
+                probs = rotated_probabilities(amps, group)
                 assert probs[outcome] == pytest.approx(1.0, abs=1e-15)
 
 
@@ -253,7 +249,8 @@ def test_empty_histogram_errors():
 
 def test_exact_reconstruction_matches_direct_expectation():
     """Rotate, read the exact outcome distribution, fold parities: must equal
-    the direct statevector expectation for every member (oracle check)."""
+    the dense expectation for every member (oracle check), on complex
+    amplitudes, so that members with Y letters read nonzero values."""
     rng = np.random.default_rng(21)
     for _ in range(10):
         labels = set()
@@ -262,14 +259,15 @@ def test_exact_reconstruction_matches_direct_expectation():
             if lab != "III":
                 labels.add(lab)
         groups = group_qwc(strings(*labels))
-        state = random_state(3, rng)
+        amps = rng.standard_normal(8) + 1j * rng.standard_normal(8)
+        amps /= np.linalg.norm(amps)
         for group in groups:
-            probs = rotated_probabilities(state, group)
+            probs = rotated_probabilities(amps, group)
             from pdsq.grouping import expectations_from_group_weights
 
             values = expectations_from_group_weights(np.arange(8), probs, group)
             for member, estimate in values.items():
-                direct = exact_expectation(PauliSum.from_string(member), state)
+                direct = np.vdot(amps, dense_string(member.label) @ amps).real
                 assert estimate == pytest.approx(direct, abs=1e-10)
 
 
@@ -285,7 +283,7 @@ def test_every_h4_group_reconstructs_exactly(h4_problem):
         groups = group_qwc(unique_measured_strings(ctx.tapered_cache, 19))
         for group in groups:
             values = expectations_from_group_weights(
-                np.arange(32), rotated_probabilities(state, group), group
+                np.arange(32), rotated_probabilities(state.amplitudes, group), group
             )
             for member, estimate in values.items():
                 direct = exact_expectation(PauliSum.from_string(member), state)

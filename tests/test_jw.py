@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 from pdsq import chem, fcidump, jw, pauli
 from pdsq.backend import prepare_basis_state, exact_expectation
 from pdsq.exact import exact_spectrum
-from pdsq.pauli import PauliSum
+from pdsq.pauli import PauliString, PauliSum
 
 from oracles import (
     H4_SPACINGS,
     assert_same_bits,
+    dense_string,
     jordan_wigner_reference,
     ladder_operator,
+    product_reference,
     spin_orbital_tables_reference,
 )
 
@@ -37,13 +39,21 @@ def dense_creation(p: int, n_modes: int) -> np.ndarray:
     return out
 
 
+def dense_terms(n_qubits: int, terms) -> np.ndarray:
+    """Dense matrix of (x, z, coeff) arrays via the kron oracle."""
+    return sum(
+        c * dense_string(PauliString(n_qubits, x, z).label)
+        for x, z, c in zip(*(a.tolist() for a in terms))
+    )
+
+
 def test_ladder_operators_match_occupation_oracle():
     for n in (1, 2, 4):
         for p in range(n):
-            created = ladder_operator(p, n, dagger=True).to_matrix()
+            created = dense_terms(n, ladder_operator(p, n, dagger=True))
             expected = dense_creation(p, n)
             assert np.allclose(created, expected, atol=1e-12)
-            annihilated = ladder_operator(p, n, dagger=False).to_matrix()
+            annihilated = dense_terms(n, ladder_operator(p, n, dagger=False))
             assert np.allclose(annihilated, expected.T, atol=1e-12)
 
 
@@ -95,7 +105,9 @@ def test_hamiltonian_commutes_with_number_and_sz(h4):
     number = PauliSum.zero(n)
     sz = PauliSum.zero(n)
     for k in range(n):
-        nk = ladder_operator(k, n, True) * ladder_operator(k, n, False)
+        x, z, c = product_reference(n, ladder_operator(k, n, True), ladder_operator(k, n, False))
+        # a+_k a_k = (I - Z_k) / 2, real: its coefficients have zero imaginary parts
+        nk = PauliSum(n, zip(zip(x.tolist(), z.tolist()), c.tolist()))
         number = number + nk
         sz = sz + (0.5 if k < half else -0.5) * nk
     hm = h4.to_matrix()
@@ -147,9 +159,11 @@ def test_fcidump_round_trip_matches_the_entry_loop_bit_for_bit(tmp_path):
 
 @st.composite
 def spin_orbital_tables(draw):
-    """Tables on 1-6 spin orbitals, not symmetric, mixing exact zeros (both
+    """Symmetric tables on 1-6 spin orbitals, mixing exact zeros (both
     signs), values at and just past +-_COEFF_CUTOFF, negative entries and
-    normal draws, at several densities."""
+    normal draws, at several densities: one_body, and two_body as an m^2 x m^2
+    matrix over (p, q) and (r, s), have each upper-triangle value copied
+    below the diagonal."""
     m = draw(st.integers(1, 6))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     density = draw(st.sampled_from([0.05, 0.3, 1.0]))
@@ -163,7 +177,9 @@ def spin_orbital_tables(draw):
         values = np.where(
             rng.random(shape) < 0.5, rng.choice(special, shape), rng.normal(size=shape)
         )
-        return np.where(rng.random(shape) < density, values, 0.0)
+        values = np.where(rng.random(shape) < density, values, 0.0)
+        square = values.reshape(m ** (len(shape) // 2), -1)
+        return (np.triu(square) + np.triu(square, 1).T).reshape(shape)
 
     core = draw(st.sampled_from([0.0, -0.0, 0.7, -2.25]))
     return chem.SpinOrbitalTables(m, core, table((m, m)), table((m,) * 4))
@@ -172,9 +188,29 @@ def spin_orbital_tables(draw):
 @given(spin_orbital_tables(), st.sampled_from([1e-12, 0.0]))
 @settings(max_examples=80, deadline=None)
 def test_drawn_tables_match_the_entry_loop_bit_for_bit(tables, drop_tol):
+    """The same sum, or, where a string with an odd number of Y letters
+    keeps a round-off remainder above drop_tol (0.0), the same refusal."""
     with mock.patch.object(pauli, "DROP_TOL", drop_tol):
-        got = jw.jordan_wigner(tables)
-    assert_same_bits(got, jordan_wigner_reference(tables, drop_tol))
+        try:
+            want = jordan_wigner_reference(tables, drop_tol)
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                jw.jordan_wigner(tables)
+            assert drop_tol == 0.0 and str(got.value) == str(err)
+            return
+        assert_same_bits(jw.jordan_wigner(tables), want)
+
+
+def test_tables_that_are_not_symmetric_are_refused():
+    """h[0, 1] a+_0 a_1 with no h[1, 0] partner is not Hermitian: its
+    imaginary strings X Y and Y X do not cancel, and the sum refuses them."""
+    one = np.array([[0.0, -1.0], [0.0, 3.0]])
+    tables = chem.SpinOrbitalTables(2, 0.0, one, np.zeros((2,) * 4))
+    with pytest.raises(ValueError, match=r"^sum is not real symmetric: YX has an odd number "
+                                         r"of Y letters and a coefficient of modulus 2\.500e-01$"):
+        jw.jordan_wigner(tables)
+    one[1, 0] = -1.0
+    assert len(jw.jordan_wigner(tables)) == 4
 
 
 def test_tables_past_32_modes_match_the_entry_loop_bit_for_bit():
@@ -184,11 +220,11 @@ def test_tables_past_32_modes_match_the_entry_loop_bit_for_bit():
     two = np.zeros((m,) * 4)
     one[32, 0] = one[0, 32] = -0.75
     one[32, 32] = 0.5
-    one[5, 31] = 1e-3
-    two[32, 1, 0, 32] = two[1, 32, 32, 0] = 0.3
-    two[32, 1, 32, 0] = two[1, 32, 0, 32] = -0.3
-    two[31, 32, 30, 29] = 0.125
-    two[0, 31, 31, 0] = -2.0
+    one[5, 31] = one[31, 5] = 1e-3
+    two[32, 1, 0, 32] = two[1, 32, 32, 0] = two[0, 32, 32, 1] = two[32, 0, 1, 32] = 0.3
+    two[32, 1, 32, 0] = two[1, 32, 0, 32] = two[32, 0, 32, 1] = two[0, 32, 1, 32] = -0.3
+    two[31, 32, 30, 29] = two[30, 29, 31, 32] = 0.125
+    two[0, 31, 31, 0] = two[31, 0, 0, 31] = -2.0
     tables = chem.SpinOrbitalTables(m, -1.5, one, two)
     h = jw.jordan_wigner(tables)
     assert h.n_qubits == 33 and int(h.mask_arrays()[1].max()) >> 32

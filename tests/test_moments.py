@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from pdsq import budget, moments
-from pdsq.backend import apply_pauli_sum, exact_expectation, prepare_basis_state
+from pdsq.backend import StateVector, apply_pauli_sum, prepare_basis_state
 from pdsq.budget import MemoryBudgetError
-from pdsq.exact import exact_spectrum
 from pdsq.moments import PowerCache, moments_for_state, unique_string_count
 from pdsq.pauli import PauliString, PauliSum, multiply_sums
 from pdsq.pipeline import unique_measured_strings
@@ -95,6 +94,25 @@ def test_over_budget_step_fails_before_allocating():
     assert peak < 1 << 20
 
 
+def test_lanczos_basis_is_budgeted_before_allocating():
+    """K = 2100 Lanczos vectors of 2^16 amplitudes, with the matvec's three,
+    would take 1.1 GB: refused before the basis exists."""
+    state = prepare_basis_state("0" * 16)
+    h = from_labels(16, {"Z" * 16: 1.0})
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetError) as err:
+            moments_for_state(h, state, 2100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == (
+        "2100 Lanczos vectors of 65536 amplitudes: 1102577664 bytes exceed the cap "
+        "MEMORY_BUDGET = 1073741824 bytes"
+    )
+    assert peak < 1 << 20
+
+
 def test_moments_of_basis_state_with_z():
     z = from_labels(1, {"Z": 1.0})
     table = moments_for_state(z, prepare_basis_state("0"), K=3)
@@ -103,20 +121,16 @@ def test_moments_of_basis_state_with_z():
 
 
 def test_complex_expectations_are_refused_alike():
-    """exact_expectation, moments_for_state and exact_spectrum share one
-    Hermiticity check, on the sum's coefficients, with one message."""
-    iz = PauliSum(2, {(0, 1): 0.5j})  # 0.5i Z on qubit 0
-    state = prepare_basis_state("00")
-    for call in (
-        lambda: exact_expectation(iz, state),
-        lambda: moments_for_state(iz, state, 2),
-        lambda: exact_spectrum(iz, (1, 0.5)),
+    """exact_expectation, moments_for_state and exact_spectrum take only real
+    symmetric sums and real states, so none checks its input: 0.5i Z and a
+    complex amplitude are refused where they would be built."""
+    with pytest.raises(
+        ValueError,
+        match=r"^complex coefficient 0\.5j on term masks \(0, 1\): a PauliSum is real symmetric$",
     ):
-        with pytest.raises(
-            ValueError,
-            match=r"^sum is not Hermitian: ZI has coefficient 0\.000e\+00\+5\.000e-01j$",
-        ):
-            call()
+        PauliSum(2, {(0, 1): 0.5j})  # 0.5i Z on qubit 0
+    with pytest.raises(ValueError, match="^state has a complex amplitude: states are real$"):
+        StateVector(2, np.array([0.0, 1j, 0.0, 0.0]))
 
 
 def test_moment_table_bookkeeping():
@@ -200,7 +214,8 @@ def test_ledger_is_kept_per_cache_and_power(n_qubits, n_terms, seed, monkeypatch
     rng = np.random.default_rng(seed)
     cache = PowerCache(random_sum(rng, n_qubits, n_terms))
     want = {}
-    for m in (3, 2, 4):
+    # H^3 of a 3-qubit sum can already hold all 35 real symmetric strings
+    for m in (2, 1, 3):
         want[m] = string_ledger(cache.power(n) for n in range(1, m + 1))
         assert unique_measured_strings(cache, m) == want[m][0]
     kept = {m: moments._string_ledger(cache, m) for m in want}
@@ -208,7 +223,7 @@ def test_ledger_is_kept_per_cache_and_power(n_qubits, n_terms, seed, monkeypatch
         assert all(not a.flags.writeable for a in ledger)
         with pytest.raises(ValueError):
             ledger[0][0] = 1
-    assert kept[2][0].size < kept[3][0].size < kept[4][0].size
+    assert kept[1][0].size < kept[2][0].size < kept[3][0].size
 
     filled = dict(cache._powers)
 
@@ -217,7 +232,7 @@ def test_ledger_is_kept_per_cache_and_power(n_qubits, n_terms, seed, monkeypatch
 
     monkeypatch.setattr(cache, "power", refuse)
     monkeypatch.setattr(moments, "multiply_sums", refuse)
-    for m in (4, 2, 3):
+    for m in (3, 1, 2):
         assert unique_measured_strings(cache, m) == want[m][0]
         assert unique_measured_strings(cache, m) == want[m][0]
         assert unique_string_count(cache, m) == want[m][1]

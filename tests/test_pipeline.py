@@ -1,10 +1,13 @@
 """Pipeline orchestration: config validation, determinism, report bundle."""
 
+import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from pdsq import fcidump
+from pdsq import chem, fcidump
+from pdsq.moments import _string_ledger, unique_string_count
 from pdsq.pipeline import (
     PipelineError,
     RunConfig,
@@ -313,3 +316,40 @@ def test_moments_ignore_extra_estimates_and_keep_the_identity(h4_problem):
     got = moments_from_estimates(cache, {**extra, **estimates, later: 9.0}, 10)
     assert got[0] == 1.0
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("spacings", [(2.0, 2.0, 2.0), (1.0, 1.5, 1.0), (1.0, 2.0, 3.0)])
+def test_ledgers_hold_real_symmetric_strings_only(spacings):
+    """Every string of the full and both tapered H4 ledgers over H^1..H^19
+    has an even number of Y letters: the odd ones are round-off of exact
+    zeros, dropped by each power relative to its largest term."""
+    problem = build_problem(RunConfig(spacings=spacings))
+    for cache in (problem.cache, *(ctx.tapered_cache for ctx in problem.sectors.values())):
+        z, x, _, _ = _string_ledger(cache, 19)
+        assert not np.any(np.bitwise_count(x & z) & 1)
+
+
+@pytest.mark.parametrize("ulps", [-2, -1, 3])
+def test_ledgers_do_not_move_with_the_last_bits_of_the_integrals(ulps, monkeypatch):
+    """Each two-electron integral moved by a few ulp (np.nextafter, which
+    keeps the 8-fold symmetry) moves the Hamiltonian's coefficients but not
+    its ledgers: 4223 strings for H, 527 and 379 for the tapered singlet
+    and triplet."""
+    compute = chem.compute_integrals
+
+    def nudged(geometry):
+        ints = compute(geometry)
+        eri = ints.two_body
+        for _ in range(abs(ulps)):
+            eri = np.nextafter(eri, np.copysign(np.inf, ulps))
+        return dataclasses.replace(ints, two_body=eri)
+
+    exact = build_problem(RunConfig(spacings=(2.0, 2.0, 2.0))).hamiltonian
+    monkeypatch.setattr(chem, "compute_integrals", nudged)
+    problem = build_problem(RunConfig(spacings=(2.0, 2.0, 2.0)))
+    assert problem.hamiltonian.mask_arrays()[2].tobytes() != exact.mask_arrays()[2].tobytes()
+    counts = [
+        unique_string_count(cache, 19)[-1]
+        for cache in (problem.cache, *(ctx.tapered_cache for ctx in problem.sectors.values()))
+    ]
+    assert counts == [4223, 527, 379]

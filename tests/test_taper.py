@@ -200,9 +200,10 @@ def test_gf2_rref_matches_the_row_loop(n_rows, n_cols, seed):
 
 @st.composite
 def restrictions(draw):
-    """A sum and a sector on removed qubits, with no generators (so no
-    rotation): X letters on removed qubits merge terms under sector signs,
-    and Z/Y letters there, when drawn, must be rejected by name."""
+    """A real symmetric sum and a sector on removed qubits, with no
+    generators (so no rotation): X letters on removed qubits merge terms
+    under sector signs, and Z/Y letters there, when drawn, must be rejected
+    by name.  Drawn strings with an odd number of Y letters are left out."""
     n = draw(st.sampled_from([2, 5, 9, 33, 64]))
     removed = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n - 1, 4), unique=True))
     signs = draw(st.lists(st.sampled_from([1, -1]), min_size=len(removed), max_size=len(removed)))
@@ -220,10 +221,10 @@ def restrictions(draw):
     terms = []
     for _ in range(draw(st.integers(2, 40))):
         x, z = bases[rng.integers(len(bases))]
-        terms.append((
-            (x | bits(removed, 0.5), z | bits(removed, z_on_removed)),
-            rng.choice([rng.normal(), 0.5, -0.5, 1e-13]),
-        ))
+        x, z = x | bits(removed, 0.5), z | bits(removed, z_on_removed)
+        coeff = rng.choice([rng.normal(), 0.5, -0.5, 1e-13])
+        if (x & z).bit_count() % 2 == 0:
+            terms.append(((x, z), coeff))
     td = taper.TaperingData((), tuple(removed), tuple(signs), n - len(removed))
     return PauliSum(n, terms), td
 
@@ -261,10 +262,11 @@ def test_first_anticommuting_term_is_named(h4):
 
 @st.composite
 def commuting_sums(draw):
-    """A sum and one to three generators it commutes with, each with Z or
-    (when drawn) Y on its own partner qubit and I or X on the others'.
-    Letters sit on the partners and up to three other qubits, so the
-    restriction merges up to 2^k terms into one string."""
+    """A real symmetric sum and one to three generators it commutes with,
+    each with an even number of Y letters, Z or (when drawn, and there is a
+    qubit for a second Y) Y on its own partner qubit and I or X on the
+    others'.  Letters sit on the partners and up to three other qubits, so
+    the restriction merges up to 2^k terms into one string."""
     n = draw(st.sampled_from([2, 5, 9, 33, 64]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     active = [int(q) for q in rng.choice(n, size=min(n, 5), replace=False)]
@@ -273,23 +275,26 @@ def commuting_sums(draw):
     def letters(qubits):
         return sum(1 << q for q in qubits if rng.random() < 0.5)
 
+    def even_y(string):
+        return (string.x & string.z).bit_count() % 2 == 0
+
     generators = []
+    unshared = [k for k in active if k not in partners]
     for q in partners:
-        partner_y = draw(st.booleans())
+        partner_y = bool(unshared) and draw(st.booleans())
         event("Y on a partner" if partner_y else "Z on a partner")
-        unshared = [k for k in active if k not in partners]
         while True:  # until it commutes with the generators drawn so far
             g = PauliString(
                 n, letters(unshared) | letters(partners) & ~(1 << q) | partner_y << q,
                 letters(unshared) | 1 << q,
             )
-            if all(commutes(g, other) for other in generators):
+            if even_y(g) and all(commutes(g, other) for other in generators):
                 generators.append(g)
                 break
     terms = []
     for _ in range(draw(st.integers(2, 40)) << len(partners)):
         string = PauliString(n, letters(active), letters(active))
-        if all(commutes(string, g) for g in generators):
+        if even_y(string) and all(commutes(string, g) for g in generators):
             terms.append((string, rng.choice([rng.normal(), 0.5, -0.5])))
     signs = tuple(draw(st.sampled_from([1, -1])) for _ in partners)
     event(f"{len(partners)} generators")
