@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .units import BOHR_PER_ANGSTROM
 
@@ -128,12 +127,16 @@ def nuclear_repulsion(geometry: Geometry) -> float:
     return energy
 
 
+# math.erf elementwise: NumPy has no erf of its own
+_erf = np.frompyfunc(math.erf, 1, 1)
+
+
 def _boys0(t: np.ndarray | float) -> np.ndarray | float:
     """F0(t) = (1/2) sqrt(pi/t) erf(sqrt(t)), with the t -> 0 limit handled."""
     t = np.asarray(t, dtype=float)
     small = t < 1e-12
     safe = np.where(small, 1.0, t)
-    out = 0.5 * np.sqrt(np.pi / safe) * erf(np.sqrt(safe))
+    out = 0.5 * np.sqrt(np.pi / safe) * np.asarray(_erf(np.sqrt(safe)), dtype=float)
     return np.where(small, 1.0 - t / 3.0, out)
 
 

@@ -2,13 +2,12 @@
 
 Powers are computed iteratively (H^n = H^{n-1} * H) with simplification at
 every step and cached, since the string ledger up to order 2K-1 reuses the
-same ladder.  Every step multiplies by the same H, which keeps the merge
-structure of its last product (see `pauli.multiply_sums`): once H^n's
-strings stop changing (H4: 4224 strings from H^4 on), a step reuses it and
-only recombines coefficients, with the same result as a full product.  The
-ledger is read off the powers' (x, z) mask arrays: it
-holds every distinct Pauli string across H^1..H^n, excluding the identity,
-whose expectation never needs a circuit, with the first power it appears in.
+same ladder.  Each step is one dense product by the Pauli transform (see
+`pauli.multiply_sums`), in which H keeps its own matrix from the first step
+on, and is budgeted from the qubit count alone.  The ledger is read off the
+powers' (x, z) mask arrays: it holds every distinct Pauli string across
+H^1..H^n, excluding the identity, whose expectation never needs a circuit,
+with the first power it appears in.
 
 Exact moments of a state need no powers at all: they come from one Lanczos
 recurrence.  K matvecs of H build an orthonormal Krylov basis Q and the
@@ -55,11 +54,6 @@ class PowerCache:
             raise ValueError("power must be non-negative")
         top = max(self._powers)
         while top < n:
-            pairs = self._powers[top].n_terms * self.h.n_terms
-            # 66 bytes per pair: the worst tracemalloc peak measured (1.5M-3.9M
-            # pairs; 10 to 42 bytes each, 66 past 32 qubits).  The full H4
-            # ladder takes at most 781,440 pairs, H6 would take 45.9M at H^3.
-            check_memory(f"H^{top + 1} = H^{top} * H needs {pairs} string products", 66 * pairs)
             self._powers[top + 1] = multiply_sums(self._powers[top], self.h)
             top += 1
         return self._powers[n]

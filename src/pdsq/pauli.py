@@ -8,8 +8,8 @@ Hermitian operator
     P(x, z) = i^{|x & z|} * (prod_k X_k^{x_k}) * (prod_k Z_k^{z_k}),
 
 so products of strings are again strings times a phase in {1, i, -1, -i}.
-`_multiply_masks` computes them on mask arrays for the products of sums, the
-Jordan-Wigner expansion and the tapering rotation.
+`_multiply_masks` computes them on mask arrays for the Jordan-Wigner
+expansion and the tapering rotation.
 A sum is a real symmetric operator, as every qubit Hamiltonian of the
 program (real JW tables, tapered sums, powers) is: real coefficients on
 strings with an even number of Y letters, the real symmetric strings
@@ -18,32 +18,29 @@ P = (-1)^{|x & z| / 2} X^x Z^z.  It is three parallel arrays in canonical
 strings) to 64 qubits; sums are built, added and scaled through one
 in-order merge (see PauliSum).
 
-Which strings a product a*b holds, and how its |a|*|b| string products
-merge into them, depends only on the two operands' masks, never on their
-coefficients.  So the right operand keeps that merge structure for the last
-left operand it met: the distinct output strings in canonical order and,
-per string pair, its output's index (int32 while |a||b| fits) and a sign
-byte, -1 for i-exponent e >= 2.  The entry is keyed on the left operand's
-exact mask bytes and replaced on a miss; since sums are immutable it stays
-valid for the right operand's lifetime.  A Hamiltonian power ladder
-multiplies by the same H every step, so once H^n's strings stop changing
-each step only recombines coefficients; for the saturated H4 step (4224 x
-185 pairs) H keeps 4.0 MiB.
+A product a*b of two such sums goes through their dense 2^n x 2^n
+matrices, by the Pauli (Walsh-Hadamard) transform (Hantzko, Binkowski &
+Gupta, arXiv:2310.13421; Jones, arXiv:2401.16378).  A sum's matrix has
+entry (r, r ^ x) = sum_z (-1)^{|r & z|} (-1)^{|x & z| / 2} c(x, z), one +-1
+Hadamard matmul over its (z, x) coefficient table and one gather; the
+product of the two matrices returns to coefficients the same way,
 
-For such operands a pair's i-exponent is odd exactly when its output has
-an odd number of Y letters, so its product i^e ar br is +-ar br on an even
-output and +-i ar br on an odd one: one float64 sparse matrix-vector
-product with the signs (-1)^{e >> 1} yields the even outputs' coefficients
-and the odd ones' over i.  Those cancel up to round-off when the operands
-commute, as the powers of one sum do.
+    c(x, z) = 2^-n (-1)^{|x & z| / 2} sum_r (-1)^{|r & z|} M[r, r ^ x],
+
+which is 2^-n Tr(P(x, z) M).  A string with an odd number of Y letters
+gets the antisymmetric part of M, which is round-off when the operands
+commute, as the powers of one sum do.  The right operand keeps its matrix
+and the two transform tables of its width, so a power ladder, which
+multiplies by the same H every step, builds them once.  Every array is
+4^n entries, so a product's bytes follow from n alone and are budgeted
+before any exists: 12 qubits fit MEMORY_BUDGET, 13 do not.
 
 Strings are numbered in one place, `_number_strings`: the distinct strings
 of two mask arrays in canonical order, as uint64 masks, and each input's
-index among them.  With at least 4^n inputs (the H4 ladder from H^3 on,
-the tapered 5-qubit ladders from H^2 on, the ledgers) it marks the codes
-z << n | x, whose ascending order is the canonical one, in a 4^n table;
-with fewer it takes one stable lexsort.  Products work on masks cast to
-the narrowest unsigned type of n bits (uint8 for H4's 8 qubits).
+index among them, for sums and the string ledgers.  With at least 4^n
+inputs (the full H4 ledger) it marks the codes z << n | x, whose ascending
+order is the canonical one, in a 4^n table; with fewer it takes one
+stable lexsort.
 
 Serialization convention, used project-wide: qubit 0 is the leftmost letter
 of a label and the leftmost character of a measurement bitstring.
@@ -53,10 +50,9 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
-import scipy.sparse
 
 from .budget import check_memory
 
@@ -66,7 +62,6 @@ DROP_TOL = 1e-12
 
 _LETTERS = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
 _LETTER_BITS = {v: k for k, v in _LETTERS.items()}
-_INT32_MAX = np.iinfo(np.int32).max
 # (term, basis state) elements per block of PauliSum.matrix_blocks: each
 # of a block's arrays then fits in a core's cache (<= 256 KiB), which
 # measured fastest for the H4 matvec
@@ -157,11 +152,12 @@ class PauliSum:
     Constructors, + and scaling merge terms in input order, each string's
     coefficients added one by one from 0.0, and drop np.abs(c) <= DROP_TOL.
     They refuse a complex coefficient or scalar, and a kept string with an
-    odd number of Y letters.  Instances are immutable after construction;
+    odd number of Y letters.  Instances are immutable after construction
+    (a right operand of multiply_sums keeps its dense matrix beside them);
     arithmetic returns new sums.
     """
 
-    __slots__ = ("n_qubits", "_x", "_z", "_c", "_product_cache")
+    __slots__ = ("n_qubits", "_x", "_z", "_c", "_walsh")
 
     def __init__(self, n_qubits: int, terms=None):
         if n_qubits > 64:
@@ -183,9 +179,9 @@ class PauliSum:
         merged = _sum_in_order(n_qubits, x, z, np.array(cs, dtype=np.float64))
         self.n_qubits = n_qubits
         self._x, self._z, self._c = merged.mask_arrays()
-        # (left operand's mask bytes, _ProductStructure) of the last product
-        # with this sum on the right; see multiply_sums
-        self._product_cache = None
+        # (gather, hadamard, matrix), kept on the first product with this sum
+        # on the right; see multiply_sums
+        self._walsh = None
 
     # -- constructors ------------------------------------------------------
 
@@ -217,7 +213,7 @@ class PauliSum:
         for a in (x, z, c):
             a.flags.writeable = False
         out._x, out._z, out._c = x, z, c
-        out._product_cache = None
+        out._walsh = None
         return out
 
     # -- inspection --------------------------------------------------------
@@ -308,77 +304,67 @@ class PauliSum:
         return f"PauliSum(n_qubits={self.n_qubits}, n_terms={self.n_terms})"
 
 
-class _ProductStructure(NamedTuple):
-    """How the string products of a*b merge, for fixed operand masks."""
-
-    x: np.ndarray  # distinct output strings, canonical (z, x) order
-    z: np.ndarray
-    slot: np.ndarray  # (|a| * |b|,) index of each pair's output string
-    sign: np.ndarray  # (|a|, |b|) int8: -1 where the i-exponent is 2 or 3, else 1
-
-
-def _product_structure(a: PauliSum, b: PauliSum) -> _ProductStructure:
-    """The merge structure of a*b, from b's cache when a has the masks of
-    b's last left operand, else computed and cached on b."""
-    xa, za, _ = a.mask_arrays()
-    xb, zb, _ = b.mask_arrays()
-    key = (xa.tobytes(), za.tobytes())
-    if b._product_cache is not None and b._product_cache[0] == key:
-        return b._product_cache[1]
-
-    n = a.n_qubits
-    # the narrowest unsigned type of n bits: uint8 for H4's 8 qubits
-    mask_type = np.min_scalar_type((1 << n) - 1)
-    xa, za, xb, zb = (m.astype(mask_type, copy=False) for m in (xa, za, xb, zb))
-    x, z, phase_exp = _multiply_masks(xa[:, None], za[:, None], xb, zb)
-    ux, uz, inverse = _number_strings(n, x.ravel(), z.ravel())
-    slot = inverse.astype(np.int32 if x.size <= _INT32_MAX else np.int64, copy=False)
-    # 1 - (e & 2) is 1 or 255 in uint8, i.e. 1 or -1 as int8
-    sign = (1 - (phase_exp & 2)).view(np.int8)
-    structure = _ProductStructure(ux, uz, slot, sign)
-    b._product_cache = (key, structure)
-    return structure
+# The arrays a product holds at most at once, each of 4^n float64 or intp
+# entries: the right operand's matrix and its width's two transform tables,
+# which it keeps, and three working arrays
+_PRODUCT_ARRAYS = 6
 
 
 def multiply_sums(a: PauliSum, b: PauliSum) -> PauliSum:
-    """Distributed product of two commuting sums with like-string merging.
+    """Product of two commuting sums, by the Pauli transform (see the module
+    docstring): a's dense matrix times b's, returned to coefficients.
 
-    All |a| * |b| string products are evaluated in one vectorized pass, then
-    merged.  The pairs' product strings are numbered by `_number_strings`.
-    The merge structure (output strings, pair slots, pair signs) comes from
-    b's one-entry cache when a has exactly the strings of the last left
-    operand b met (keyed on a's mask bytes), and is computed and cached on b
-    otherwise.  The entry holds 5 bytes per pair (4.0 MiB for the saturated
-    4224 x 185 H4 step) and lives as long as b.
+    b keeps its matrix and the transform tables of its width from its first
+    product as the right operand; a's matrix is built per call.  Both are
+    budgeted from n alone, _PRODUCT_ARRAYS arrays of 4^n entries, before
+    anything is allocated.
 
-    One sparse (m, |a|) matrix, built per call, holds +-br[j] in column i at
-    row slot[i, j]; its product with ar adds each pair's rounded (+-br) ar
-    into its output string from 0.0, in row-major (a, b) order (scipy walks
-    column i's entries in j order), whether or not the structure was
-    cached, so the result does not depend on the cache.  That holds while
-    scipy's csc_matvec rounds each product and add apart: a build that
-    fuses them into one multiply-add would move last bits, and the
-    bit-for-bit checks against the uncached reference in tests/test_pauli.py
-    would fail there.
-
-    The product keeps np.abs(c) > DROP_TOL * max np.abs(c).  An output
-    with an odd number of Y letters (its coefficient over i, see the module
-    docstring) is round-off and dropped below that bound, and refuses the
-    product above it: a and b do not commute.
+    The product keeps np.abs(c) > DROP_TOL * max np.abs(c) over all 4^n
+    strings.  A kept string with an odd number of Y letters refuses the
+    product: a and b do not commute.
     """
     _check_qubits(a.n_qubits, b.n_qubits)
     if not a or not b:
         return PauliSum.zero(a.n_qubits)
-    s = _product_structure(a, b)
-    # column i of this (m, |a|) matrix holds +-cb[j] in row slot[i, j]
-    scatter = scipy.sparse.csc_array(
-        ((s.sign * b._c).ravel(), s.slot,
-         np.arange(0, s.slot.size + 1, len(b), dtype=s.slot.dtype)),
-        shape=(len(s.x), len(a)),
+    n, d = a.n_qubits, 1 << a.n_qubits
+    check_memory(
+        f"a product on {n} qubits needs {_PRODUCT_ARRAYS} dense {d} x {d} arrays",
+        _PRODUCT_ARRAYS * 8 << 2 * n,
     )
-    c = scatter @ a._c
-    kept = np.abs(c) > DROP_TOL * np.abs(c).max()
-    return PauliSum._from_canonical(a.n_qubits, s.x[kept], s.z[kept], c[kept])
+    if b._walsh is None:
+        gather, hadamard = _walsh_tables(n)
+        b._walsh = gather, hadamard, _walsh_matrix(b, gather, hadamard)
+    gather, hadamard, matrix = b._walsh
+    # sums[z * d + x] = sum_r (-1)^{|r & z|} M[r, r ^ x], with M = a b; each
+    # temporary goes once the next exists, so at most three are alive
+    m = (_walsh_matrix(a, gather, hadamard) @ matrix).ravel()[gather].reshape(d, d)
+    sums = (hadamard @ m).ravel()
+    del m
+    codes = np.flatnonzero(np.abs(sums) > DROP_TOL * np.abs(sums).max())
+    c = sums[codes] * 2.0**-n
+    codes = codes.astype(np.uint64)
+    x, z = codes & np.uint64(d - 1), codes >> np.uint64(n)
+    return PauliSum._from_canonical(n, x, z, np.where(np.bitwise_count(x & z) & 2, -c, c))
+
+
+def _walsh_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(gather, hadamard) for n qubits and d = 2^n: gather[r * d + x] =
+    r * d + (r ^ x), the flat index of entry (r, r ^ x), which is its own
+    inverse; and the +-1 Sylvester matrix hadamard[r, z] = (-1)^{|r & z|}."""
+    r = np.arange(1 << n)
+    gather = (r[:, None] << n | r[:, None] ^ r).ravel()
+    return gather, np.where(np.bitwise_count(r[:, None] & r) & 1, -1.0, 1.0)
+
+
+def _walsh_matrix(s: PauliSum, gather: np.ndarray, hadamard: np.ndarray) -> np.ndarray:
+    """s's dense matrix by the inverse transform: its coefficients, with the
+    letter signs (-1)^{|x & z| / 2}, in a (z, x) table, one Hadamard matmul
+    to rows (r, x), and one gather to entries (r, r ^ x)."""
+    n, d = s.n_qubits, 1 << s.n_qubits
+    x, z, c = s.mask_arrays()
+    table = np.zeros(d * d)
+    table[(z << np.uint64(n) | x).astype(np.intp)] = np.where(np.bitwise_count(x & z) & 2, -c, c)
+    return (hadamard @ table.reshape(d, d)).ravel()[gather].reshape(d, d)
 
 
 def _number_strings(
@@ -386,7 +372,8 @@ def _number_strings(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ux, uz, inverse): the distinct strings of the n-qubit unsigned mask
     arrays x, z as uint64 masks in canonical order, and each input's index
-    among them, so ux[inverse] == x (see the module docstring).
+    among them, so ux[inverse] == x: the merge of a sum's terms and the
+    string ledgers (see the module docstring).
 
     The 4^n-table branch counts in int32: it runs only with at least 4^n
     inputs, so any table that fits in memory has n <= 15 and fewer than

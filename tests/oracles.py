@@ -210,7 +210,8 @@ def multiply_sums_reference(a, b, drop_tol: float = 1e-12):
     drop_tol * max abs(c), and a kept string with an odd number of Y
     letters (its coefficient over i) refuses the product.
 
-    The reference the cached product is checked against bit for bit.
+    The reference the transform product is checked against, string for
+    string and within a float64 bound on the coefficients.
     """
     from pdsq.pauli import PauliSum
 
@@ -230,32 +231,6 @@ def number_strings_reference(x, z):
     pauli._number_strings is checked against."""
     uniq, inverse = np.unique(np.stack((z, x), axis=1), axis=0, return_inverse=True)
     return uniq[:, 1], uniq[:, 0], inverse.ravel()
-
-
-def product_structure_reference(a, b):
-    """The merge structure of a*b as (x, z, slot, sign), from uint64 masks
-    only: every pair's phase from its bit counts and the output strings
-    numbered by sorting the pairs' keys with np.unique, whatever the qubit
-    count; slot is the output index, int32 while |a| |b| fits, and sign is
-    -1 (int8) where the i-exponent is 2 or 3.
-
-    The reference pauli._product_structure is checked against, array for
-    array and dtype for dtype.
-    """
-    xa, za, _ = a.mask_arrays()
-    xb, zb, _ = b.mask_arrays()
-    x = (xa[:, None] ^ xb[None, :]).ravel()
-    z = (za[:, None] ^ zb[None, :]).ravel()
-    ya = np.bitwise_count(xa & za).astype(np.int64)
-    yb = np.bitwise_count(xb & zb).astype(np.int64)
-    anti = np.bitwise_count(za[:, None] & xb[None, :]).astype(np.int64)
-    e = ((ya[:, None] + yb[None, :] + 2 * anti).ravel()
-         - np.bitwise_count(x & z).astype(np.int64)) % 4
-    uniq, inverse = np.unique(np.stack((z, x), axis=1), axis=0, return_inverse=True)
-    index_type = np.int32 if x.size <= np.iinfo(np.int32).max else np.int64
-    slot = inverse.ravel().astype(index_type)
-    sign = np.where(e >= 2, -1, 1).astype(np.int8).reshape(len(xa), len(xb))
-    return uniq[:, 1].copy(), uniq[:, 0].copy(), slot, sign
 
 
 def pauli_sum_reference(n_qubits: int, terms=None, drop_tol: float = 1e-12):

@@ -242,13 +242,13 @@ def test_output_dir_env_var(capsys, tmp_path, monkeypatch):
 
 
 def test_computation_failure_exit_code_2(capsys, tmp_path):
-    # H6: the plan's ladder step H^3 = H^2 * H is over the pair budget
+    # H8: the plan's ladder step H^2 = H * H is over the dense budget
     code, _, err = run_cli(
-        capsys, "run", "--spacings", "2,2,2,2,2", "--k-max", "2",
+        capsys, "run", "--spacings", "2,2,2,2,2,2,2", "--k-max", "2",
         "--output-dir", str(tmp_path / "bundle"),
     )
     assert code == 2
-    assert "stage 'plan' failed" in err
+    assert "stage 'plan' failed: a product on 16 qubits needs 6 dense" in err
 
 
 @pytest.mark.parametrize("flag", ["--fcidump", "--spacings"])
@@ -310,11 +310,13 @@ def test_plan_counts_do_not_depend_on_round_off(capsys, spacings):
 
 
 def test_over_budget_ladder_exit_code_2(capsys):
-    # H6: H^3 would take 49,910 x 919 string pairs, some 3 GB
-    code, _, err = run_cli(capsys, "plan", "--spacings", "2,2,2,2,2", "--k-max", "2")
-    assert code == 2
-    assert "H^3 = H^2 * H needs 45867290 string products: 3027241140 bytes" in err
-    assert "cap MEMORY_BUDGET = 1073741824 bytes" in err
+    # H8 (16 qubits): H^2 would take six dense 65536 x 65536 arrays, 206 GB
+    code, out, err = run_cli(capsys, "plan", "--spacings", "2,2,2,2,2,2,2", "--k-max", "2")
+    assert code == 2 and out == ""
+    assert err == (
+        "computation failed: a product on 16 qubits needs 6 dense 65536 x 65536 arrays: "
+        "206158430208 bytes exceed the cap MEMORY_BUDGET = 1073741824 bytes\n"
+    )
 
 
 def test_h10_exact_exits_2_before_allocating_its_block():

@@ -1,11 +1,15 @@
 """Hamiltonian powers, moment evaluation, and the unique-string ledger."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pdsq import budget, moments
+from pdsq import budget, moments, pauli
 from pdsq.backend import StateVector, apply_pauli_sum, prepare_basis_state
 from pdsq.budget import MemoryBudgetError
 from pdsq.moments import PowerCache, moments_for_state, unique_string_count
@@ -57,27 +61,25 @@ def test_cache_validation():
 
 
 def test_term_budget_overflow(monkeypatch):
-    """A step over the memory budget is refused before its product is built."""
+    """A step over the memory budget is refused before its product is
+    built: the powers and H's kept matrix stay as they were."""
     rng = np.random.default_rng(17)
     h = random_sum(rng, 4, 30)
     cache = PowerCache(h)
-    pairs = cache.power(2).n_terms * h.n_terms
-    monkeypatch.setattr(budget, "MEMORY_BUDGET", 66 * pairs - 1)
-    products = []
-    monkeypatch.setattr(
-        moments, "multiply_sums", lambda a, b: products.append((a, b))
-    )
+    cache.power(2)
+    kept = h._walsh
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", pauli._PRODUCT_ARRAYS * 8 * 4**4 - 1)
     with pytest.raises(MemoryBudgetError, match="cap"):
         cache.power(3)
-    assert products == []
     assert max(cache._powers) == 2
+    assert h._walsh is kept
 
 
 def test_over_budget_step_fails_before_allocating():
-    """4034^2 string pairs at 66 bytes each are the fewest over MEMORY_BUDGET
-    (2^30 bytes): H^2 is refused before its ~1 GiB product is built, naming
-    step, count, bytes and cap."""
-    h = PauliSum(12, [((k, 0), 1.0) for k in range(4034)])
+    """13 qubits is the narrowest width whose product's six 4^n-entry arrays
+    exceed MEMORY_BUDGET (2^30 bytes): H^2 is refused before any of them
+    exists, naming the arrays, the bytes and the cap."""
+    h = PauliSum(13, [((k, 0), 1.0) for k in range(1, 4034)])
     cache = PowerCache(h)
     tracemalloc.start()
     try:
@@ -86,12 +88,13 @@ def test_over_budget_step_fails_before_allocating():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert 66 * 4033**2 <= budget.MEMORY_BUDGET < 66 * 4034**2
+    assert 48 * 4**12 <= budget.MEMORY_BUDGET < 48 * 4**13
     assert str(err.value) == (
-        "H^2 = H^1 * H needs 16273156 string products: 1074028296 bytes "
+        "a product on 13 qubits needs 6 dense 8192 x 8192 arrays: 3221225472 bytes "
         "exceed the cap MEMORY_BUDGET = 1073741824 bytes"
     )
     assert peak < 1 << 20
+    assert max(cache._powers) == 1
 
 
 def test_lanczos_basis_is_budgeted_before_allocating():
@@ -192,11 +195,12 @@ def test_unique_count_single_string_hamiltonian():
 
 @pytest.mark.parametrize(
     "n_qubits, n_terms, max_power, seed",
-    [(1, 2, 6, 1), (3, 10, 5, 2), (5, 14, 4, 3), (33, 8, 4, 4), (64, 6, 4, 5)],
+    [(1, 2, 6, 1), (3, 10, 5, 2), (5, 14, 4, 3), (9, 8, 4, 4), (64, 6, 1, 5)],
 )
 def test_ledger_matches_string_set_oracle(n_qubits, n_terms, max_power, seed):
     """Contents, (z, x) order and per-power counts of the mask-array ledger
-    equal a set of PauliStrings, also past the 32 qubits a packed key holds."""
+    equal a set of PauliStrings, also past the 32 qubits a packed key holds
+    (at 64 qubits only H^1, since a product there is over the budget)."""
     rng = np.random.default_rng(seed)
     h = random_sum(rng, n_qubits, n_terms)
     cache = PowerCache(h)
@@ -206,7 +210,7 @@ def test_ledger_matches_string_set_oracle(n_qubits, n_terms, max_power, seed):
     assert unique_string_count(PowerCache(h), max_power) == counts
 
 
-@pytest.mark.parametrize("n_qubits, n_terms, seed", [(3, 10, 2), (5, 14, 3), (64, 6, 5)])
+@pytest.mark.parametrize("n_qubits, n_terms, seed", [(3, 10, 2), (5, 14, 3), (9, 6, 5)])
 def test_ledger_is_kept_per_cache_and_power(n_qubits, n_terms, seed, monkeypatch):
     """Each (cache, max_power) ledger is built once, kept read-only and
     apart from the others; a kept one is read back without touching the
@@ -267,3 +271,31 @@ def test_hankel_matrix_is_positive_semidefinite(h4_problem):
     M = table.values[2 * K - idx[:, None] - idx[None, :]]
     eigs = np.linalg.eigvalsh(M)
     assert eigs.min() > -1e-8
+
+
+def test_ladders_do_not_depend_on_the_blas_thread_count():
+    """H^1..H^19 of H4's three ladders have the same strings and coefficient
+    bytes at 1 and at 2 OpenBLAS threads: each runs in a child process, and
+    the two sha256 digests are compared with each other."""
+    script = (
+        "import hashlib\n"
+        "from pdsq.pipeline import RunConfig, build_problem\n"
+        "problem = build_problem(RunConfig(spacings=(2.0, 2.0, 2.0)))\n"
+        "digest = hashlib.sha256()\n"
+        "caches = [problem.cache] + [s.tapered_cache for s in problem.sectors.values()]\n"
+        "for cache in caches:\n"
+        "    for n in range(1, 20):\n"
+        "        for a in cache.power(n).mask_arrays():\n"
+        "            digest.update(a.tobytes())\n"
+        "print(digest.hexdigest())\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert len(digests[0]) == 65 and digests[0] == digests[1]

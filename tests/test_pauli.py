@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdsq import pauli
+from pdsq.budget import MemoryBudgetError
 from pdsq.pauli import (
     PauliString,
     PauliSum,
     _multiply_masks,
     _number_strings,
-    _product_structure,
     multiply_sums,
 )
 
@@ -34,7 +34,6 @@ from oracles import (
     dense_string,
     multiply_sums_reference,
     pauli_sum_reference,
-    product_structure_reference,
     pauli_sum_to_dense,
 )
 
@@ -403,15 +402,61 @@ def assert_same_sum(got, want):
     assert list(got.terms()) == list(want.terms())
 
 
+def l1_norm(s):
+    return float(np.abs(s.mask_arrays()[2]).sum())
+
+
+def assert_product_within_bound(got, a, b):
+    """got has the strings of multiply_sums_reference(a, b), in canonical
+    order, and each coefficient within a float64 bound of the reference's.
+
+    The bound, to first order in u = 2^-53, with d = 2^n, gamma_k =
+    k u / (1 - k u) and |s|_1 the sum of s's np.abs(c):
+    - an entry of a's or b's dense matrix sums at most d of its terms, and
+      each row or column of its absolute values sums to at most |s|_1, so
+      each entry of the computed A B is within 3 gamma_d |a|_1 |b|_1;
+    - a coefficient is 2^-n times a sum of d of those entries with signs
+      +-1: another gamma_d |a|_1 |b|_1;
+    - the reference adds at most min(|a|, |b|) rounded pair products into
+      each string: gamma_{min(|a|, |b|) + 1} |a|_1 |b|_1.
+    """
+    want = multiply_sums_reference(a, b)
+    for g, w in zip(got.mask_arrays()[:2], want.mask_arrays()[:2]):
+        assert np.array_equal(g, w)
+    u = 2.0**-53
+
+    def gamma(k):
+        return k * u / (1 - k * u)
+
+    bound = (4 * gamma(1 << a.n_qubits) + gamma(min(len(a), len(b)) + 1)) * l1_norm(a) * l1_norm(b)
+    assert np.all(np.abs(got.mask_arrays()[2] - want.mask_arrays()[2]) <= bound)
+
+
+def assert_refused_before_allocating(a, b):
+    """a*b is refused by the memory budget, within 1 MiB of traced memory,
+    and b keeps no matrix."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetError,
+                           match=f"^a product on {a.n_qubits} qubits needs 6 dense "):
+            multiply_sums(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert b._walsh is None
+
+
 def test_power_ladders_match_the_uncached_product(h4_problem):
+    """Each step H^n = H^{n-1} * H of the three H4 ladders has the strings of
+    the reference product of the same operands, and coefficients within
+    its bound."""
     caches = [h4_problem.cache] + [
         ctx.tapered_cache for ctx in h4_problem.sectors.values()
     ]
     for cache in caches:
-        want = cache.h
         for n in range(2, 20):
-            want = multiply_sums_reference(want, cache.h)
-            assert_same_sum(cache.power(n), want)
+            assert_product_within_bound(cache.power(n), cache.power(n - 1), cache.h)
 
 
 def test_power_ladders_take_the_real_merge(h4_problem):
@@ -450,9 +495,9 @@ def test_products_of_sums_that_do_not_commute_are_refused():
             multiply_sums(left, right)
         with pytest.raises(ValueError, match=message):
             multiply_sums_reference(left, right)
-    # each commutes with itself; the structures the refused products cached stay valid
-    assert_same_sum(multiply_sums(a, a), multiply_sums_reference(a, a))
-    assert_same_sum(multiply_sums(b, b), multiply_sums_reference(b, b))
+    # each commutes with itself; the matrices the refused products kept stay valid
+    assert_product_within_bound(multiply_sums(a, a), a, a)
+    assert_product_within_bound(multiply_sums(b, b), b, b)
 
 
 def test_products_drop_relative_to_their_largest_term():
@@ -465,7 +510,7 @@ def test_products_drop_relative_to_their_largest_term():
         b = from_labels(1, {"Z": 1.0, "I": weight})
         got = multiply_sums(a, b)
         assert len(got) == kept
-        assert_same_sum(got, multiply_sums_reference(a, b))
+        assert_product_within_bound(got, a, b)
 
 
 @pytest.mark.parametrize("n", [1, 3, 5, 8, 32, 33, 64])
@@ -486,99 +531,80 @@ def test_number_strings_matches_unique_oracle(n, wide):
             assert np.array_equal(g, w)
 
 
-def assert_structure_from_wide_masks(a, b):
-    """a*b's merge structure, built on masks of the narrowest type of n
-    bits, equals the one from uint64 masks, array for array and dtype for
-    dtype."""
-    got = _product_structure(a, b)
-    for g, w in zip(got, product_structure_reference(a, b)):
-        assert g.dtype == w.dtype and g.shape == w.shape
-        assert g.tobytes() == w.tobytes()
-
-
 def spread_out(rng, s):
     """s with each coefficient scaled by 10^-u, u uniform on [0, 8): some
     pair products then fall below the products' relative drop bound."""
     return PauliSum(s.n_qubits, [(k, c * 10.0 ** -rng.uniform(0, 8)) for k, c in s.terms()])
 
 
-# 8, 16 and 32 fill uint8, uint16 and uint32 masks; 9, 17 and 33 need the
-# next type up
+# 16 to 64 qubits are past the 12 a dense product's budget admits
 @pytest.mark.parametrize("n_qubits", [1, 3, 4, 5, 8, 9, 16, 17, 32, 33, 64])
 @pytest.mark.parametrize("spread", [True, False])
 def test_random_products_match_the_uncached_product(n_qubits, spread):
     """Commuting random real symmetric sums, with coefficients of one scale
-    or spread over 8 decades."""
+    or spread over 8 decades; past 12 qubits each product is refused before
+    allocating."""
     rng = np.random.default_rng(n_qubits + 100 * spread)
     a, b = commuting_sums(rng, n_qubits, min(40, 2**n_qubits), min(30, 2**n_qubits))
     if spread:
         a, b = spread_out(rng, a), spread_out(rng, b)
-    want = multiply_sums_reference(a, b)
-    assert_same_sum(multiply_sums(a, b), want)
-    assert_same_sum(multiply_sums(a, b), want)  # from b's cache
-    assert_structure_from_wide_masks(a, b)
-    assert_same_sum(multiply_sums(b, b), multiply_sums_reference(b, b))
+    if n_qubits > 12:
+        assert_refused_before_allocating(a, b)
+        assert_refused_before_allocating(b, b)
+        return
+    first = multiply_sums(a, b)
+    assert_product_within_bound(first, a, b)
+    assert_same_sum(multiply_sums(a, b), first)  # with b's matrix kept
+    assert_product_within_bound(multiply_sums(b, b), b, b)
     if n_qubits > 8:
         return
-    # the merge addresses the 4^n keys directly once there are no more of
-    # them than pairs, and sorts the pairs otherwise: both sides of that edge
-    # (at 5 and 8 qubits, uint8 masks and uint16 table keys)
+    # operands of all 2^n strings of their commuting set, and of one string
     side = 2**n_qubits
     for n_a, n_b in ((side, side), (side, side - 1), (1, side)):
         a, b = commuting_sums(rng, n_qubits, n_a, n_b)
         if spread:
             a, b = spread_out(rng, a), spread_out(rng, b)
         assert a.n_terms * b.n_terms == n_a * n_b
-        assert_same_sum(multiply_sums(a, b), multiply_sums_reference(a, b))
-        assert_structure_from_wide_masks(a, b)
+        assert_product_within_bound(multiply_sums(a, b), a, b)
 
 
 def test_cache_hit_recombines_new_coefficients():
+    """b keeps its matrix from its first product as the right operand; a
+    later product with new left coefficients reuses it, and keeps or
+    refuses its output strings by those coefficients."""
     rng = np.random.default_rng(17)
     a, b = commuting_sums(rng, 5, 30, 20)
     multiply_sums(a, b)
-    entry = b._product_cache
+    entry = b._walsh
     x, z, _ = a.mask_arrays()
     a2 = PauliSum(5, zip(zip(x.tolist(), z.tolist()), rng.standard_normal(a.n_terms).tolist()))
-    assert_same_sum(multiply_sums(a2, b), multiply_sums_reference(a2, b))
-    assert b._product_cache is entry
+    assert_product_within_bound(multiply_sums(a2, b), a2, b)
+    assert b._walsh is entry
 
     # (X + Z)^2 = 2I + (XZ + ZX) = 2I, while (2X + Z)(X + Z) adds 2XZ + ZX =
     # -iY: a hit must keep and refuse output strings by the new coefficients
     h = from_labels(1, {"X": 1.0, "Z": 1.0})
     assert_same_sum(multiply_sums(h, h), 2.0 * PauliSum.identity(1))
-    entry = h._product_cache
+    entry = h._walsh
     with pytest.raises(ValueError, match="not real symmetric: Y has an odd number of Y letters"):
         multiply_sums(from_labels(1, {"X": 2.0, "Z": 1.0}), h)
-    assert h._product_cache is entry
-
-
-def test_cache_misses_on_other_strings_of_the_same_count():
-    rng = np.random.default_rng(29)
-    a, b, c = commuting_sums(rng, 6, 25, 15, 40)
-    multiply_sums(a, b)
-    entry = b._product_cache
-    # same number of terms, one string replaced by one of the same family a lacks
-    terms = {(s.x, s.z): v for s, v in a.terms()}
-    spare = next(k for k in ((s.x, s.z) for s, _ in c.terms()) if k not in terms)
-    terms.pop(next(iter(terms)))
-    terms[spare] = 0.75
-    other = PauliSum(6, terms)
-    assert other.n_terms == a.n_terms
-    assert_same_sum(multiply_sums(other, b), multiply_sums_reference(other, b))
-    assert b._product_cache is not entry
+    assert h._walsh is entry
 
 
 def test_cache_belongs_to_its_right_operand():
+    """Each right operand keeps its own dense matrix, which is its Kronecker
+    matrix; the left operand keeps nothing."""
     rng = np.random.default_rng(31)
     a, b1, b2 = commuting_sums(rng, 4, 12, 10, 10)
     assert {s for s, _ in b1.terms()} != {s for s, _ in b2.terms()}
     multiply_sums(a, b1)
-    entry = b1._product_cache
-    assert b2._product_cache is None
-    assert_same_sum(multiply_sums(a, b2), multiply_sums_reference(a, b2))
-    assert b1._product_cache is entry
-    assert b2._product_cache[1] is not entry[1]
+    entry = b1._walsh
+    assert a._walsh is None and b2._walsh is None
+    assert_product_within_bound(multiply_sums(a, b2), a, b2)
+    assert b1._walsh is entry and a._walsh is None
+    assert b2._walsh[2] is not entry[2]
+    for b in (b1, b2):
+        assert np.allclose(b._walsh[2], pauli_sum_to_dense(b), rtol=0, atol=1e-14)
 
 
 def _fresh_copy(h):
@@ -586,8 +612,9 @@ def _fresh_copy(h):
 
 
 def test_saturated_ladder_step_keeps_a_small_cache(h4_problem):
-    """H^5 * H on H4 (4224 x 185 pairs): the right operand keeps one sign
-    byte and an int32 slot per pair, plus the output and key masks."""
+    """H^5 * H on H4 (4224 x 185 terms, 8 qubits): the right operand keeps
+    its 256 x 256 matrix and the gather and Hadamard tables of its width,
+    512 KiB each, and nothing else."""
     a = h4_problem.cache.power(5)
     h = _fresh_copy(h4_problem.hamiltonian)
     # the same product on another copy first, so that the interpreter's
@@ -595,16 +622,13 @@ def test_saturated_ladder_step_keeps_a_small_cache(h4_problem):
     multiply_sums(a, _fresh_copy(h))
     tracemalloc.start()
     try:
-        multiply_sums(a, h)
+        out = multiply_sums(a, h)
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    pairs = a.n_terms * h.n_terms
-    n_out = len(h._product_cache[1].x)
-    assert h._product_cache[1].slot.dtype == np.int32
-    # pairs x (1 + 4) bytes, two uint64 masks per output and per key string
-    assert kept <= pairs * 5 + 16 * (n_out + a.n_terms) + (64 << 10)
-    assert kept <= 5 << 20
+    assert [t.nbytes for t in h._walsh] == [8 << 16] * 3
+    # the three arrays, and two uint64 masks and a coefficient per output string
+    assert kept <= 3 * (8 << 16) + 24 * len(out) + (64 << 10)
 
 
 def test_cache_hit_peaks_below_the_uncached_product(h4_problem):
