@@ -17,7 +17,12 @@ for every string.
 
 A group is measured in the basis its rotation masks name, which the sampler
 reads directly (a uniform bit where the rotation has X or Y): each member's
-eigenvalue is then a parity of the outcome bits on its support.
+eigenvalue is then a parity of the outcome bits on its support.  A slot's
+members all lie in its n bits, so one weighted histogram of those bits, the
+slot's marginal, fixes every member: its value is the +-1 parity of its
+support over the marginal's bins, dotted with the marginal.  The bins are
+the 2^n values of the slot, or only the distinct observed ones when 2^n
+exceeds the outcome count, so a wide slot never allocates 2^n bins.
 """
 
 from __future__ import annotations
@@ -148,8 +153,9 @@ def slot_expectations(
     """Member expectations of every (group, qubit offset) slot from outcome
     weights over a (possibly joint) register.
 
-    Each member's value is the weighted mean of (-1)^parity of the outcome's
-    bits on its support, shifted to the slot's offset.
+    Each member's value is the +-1 parity of its support over the bins of
+    the slot's marginal histogram, dotted with that marginal, over the
+    total weight (see the module notes).
     """
     outcomes = np.asarray(outcomes, dtype=np.int64)
     weights = np.asarray(weights, dtype=float)
@@ -158,10 +164,16 @@ def slot_expectations(
         raise ValueError("empty histogram")
     out: dict[PauliString, float] = {}
     for group, offset in slots:
+        size = 1 << group.n_qubits
+        bits = (outcomes >> offset) & (size - 1)
+        if size > bits.size:  # bin the observed values only
+            bins, bits = np.unique(bits, return_inverse=True)
+        else:
+            bins = np.arange(size)
+        marginal = np.bincount(bits, weights, minlength=bins.size)
         supports = np.array([m.support for m in group.members], dtype=np.int64)
-        parity = np.bitwise_count((outcomes[:, None] >> offset) & supports) & 1
-        values = (weights @ (1.0 - 2.0 * parity)) / total
-        out.update(zip(group.members, values.tolist()))
+        signs = 1.0 - 2.0 * (np.bitwise_count(supports[:, None] & bins) & 1)
+        out.update(zip(group.members, (signs @ marginal / total).tolist()))
     return out
 
 

@@ -40,14 +40,17 @@ class PowerCache:
     """Caches H^0..H^n for one Hamiltonian; read-only after each fill.
 
     It also keeps the string ledger over H^1..H^max_power per max_power
-    (see _string_ledger), as read-only arrays: the powers never change once
-    filled, so a kept ledger cannot go stale.
+    (see _string_ledger), as read-only arrays, and that ledger's strings and
+    QWC groups as tuples (see pipeline.unique_measured_strings): the powers
+    never change once filled, so nothing kept can go stale.
     """
 
     def __init__(self, h: PauliSum):
         self.h = h
         self._powers: dict[int, PauliSum] = {0: PauliSum.identity(h.n_qubits), 1: h}
         self._ledgers: dict[int, tuple[np.ndarray, ...]] = {}
+        self._strings: dict[int, tuple] = {}  # max_power -> PauliStrings
+        self._groups: dict[int, tuple] = {}  # max_power -> QwcGroups
 
     def power(self, n: int) -> PauliSum:
         if n < 0:

@@ -147,9 +147,25 @@ def build_problem(cfg: RunConfig) -> Problem:
 
 
 def unique_measured_strings(cache: PowerCache, max_power: int) -> list[PauliString]:
-    """Distinct non-identity strings across H^1..H^max_power, canonical order."""
-    z, x, _, _ = _string_ledger(cache, max_power)
-    return [PauliString(cache.h.n_qubits, *xz) for xz in zip(x.tolist(), z.tolist())]
+    """Distinct non-identity strings across H^1..H^max_power, canonical order:
+    built once per cache and max_power, a fresh list on every call."""
+    if max_power not in cache._strings:
+        z, x, _, _ = _string_ledger(cache, max_power)
+        n = cache.h.n_qubits
+        cache._strings[max_power] = tuple(
+            PauliString(n, *xz) for xz in zip(x.tolist(), z.tolist())
+        )
+    return list(cache._strings[max_power])
+
+
+def _ledger_groups(
+    cache: PowerCache, max_power: int, strings: list[PauliString]
+) -> tuple[grouping.QwcGroup, ...]:
+    """QWC groups of the ledger whose strings unique_measured_strings(cache,
+    max_power) returned, grouped once per cache and max_power."""
+    if max_power not in cache._groups:
+        cache._groups[max_power] = tuple(grouping.group_qwc(strings))
+    return cache._groups[max_power]
 
 
 @dataclass(frozen=True)
@@ -178,8 +194,8 @@ def measurement_ladder(problem: Problem, sector: str, k_max: int) -> Measurement
     ctx = problem.sectors[sector]
     full_strings = unique_measured_strings(problem.cache, max_power)
     tapered_strings = unique_measured_strings(ctx.tapered_cache, max_power)
-    full_groups = grouping.group_qwc(full_strings)
-    tapered_groups = grouping.group_qwc(tapered_strings)
+    full_groups = _ledger_groups(problem.cache, max_power, full_strings)
+    tapered_groups = _ledger_groups(ctx.tapered_cache, max_power, tapered_strings)
     batches = grouping.pack_batches(tapered_groups, ctx.tapered_h.n_qubits, DEVICE_REGISTER)
     return MeasurementLadder(
         original=len(full_strings),
@@ -224,7 +240,7 @@ def sample_sector(
     QWC groups of the tapered ledger packed register // n to an execution
     (n the tapered width), batch bi drawn with seed [seed, sector_index, bi]."""
     strings = unique_measured_strings(ctx.tapered_cache, max_power)
-    groups = grouping.group_qwc(strings)
+    groups = _ledger_groups(ctx.tapered_cache, max_power, strings)
     batches = grouping.pack_batches(groups, ctx.tapered_h.n_qubits, register)
     noise = NoiseModel(spam_p) if spam_p > 0.0 else None
     for bi, batch in enumerate(batches):

@@ -20,6 +20,7 @@ from pdsq.chem import (
     _boys0,
     nuclear_repulsion,
 )
+from pdsq.mitigation import _kernel
 
 PAULI_2X2 = {
     "I": np.eye(2, dtype=complex),
@@ -82,6 +83,42 @@ def restricted_inverse(outcomes, weights, n_bits: int, p: float) -> np.ndarray:
     mitigated = (a ** (n_bits - d) * b**d) @ probs
     clipped = np.clip(mitigated, 0.0, None)
     return clipped / clipped.sum()
+
+
+def mitigate_by_sorted_halves(outcomes, weights, n_bits: int, p: float) -> np.ndarray:
+    """`mitigation.mitigate` with the distinct high and low outcome halves
+    and their inverses taken by np.unique: the steps whose output bytes the
+    sort-free halves must keep (the kernels are the package's own)."""
+    outcomes = np.asarray(outcomes, dtype=np.int64)
+    probs = np.asarray(weights, dtype=float)
+    probs = probs / probs.sum()
+    a = (p - 1.0) / (2.0 * p - 1.0)
+    b = p / (2.0 * p - 1.0)
+    low = n_bits // 2
+    u_hi, hi = np.unique(outcomes >> low, return_inverse=True)
+    u_lo, lo = np.unique(outcomes & ((1 << low) - 1), return_inverse=True)
+    v = np.zeros((u_hi.size, u_lo.size))
+    v[hi, lo] = probs
+    x = _kernel(u_hi, n_bits - low, a, b) @ v
+    mitigated = (x @ _kernel(u_lo, low, a, b))[hi, lo]
+    clipped = np.clip(mitigated, 0.0, None)
+    return clipped / clipped.sum()
+
+
+def slot_expectations_by_parity_matrix(outcomes, weights, slots) -> dict:
+    """Member expectations of (group, offset) slots as the weighted mean,
+    over every outcome, of (-1)^parity of its bits on the member's support
+    shifted to the slot: one outcomes x members parity matrix per slot."""
+    outcomes = np.asarray(outcomes, dtype=np.int64)
+    weights = np.asarray(weights, dtype=float)
+    total = weights.sum()
+    out = {}
+    for group, offset in slots:
+        supports = np.array([m.support for m in group.members], dtype=np.int64)
+        parity = np.bitwise_count((outcomes[:, None] >> offset) & supports) & 1
+        values = (weights @ (1.0 - 2.0 * parity)) / total
+        out.update(zip(group.members, values.tolist()))
+    return out
 
 
 def moments_by_term_loop(cache, estimates: dict, k: int) -> np.ndarray:

@@ -123,11 +123,55 @@ def test_run_reads_the_ledger_twice_per_sector_and_once_more_to_sample(
     assert calls_seen == [5] * calls
 
 
-def test_tracer_reads_the_strings_the_ladder_groups(h4_problem, monkeypatch):
-    """`--trace 1` keys each `group_qwc` span on the hash of the string
-    sequence `measurement_ladder` passes and counts the groups returned."""
-    from pdsq.pipeline import measurement_ladder, unique_measured_strings
+@pytest.mark.parametrize("mode", ["exact", "parallel"])
+def test_run_groups_each_ledger_once(mode, monkeypatch, tmp_path):
+    """The benchmark counts `grouping.group_qwc_calls`: a run groups the
+    full ledger once, for both sectors' plans, and each tapered ledger once,
+    for its plan and its sampling alike, where pdsq.pipeline calls
+    `grouping.group_qwc`."""
+    from pdsq import grouping, pipeline
 
+    grouped = []
+
+    def counted(strings):
+        grouped.append(len(strings))
+        return original(strings)
+
+    original = grouping.group_qwc
+    monkeypatch.setattr(grouping, "group_qwc", counted)
+    report = pipeline.run_pipeline(pipeline.RunConfig(
+        spacings=(0.7414,), k_max=3, shots=256, mode=mode, output_dir=tmp_path
+    ))
+    lad = report.ladders
+    assert grouped == [lad["singlet"].original, lad["singlet"].tapered, lad["triplet"].tapered]
+
+
+def test_kept_strings_and_groups_cannot_be_changed_by_a_caller(tmp_path):
+    """A caller that changes the string list it got does not change what
+    the cache keeps for the next caller, and the kept groups are a tuple."""
+    from pdsq import pipeline
+
+    problem = pipeline.build_problem(pipeline.RunConfig(spacings=(0.7414,), output_dir=tmp_path))
+    cache = problem.cache
+    strings = pipeline.unique_measured_strings(cache, 3)
+    want = list(strings)
+    groups = pipeline._ledger_groups(cache, 3, strings)
+    strings.clear()
+    assert pipeline.unique_measured_strings(cache, 3) == want
+    assert isinstance(groups, tuple) and pipeline._ledger_groups(cache, 3, []) is groups
+    assert want and groups  # H2's ledger is not empty
+
+
+def test_tracer_reads_the_strings_the_ladder_groups(monkeypatch, tmp_path):
+    """`--trace 1` keys each `group_qwc` span on the hash of the string
+    sequence `measurement_ladder` passes and counts the groups returned.
+    The problem is built here: a problem's caches keep their groups, so
+    a ladder of a used problem may group nothing."""
+    from pdsq.pipeline import (
+        RunConfig, build_problem, measurement_ladder, unique_measured_strings,
+    )
+
+    h4_problem = build_problem(RunConfig(spacings=(2.0, 2.0, 2.0), output_dir=tmp_path))
     tracer = _load_tracer(monkeypatch)
     recorder = tracer.Tracer()
     with recorder.installed(0):

@@ -1,6 +1,7 @@
 """QWC grouping, rotation bases, batch packing, and count reconstruction."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +16,18 @@ from pdsq.grouping import (
     expectations_from_group_counts,
     group_qwc,
     pack_batches,
+    slot_expectations,
 )
+from pdsq.mitigation import MitigationConfig, mitigate
 from pdsq.pauli import PauliString, PauliSum
 
 from helpers import qubit_wise_commutes
-from oracles import dense_string, group_qwc_reference
+from oracles import (
+    dense_string,
+    group_qwc_reference,
+    mitigate_by_sorted_halves,
+    slot_expectations_by_parity_matrix,
+)
 from test_backend import rotated_probabilities
 
 
@@ -300,3 +308,96 @@ def test_h4_group_counts_within_bands(h4_problem):
     assert ladder_t.tapered_qwc <= 66 * 1.10
     assert ladder_s.batches == -(-ladder_s.tapered_qwc // 4)
     assert ladder_t.batches == -(-ladder_t.tapered_qwc // 4)
+
+
+def _random_group(rng, n_qubits: int, n_strings: int) -> QwcGroup:
+    """One QWC group of random strings sharing a random rotation."""
+    rotation = [rng.choice(list("XYZ")) for _ in range(n_qubits)]
+    labels = {
+        "".join(r if rng.random() < 0.5 else "I" for r in rotation) for _ in range(n_strings)
+    } - {"I" * n_qubits}
+    return QwcGroup(tuple(strings(*sorted(labels))), PauliString.from_label("".join(rotation)))
+
+
+def _sum_error_bound(weights) -> float:
+    """Twice the float64 bound on any order of summing len(weights) terms,
+    gamma_B * sum |w| (Higham, Accuracy and Stability, Sec. 4.2), over the
+    total, plus the division's rounding: the most two ways of computing
+    the same weighted parity mean can differ by."""
+    u = np.finfo(float).eps / 2
+    gamma = weights.size * u / (1 - weights.size * u)
+    return 2 * (gamma * np.abs(weights).sum() / abs(weights.sum()) + u)
+
+
+@pytest.mark.parametrize(
+    "slot_width, register, n_draws, table",
+    [
+        (5, 20, 8000, True), (5, 20, 20, False), (5, 5, 1000, True), (5, 5, 9, False),
+        (3, 9, 200, True), (1, 1, 50, True), (1, 1, 1, False),
+    ],
+    ids=["packed", "packed-few", "serial-full", "serial-few", "3-bit", "1-bit", "1-bit-one"],
+)
+def test_marginals_match_the_parity_matrix_oracle(slot_width, register, n_draws, table):
+    """Per-slot marginals give the parity matrix's estimates: exactly for
+    integer counts, whose sums are exact in any order, and within the
+    float64 summation bound for float weights; with 2^n bins when there are
+    at least 2^n outcomes and over the distinct values when there are fewer."""
+    rng = np.random.default_rng(slot_width * register + n_draws)
+    slots = tuple(
+        (_random_group(rng, slot_width, 12), offset)
+        for offset in range(0, register - slot_width + 1, slot_width)
+    )
+    outcomes = np.unique(rng.integers(0, 1 << register, n_draws))
+    assert (outcomes.size >= 1 << slot_width) == table  # which way the bins are found
+    counts = rng.integers(1, 50, outcomes.size)
+    got = slot_expectations(outcomes, counts, slots)
+    assert got == slot_expectations_by_parity_matrix(outcomes, counts, slots)
+    weights = rng.dirichlet(np.ones(outcomes.size))
+    got = slot_expectations(outcomes, weights, slots)
+    want = slot_expectations_by_parity_matrix(outcomes, weights, slots)
+    assert got.keys() == want.keys()
+    assert max(abs(got[s] - want[s]) for s in want) <= _sum_error_bound(weights)
+
+
+def test_wide_slot_takes_its_marginal_over_the_observed_values():
+    """A 40-qubit slot in a 44-bit register bins its 600 distinct values,
+    never 2^40 bins: the peak traced allocation stays under 1 MiB."""
+    rng = np.random.default_rng(40)
+    slots = ((_random_group(rng, 40, 30), 4),)
+    outcomes = np.unique(rng.integers(0, 1 << 44, 600))
+    weights = rng.dirichlet(np.ones(outcomes.size))
+    tracemalloc.start()
+    try:
+        got = slot_expectations(outcomes, weights, slots)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    want = slot_expectations_by_parity_matrix(outcomes, weights, slots)
+    assert max(abs(got[s] - want[s]) for s in want) <= _sum_error_bound(weights)
+
+
+def test_h4_sampled_estimates_match_the_parity_matrix_oracle(h4_problem):
+    """All executions of both H4 sectors at seed 1 with readout noise: raw
+    counts give the oracle's estimates exactly, and mitigated weights
+    (mitigate's bytes unchanged) within the summation bound."""
+    from pdsq.pipeline import SECTORS, sample_sector
+
+    cfg = MitigationConfig(1e-3)
+    executions = 0
+    for index, sector in enumerate(SECTORS):
+        ctx = h4_problem.sectors[sector]
+        for batch, counts in sample_sector(ctx, 19, 8192, 1, index, 1e-3, 20):
+            executions += 1
+            raw = slot_expectations(counts.outcomes, counts.counts, batch.slots)
+            assert raw == slot_expectations_by_parity_matrix(
+                counts.outcomes, counts.counts, batch.slots
+            )
+            weights = mitigate(counts.outcomes, counts.counts, counts.n_bits, cfg)
+            assert weights.tobytes() == mitigate_by_sorted_halves(
+                counts.outcomes, counts.counts, counts.n_bits, cfg.p
+            ).tobytes()
+            got = slot_expectations(counts.outcomes, weights, batch.slots)
+            want = slot_expectations_by_parity_matrix(counts.outcomes, weights, batch.slots)
+            assert max(abs(got[s] - want[s]) for s in want) <= _sum_error_bound(weights)
+    assert executions == 48

@@ -9,7 +9,7 @@ from pdsq.backend import CountTable
 from pdsq.budget import MEMORY_BUDGET, MemoryBudgetError
 from pdsq.mitigation import MitigationConfig, mitigate
 
-from oracles import flip_channel, restricted_inverse
+from oracles import flip_channel, mitigate_by_sorted_halves, restricted_inverse
 
 
 def mitigate_table(counts, p):
@@ -185,3 +185,29 @@ def test_too_many_distinct_halves_fail_before_allocation():
         f"MEMORY_BUDGET = {MEMORY_BUDGET} bytes"
     )
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "n_bits, n_draws, table",
+    [
+        (20, 8000, True), (20, 300, False), (9, 400, True), (9, 10, False),
+        (13, 2000, True), (1, 2, True), (1, 1, True), (2, 1, False), (40, 500, False),
+    ],
+    ids=[
+        "20-bit-table", "20-bit-sort", "odd-table", "odd-sort", "13-bit",
+        "1-bit", "1-bit-one", "2-bit-one", "40-bit",
+    ],
+)
+def test_halves_without_a_sort_keep_the_bytes_of_sorted_halves(n_bits, n_draws, table):
+    """The high halves from a first difference and the low halves from a
+    presence table (|B| >= 2^low) or a sort (|B| < 2^low) give the bytes
+    that np.unique on both halves gives, with counts and with float
+    weights."""
+    rng = np.random.default_rng(n_bits * n_draws)
+    outcomes = np.unique(rng.integers(0, 1 << n_bits, n_draws))
+    assert (outcomes.size >= 1 << n_bits // 2) == table  # which way the low halves go
+    for weights in (rng.integers(1, 100, outcomes.size), rng.dirichlet(np.ones(outcomes.size))):
+        for p in (1e-3, 0.2):
+            got = mitigate(outcomes, weights, n_bits, MitigationConfig(p))
+            want = mitigate_by_sorted_halves(outcomes, weights, n_bits, p)
+            assert got.tobytes() == want.tobytes()
