@@ -155,7 +155,7 @@ def cmd_taper(args) -> int:
         print(f"[{sector}]")
         for g, q, s in zip(td.generators, td.paulix_partners, td.sector_signs):
             print(f"  generator {g.label}  partner qubit {q}  sign {s:+d}")
-        print(f"  removed qubits: {list(td.removed_qubits)} -> {td.n_remaining} remain")
+        print(f"  removed qubits: {list(td.paulix_partners)} -> {td.n_remaining} remain")
         tapered_unique = unique_string_count(ctx.tapered_cache, max_power)[-1]
         print(f"  tapered: {ctx.tapered_h.n_terms} terms, "
               f"{tapered_unique} unique strings")

@@ -7,7 +7,10 @@ same ladder.  Each step is one dense product by the Pauli transform (see
 on, and is budgeted from the qubit count alone.  The ledger is read off the
 powers' (x, z) mask arrays: it holds every distinct Pauli string across
 H^1..H^n, excluding the identity, whose expectation never needs a circuit,
-with the first power it appears in.
+with the first power it appears in.  A cache keeps one Ledger per order n,
+which is the measurement plan of those powers: the strings and first
+powers, and, built on first use, their QWC groups and the column map that
+places each term of H^0..H^n among the strings for moment assembly.
 
 Exact moments of a state need no powers at all: they come from one Lanczos
 recurrence.  K matvecs of H build an orthonormal Krylov basis Q and the
@@ -20,14 +23,16 @@ the table, since it fixes the PDS roots far more stably than the moments do
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from . import grouping
 # exact_expectation is not called here, but the benchmark's tracer
 # (benchmarks/tracer.py) rebinds it in this module, so the name stays.
 from .backend import StateVector, apply_pauli_sum, exact_expectation  # noqa: F401
 from .budget import check_memory
-from .pauli import PauliSum, _number_strings, multiply_sums
+from .pauli import PauliString, PauliSum, _number_strings, multiply_sums
 
 
 # Lanczos stops once an off-diagonal falls below this fraction of the
@@ -39,18 +44,14 @@ BREAKDOWN_TOL = 1e-8
 class PowerCache:
     """Caches H^0..H^n for one Hamiltonian; read-only after each fill.
 
-    It also keeps the string ledger over H^1..H^max_power per max_power
-    (see _string_ledger), as read-only arrays, and that ledger's strings and
-    QWC groups as tuples (see pipeline.unique_measured_strings): the powers
-    never change once filled, so nothing kept can go stale.
+    It also keeps one Ledger per max_power (see `ledger`): the powers never
+    change once filled, so nothing kept can go stale.
     """
 
     def __init__(self, h: PauliSum):
         self.h = h
         self._powers: dict[int, PauliSum] = {0: PauliSum.identity(h.n_qubits), 1: h}
-        self._ledgers: dict[int, tuple[np.ndarray, ...]] = {}
-        self._strings: dict[int, tuple] = {}  # max_power -> PauliStrings
-        self._groups: dict[int, tuple] = {}  # max_power -> QwcGroups
+        self._ledgers: dict[int, Ledger] = {}
 
     def power(self, n: int) -> PauliSum:
         if n < 0:
@@ -60,6 +61,59 @@ class PowerCache:
             self._powers[top + 1] = multiply_sums(self._powers[top], self.h)
             top += 1
         return self._powers[n]
+
+    def ledger(self, max_power: int) -> Ledger:
+        """The string ledger over H^1..H^max_power, built once and kept."""
+        if max_power not in self._ledgers:
+            powers = tuple(self.power(n) for n in range(max_power + 1))
+            x, z, columns = _number_terms(powers)
+            # each string's lowest power among the terms numbered to it
+            first = np.full(x.size, max_power)
+            power = np.repeat(range(max_power + 1), [p.n_terms for p in powers])
+            np.minimum.at(first, columns, power)
+            first = first[1:]
+            first.flags.writeable = False
+            n = self.h.n_qubits
+            strings = tuple(PauliString(n, *xz) for xz in zip(x[1:].tolist(), z[1:].tolist()))
+            self._ledgers[max_power] = Ledger(powers, strings, first)
+        return self._ledgers[max_power]
+
+
+@dataclass(frozen=True, eq=False)
+class Ledger:
+    """The distinct non-identity strings over H^1..H^max_power of one
+    PowerCache, in canonical (z, x) order, each with the first power it
+    appears in, and the powers H^0..H^max_power they come from.
+
+    The identity is left out: its expectation never needs a circuit.  The
+    QWC groups and the column map are built on first use and kept, so a
+    ledger whose moments are never assembled from estimates (the full H's,
+    in a run) never holds a map.
+    """
+
+    powers: tuple[PauliSum, ...]
+    strings: tuple[PauliString, ...]
+    first: np.ndarray  # read-only, aligned with strings
+
+    @cached_property
+    def groups(self) -> tuple[grouping.QwcGroup, ...]:
+        """QWC groups of the strings, by `grouping.group_qwc`."""
+        return tuple(grouping.group_qwc(self.strings))
+
+    @cached_property
+    def columns(self) -> np.ndarray:
+        """Each term's index among the identity and the strings, for
+        H^0..H^max_power in turn (read-only), numbered again as at the build."""
+        columns = _number_terms(self.powers)[2]
+        columns.flags.writeable = False
+        return columns
+
+
+def _number_terms(powers: tuple[PauliSum, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`pauli._number_strings` over the terms of H^0, H^1, ... in turn;
+    H^0 is the identity alone, so the identity is string 0."""
+    xz = np.concatenate([p.mask_arrays()[:2] for p in powers], axis=1)
+    return _number_strings(powers[0].n_qubits, *xz)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,38 +224,6 @@ def _krylov_moments(recurrence: Recurrence, n_moments: int) -> np.ndarray:
     return values
 
 
-def _string_ledger(
-    cache: PowerCache, max_power: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(z, x, first power) of each distinct non-identity string over
-    H^1..H^max_power, sorted on (z, x), and the column map: each term's index
-    among the identity and those strings, for H^0..H^max_power in turn.
-
-    Built once per cache and max_power by `pauli._number_strings` and kept
-    there, read-only.
-    """
-    if max_power in cache._ledgers:
-        return cache._ledgers[max_power]
-    # H^0 is the identity alone, so the identity is string 0, dropped below
-    arrays = [cache.power(n).mask_arrays() for n in range(max_power + 1)]
-    x, z, columns = _number_strings(
-        cache.h.n_qubits,
-        np.concatenate([a[0] for a in arrays]),
-        np.concatenate([a[1] for a in arrays]),
-    )
-    bounds = np.cumsum([0, *(a[0].size for a in arrays)])
-    first = np.empty(x.size, dtype=np.intp)
-    # from the highest power down, so each string keeps its lowest; within
-    # one power the strings are distinct, so each assignment is well-defined
-    for n in range(max_power, -1, -1):
-        first[columns[bounds[n] : bounds[n + 1]]] = n
-    ledger = z[1:], x[1:], first[1:], columns
-    for a in ledger:
-        a.flags.writeable = False
-    cache._ledgers[max_power] = ledger
-    return ledger
-
-
 def unique_string_count(cache: PowerCache, max_power: int) -> list[int]:
     """Cumulative count of distinct non-identity strings over H^1..H^n of
     cache.h, for n = 1..max_power.
@@ -209,5 +231,5 @@ def unique_string_count(cache: PowerCache, max_power: int) -> list[int]:
     Entry k (0-based) covers powers up to k+1; the sequence is monotone and
     saturates once the powers stop producing new strings.
     """
-    _, _, first, _ = _string_ledger(cache, max_power)
+    first = cache.ledger(max_power).first
     return np.cumsum(np.bincount(first, minlength=max_power + 1))[1:].tolist()

@@ -36,9 +36,9 @@ from .units import EV_PER_HARTREE
 # Relative singular-value cutoff for the Hankel solve.  1e-12 already
 # stabilizes the ground root, but the second root of the K=10 singlet system
 # needs the two extra decades to pin the singlet gap below a milli-hartree.
-DEFAULT_SVD_CUTOFF = 1e-14
+SVD_CUTOFF = 1e-14
 # Largest |Im| of a companion-matrix root projected away as round-off.
-DEFAULT_IMAG_TOL = 1e-6  # hartree
+IMAG_TOL = 1e-6  # hartree
 
 
 class ComplexRootError(RuntimeError):
@@ -74,7 +74,7 @@ class MomentSystem:
 @dataclass(frozen=True)
 class PdsResult:
     roots: np.ndarray  # real parts, ascending, hartree
-    imag_parts: np.ndarray  # |Im| aligned with roots, 0 up to DEFAULT_IMAG_TOL
+    imag_parts: np.ndarray  # |Im| aligned with roots, 0 up to IMAG_TOL
 
     @property
     def discarded_imaginary(self) -> float:
@@ -82,8 +82,8 @@ class PdsResult:
         return float(self.imag_parts.max(initial=0.0))
 
     def require_real(self, index: int) -> float:
-        """Root value at `index`, erroring if its |Im| exceeds DEFAULT_IMAG_TOL."""
-        if self.imag_parts[index] > DEFAULT_IMAG_TOL:
+        """Root value at `index`, erroring if its |Im| exceeds IMAG_TOL."""
+        if self.imag_parts[index] > IMAG_TOL:
             raise ComplexRootError(
                 complex(self.roots[index], self.imag_parts[index]), index
             )
@@ -95,7 +95,7 @@ def build_system(moments: MomentTable, K: int) -> MomentSystem:
 
     A table with a Lanczos recurrence needs no solve.  Tables of sampled
     values are solved by pseudoinverse, keeping the singular values above
-    DEFAULT_SVD_CUTOFF times the largest.
+    SVD_CUTOFF times the largest.
     """
     values = moments.values
     if len(values) < 2 * K:
@@ -109,7 +109,7 @@ def build_system(moments: MomentTable, K: int) -> MomentSystem:
 
     M, Y = _hankel(values, K)
     u, s, vt = np.linalg.svd(M)
-    keep = s > DEFAULT_SVD_CUTOFF * s[0]
+    keep = s > SVD_CUTOFF * s[0]
     if not np.any(keep):
         raise ValueError("moment matrix has no singular value above the cutoff")
     inv = np.zeros_like(s)
@@ -131,7 +131,7 @@ def polynomial_roots(X: np.ndarray | Recurrence) -> PdsResult:
     A Lanczos recurrence gives its Gauss nodes, the eigenvalues of its Jacobi
     matrix, without passing through monomial coefficients: they are real and
     ascending.  Plain coefficients go through companion-matrix eigenvalues.
-    Imaginary parts up to DEFAULT_IMAG_TOL are projected away silently;
+    Imaginary parts up to IMAG_TOL are projected away silently;
     larger ones are recorded per root, and raise immediately when they touch
     the ground (minimum) root, whose realness every use of the functional
     relies on.
@@ -147,8 +147,8 @@ def polynomial_roots(X: np.ndarray | Recurrence) -> PdsResult:
     order = np.argsort(raw.real)
     roots = raw.real[order]
     imag_parts = np.abs(raw.imag[order])
-    imag_parts[imag_parts <= DEFAULT_IMAG_TOL] = 0.0
-    if len(roots) and imag_parts[0] > DEFAULT_IMAG_TOL:
+    imag_parts[imag_parts <= IMAG_TOL] = 0.0
+    if len(roots) and imag_parts[0] > IMAG_TOL:
         raise ComplexRootError(complex(roots[0], imag_parts[0]), 0)
     return PdsResult(roots, imag_parts)
 
@@ -156,8 +156,8 @@ def polynomial_roots(X: np.ndarray | Recurrence) -> PdsResult:
 def pds_from_values(moment_values: np.ndarray, K: int) -> PdsResult:
     """PDS(K) result from a raw vector of moments <H^0>..<H^{2K-1}>: the
     pseudoinverse solve of build_system (singular values above
-    DEFAULT_SVD_CUTOFF relative) and the roots of polynomial_roots (|Im| up
-    to DEFAULT_IMAG_TOL dropped)."""
+    SVD_CUTOFF relative) and the roots of polynomial_roots (|Im| up
+    to IMAG_TOL dropped)."""
     table = MomentTable(K, np.asarray(moment_values, dtype=float))
     return polynomial_roots(build_system(table, K).X)
 

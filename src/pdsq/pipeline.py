@@ -20,10 +20,8 @@ from .backend import CountTable, NoiseModel, StateVector, prepare_basis_state, s
 # (benchmarks/tracer.py) rebinds it in this module, so the name stays.
 from .backend import serial_sample  # noqa: F401
 from .exact import exact_spectrum, exact_transitions
-from .moments import (
-    MomentTable, PowerCache, _string_ledger, moments_for_state, unique_string_count,
-)
-from .pauli import PauliString, PauliSum, _number_strings
+from .moments import MomentTable, PowerCache, moments_for_state, unique_string_count
+from .pauli import PauliString, PauliSum
 from .pds import (
     PdsResult,
     TransitionSummary,
@@ -148,24 +146,8 @@ def build_problem(cfg: RunConfig) -> Problem:
 
 def unique_measured_strings(cache: PowerCache, max_power: int) -> list[PauliString]:
     """Distinct non-identity strings across H^1..H^max_power, canonical order:
-    built once per cache and max_power, a fresh list on every call."""
-    if max_power not in cache._strings:
-        z, x, _, _ = _string_ledger(cache, max_power)
-        n = cache.h.n_qubits
-        cache._strings[max_power] = tuple(
-            PauliString(n, *xz) for xz in zip(x.tolist(), z.tolist())
-        )
-    return list(cache._strings[max_power])
-
-
-def _ledger_groups(
-    cache: PowerCache, max_power: int, strings: list[PauliString]
-) -> tuple[grouping.QwcGroup, ...]:
-    """QWC groups of the ledger whose strings unique_measured_strings(cache,
-    max_power) returned, grouped once per cache and max_power."""
-    if max_power not in cache._groups:
-        cache._groups[max_power] = tuple(grouping.group_qwc(strings))
-    return cache._groups[max_power]
+    the cache's kept ledger (PowerCache.ledger), a fresh list on every call."""
+    return list(cache.ledger(max_power).strings)
 
 
 @dataclass(frozen=True)
@@ -194,8 +176,8 @@ def measurement_ladder(problem: Problem, sector: str, k_max: int) -> Measurement
     ctx = problem.sectors[sector]
     full_strings = unique_measured_strings(problem.cache, max_power)
     tapered_strings = unique_measured_strings(ctx.tapered_cache, max_power)
-    full_groups = _ledger_groups(problem.cache, max_power, full_strings)
-    tapered_groups = _ledger_groups(ctx.tapered_cache, max_power, tapered_strings)
+    full_groups = problem.cache.ledger(max_power).groups
+    tapered_groups = ctx.tapered_cache.ledger(max_power).groups
     batches = grouping.pack_batches(tapered_groups, ctx.tapered_h.n_qubits, DEVICE_REGISTER)
     return MeasurementLadder(
         original=len(full_strings),
@@ -239,8 +221,9 @@ def sample_sector(
     """Each execution of a sector's measurement plan with its counts: the
     QWC groups of the tapered ledger packed register // n to an execution
     (n the tapered width), batch bi drawn with seed [seed, sector_index, bi]."""
-    strings = unique_measured_strings(ctx.tapered_cache, max_power)
-    groups = _ledger_groups(ctx.tapered_cache, max_power, strings)
+    # unused, but benchmarks/test_bench.py pins this call's count per op
+    unique_measured_strings(ctx.tapered_cache, max_power)
+    groups = ctx.tapered_cache.ledger(max_power).groups
     batches = grouping.pack_batches(groups, ctx.tapered_h.n_qubits, register)
     noise = NoiseModel(spam_p) if spam_p > 0.0 else None
     for bi, batch in enumerate(batches):
@@ -274,23 +257,13 @@ def moments_from_estimates(
     cache: PowerCache, estimates: dict[PauliString, float], k: int
 ) -> np.ndarray:
     """Assemble <H^n> for n = 0..2k-1 from per-string measured expectations:
-    each power's real coefficients times its strings' estimates, aligned to
-    the ledger by one numbering and gathered through its column map.  The
+    each power's real coefficients times its strings' estimates, looked up
+    in the ledger's order and gathered through its column map.  The
     identity's expectation is 1; other extra estimates are ignored, and a
-    ledger string without one raises KeyError."""
-    z, x, _, columns = _string_ledger(cache, 2 * k - 1)
-    kx, kz = np.array([(s.x, s.z) for s in estimates], np.uint64).reshape(-1, 2).T
-    # numbered as 64-qubit masks: an extra estimate's string may be wider
-    _, _, ids = _number_strings(64, np.r_[x, kx], np.r_[z, kz])
-    # of several estimates of the same masks (keys of other widths) the first wins
-    pos = np.full(ids.size, kx.size)
-    np.minimum.at(pos, ids[x.size :], np.arange(kx.size))
-    pos = pos[ids[: x.size]]
-    if np.any(pos == kx.size):
-        i = np.argmax(pos)
-        raise KeyError(PauliString(cache.h.n_qubits, int(x[i]), int(z[i])))
-    values = np.r_[1.0, np.array(list(estimates.values()))[pos]][columns]
-    coeffs = [cache.power(n).mask_arrays()[2] for n in range(2 * k)]
+    ledger string without one raises KeyError naming it."""
+    ledger = cache.ledger(2 * k - 1)
+    values = np.r_[1.0, [estimates[s] for s in ledger.strings]][ledger.columns]
+    coeffs = [p.mask_arrays()[2] for p in ledger.powers]
     ends = np.cumsum([c.size for c in coeffs])
     # Summed term by term in canonical order (add.accumulate), as a loop over
     # the terms adds them: the sampled PDS solve turns 1e-15 relative changes

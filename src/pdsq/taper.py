@@ -41,10 +41,6 @@ class TaperingData:
     sector_signs: tuple[int, ...]
     n_remaining: int
 
-    @property
-    def removed_qubits(self) -> tuple[int, ...]:
-        return self.paulix_partners
-
 
 def _gf2_rref(rows: np.ndarray) -> np.ndarray:
     """Reduced row-echelon form over GF(2); zero rows dropped."""
@@ -207,9 +203,9 @@ def taper_operator(h: PauliSum, td: TaperingData) -> PauliSum:
         factor = np.where(moved & ((e_q + e_g) & 2 != 0), -factor, factor)
         x, z = np.where(moved, xg, x), np.where(moved, zg, z)
 
-    removed = set(td.removed_qubits)
+    removed = set(td.paulix_partners)
     remaining = [q for q in range(n) if q not in removed]
-    sign_of = dict(zip(td.removed_qubits, td.sector_signs))
+    sign_of = dict(zip(td.paulix_partners, td.sector_signs))
     on_removed = np.flatnonzero(z & np.uint64(sum(1 << q for q in removed)))
     if on_removed.size:
         string = PauliString(n, int(x[on_removed[0]]), int(z[on_removed[0]]))
@@ -234,4 +230,4 @@ def taper_state(det: ReferenceDeterminant, td: TaperingData) -> str:
             f"determinant sector {det_signs} does not match tapering sector "
             f"{td.sector_signs}"
         )
-    return "".join(b for q, b in enumerate(det.bits) if q not in td.removed_qubits)
+    return "".join(b for q, b in enumerate(det.bits) if q not in td.paulix_partners)

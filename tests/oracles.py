@@ -626,9 +626,9 @@ def restriction_reference(n, terms, td):
 
     The reference the array restriction is checked against byte for byte.
     """
-    removed = set(td.removed_qubits)
+    removed = set(td.paulix_partners)
     remaining = [q for q in range(n) if q not in removed]
-    sign_of = dict(zip(td.removed_qubits, td.sector_signs))
+    sign_of = dict(zip(td.paulix_partners, td.sector_signs))
     out: dict[tuple[int, int], complex] = {}
     for string, coeff in terms:
         factor = 1.0

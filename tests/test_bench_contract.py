@@ -5,6 +5,7 @@ The benchmark's tracer wraps functions by (module, name) and rebinds every
 pdsq module attribute that names them; it is read here, never changed.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -148,17 +149,20 @@ def test_run_groups_each_ledger_once(mode, monkeypatch, tmp_path):
 
 def test_kept_strings_and_groups_cannot_be_changed_by_a_caller(tmp_path):
     """A caller that changes the string list it got does not change what
-    the cache keeps for the next caller, and the kept groups are a tuple."""
+    the cache keeps for the next caller, and the kept groups are a tuple,
+    read back as the same object."""
     from pdsq import pipeline
 
     problem = pipeline.build_problem(pipeline.RunConfig(spacings=(0.7414,), output_dir=tmp_path))
     cache = problem.cache
     strings = pipeline.unique_measured_strings(cache, 3)
     want = list(strings)
-    groups = pipeline._ledger_groups(cache, 3, strings)
+    groups = cache.ledger(3).groups
     strings.clear()
     assert pipeline.unique_measured_strings(cache, 3) == want
-    assert isinstance(groups, tuple) and pipeline._ledger_groups(cache, 3, []) is groups
+    assert isinstance(groups, tuple) and cache.ledger(3).groups is groups
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cache.ledger(3).strings = ()
     assert want and groups  # H2's ledger is not empty
 
 

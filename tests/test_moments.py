@@ -213,8 +213,9 @@ def test_ledger_matches_string_set_oracle(n_qubits, n_terms, max_power, seed):
 @pytest.mark.parametrize("n_qubits, n_terms, seed", [(3, 10, 2), (5, 14, 3), (9, 6, 5)])
 def test_ledger_is_kept_per_cache_and_power(n_qubits, n_terms, seed, monkeypatch):
     """Each (cache, max_power) ledger is built once, kept read-only and
-    apart from the others; a kept one is read back without touching the
-    powers, and the counts still equal the string-set oracle's."""
+    apart from the others; a kept one, its column map included, is read
+    back without touching the powers, and the counts still equal the
+    string-set oracle's."""
     rng = np.random.default_rng(seed)
     cache = PowerCache(random_sum(rng, n_qubits, n_terms))
     want = {}
@@ -222,12 +223,15 @@ def test_ledger_is_kept_per_cache_and_power(n_qubits, n_terms, seed, monkeypatch
     for m in (2, 1, 3):
         want[m] = string_ledger(cache.power(n) for n in range(1, m + 1))
         assert unique_measured_strings(cache, m) == want[m][0]
-    kept = {m: moments._string_ledger(cache, m) for m in want}
+    kept = {m: cache.ledger(m) for m in want}
     for m, ledger in kept.items():
-        assert all(not a.flags.writeable for a in ledger)
+        assert not ledger.first.flags.writeable and not ledger.columns.flags.writeable
         with pytest.raises(ValueError):
-            ledger[0][0] = 1
-    assert kept[1][0].size < kept[2][0].size < kept[3][0].size
+            ledger.first[0] = 1
+        with pytest.raises(ValueError):
+            ledger.columns[0] = 1
+    assert len(kept[1].strings) < len(kept[2].strings) < len(kept[3].strings)
+    columns = {m: ledger.columns for m, ledger in kept.items()}
 
     filled = dict(cache._powers)
 
@@ -240,7 +244,7 @@ def test_ledger_is_kept_per_cache_and_power(n_qubits, n_terms, seed, monkeypatch
         assert unique_measured_strings(cache, m) == want[m][0]
         assert unique_measured_strings(cache, m) == want[m][0]
         assert unique_string_count(cache, m) == want[m][1]
-        assert all(a is b for a, b in zip(moments._string_ledger(cache, m), kept[m]))
+        assert cache.ledger(m) is kept[m] and cache.ledger(m).columns is columns[m]
     assert cache._powers == filled
 
 
@@ -249,7 +253,7 @@ def test_unique_count_reads_its_own_cache(h4_problem, sector):
     """The counts are those of the cache passed, full or tapered: cumulative
     tallies of its own ledger's first powers, and of its own powers' strings."""
     cache = h4_problem.cache if sector is None else h4_problem.sectors[sector].tapered_cache
-    _, _, first, _ = moments._string_ledger(cache, 19)
+    first = cache.ledger(19).first
     counts = unique_string_count(cache, 19)
     assert counts == [int(np.count_nonzero(first <= n)) for n in range(1, 20)]
     assert counts == string_ledger(cache.power(n) for n in range(1, 20))[1]

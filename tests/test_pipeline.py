@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pdsq import chem, fcidump
-from pdsq.moments import _string_ledger, unique_string_count
+from pdsq.moments import unique_string_count
 from pdsq.pipeline import (
     PipelineError,
     RunConfig,
@@ -289,8 +289,9 @@ def test_moments_match_the_term_loop(h4_problem):
 
 def test_moments_ignore_extra_estimates_and_keep_the_identity(h4_problem):
     """Estimates of the identity, of strings outside the ledger, of its
-    width or wider, and later ones of the same masks change no moment, and
-    <H^0> stays 1.0."""
+    width or wider, and of ledger masks at another width change no moment,
+    and <H^0> stays 1.0.  A wider key never stands in for a missing ledger
+    string: the lookup raises KeyError naming it."""
     import numpy as np
 
     from pdsq.pauli import PauliString
@@ -311,11 +312,44 @@ def test_moments_ignore_extra_estimates_and_keep_the_identity(h4_problem):
         PauliString(n + 3, 1 << n + 2, 0): -0.5,
         PauliString(64, (1 << 64) - 1, 1 << 63): 0.75,
     }
-    # the same masks at another width: the first estimate of the masks wins
+    # the same masks at another width: a different string, ignored
     later = PauliString(n + 1, strings[0].x, strings[0].z)
     got = moments_from_estimates(cache, {**extra, **estimates, later: 9.0}, 10)
     assert got[0] == 1.0
     assert np.array_equal(got, want)
+    del estimates[strings[0]]
+    with pytest.raises(KeyError) as missing:
+        moments_from_estimates(cache, {**estimates, later: 9.0}, 10)
+    assert missing.value.args == (strings[0],)
+
+
+def test_only_a_ledger_with_assembled_moments_holds_a_column_map(tmp_path, monkeypatch):
+    """An exact run assembles no moments from estimates, so the full H4
+    ledger holds no column map after it; a tapered ledger numbers its
+    terms for the map on its first assembly only."""
+    from pdsq import moments
+    from pdsq.pipeline import moments_from_estimates, unique_measured_strings
+
+    cfg = RunConfig(spacings=(2.0, 2.0, 2.0), output_dir=tmp_path)
+    problem = build_problem(cfg)
+    run_pipeline(cfg, problem)
+    full = problem.cache.ledger(19)
+    assert len(full.strings) == 4223 and full.groups
+    assert "columns" not in vars(full)
+    cache = problem.sectors["singlet"].tapered_cache
+    estimates = dict.fromkeys(unique_measured_strings(cache, 19), 0.5)
+    numbered = []
+    number = moments._number_terms
+
+    def counted(powers):
+        numbered.append(len(powers))
+        return number(powers)
+
+    monkeypatch.setattr(moments, "_number_terms", counted)
+    got = [moments_from_estimates(cache, estimates, 10) for _ in range(3)]
+    assert numbered == [20]
+    assert all(np.array_equal(g, got[0]) for g in got)
+    assert "columns" not in vars(problem.cache.ledger(19))
 
 
 @pytest.mark.parametrize("spacings", [(2.0, 2.0, 2.0), (1.0, 1.5, 1.0), (1.0, 2.0, 3.0)])
@@ -325,8 +359,7 @@ def test_ledgers_hold_real_symmetric_strings_only(spacings):
     zeros, dropped by each power relative to its largest term."""
     problem = build_problem(RunConfig(spacings=spacings))
     for cache in (problem.cache, *(ctx.tapered_cache for ctx in problem.sectors.values())):
-        z, x, _, _ = _string_ledger(cache, 19)
-        assert not np.any(np.bitwise_count(x & z) & 1)
+        assert not any((s.x & s.z).bit_count() & 1 for s in cache.ledger(19).strings)
 
 
 @pytest.mark.parametrize("ulps", [-2, -1, 3])
