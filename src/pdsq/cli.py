@@ -45,6 +45,12 @@ def _parse_spacings(text: str) -> tuple[float, ...]:
         raise CliError(f"invalid spacing list: {text!r}") from None
 
 
+def _parse_mitigation(text: str) -> bool:
+    if text not in ("on", "off"):
+        raise CliError(f"mitigation must be 'on' or 'off', got {text!r}")
+    return text == "on"
+
+
 # config key -> (RunConfig field, parser of its text); an unset key leaves
 # the field at RunConfig's default
 CONFIG_KEYS = {
@@ -57,7 +63,7 @@ CONFIG_KEYS = {
     "spam_p": ("spam_p", float),
     "mode": ("mode", str),
     "output_dir": ("output_dir", Path),
-    "mitigation": ("apply_mitigation", lambda text: text != "off"),
+    "mitigation": ("apply_mitigation", _parse_mitigation),
 }
 
 
@@ -79,13 +85,7 @@ def _parse_config_file(path: str) -> dict[str, str]:
 
 def build_run_config(args) -> RunConfig:
     raw = _parse_config_file(args.config) if args.config else {}
-    if args.spacings is not None:
-        raw["spacings"] = args.spacings
-    if args.geometry is not None:
-        raw["geometry"] = args.geometry
-    if getattr(args, "fcidump", None) is not None:
-        raw["fcidump"] = args.fcidump
-    for key in ("k_max", "shots", "seed", "spam_p", "mode", "output_dir"):
+    for key in CONFIG_KEYS:  # each flag but --no-mitigation is named as its key
         flag = getattr(args, key, None)
         if flag is not None:
             raw[key] = str(flag)
@@ -179,7 +179,7 @@ def cmd_moments(args) -> int:
     cfg = build_run_config(args)
     problem = build_problem(cfg)
     ctx = problem.sectors[args.sector]
-    table = moments_for_state(problem.hamiltonian, ctx.state, cfg.k_max)
+    table = moments_for_state(ctx.tapered_h, ctx.tapered_state, cfg.k_max)
     counts = unique_string_count(problem.cache, 2 * cfg.k_max - 1)
     print("power,cumulative_unique,moment_value")
     for n in range(1, 2 * cfg.k_max):

@@ -17,7 +17,9 @@ recurrence.  K matvecs of H build an orthonormal Krylov basis Q and the
 Jacobi matrix T, with H^k|psi> = Q T^k e_0, so <H^{2k}> = |H^k psi|^2 and
 <H^{2k+1}> = <H^k psi|H|H^k psi> follow from T.  The recurrence is kept in
 the table, since it fixes the PDS roots far more stably than the moments do
-(Golub & Welsch, Math. Comp. 23, 221 (1969)).
+(Golub & Welsch, Math. Comp. 23, 221 (1969)).  A reference's Krylov space
+stays in its Z2 symmetry sector, so the pipeline runs the recurrence on the
+sector's tapered H and state: 2^(n-r) amplitudes for r generators.
 """
 
 from __future__ import annotations
@@ -71,29 +73,33 @@ class PowerCache:
             first = np.full(x.size, max_power)
             power = np.repeat(range(max_power + 1), [p.n_terms for p in powers])
             np.minimum.at(first, columns, power)
-            first = first[1:]
-            first.flags.writeable = False
-            n = self.h.n_qubits
-            strings = tuple(PauliString(n, *xz) for xz in zip(x[1:].tolist(), z[1:].tolist()))
-            self._ledgers[max_power] = Ledger(powers, strings, first)
+            for a in (x, z, first):
+                a.flags.writeable = False
+            self._ledgers[max_power] = Ledger(powers, x[1:], z[1:], first[1:])
         return self._ledgers[max_power]
 
 
 @dataclass(frozen=True, eq=False)
 class Ledger:
     """The distinct non-identity strings over H^1..H^max_power of one
-    PowerCache, in canonical (z, x) order, each with the first power it
-    appears in, and the powers H^0..H^max_power they come from.
+    PowerCache, as uint64 masks in canonical (z, x) order, each with the
+    first power it appears in, and the powers H^0..H^max_power they come from.
 
     The identity is left out: its expectation never needs a circuit.  The
-    QWC groups and the column map are built on first use and kept, so a
-    ledger whose moments are never assembled from estimates (the full H's,
-    in a run) never holds a map.
+    PauliStrings, QWC groups and column map are built on first use and kept,
+    so a ledger that is only counted holds no strings, and one whose moments
+    are never assembled from estimates (the full H's, in a run) no map.
     """
 
     powers: tuple[PauliSum, ...]
-    strings: tuple[PauliString, ...]
-    first: np.ndarray  # read-only, aligned with strings
+    x: np.ndarray  # read-only, as are z and first
+    z: np.ndarray
+    first: np.ndarray
+
+    @cached_property
+    def strings(self) -> tuple[PauliString, ...]:
+        n = self.powers[0].n_qubits
+        return tuple(PauliString(n, *xz) for xz in zip(self.x.tolist(), self.z.tolist()))
 
     @cached_property
     def groups(self) -> tuple[grouping.QwcGroup, ...]:

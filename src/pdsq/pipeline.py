@@ -1,8 +1,9 @@
 """End-to-end orchestration: Hamiltonian build, measurement planning,
 moment estimation (exact or sampled), PDS energies, and report files.
 
-Every report value is re-derivable from the individual subcommands with the
-same configuration; the pipeline only composes the modules.
+Both moment paths read each sector's tapered H and state; the full H serves
+only the plan's first two rows, the Fig. 3 counts and the exact spectra.
+Every report value is re-derivable from the subcommands with one config.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ class RunConfig:
 @dataclass
 class SectorContext:
     determinant: chem.ReferenceDeterminant
-    state: StateVector
     tapering: taper.TaperingData
     tapered_state: StateVector
     tapered_cache: PowerCache
@@ -128,12 +128,10 @@ def build_problem(cfg: RunConfig) -> Problem:
     sectors: dict[str, SectorContext] = {}
     for sector in SECTORS:
         det = chem.reference_determinant(sector, ints.n_electrons, 2 * ints.n_orbitals)
-        state = prepare_basis_state(det.bits)  # the largest allocation, budgeted first
         td = taper.tapering_for_determinant(h, det)
         tstate = prepare_basis_state(taper.taper_state(det, td))
         sectors[sector] = SectorContext(
             determinant=det,
-            state=state,
             tapering=td,
             tapered_state=tstate,
             tapered_cache=PowerCache(taper.taper_operator(h, td)),
@@ -285,11 +283,11 @@ class SectorEnergies:
 
 
 def exact_tables(problem: Problem, k_max: int) -> dict[str, MomentTable]:
-    """Each sector's exact moment table of order k_max, from its reference
-    state: exact-mode energies and the Fig. 3 rows both read these."""
+    """Each sector's exact moment table of order k_max, from its tapered H
+    and state: exact-mode energies and the Fig. 3 rows both read these."""
     return {
-        s: moments_for_state(problem.hamiltonian, problem.sectors[s].state, k_max)
-        for s in SECTORS
+        s: moments_for_state(ctx.tapered_h, ctx.tapered_state, k_max)
+        for s, ctx in problem.sectors.items()
     }
 
 
@@ -402,51 +400,44 @@ def _exact_reference(problem: Problem) -> dict[str, float]:
     }
 
 
+def _write_csv(path: Path, header: list[str], rows) -> Path:
+    with path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def _write_reports(
     report: RunReport, problem: Problem, tables: dict[str, MomentTable]
 ) -> None:
-    out = Path(report.config.output_dir)
+    cfg = report.config
+    out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    path = out / "measurement_counts.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["strategy", "singlet", "triplet"])
-        for label, attr in LADDER_ROWS:
-            writer.writerow([label, *(getattr(report.ladders[s], attr) for s in SECTORS)])
-    report.files.append(path)
-
-    path = out / "energy_vs_order.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["K", "unique_strings", "S0", "S1", "T0"])
-        for row in _fig3_rows(problem, tables, report.config.k_max):
-            writer.writerow([row[0], row[1]] + [f"{v:.9f}" for v in row[2:]])
-    report.files.append(path)
-
-    path = out / "energies.csv"
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "S0", "S1", "T0"])
-        e_s = report.energies["singlet"].result
-        e_t = report.energies["triplet"].result
-        label = report.config.mode
-        if report.config.mode != "exact":
-            label += f" ({report.config.shots} shots)"
-            if report.config.spam_p > 0:
-                label += f" p={report.config.spam_p:g}"
-                label += " mitigated" if report.config.apply_mitigation else " raw"
-        writer.writerow(
-            [label, f"{e_s.roots[0]:.9f}", f"{e_s.roots[1]:.9f}", f"{e_t.roots[0]:.9f}"]
-        )
-    report.files.append(path)
-
-    path = out / "summary.txt"
-    tr = report.transitions
     e_s = report.energies["singlet"].result
     e_t = report.energies["triplet"].result
+    label = cfg.mode
+    if cfg.mode != "exact":
+        label += f" ({cfg.shots} shots)"
+        if cfg.spam_p > 0:
+            label += f" p={cfg.spam_p:g}"
+            label += " mitigated" if cfg.apply_mitigation else " raw"
+    report.files += [
+        _write_csv(out / "measurement_counts.csv", ["strategy", *SECTORS], (
+            [strategy, *(getattr(report.ladders[s], attr) for s in SECTORS)]
+            for strategy, attr in LADDER_ROWS
+        )),
+        _write_csv(out / "energy_vs_order.csv", ["K", "unique_strings", "S0", "S1", "T0"], (
+            [row[0], row[1]] + [f"{v:.9f}" for v in row[2:]]
+            for row in _fig3_rows(problem, tables, cfg.k_max)
+        )),
+        _write_csv(out / "energies.csv", ["mode", "S0", "S1", "T0"], [
+            [label, f"{e_s.roots[0]:.9f}", f"{e_s.roots[1]:.9f}", f"{e_t.roots[0]:.9f}"]
+        ]),
+    ]
+    tr = report.transitions
     lines = [
-        f"mode: {report.config.mode}  K={report.config.k_max}  seed={report.config.seed}",
+        f"mode: {cfg.mode}  K={cfg.k_max}  seed={cfg.seed}",
         f"S0 = {e_s.roots[0]:.6f}  S1 = {e_s.roots[1]:.6f}  T0 = {e_t.roots[0]:.6f}  (hartree)",
         f"S0->S1 = {tr.s0_s1_ev:.3f} eV   S0->T0 = {tr.s0_t0_ev:.3f} eV   "
         f"fission ratio = {tr.fission_ratio:.3f}",
@@ -461,5 +452,6 @@ def _write_reports(
         "These are reference points only: they fold in device noise and finite",
         "sampling on hardware and are not reproducible by this simulator.",
     ]
+    path = out / "summary.txt"
     path.write_text("\n".join(lines) + "\n")
     report.files.append(path)

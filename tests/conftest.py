@@ -22,6 +22,15 @@ def h4(h4_problem):
 
 
 @pytest.fixture(scope="session")
+def h4_references(h4_problem):
+    """Each sector's reference determinant as a full-space (8-qubit) state:
+    the pipeline itself holds only the tapered ones."""
+    return {
+        s: prepare_basis_state(ctx.determinant.bits) for s, ctx in h4_problem.sectors.items()
+    }
+
+
+@pytest.fixture(scope="session")
 def h2_system():
     """Small fast system: H2 near equilibrium (4 qubits)."""
     geometry = chem.build_h_chain([0.7414])

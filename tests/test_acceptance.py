@@ -39,12 +39,8 @@ def criterion(number: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def sector_tables(h4_problem):
-    h = h4_problem.hamiltonian
-    return {
-        s: moments_for_state(h, h4_problem.sectors[s].state, 10)
-        for s in ("singlet", "triplet")
-    }
+def sector_tables(h4, h4_references):
+    return {s: moments_for_state(h4, state, 10) for s, state in h4_references.items()}
 
 
 def test_criterion_1_exact_spectrum(h4):

@@ -144,7 +144,7 @@ def test_matvec_matches_the_term_loop_byte_for_byte(n_qubits):
         assert got.tobytes() == apply_pauli_sum_reference(h, state).tobytes()
 
 
-def test_lanczos_matvecs_match_the_term_loop(h4_problem, monkeypatch):
+def test_lanczos_matvecs_match_the_term_loop(h4_problem, h4_references, monkeypatch):
     """Every matvec of the exact H4 moment tables, full and tapered, on the
     Lanczos vectors the recurrence builds."""
     from pdsq import moments
@@ -158,8 +158,8 @@ def test_lanczos_matvecs_match_the_term_loop(h4_problem, monkeypatch):
         return got
 
     monkeypatch.setattr(moments, "apply_pauli_sum", compared)
-    for ctx in h4_problem.sectors.values():
-        moments.moments_for_state(h4_problem.hamiltonian, ctx.state, 10)
+    for s, ctx in h4_problem.sectors.items():
+        moments.moments_for_state(h4_problem.hamiltonian, h4_references[s], 10)
         moments.moments_for_state(ctx.tapered_h, ctx.tapered_state, 10)
     assert len(checked) >= 4 * 8 and 8 in checked and min(checked) < 8
 

@@ -215,6 +215,29 @@ def test_unknown_config_key_exit_code_1(capsys, tmp_path):
     assert "unknown key" in err
 
 
+@pytest.mark.parametrize("switch, label", [("on", "mitigated"), ("off", "raw")])
+def test_config_mitigation_on_and_off(capsys, tmp_path, switch, label):
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        "spacings = 0.7414\nk_max = 2\nmode = serial\nshots = 256\nspam_p = 0.01\n"
+        f"mitigation = {switch}\noutput_dir = {tmp_path}\n"
+    )
+    code, _, err = run_cli(capsys, "run", "--config", str(config))
+    assert code == 0, err
+    row = (tmp_path / "energies.csv").read_text().splitlines()[1]
+    assert row.startswith(f"serial (256 shots) p=0.01 {label},")
+
+
+def test_config_mitigation_takes_only_on_or_off(capsys, tmp_path):
+    """'false' once switched mitigation on, as did anything but 'off'."""
+    config = tmp_path / "run.cfg"
+    config.write_text(f"spacings = 0.7414\nmitigation = false\noutput_dir = {tmp_path}\n")
+    code, out, err = run_cli(capsys, "run", "--config", str(config))
+    assert code == 1 and out == ""
+    assert err == "error: mitigation must be 'on' or 'off', got 'false'\n"
+    assert not any(tmp_path.glob("*.csv"))
+
+
 def test_geometry_file_source(capsys, tmp_path):
     geo = tmp_path / "h2.xyz"
     geo.write_text("H 0 0 0\nH 0 0 0.7414\n")
@@ -370,12 +393,13 @@ def test_simulate_refuses_over_budget_shots_before_allocating(tmp_path):
     )
 
 
-def test_fourteen_orbital_fcidump_exits_2_before_its_state(tmp_path):
-    """14 orbitals: the 28-qubit reference state would take 2 GiB of
-    amplitudes, so `pdsq plan` refuses it before allocating, naming the
-    bytes and the cap.  It runs in a child process under a 3 GB
-    address-space limit; the integrals are a sparse chain (hopping and
-    on-site terms), so everything before the state is small."""
+def test_fourteen_orbital_fcidump_exits_2_at_its_first_ladder_product(tmp_path):
+    """14 orbitals: the problem holds only the two 26-qubit tapered
+    reference states (512 MiB each, within the budget), so `pdsq plan`
+    builds them and stops at its first power-ladder product, on the full
+    28 qubits, before allocating, naming the bytes and the cap.  It runs in
+    a child process under a 3 GB address-space limit; the integrals are a
+    sparse chain (hopping and on-site terms), so all else is small."""
     from pdsq import chem, fcidump
 
     n = 14
@@ -398,7 +422,8 @@ def test_fourteen_orbital_fcidump_exits_2_before_its_state(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr == (
-        "computation failed: a 28-qubit state: 2147483648 bytes exceed the cap "
+        "computation failed: a product on 28 qubits needs 6 dense "
+        "268435456 x 268435456 arrays: 3458764513820540928 bytes exceed the cap "
         "MEMORY_BUDGET = 1073741824 bytes\n"
     )
 

@@ -144,12 +144,12 @@ def test_non_hermitian_rejected():
         PauliSum(2, {(0, 1): 1j})  # iZ on qubit 0
 
 
-def test_oracle_bounds_pds_roots(h4, h4_problem):
+def test_oracle_bounds_pds_roots(h4, h4_references):
     from pdsq.moments import moments_for_state
     from pdsq.pds import build_system, polynomial_roots
 
     ground = np.linalg.eigvalsh(h4.to_matrix())[0]
-    table = moments_for_state(h4, h4_problem.sectors["singlet"].state, 10)
+    table = moments_for_state(h4, h4_references["singlet"], 10)
     for K in (1, 3, 6, 10):
         res = polynomial_roots(build_system(table, K).X)
         assert res.roots[0] >= ground - 1e-8

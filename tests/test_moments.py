@@ -143,10 +143,8 @@ def test_moment_table_bookkeeping():
     assert len(table.values) == 6
 
 
-def test_singlet_first_moment_is_scf_energy(h4_problem):
-    table = moments_for_state(
-        h4_problem.hamiltonian, h4_problem.sectors["singlet"].state, 2
-    )
+def test_singlet_first_moment_is_scf_energy(h4_problem, h4_references):
+    table = moments_for_state(h4_problem.hamiltonian, h4_references["singlet"], 2)
     assert table.values[0] == 1.0
     assert table.values[1] == pytest.approx(h4_problem.scf.scf_energy, abs=1e-10)
 
@@ -163,22 +161,20 @@ def test_moments_match_dense_oracle():
         assert table.values[n] == pytest.approx(expected, abs=1e-10)
 
 
-def test_exact_moments_never_multiply_powers(h4_problem, monkeypatch):
+def test_exact_moments_never_multiply_powers(h4_problem, h4_references, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("exact moments built a Hamiltonian power")
 
     monkeypatch.setattr(moments, "multiply_sums", forbidden)
-    table = moments_for_state(
-        h4_problem.hamiltonian, h4_problem.sectors["singlet"].state, 10
-    )
+    table = moments_for_state(h4_problem.hamiltonian, h4_references["singlet"], 10)
     assert table.values[1] == pytest.approx(h4_problem.scf.scf_energy, abs=1e-10)
     assert table.recurrence.order == 10
 
 
-def test_split_power_pipelined_cross_check(h4_problem):
+def test_split_power_pipelined_cross_check(h4_problem, h4_references):
     """<phi|H^n|phi> via repeated statevector application of H^(a), H^(b)."""
     h = h4_problem.hamiltonian
-    state = h4_problem.sectors["singlet"].state
+    state = h4_references["singlet"]
     table = moments_for_state(h, state, K=3)
     for n, (a, b) in ((3, (1, 2)), (5, (2, 3)), (4, (2, 2))):
         # <phi| H^a H^b |phi> contracted from two half-power applications
@@ -259,6 +255,20 @@ def test_unique_count_reads_its_own_cache(h4_problem, sector):
     assert counts == string_ledger(cache.power(n) for n in range(1, 20))[1]
 
 
+def test_counting_a_ledger_builds_no_strings():
+    """unique_string_count reads the ledger's masks and first powers only;
+    its PauliStrings are built on first read, in canonical order."""
+    cache = PowerCache(random_sum(np.random.default_rng(8), 4, 9))
+    counts = unique_string_count(cache, 4)
+    ledger = cache.ledger(4)
+    assert "strings" not in vars(ledger)
+    strings, want_counts = string_ledger(cache.power(n) for n in range(1, 5))
+    assert counts == want_counts
+    assert ledger.strings == tuple(strings) and ledger.strings is ledger.strings
+    for masks in (ledger.x, ledger.z):
+        assert not masks.flags.writeable
+
+
 def test_unique_count_monotone_and_bounded(h4_problem):
     counts = unique_string_count(h4_problem.cache, 19)
     assert all(b >= a for a, b in zip(counts, counts[1:]))
@@ -266,10 +276,8 @@ def test_unique_count_monotone_and_bounded(h4_problem):
     assert counts[-1] <= 2 ** (n - 1) * (2**n + 1)
 
 
-def test_hankel_matrix_is_positive_semidefinite(h4_problem):
-    table = moments_for_state(
-        h4_problem.hamiltonian, h4_problem.sectors["singlet"].state, 10
-    )
+def test_hankel_matrix_is_positive_semidefinite(h4, h4_references):
+    table = moments_for_state(h4, h4_references["singlet"], 10)
     K = 10
     idx = np.arange(1, K + 1)
     M = table.values[2 * K - idx[:, None] - idx[None, :]]

@@ -128,10 +128,8 @@ def test_bound_property_random_instances():
             assert ground - 1e-8 <= res.roots[0] <= mean + 1e-8
 
 
-def test_h4_system_solvable_with_consistent_solution(h4_problem):
-    table = moments_for_state(
-        h4_problem.hamiltonian, h4_problem.sectors["singlet"].state, 10
-    )
+def test_h4_system_solvable_with_consistent_solution(h4, h4_references):
+    table = moments_for_state(h4, h4_references["singlet"], 10)
     system = build_system(table, 10)
     assert np.isfinite(system.condition_estimate)
     residual = system.M @ system.X + system.Y
@@ -139,9 +137,7 @@ def test_h4_system_solvable_with_consistent_solution(h4_problem):
     assert np.linalg.norm(residual) / scale < 1e-6
     # the triplet reference spans an invariant 8-dimensional Krylov space:
     # PDS(10) resolves 8 real roots and invents none
-    triplet = moments_for_state(
-        h4_problem.hamiltonian, h4_problem.sectors["triplet"].state, 10
-    )
+    triplet = moments_for_state(h4, h4_references["triplet"], 10)
     result = polynomial_roots(build_system(triplet, 10).X)
     assert len(result.roots) == 8
     assert np.all(result.imag_parts == 0.0)

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from pdsq import chem, fcidump
-from pdsq.moments import unique_string_count
+from pdsq.backend import prepare_basis_state
+from pdsq.moments import moments_for_state, unique_string_count
+from pdsq.pds import build_system, polynomial_roots
 from pdsq.pipeline import (
     PipelineError,
     RunConfig,
     build_problem,
+    exact_tables,
     measurement_ladder,
     run_pipeline,
 )
@@ -93,19 +96,43 @@ def test_h2_exact_run_bundle(tmp_path):
 @pytest.mark.parametrize("mode", ["exact", "serial"])
 def test_one_exact_table_per_sector(tmp_path, monkeypatch, mode):
     """Exact-mode energies and energy_vs_order.csv share one exact moment
-    table per sector."""
+    table per sector, each of its tapered operator and state.  H2's two
+    tapered states are both |0>, so a table is keyed on the pair."""
     from pdsq import pipeline
 
-    states = []
+    pairs = []
 
     def counted(h, state, K, **kwargs):
-        states.append(state.amplitudes.tobytes())
+        pairs.append((h.to_text(), state.amplitudes.tobytes()))
         return original(h, state, K, **kwargs)
 
     original = pipeline.moments_for_state
     monkeypatch.setattr(pipeline, "moments_for_state", counted)
     run_pipeline(h2_config(tmp_path, mode=mode))
-    assert len(states) == 2 and len(set(states)) == 2
+    assert len(pairs) == 2 and len(set(pairs)) == 2
+
+
+@pytest.mark.parametrize(
+    "spacings, k", [((0.7414,), 3), ((2.0, 2.0, 2.0), 10), ((1.0, 1.5, 1.0), 10)]
+)
+def test_exact_tables_on_the_tapered_pair_match_the_full_space(spacings, k):
+    """Each exact table is the Lanczos run of the sector's tapered operator
+    and state, and matches that of the full H on the 2^n-amplitude reference
+    determinant: the same recurrence order, the moments to 1e-13 relative
+    and the PDS roots to 1e-12 Eh."""
+    problem = build_problem(RunConfig(spacings=spacings))
+    tables = exact_tables(problem, k)
+    for sector, ctx in problem.sectors.items():
+        got = tables[sector]
+        tapered = moments_for_state(ctx.tapered_h, ctx.tapered_state, k)
+        assert got.values.tobytes() == tapered.values.tobytes()
+        full = moments_for_state(
+            problem.hamiltonian, prepare_basis_state(ctx.determinant.bits), k
+        )
+        assert got.recurrence.order == full.recurrence.order
+        np.testing.assert_allclose(got.values, full.values, rtol=1e-13, atol=0)
+        roots = [polynomial_roots(build_system(t, k).X).roots for t in (got, full)]
+        np.testing.assert_allclose(*roots, rtol=0, atol=1e-12)
 
 
 def test_seeded_serial_run_is_bit_identical(tmp_path):
