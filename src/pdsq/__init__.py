@@ -16,7 +16,7 @@ from .exact import exact_spectrum, exact_transitions
 from .fcidump import fcidump_read, fcidump_write
 from .grouping import PackedBatch, group_qwc, pack_batches, slot_expectations
 from .jw import jordan_wigner
-from .mitigation import MitigationConfig, mitigate
+from .mitigation import mitigate
 from .moments import PowerCache, moments_for_state, unique_string_count
 from .pauli import PauliString, PauliSum, multiply_sums
 from .pds import build_system, pds_energies, polynomial_roots, transition_energies
@@ -31,7 +31,7 @@ __all__ = [
     "fcidump_read", "fcidump_write",
     "PackedBatch", "group_qwc", "pack_batches", "slot_expectations",
     "jordan_wigner",
-    "MitigationConfig", "mitigate",
+    "mitigate",
     "PowerCache", "moments_for_state", "unique_string_count",
     "PauliString", "PauliSum", "multiply_sums",
     "build_system", "pds_energies", "polynomial_roots", "transition_energies",

@@ -92,14 +92,26 @@ def exact_expectation(h: PauliSum, state: StateVector) -> float:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Independent symmetric readout bit flips with probability p per qubit."""
+    """Independent symmetric readout bit flips with probability p per qubit, which
+    the sampler injects and mitigation.mitigate inverts; p = 0 is noiseless."""
 
     spam_flip_probability: float
 
     def __post_init__(self):
         p = self.spam_flip_probability
         if not 0.0 <= p < 0.5:
-            raise ValueError("flip probability must lie in [0, 0.5)")
+            singular = "; p=0.5 is singular" if p == 0.5 else ""
+            raise ValueError(f"flip probability p={p!r} must lie in [0, 0.5){singular}")
+
+
+def _check_histogram(outcomes: np.ndarray, weights: np.ndarray, n_bits: int) -> None:
+    """Refuse int64 outcomes that are not increasing indices below 2**n_bits, one per weight."""
+    if outcomes.ndim != 1 or outcomes.shape != weights.shape:
+        raise ValueError("need one weight per outcome")
+    if outcomes.size and (
+        outcomes[0] < 0 or int(outcomes[-1]) >> n_bits or np.any(np.diff(outcomes) <= 0)
+    ):
+        raise ValueError("malformed outcomes: need increasing indices below 2**n_bits")
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,14 +131,9 @@ class CountTable:
         counts = np.asarray(self.counts, dtype=np.int64)
         object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "counts", counts)
-        if outcomes.ndim != 1 or outcomes.shape != counts.shape:
-            raise ValueError("need one count per outcome")
+        _check_histogram(outcomes, counts, self.n_bits)
         if np.any(counts < 0):
             raise ValueError(f"negative count {int(counts.min())} in the histogram")
-        if outcomes.size and (
-            outcomes[0] < 0 or int(outcomes[-1]) >> self.n_bits or np.any(np.diff(outcomes) <= 0)
-        ):
-            raise ValueError("malformed outcomes: need increasing indices below 2**n_bits")
 
     @classmethod
     def from_indices(cls, indices: np.ndarray, n_bits: int) -> "CountTable":
@@ -168,16 +175,12 @@ class CountTable:
         return cls(n_bits, outcomes, [counts[o] for o in outcomes])
 
 
-def serial_sample(
-    state: StateVector, group, shots: int, noise: NoiseModel | None, seed
-) -> CountTable:
+def serial_sample(state: StateVector, group, shots: int, noise: NoiseModel, seed) -> CountTable:
     """Sample one QWC group's rotated measurement on its own register."""
     return _sample_slots(state, ((group, 0),), state.n_qubits, shots, noise, seed)
 
 
-def sample_batch(
-    state: StateVector, batch, shots: int, noise: NoiseModel | None, seed
-) -> CountTable:
+def sample_batch(state: StateVector, batch, shots: int, noise: NoiseModel, seed) -> CountTable:
     """Joint counts for a packed execution whose every slot holds a copy of
     the basis state: slots measured independently and concatenated (exact,
     since the copies are unentangled), then flipped."""
@@ -194,7 +197,7 @@ def _distinct_positions(rng: np.random.Generator, size: int, count: int) -> np.n
     return positions
 
 
-def _sample_slots(state, slots, register: int, shots: int, noise, seed) -> CountTable:
+def _sample_slots(state, slots, register: int, shots: int, noise: NoiseModel, seed) -> CountTable:
     """Measure a copy of the basis state |b> in each (group, offset) slot's
     rotated basis: one seeded generator draws uniform register bits, kept
     where a slot's rotation has X or Y and set to b's bits elsewhere.  Then
@@ -223,9 +226,8 @@ def _sample_slots(state, slots, register: int, shots: int, noise, seed) -> Count
     joint = rng.integers(0, (1 << register) - 1, shots, dtype=np.int64, endpoint=True)
     joint &= free
     joint |= fixed
-    p = 0.0 if noise is None else noise.spam_flip_probability
-    if p > 0.0:
-        count = int(rng.binomial(shots * register, p))
+    if noise.spam_flip_probability > 0.0:
+        count = int(rng.binomial(shots * register, noise.spam_flip_probability))
         need = shots * SHOT_BYTES + count * FLIP_BYTES
         check_memory(f"sampling {shots} shots with {count} readout flips", need)
         flips = _distinct_positions(rng, shots * register, count)

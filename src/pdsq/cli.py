@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import fcidump, mitigation, taper
-from .backend import CountTable, index_to_bits
+from .backend import CountTable, NoiseModel, index_to_bits
 from .exact import exact_spectrum, exact_transitions
 from .moments import moments_for_state, unique_string_count
 from .pds import build_system, polynomial_roots, transition_energies
@@ -40,9 +40,12 @@ class CliError(ValueError):
 
 def _parse_spacings(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(t) for t in text.replace(",", " ").split())
+        spacings = tuple(float(t) for t in text.replace(",", " ").split())
     except ValueError:
         raise CliError(f"invalid spacing list: {text!r}") from None
+    if not spacings:
+        raise CliError("empty spacing list: an H chain needs at least one spacing")
+    return spacings
 
 
 def _parse_mitigation(text: str) -> bool:
@@ -51,8 +54,8 @@ def _parse_mitigation(text: str) -> bool:
     return text == "on"
 
 
-# config key -> (RunConfig field, parser of its text); an unset key leaves
-# the field at RunConfig's default
+# config key -> (RunConfig field, parser of its text, from a flag or a file
+# alike); an unset key leaves the field at RunConfig's default
 CONFIG_KEYS = {
     "spacings": ("spacings", _parse_spacings),
     "geometry": ("geometry_path", str),
@@ -88,14 +91,22 @@ def build_run_config(args) -> RunConfig:
     for key in CONFIG_KEYS:  # each flag but --no-mitigation is named as its key
         flag = getattr(args, key, None)
         if flag is not None:
-            raw[key] = str(flag)
+            raw[key] = flag
     if getattr(args, "no_mitigation", False):
         raw["mitigation"] = "off"
     if ENV_OUTPUT_DIR in os.environ:
         raw.setdefault("output_dir", os.environ[ENV_OUTPUT_DIR])
-    return RunConfig(**{
-        field: parse(raw[key]) for key, (field, parse) in CONFIG_KEYS.items() if key in raw
-    })
+    values = {}
+    for key, (field, parse) in CONFIG_KEYS.items():
+        if key not in raw:
+            continue
+        try:
+            values[field] = parse(raw[key])
+        except CliError:
+            raise
+        except ValueError:
+            raise CliError(f"{key} must be a valid {parse.__name__}, got {raw[key]!r}") from None
+    return RunConfig(**values)
 
 
 def _add_source_flags(sub):
@@ -103,10 +114,10 @@ def _add_source_flags(sub):
     sub.add_argument("--spacings", help="H-chain spacings in Angstrom, e.g. '2,2,2'")
     sub.add_argument("--geometry", help="XYZ-like geometry file (element x y z per line)")
     sub.add_argument("--fcidump", help="FCIDUMP integral file")
-    sub.add_argument("--k-max", dest="k_max", type=int)
-    sub.add_argument("--shots", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--spam-p", dest="spam_p", type=float)
+    sub.add_argument("--k-max", dest="k_max")
+    sub.add_argument("--shots")
+    sub.add_argument("--seed")
+    sub.add_argument("--spam-p", dest="spam_p")
     sub.add_argument("--output-dir", dest="output_dir")
 
 
@@ -246,7 +257,7 @@ def cmd_simulate(args) -> int:
     for si, sector in enumerate(SECTORS):
         ctx = problem.sectors[sector]
         draws = sample_sector(
-            ctx, 2 * cfg.k_max - 1, cfg.shots, cfg.seed, si, cfg.spam_p,
+            ctx, 2 * cfg.k_max - 1, cfg.shots, cfg.seed, si, NoiseModel(cfg.spam_p),
             register_width(ctx, cfg.mode),
         )
         for i, (_, counts) in enumerate(draws):
@@ -259,9 +270,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_mitigate(args) -> int:
     counts = CountTable.from_lines(Path(args.input).read_text())
-    probs = mitigation.mitigate(
-        counts.outcomes, counts.counts, counts.n_bits, mitigation.MitigationConfig(args.p)
-    )
+    probs = mitigation.mitigate(counts.outcomes, counts.counts, counts.n_bits, NoiseModel(args.p))
     lines = "\n".join(sorted(
         f"{index_to_bits(o, counts.n_bits)} {v:.12e}"
         for o, v in zip(counts.outcomes.tolist(), probs)

@@ -29,21 +29,10 @@ outgrow the histogram.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .backend import NoiseModel, _check_histogram
 from .budget import check_memory
-
-
-@dataclass(frozen=True)
-class MitigationConfig:
-    p: float  # per-qubit symmetric flip probability
-
-    def __post_init__(self):
-        if not 0.0 <= self.p < 0.5:
-            singular = "; p=0.5 is singular" if self.p == 0.5 else ""
-            raise ValueError(f"flip probability p={self.p!r} must lie in [0, 0.5){singular}")
 
 
 def _kernel(halves: np.ndarray, width: int, a: float, b: float) -> np.ndarray:
@@ -66,26 +55,23 @@ def _distinct(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mitigate(
-    outcomes: np.ndarray, weights: np.ndarray, n_bits: int, cfg: MitigationConfig
+    outcomes: np.ndarray, weights: np.ndarray, n_bits: int, noise: NoiseModel
 ) -> np.ndarray:
     """Error-mitigated probabilities of the observed outcomes, aligned with
     `outcomes` (strictly increasing n_bits-bit indices; `weights` are their
-    counts or probabilities).
+    counts or probabilities), under the readout flips of `noise`.
 
     Exact inverse of the forward channel when the support is complete;
     approximate (clip + renormalize) otherwise.
     """
     outcomes = np.asarray(outcomes, dtype=np.int64)
     probs = np.asarray(weights, dtype=float)
-    if outcomes.ndim != 1 or outcomes.shape != probs.shape:
-        raise ValueError("need one weight per outcome")
+    _check_histogram(outcomes, probs, n_bits)
     total = probs.sum()
     if not total > 0.0:
         raise ValueError("empty histogram")
-    if outcomes[0] < 0 or int(outcomes[-1]) >> n_bits or np.any(np.diff(outcomes) <= 0):
-        raise ValueError("outcomes must be increasing indices below 2**n_bits")
     probs = probs / total
-    p = cfg.p
+    p = noise.spam_flip_probability
     if p == 0.0:
         return probs
 

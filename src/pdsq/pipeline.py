@@ -190,14 +190,12 @@ def measurement_ladder(problem: Problem, sector: str, k_max: int) -> Measurement
 
 
 def _slot_estimates(
-    counts: CountTable, slots, spam_p: float, apply_mitigation: bool
+    counts: CountTable, slots, noise: NoiseModel, apply_mitigation: bool
 ) -> dict[PauliString, float]:
-    """String estimates from one execution's counts, mitigated when asked."""
+    """String estimates from one execution's counts, mitigated when asked and p > 0."""
     weights = counts.counts
-    if spam_p > 0.0 and apply_mitigation:
-        weights = mitigation.mitigate(
-            counts.outcomes, weights, counts.n_bits, mitigation.MitigationConfig(spam_p)
-        )
+    if noise.spam_flip_probability > 0.0 and apply_mitigation:
+        weights = mitigation.mitigate(counts.outcomes, weights, counts.n_bits, noise)
     return grouping.slot_expectations(counts.outcomes, weights, slots)
 
 
@@ -213,7 +211,7 @@ def sample_sector(
     shots: int,
     seed: int,
     sector_index: int,
-    spam_p: float,
+    noise: NoiseModel,
     register: int,
 ) -> Iterator[tuple[grouping.PackedBatch, CountTable]]:
     """Each execution of a sector's measurement plan with its counts: the
@@ -223,7 +221,6 @@ def sample_sector(
     unique_measured_strings(ctx.tapered_cache, max_power)
     groups = ctx.tapered_cache.ledger(max_power).groups
     batches = grouping.pack_batches(groups, ctx.tapered_h.n_qubits, register)
-    noise = NoiseModel(spam_p) if spam_p > 0.0 else None
     for bi, batch in enumerate(batches):
         yield batch, sample_batch(
             ctx.tapered_state, batch, shots, noise, seed=[seed, sector_index, bi]
@@ -243,11 +240,12 @@ def estimate_expectations_parallel(
     """Estimate every unique tapered string from sample_sector's executions,
     each mitigated when asked; register = the tapered width puts one group
     in each execution, which is serial sampling."""
+    noise = NoiseModel(spam_p)
     estimates: dict[PauliString, float] = {}
     for batch, counts in sample_sector(
-        ctx, max_power, shots, seed, sector_index, spam_p, register
+        ctx, max_power, shots, seed, sector_index, noise, register
     ):
-        estimates.update(_slot_estimates(counts, batch.slots, spam_p, apply_mitigation))
+        estimates.update(_slot_estimates(counts, batch.slots, noise, apply_mitigation))
     return estimates
 
 

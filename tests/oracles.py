@@ -690,18 +690,37 @@ def serial_estimates_reference(
     expectations."""
     from pdsq.backend import NoiseModel
     from pdsq.grouping import slot_expectations
-    from pdsq.mitigation import MitigationConfig, mitigate
+    from pdsq.mitigation import mitigate
 
-    noise = NoiseModel(spam_p) if spam_p > 0.0 else None
+    noise = NoiseModel(spam_p)
     estimates = {}
     draws = serial_draws_reference(ctx, max_power, shots, seed, sector_index, noise)
     for group, counts in draws:
         weights = counts.counts
         if spam_p > 0.0 and apply_mitigation:
-            config = MitigationConfig(spam_p)
-            weights = mitigate(counts.outcomes, weights, counts.n_bits, config)
+            weights = mitigate(counts.outcomes, weights, counts.n_bits, noise)
         estimates.update(slot_expectations(counts.outcomes, weights, ((group, 0),)))
     return estimates
+
+
+def sampled_estimate_law(ctx, shots: int, p: float):
+    """(strings, mean, variance) of the raw estimate of every string of a
+    sector's tapered K = 10 ledger (H^1..H^19, the strings a run samples),
+    in ledger order, from `shots` shots of its tapered reference |b> under
+    independent readout flips of probability p per bit.
+
+    A string P with an X or Y letter reads a uniform bit on that qubit, so
+    its mean is 0 whatever the flips.  A Z string reads the parity of b on
+    its support, flipped by each of its |supp P| bits: mean
+    (1-2p)^|supp P| * (-1)^|b & z|.  An estimate averages `shots`
+    independent +-1 readings, so its variance is (1 - mean^2) / shots."""
+    (b,) = np.flatnonzero(ctx.tapered_state.amplitudes).tolist()
+    strings = ctx.tapered_cache.ledger(19).strings
+    mean = np.array([
+        0.0 if s.x else (1 - 2 * p) ** bin(s.z).count("1") * (-1) ** bin(b & s.z).count("1")
+        for s in strings
+    ])
+    return strings, mean, (1 - mean**2) / shots
 
 
 # The STO-3G engine and RHF as per-pair and per-element loops: one _Shell per

@@ -8,14 +8,14 @@ it pins the agreement of the moment vectors and of the lowest roots.
 import numpy as np
 import pytest
 
-from pdsq.backend import exact_expectation, serial_sample
+from pdsq.backend import NoiseModel, exact_expectation, serial_sample
 from pdsq.exact import exact_spectrum
 from pdsq.grouping import (
     expectations_from_group_counts,
     expectations_from_group_weights,
     group_qwc,
 )
-from pdsq.mitigation import MitigationConfig, mitigate
+from pdsq.mitigation import mitigate
 from pdsq.moments import moments_for_state, unique_string_count
 from pdsq.pauli import PauliSum
 from pdsq.pds import build_system, pds_from_values, polynomial_roots, transition_energies
@@ -196,7 +196,9 @@ def test_criterion_7_sampling_behavior(h4_problem):
     # serial-mode sampled PDS(10) at 1e5 shots per group
     estimates = {}
     for gi, group in enumerate(groups):
-        counts = serial_sample(ctx.tapered_state, group, 100_000, None, [1234, 0, gi])
+        counts = serial_sample(
+            ctx.tapered_state, group, 100_000, NoiseModel(0.0), [1234, 0, gi]
+        )
         estimates.update(expectations_from_group_counts(counts, group))
     values = moments_from_estimates(ctx.tapered_cache, estimates, 10)
     sampled = pds_from_values(values, 10)
@@ -215,7 +217,9 @@ def test_criterion_7_sampling_behavior(h4_problem):
     for shots in shot_levels:
         errs = []
         for seed in range(24):
-            counts = serial_sample(ctx.tapered_state, group, shots, None, [777, shots, seed])
+            counts = serial_sample(
+                ctx.tapered_state, group, shots, NoiseModel(0.0), [777, shots, seed]
+            )
             est = expectations_from_group_counts(counts, group)
             errs.append(
                 np.sqrt(np.mean([(est[m] - exact_vals[m]) ** 2 for m in group.members]))
@@ -236,7 +240,7 @@ def test_criterion_8_mitigation(h4_problem):
     rng = np.random.default_rng(5)
     ideal = rng.dirichlet(np.ones(1 << 10))
     noisy = flip_channel(ideal, 1e-3)
-    recovered = mitigate(np.arange(1 << 10), noisy, 10, MitigationConfig(1e-3))
+    recovered = mitigate(np.arange(1 << 10), noisy, 10, NoiseModel(1e-3))
     round_trip = np.max(np.abs(recovered - ideal))
 
     # (b) analytic full-support recovery at the energy level: channel then
@@ -255,7 +259,7 @@ def test_criterion_8_mitigation(h4_problem):
             noisy = flip_channel(np.where(probs > 1e-12, probs, 0.0), p)
             observed = np.flatnonzero(noisy > 0.0)
             fixed = mitigate(
-                observed, noisy[observed], ctx.tapered_h.n_qubits, MitigationConfig(p)
+                observed, noisy[observed], ctx.tapered_h.n_qubits, NoiseModel(p)
             )
             corrected.update(expectations_from_group_weights(observed, fixed, group))
         res_clean = pds_from_values(

@@ -285,14 +285,14 @@ def test_noise_model_validation():
 
 def test_noiseless_z_measurement_is_deterministic():
     group = group_qwc([PauliString.from_label("ZZZZZ")])[0]
-    counts = serial_sample(prepare_basis_state("00000"), group, 100, None, 3)
+    counts = serial_sample(prepare_basis_state("00000"), group, 100, NoiseModel(0.0), 3)
     assert (counts.outcomes.tolist(), counts.counts.tolist()) == ([0], [100])
 
 
 def test_all_zero_state_batch_sampling():
     group = group_qwc([PauliString.from_label("ZIIII")])[0]
     batch = PackedBatch(((group, 0), (group, 5), (group, 10), (group, 15)), 20)
-    counts = sample_batch(prepare_basis_state("00000"), batch, 50, None, 5)
+    counts = sample_batch(prepare_basis_state("00000"), batch, 50, NoiseModel(0.0), 5)
     assert (counts.outcomes.tolist(), counts.counts.tolist()) == ([0], [50])
     assert counts.n_bits == 20
 
@@ -321,9 +321,9 @@ def test_sampler_refuses_a_state_that_is_not_a_basis_state(amps, nonzero):
     group = group_qwc([PauliString.from_label("XZ")])[0]
     message = f"computational basis state \\(one nonzero amplitude\\); this state has {nonzero}"
     with pytest.raises(ValueError, match=message):
-        serial_sample(state, group, 10, None, 1)
+        serial_sample(state, group, 10, NoiseModel(0.0), 1)
     with pytest.raises(ValueError, match=message):
-        sample_batch(state, PackedBatch(((group, 0), (group, 2)), 4), 10, None, 1)
+        sample_batch(state, PackedBatch(((group, 0), (group, 2)), 4), 10, NoiseModel(0.0), 1)
 
 
 def test_a_global_phase_samples_as_the_basis_state():
@@ -340,26 +340,26 @@ def test_slot_width_mismatch_names_both_widths():
     group = group_qwc([PauliString.from_label("XZIIY")])[0]
     state = prepare_basis_state("000")
     with pytest.raises(ValueError, match="3-qubit state in a 5-qubit slot"):
-        serial_sample(state, group, 10, None, 1)
+        serial_sample(state, group, 10, NoiseModel(0.0), 1)
     batch = PackedBatch(((group, 0), (group, 5)), 20)
     with pytest.raises(ValueError, match="3-qubit state in a 5-qubit slot"):
-        sample_batch(state, batch, 10, None, 1)
+        sample_batch(state, batch, 10, NoiseModel(0.0), 1)
     # every slot of an execution holds a copy of the one state
     narrow = group_qwc([PauliString.from_label("XZY")])[0]
     mixed = PackedBatch(((group, 0), (narrow, 5)), 20)
     with pytest.raises(ValueError, match="5-qubit state in a 3-qubit slot"):
-        sample_batch(prepare_basis_state("00000"), mixed, 10, None, 1)
+        sample_batch(prepare_basis_state("00000"), mixed, 10, NoiseModel(0.0), 1)
     with pytest.raises(ValueError, match="at least one slot"):
-        sample_batch(state, PackedBatch((), 20), 10, None, 1)
+        sample_batch(state, PackedBatch((), 20), 10, NoiseModel(0.0), 1)
 
 
 def test_shot_validation():
     group = group_qwc([PauliString.from_label("ZIIII")])[0]
     with pytest.raises(ValueError, match="positive"):
-        serial_sample(prepare_basis_state("00000"), group, 0, None, 1)
+        serial_sample(prepare_basis_state("00000"), group, 0, NoiseModel(0.0), 1)
     batch = PackedBatch(((group, 0),), 20)
     with pytest.raises(ValueError, match="positive"):
-        sample_batch(prepare_basis_state("00000"), batch, 0, None, 1)
+        sample_batch(prepare_basis_state("00000"), batch, 0, NoiseModel(0.0), 1)
 
 
 def test_sampled_expectations_within_binomial_error():
@@ -370,7 +370,7 @@ def test_sampled_expectations_within_binomial_error():
     group = group_qwc([PauliString.from_label(s) for s in labels])[0]
     assert len(group.members) == len(labels)
     shots = 200_000
-    counts = serial_sample(state, group, shots, None, 77)
+    counts = serial_sample(state, group, shots, NoiseModel(0.0), 77)
     values = expectations_from_group_counts(counts, group)
     for member, estimate in values.items():
         exact = exact_expectation(PauliSum.from_string(member), state)
@@ -455,10 +455,11 @@ def test_sample_sector_matches_the_gate_loop_sampler(h4_problem, register):
 
     checked = 0
     for si, ctx in enumerate(h4_problem.sectors.values()):
-        for bi, (batch, _) in enumerate(sample_sector(ctx, 19, 1, 3, si, 0.0, register)):
+        draws = sample_sector(ctx, 19, 1, 3, si, NoiseModel(0.0), register)
+        for bi, (batch, _) in enumerate(draws):
             support, probs = packed_distribution_reference(ctx.tapered_state, batch)
             shots = 8 * support.size
-            counts = sample_batch(ctx.tapered_state, batch, shots, None, [3, si, bi])
+            counts = sample_batch(ctx.tapered_state, batch, shots, NoiseModel(0.0), [3, si, bi])
             assert counts.n_bits == register and counts.shots == shots
             cells = np.searchsorted(support, counts.outcomes)
             assert np.array_equal(support[np.minimum(cells, support.size - 1)], counts.outcomes)
@@ -480,7 +481,7 @@ def test_sampler_memory_is_checked_before_allocating(monkeypatch):
     tracemalloc.start()
     try:
         with pytest.raises(MemoryBudgetError, match=message):
-            sample_batch(state, batch, shots, None, 1)
+            sample_batch(state, batch, shots, NoiseModel(0.0), 1)
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
@@ -491,7 +492,7 @@ def test_sampler_memory_is_checked_before_allocating(monkeypatch):
             sample_batch(state, batch, 10_000, NoiseModel(0.3), 1)
     shots = 50_000
     for p in (0.0, 1e-3, 0.3):
-        noise = NoiseModel(p) if p else None
+        noise = NoiseModel(p)
         sample_batch(state, batch, 100, noise, 2)  # allocator warm
         tracemalloc.start()
         try:

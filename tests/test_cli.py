@@ -238,6 +238,42 @@ def test_config_mitigation_takes_only_on_or_off(capsys, tmp_path):
     assert not any(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("key, flag, value, kind", [
+    ("k_max", "--k-max", "abc", "int"),
+    ("shots", "--shots", "1e3", "int"),
+    ("seed", "--seed", "1.5", "int"),
+    ("spam_p", "--spam-p", "x", "float"),
+])
+def test_bad_flag_value_names_its_key(capsys, key, flag, value, kind):
+    """A flag value is parsed as its config key is, so it exits 1 with the
+    key's name, not 2 from argparse."""
+    code, out, err = run_cli(capsys, "plan", "--spacings", "2,2,2", flag, value)
+    assert code == 1 and out == ""
+    assert err == f"error: {key} must be a valid {kind}, got {value!r}\n"
+
+
+def test_bad_config_value_names_its_key(capsys, tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("spacings = 2,2,2\nk_max = abc\n")
+    code, out, err = run_cli(capsys, "plan", "--config", str(config))
+    assert code == 1 and out == ""
+    assert err == "error: k_max must be a valid int, got 'abc'\n"
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_empty_spacing_list_exit_code_1(capsys, tmp_path, source):
+    """An empty list once built a lone H atom and failed in the SCF."""
+    if source == "flag":
+        argv = ["plan", "--spacings", ""]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text("spacings =\n")
+        argv = ["plan", "--config", str(config)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: empty spacing list: an H chain needs at least one spacing\n"
+
+
 def test_geometry_file_source(capsys, tmp_path):
     geo = tmp_path / "h2.xyz"
     geo.write_text("H 0 0 0\nH 0 0 0.7414\n")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdsq.backend import CountTable, exact_expectation
+from pdsq.backend import CountTable, NoiseModel, exact_expectation
 from pdsq.grouping import (
     PackedBatch,
     QwcGroup,
@@ -18,7 +18,7 @@ from pdsq.grouping import (
     pack_batches,
     slot_expectations,
 )
-from pdsq.mitigation import MitigationConfig, mitigate
+from pdsq.mitigation import mitigate
 from pdsq.pauli import PauliString, PauliSum
 
 from helpers import qubit_wise_commutes
@@ -383,19 +383,19 @@ def test_h4_sampled_estimates_match_the_parity_matrix_oracle(h4_problem):
     (mitigate's bytes unchanged) within the summation bound."""
     from pdsq.pipeline import SECTORS, sample_sector
 
-    cfg = MitigationConfig(1e-3)
+    noise = NoiseModel(1e-3)
     executions = 0
     for index, sector in enumerate(SECTORS):
         ctx = h4_problem.sectors[sector]
-        for batch, counts in sample_sector(ctx, 19, 8192, 1, index, 1e-3, 20):
+        for batch, counts in sample_sector(ctx, 19, 8192, 1, index, noise, 20):
             executions += 1
             raw = slot_expectations(counts.outcomes, counts.counts, batch.slots)
             assert raw == slot_expectations_by_parity_matrix(
                 counts.outcomes, counts.counts, batch.slots
             )
-            weights = mitigate(counts.outcomes, counts.counts, counts.n_bits, cfg)
+            weights = mitigate(counts.outcomes, counts.counts, counts.n_bits, noise)
             assert weights.tobytes() == mitigate_by_sorted_halves(
-                counts.outcomes, counts.counts, counts.n_bits, cfg.p
+                counts.outcomes, counts.counts, counts.n_bits, noise.spam_flip_probability
             ).tobytes()
             got = slot_expectations(counts.outcomes, weights, batch.slots)
             want = slot_expectations_by_parity_matrix(counts.outcomes, weights, batch.slots)

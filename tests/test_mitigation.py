@@ -5,35 +5,34 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from pdsq.backend import CountTable
+from pdsq.backend import CountTable, NoiseModel
 from pdsq.budget import MEMORY_BUDGET, MemoryBudgetError
-from pdsq.mitigation import MitigationConfig, mitigate
+from pdsq.mitigation import mitigate
 
 from oracles import flip_channel, mitigate_by_sorted_halves, restricted_inverse
 
 
 def mitigate_table(counts, p):
-    return mitigate(counts.outcomes, counts.counts, counts.n_bits, MitigationConfig(p))
+    return mitigate(counts.outcomes, counts.counts, counts.n_bits, NoiseModel(p))
 
 
 def mitigate_dense(probs, p):
     """Mitigation over the full support of a dense distribution."""
-    return mitigate(np.arange(probs.size), probs, probs.size.bit_length() - 1,
-                    MitigationConfig(p))
+    return mitigate(np.arange(probs.size), probs, probs.size.bit_length() - 1, NoiseModel(p))
 
 
 def test_config_validation():
-    MitigationConfig(0.0)
-    MitigationConfig(0.4999)
+    NoiseModel(0.0)
+    NoiseModel(0.4999)
     with pytest.raises(ValueError, match="0.5"):
-        MitigationConfig(0.5)
+        NoiseModel(0.5)
     with pytest.raises(ValueError, match="0.5"):
-        MitigationConfig(-0.01)
+        NoiseModel(-0.01)
     with pytest.raises(ValueError, match=r"p=0\.5 must .*; p=0\.5 is singular"):
-        MitigationConfig(0.5)
+        NoiseModel(0.5)
     for p in (-0.01, 0.7, float("nan")):
         with pytest.raises(ValueError, match=r"must lie in \[0, 0\.5\)$"):
-            MitigationConfig(p)
+            NoiseModel(p)
 
 
 def test_p_zero_is_identity():
@@ -76,18 +75,18 @@ def test_output_is_a_distribution_after_clipping():
 
 def test_empty_histogram_errors():
     with pytest.raises(ValueError, match="empty"):
-        mitigate([], [], 2, MitigationConfig(0.1))
+        mitigate([], [], 2, NoiseModel(0.1))
     counts = CountTable(2, [], [])
     with pytest.raises(ValueError, match="empty histogram"):
         mitigate_table(counts, 0.1)
 
 
 def test_outcomes_must_be_increasing_register_indices():
-    cfg = MitigationConfig(0.1)
+    noise = NoiseModel(0.1)
     with pytest.raises(ValueError, match="increasing"):
-        mitigate([1, 4], [1, 1], 2, cfg)  # 4 needs a third bit
+        mitigate([1, 4], [1, 1], 2, noise)  # 4 needs a third bit
     with pytest.raises(ValueError, match="increasing"):
-        mitigate([2, 1], [1, 1], 2, cfg)
+        mitigate([2, 1], [1, 1], 2, noise)
 
 
 def test_expectation_improves_toward_full_support():
@@ -108,7 +107,7 @@ def test_expectation_improves_toward_full_support():
     errors = []
     for support_size in (4, 6, 8):
         restricted = np.sort(order[:support_size])
-        mitigated = mitigate(restricted, noisy[restricted], 3, MitigationConfig(p))
+        mitigated = mitigate(restricted, noisy[restricted], 3, NoiseModel(p))
         errors.append(abs(parity_expectation(restricted, mitigated) - target))
     assert errors[-1] < 1e-12  # full support: exact inverse
     assert errors[0] >= errors[1] >= errors[2]
@@ -134,7 +133,7 @@ def test_two_products_match_the_pair_sum(p):
         for support in supports:
             outcomes = np.unique(support)
             weights = rng.integers(1, 100, outcomes.size)
-            got = mitigate(outcomes, weights, n_bits, MitigationConfig(p))
+            got = mitigate(outcomes, weights, n_bits, NoiseModel(p))
             want = restricted_inverse(outcomes, weights, n_bits, p)
             assert np.max(np.abs(got - want)) <= 1e-12, (n_bits, outcomes.size)
 
@@ -143,7 +142,7 @@ def test_wide_register_within_the_kernel_limit():
     rng = np.random.default_rng(30)
     outcomes = np.unique(rng.integers(0, 1 << 30, 1500))
     weights = rng.integers(1, 10, outcomes.size)
-    got = mitigate(outcomes, weights, 30, MitigationConfig(0.01))
+    got = mitigate(outcomes, weights, 30, NoiseModel(0.01))
     want = restricted_inverse(outcomes, weights, 30, 0.01)
     assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -157,7 +156,7 @@ def test_twenty_bit_register_needs_at_most_three_kernels():
     weights = rng.integers(1, 5, outcomes.size)
     tracemalloc.start()
     try:
-        mitigate(outcomes, weights, 20, MitigationConfig(1e-3))
+        mitigate(outcomes, weights, 20, NoiseModel(1e-3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -173,7 +172,7 @@ def test_too_many_distinct_halves_fail_before_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(MemoryBudgetError, match="cap MEMORY_BUDGET") as err:
-            mitigate(outcomes, np.ones(outcomes.size), 40, MitigationConfig(0.01))
+            mitigate(outcomes, np.ones(outcomes.size), 40, NoiseModel(0.01))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -208,6 +207,6 @@ def test_halves_without_a_sort_keep_the_bytes_of_sorted_halves(n_bits, n_draws, 
     assert (outcomes.size >= 1 << n_bits // 2) == table  # which way the low halves go
     for weights in (rng.integers(1, 100, outcomes.size), rng.dirichlet(np.ones(outcomes.size))):
         for p in (1e-3, 0.2):
-            got = mitigate(outcomes, weights, n_bits, MitigationConfig(p))
+            got = mitigate(outcomes, weights, n_bits, NoiseModel(p))
             want = mitigate_by_sorted_halves(outcomes, weights, n_bits, p)
             assert got.tobytes() == want.tobytes()

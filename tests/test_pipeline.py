@@ -258,6 +258,67 @@ def test_serial_mode_is_packing_one_group_per_register(
     assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
 
 
+LAW_SEEDS = (1, 2, 3, 4)
+LAW_ALPHA = 1e-3
+
+
+def _law_pvalue(ctx, estimate_p: float, law_p: float) -> float:
+    """Bonferroni p-value of the raw singlet estimates, drawn at flip rate
+    estimate_p and pooled over LAW_SEEDS, against sampled_estimate_law at
+    law_p.  A string's estimate is the mean of `shots` independent +-1
+    readings, so its count of -1 readings over all seeds is exactly
+    Binomial(shots * seeds, (1 - mean) / 2), whose variance is the law's;
+    each string gets that binomial's two-sided exact test."""
+    from scipy import stats
+
+    from oracles import sampled_estimate_law
+    from pdsq.pipeline import estimate_expectations_parallel
+
+    shots = 8192
+    strings, mean, _ = sampled_estimate_law(ctx, shots, law_p)
+    minus = np.zeros(len(strings))
+    for seed in LAW_SEEDS:
+        estimates = estimate_expectations_parallel(
+            ctx, 19, shots, seed, 0, spam_p=estimate_p, apply_mitigation=False
+        )
+        minus += shots * (1 - np.array([estimates[s] for s in strings])) / 2
+    assert np.abs(minus - np.round(minus)).max() < 1e-6
+    trials = shots * len(LAW_SEEDS)
+    pvalues = [
+        stats.binomtest(int(k), trials, q).pvalue
+        for k, q in zip(np.round(minus), np.clip((1 - mean) / 2, 0.0, 1.0))
+    ]
+    return min(1.0, len(strings) * min(pvalues))
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.05])
+def test_raw_singlet_estimates_follow_the_closed_form_law(h4_problem, p):
+    """Every raw singlet estimate of a parallel run, over four fixed seeds,
+    against the closed-form law of oracles.sampled_estimate_law: the exact
+    binomial test of each of the 527 strings at level LAW_ALPHA / 527
+    (Bonferroni), so a correct sampler fails at fresh seeds with
+    probability at most LAW_ALPHA = 1e-3 per p."""
+    assert _law_pvalue(h4_problem.sectors["singlet"], p, p) > LAW_ALPHA
+
+
+def test_a_ten_percent_flip_rate_error_breaks_the_law(h4_problem):
+    """The law test has power: estimates drawn at 1.1 p fail it at p.  At
+    p = 0.05 over four seeds of 8192 shots, that error moves the mean of
+    the weight-5 Z string by 7.2 sigma (law sigma, 32768 readings), above
+    the 4.8-sigma two-sided Bonferroni threshold; at p = 1e-3 it moves no
+    mean by more than 1.3 sigma, too little to see."""
+    from oracles import sampled_estimate_law
+
+    ctx = h4_problem.sectors["singlet"]
+    p, readings = 0.05, 8192 * len(LAW_SEEDS)
+    for rate, margin in ((p, 7.2), (1e-3, 1.3)):
+        _, mean, var = sampled_estimate_law(ctx, readings, rate)
+        _, wrong, _ = sampled_estimate_law(ctx, readings, 1.1 * rate)
+        shift = np.abs(wrong - mean)[var > 0] / np.sqrt(var[var > 0])
+        assert shift.max() == pytest.approx(margin, abs=0.05)
+    assert _law_pvalue(ctx, 1.1 * p, p) < LAW_ALPHA
+
+
 @pytest.mark.parametrize("seed", [3, 77, 20261022])
 @pytest.mark.parametrize("mode", ["parallel", "serial"])
 def test_flip_masks_match_the_matrix_product(h4_problem, seed, mode):
@@ -270,6 +331,7 @@ def test_flip_masks_match_the_matrix_product(h4_problem, seed, mode):
     import numpy as np
     from scipy import stats
 
+    from pdsq.backend import NoiseModel
     from pdsq.pipeline import SECTORS, register_width, sample_sector
 
     shots = 1024
@@ -279,7 +341,8 @@ def test_flip_masks_match_the_matrix_product(h4_problem, seed, mode):
         register = register_width(ctx, mode)
         for p in (0.0, 1e-3):
             flipped = trials = 0
-            for batch, counts in sample_sector(ctx, 19, shots, seed, sector_index, p, register):
+            draws = sample_sector(ctx, 19, shots, seed, sector_index, NoiseModel(p), register)
+            for batch, counts in draws:
                 fixed, want = (1 << register) - 1, 0
                 for group, offset in batch.slots:
                     fixed &= ~(group.rotation.x << offset)

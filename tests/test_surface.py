@@ -33,8 +33,7 @@ SIGNATURES = {
     "pack_batches": "(groups, slot_width, register)",
     "slot_expectations": "(outcomes, weights, slots)",
     "jordan_wigner": "(tables)",
-    "MitigationConfig": "(p)",
-    "mitigate": "(outcomes, weights, n_bits, cfg)",
+    "mitigate": "(outcomes, weights, n_bits, noise)",
     "PowerCache": "(h)",
     "moments_for_state": "(h, state, K)",
     "unique_string_count": "(cache, max_power)",
@@ -69,7 +68,6 @@ FIELDS = {
     "StateVector": ("n_qubits", "amplitudes"),
     "Geometry": ("atoms",),
     "PackedBatch": ("slots", "register_width"),
-    "MitigationConfig": ("p",),
     "PauliString": ("n_qubits", "x", "z"),
     "RunConfig": (
         "spacings", "geometry_path", "fcidump_path", "k_max", "shots", "seed",
