@@ -17,6 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .budget import check_memory
+from .grouping import PackedBatch
 from .pauli import PauliSum
 
 # Peak bytes of the sampler, with room over those traced: per shot, the int64
@@ -175,18 +176,6 @@ class CountTable:
         return cls(n_bits, outcomes, [counts[o] for o in outcomes])
 
 
-def serial_sample(state: StateVector, group, shots: int, noise: NoiseModel, seed) -> CountTable:
-    """Sample one QWC group's rotated measurement on its own register."""
-    return _sample_slots(state, ((group, 0),), state.n_qubits, shots, noise, seed)
-
-
-def sample_batch(state: StateVector, batch, shots: int, noise: NoiseModel, seed) -> CountTable:
-    """Joint counts for a packed execution whose every slot holds a copy of
-    the basis state: slots measured independently and concatenated (exact,
-    since the copies are unentangled), then flipped."""
-    return _sample_slots(state, batch.slots, batch.register_width, shots, noise, seed)
-
-
 def _distinct_positions(rng: np.random.Generator, size: int, count: int) -> np.ndarray:
     """count distinct positions of range(size), sorted and uniform over the
     count-subsets: uniform draws with repeats redrawn, in O(count) memory."""
@@ -197,16 +186,18 @@ def _distinct_positions(rng: np.random.Generator, size: int, count: int) -> np.n
     return positions
 
 
-def _sample_slots(state, slots, register: int, shots: int, noise: NoiseModel, seed) -> CountTable:
-    """Measure a copy of the basis state |b> in each (group, offset) slot's
-    rotated basis: one seeded generator draws uniform register bits, kept
-    where a slot's rotation has X or Y and set to b's bits elsewhere.  Then
-    it draws the readout flips: a Binomial(shots * register, p) count of
-    distinct (shot, bit) positions chosen uniformly, which is exactly an
-    independent Bernoulli(p) flip of every bit."""
+def sample_batch(state: StateVector, batch, shots: int, noise: NoiseModel, seed) -> CountTable:
+    """Joint counts for a packed execution whose every slot holds a copy of
+    the basis state |b>, each measured in its (group, offset) slot's rotated
+    basis (exact, since the copies are unentangled): one seeded generator
+    draws uniform register bits, kept where a slot's rotation has X or Y and
+    set to b's bits elsewhere.  Then it draws the readout flips: a
+    Binomial(shots * register, p) count of distinct (shot, bit) positions
+    chosen uniformly, which is exactly an independent Bernoulli(p) flip of
+    every bit."""
     if shots <= 0:
         raise ValueError("shots must be positive")
-    if not slots:
+    if not batch.slots:
         raise ValueError("an execution needs at least one slot")
     nonzero = np.flatnonzero(state.amplitudes)
     if nonzero.size != 1:
@@ -216,11 +207,12 @@ def _sample_slots(state, slots, register: int, shots: int, noise: NoiseModel, se
         )
     b = int(nonzero[0])
     free = fixed = 0
-    for group, offset in slots:
+    for group, offset in batch.slots:
         if state.n_qubits != group.n_qubits:
             raise ValueError(f"{state.n_qubits}-qubit state in a {group.n_qubits}-qubit slot")
         free |= group.rotation.x << offset
         fixed |= (b & ~group.rotation.x) << offset
+    register = batch.register_width
     check_memory(f"sampling {shots} shots", shots * SHOT_BYTES)
     rng = np.random.default_rng(seed)
     joint = rng.integers(0, (1 << register) - 1, shots, dtype=np.int64, endpoint=True)
@@ -234,3 +226,9 @@ def _sample_slots(state, slots, register: int, shots: int, noise: NoiseModel, se
         # flat position f is shot f // register, bit f % register
         np.bitwise_xor.at(joint, flips // register, np.left_shift(1, flips % register))
     return CountTable.from_indices(joint, register)
+
+
+def serial_sample(state: StateVector, group, shots: int, noise: NoiseModel, seed) -> CountTable:
+    """Sample one QWC group's rotated measurement on its own register: a
+    one-group sample_batch."""
+    return sample_batch(state, PackedBatch(((group, 0),), group.n_qubits), shots, noise, seed)

@@ -1,8 +1,8 @@
 """Command-line interface: one subcommand per pipeline stage plus `run`.
 
 Configuration is a flat key=value text file; every key can be overridden by
-a command-line flag, and flags win.  Exit codes: 0 success, 1 validation
-error or missing input file, 2 computation failure.
+a command-line flag, and flags win.  Exit codes: 0 success, 1 usage or
+validation error or missing input file, 2 computation failure.
 """
 
 from __future__ import annotations
@@ -38,13 +38,18 @@ class CliError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a CliError, so main exits 1 on it as on any bad input."""
+
+    def error(self, message):
+        raise CliError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def _parse_spacings(text: str) -> tuple[float, ...]:
     try:
         spacings = tuple(float(t) for t in text.replace(",", " ").split())
     except ValueError:
         raise CliError(f"invalid spacing list: {text!r}") from None
-    if not spacings:
-        raise CliError("empty spacing list: an H chain needs at least one spacing")
     return spacings
 
 
@@ -211,11 +216,8 @@ def cmd_pds(args) -> int:
             if resolved < cfg.k_max else ""
         )
         print(f"[{sector}] PDS({cfg.k_max}) roots{exhausted} (hartree):")
-        for i, (r, im) in enumerate(
-            zip(results[sector].roots, results[sector].imag_parts)
-        ):
-            note = "" if im == 0 else f"   (unresolved pair, |Im| = {im:.2e})"
-            print(f"  {i}: {r:+.9f}{note}")
+        for i, r in enumerate(results[sector].roots):
+            print(f"  {i}: {r:+.9f}")
     tr = transition_energies(results["singlet"], results["triplet"])
     print(f"S0->S1 = {tr.s0_s1_ev:.4f} eV   S0->T0 = {tr.s0_t0_ev:.4f} eV   "
           f"fission ratio = {tr.fission_ratio:.4f}")
@@ -299,7 +301,7 @@ def cmd_run(args) -> int:
 
 
 def make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pdsq",
         description="Moment-expansion (PDS) energy bounds for hydrogen-chain "
         "singlet fission, with measurement planning and a sampled simulator.",
@@ -345,8 +347,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.fn(args)
     except (CliError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

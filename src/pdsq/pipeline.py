@@ -70,6 +70,8 @@ class RunConfig:
         ]
         if len(sources) != 1:
             raise ValueError("exactly one Hamiltonian source must be configured")
+        if self.spacings is not None and not self.spacings:
+            raise ValueError("empty spacing list: an H chain needs at least one spacing")
         if self.k_max < 1:
             raise ValueError("k_max must be at least 1")
         if self.mode not in MODES:
@@ -108,17 +110,11 @@ class Problem:
         return self.cache.h
 
 
-def load_geometry(cfg: RunConfig) -> chem.Geometry | None:
-    if cfg.spacings is not None:
-        return chem.build_h_chain(list(cfg.spacings))
-    if cfg.geometry_path is not None:
-        return chem.Geometry.from_xyz_lines(Path(cfg.geometry_path).read_text())
-    return None
-
-
 def build_problem(cfg: RunConfig) -> Problem:
-    geometry = load_geometry(cfg)
-    if geometry is not None:
+    if cfg.spacings is not None:
+        ints = chem.compute_integrals(chem.build_h_chain(list(cfg.spacings)))
+    elif cfg.geometry_path is not None:
+        geometry = chem.Geometry.from_xyz_lines(Path(cfg.geometry_path).read_text())
         ints = chem.compute_integrals(geometry)
     else:
         ints = fcidump.fcidump_read(cfg.fcidump_path)
@@ -189,16 +185,6 @@ def measurement_ladder(problem: Problem, sector: str, k_max: int) -> Measurement
 # -- sampled moment estimation -------------------------------------------------
 
 
-def _slot_estimates(
-    counts: CountTable, slots, noise: NoiseModel, apply_mitigation: bool
-) -> dict[PauliString, float]:
-    """String estimates from one execution's counts, mitigated when asked and p > 0."""
-    weights = counts.counts
-    if noise.spam_flip_probability > 0.0 and apply_mitigation:
-        weights = mitigation.mitigate(counts.outcomes, weights, counts.n_bits, noise)
-    return grouping.slot_expectations(counts.outcomes, weights, slots)
-
-
 def register_width(ctx: SectorContext, mode: str) -> int:
     """Qubits per execution: the tapered width in serial mode, so each
     execution measures one QWC group, else the device's register."""
@@ -238,14 +224,18 @@ def estimate_expectations_parallel(
     register: int = DEVICE_REGISTER,
 ) -> dict[PauliString, float]:
     """Estimate every unique tapered string from sample_sector's executions,
-    each mitigated when asked; register = the tapered width puts one group
-    in each execution, which is serial sampling."""
+    each mitigated when asked and p > 0 (raw weights stay integer counts);
+    register = the tapered width puts one group in each execution, which is
+    serial sampling."""
     noise = NoiseModel(spam_p)
     estimates: dict[PauliString, float] = {}
     for batch, counts in sample_sector(
         ctx, max_power, shots, seed, sector_index, noise, register
     ):
-        estimates.update(_slot_estimates(counts, batch.slots, noise, apply_mitigation))
+        weights = counts.counts
+        if spam_p > 0.0 and apply_mitigation:
+            weights = mitigation.mitigate(counts.outcomes, weights, counts.n_bits, noise)
+        estimates.update(grouping.slot_expectations(counts.outcomes, weights, batch.slots))
     return estimates
 
 

@@ -704,23 +704,39 @@ def serial_estimates_reference(
 
 
 def sampled_estimate_law(ctx, shots: int, p: float):
-    """(strings, mean, variance) of the raw estimate of every string of a
+    """(strings, mean, cov) of the raw estimates of every string of a
     sector's tapered K = 10 ledger (H^1..H^19, the strings a run samples),
     in ledger order, from `shots` shots of its tapered reference |b> under
     independent readout flips of probability p per bit.
 
-    A string P with an X or Y letter reads a uniform bit on that qubit, so
-    its mean is 0 whatever the flips.  A Z string reads the parity of b on
-    its support, flipped by each of its |supp P| bits: mean
-    (1-2p)^|supp P| * (-1)^|b & z|.  An estimate averages `shots`
-    independent +-1 readings, so its variance is (1 - mean^2) / shots."""
+    Every reading is a parity (-1)^(bits on a support S): S = supp P for a
+    string P, and S = supp P ^ supp Q for the product of the readings of
+    two strings of one group, whose shared bits cancel.  A bit where the
+    group's rotation has X or Y is uniform, so such a parity has mean 0
+    whatever the flips; otherwise each of its |S| bits is b's, flipped with
+    probability p, and its mean is (1-2p)^|S| * (-1)^|b & S|.  An estimate
+    averages `shots` independent shots, so two strings of one group covary
+    by (E[P Q] - mean_P mean_Q) / shots, and a string's variance is
+    (1 - mean^2) / shots.  Strings of different groups read disjoint bits of
+    one execution or different executions, which are independent: cov is
+    block-diagonal by QWC group."""
     (b,) = np.flatnonzero(ctx.tapered_state.amplitudes).tolist()
-    strings = ctx.tapered_cache.ledger(19).strings
-    mean = np.array([
-        0.0 if s.x else (1 - 2 * p) ** bin(s.z).count("1") * (-1) ** bin(b & s.z).count("1")
-        for s in strings
-    ])
-    return strings, mean, (1 - mean**2) / shots
+    ledger = ctx.tapered_cache.ledger(19)
+    column = {s: i for i, s in enumerate(ledger.strings)}
+
+    def parity_mean(support: np.ndarray, uniform: int) -> np.ndarray:
+        weight, odd = (np.bitwise_count(m).astype(np.int64) for m in (support, support & b))
+        return np.where(support & uniform, 0.0, (1 - 2 * p) ** weight * (1 - 2 * (odd & 1)))
+
+    mean = np.zeros(len(column))
+    cov = np.zeros((len(column), len(column)))
+    for group in ledger.groups:
+        cols = [column[m] for m in group.members]
+        supports = np.array([m.support for m in group.members], dtype=np.int64)
+        mean[cols] = parity_mean(supports, group.rotation.x)
+        pairs = parity_mean(supports[:, None] ^ supports, group.rotation.x)
+        cov[np.ix_(cols, cols)] = (pairs - np.outer(mean[cols], mean[cols])) / shots
+    return ledger.strings, mean, cov
 
 
 # The STO-3G engine and RHF as per-pair and per-element loops: one _Shell per

@@ -9,6 +9,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -16,11 +17,14 @@ from unittest.mock import MagicMock
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
-def _load_tracer(monkeypatch):
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER_PATH)
+def _load_benchmark(name, monkeypatch):
+    """benchmarks/<name>.py as a module, registered for the test only."""
+    path = ROOT / "benchmarks" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
     spec.loader.exec_module(module)
@@ -28,7 +32,7 @@ def _load_tracer(monkeypatch):
 
 
 def test_every_traced_function_resolves(monkeypatch):
-    tracer = _load_tracer(monkeypatch)
+    tracer = _load_benchmark("tracer", monkeypatch)
     missing = [
         spec.span_name for spec in tracer.TRACED
         if not callable(getattr(importlib.import_module(spec.module), spec.function, None))
@@ -40,7 +44,7 @@ def test_tracer_reads_arguments_by_their_parameter_names(monkeypatch):
     """The tracer binds each traced call to the function's signature and
     reads the arguments by name, e.g. `apply_pauli_sum(h, state)` and
     `multiply_sums(a, b)`: a renamed parameter would fail every traced op."""
-    tracer = _load_tracer(monkeypatch)
+    tracer = _load_benchmark("tracer", monkeypatch)
 
     class Arguments(dict):
         def __missing__(self, name):
@@ -176,7 +180,7 @@ def test_tracer_reads_the_strings_the_ladder_groups(monkeypatch, tmp_path):
     )
 
     h4_problem = build_problem(RunConfig(spacings=(2.0, 2.0, 2.0), output_dir=tmp_path))
-    tracer = _load_tracer(monkeypatch)
+    tracer = _load_benchmark("tracer", monkeypatch)
     recorder = tracer.Tracer()
     with recorder.installed(0):
         ladder = measurement_ladder(h4_problem, "singlet", 10)
@@ -196,7 +200,7 @@ def test_set_up_layers_cover_jordan_wigner_and_tapering(monkeypatch, tmp_path):
     `pipeline.setup_self_s`."""
     from pdsq import jw, pipeline, taper
 
-    tracer = _load_tracer(monkeypatch)
+    tracer = _load_benchmark("tracer", monkeypatch)
     recorder = tracer.Tracer()
     helper_spans = []
 
@@ -230,3 +234,19 @@ def test_set_up_layers_cover_jordan_wigner_and_tapering(monkeypatch, tmp_path):
         top is not None and name.startswith(f"pdsq.{top.split('.')[0]}.")
         for name, top in helper_spans
     ), helper_spans
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_one_op_of_each_benchmark_workload_passes_its_gate(workload, monkeypatch, tmp_path):
+    """One untraced op of each workload in BENCHMARK.json, at seed 1,
+    passes the benchmark's own gate against its reference: a change to what
+    benchmarks/run.py reads (`ctx.tapered_state`, `report.ladders`, the
+    estimates dict) fails here, not only under `pytest benchmarks`."""
+    from pdsq import pipeline
+
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")  # run.py sets them at import; restored after
+    run = _load_benchmark("run", monkeypatch)
+    problem = pipeline.build_problem(run.make_config(workload, 1, tmp_path))
+    op = run.run_op(workload, 1, run.make_reference(workload, problem), tmp_path)
+    assert op.failure is None

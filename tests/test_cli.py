@@ -166,12 +166,25 @@ def test_mitigate_names_a_negative_p(capsys, tmp_path):
 
 def test_only_run_takes_no_mitigation(capsys, tmp_path):
     """simulate writes raw histograms, so it has no mitigation to turn off."""
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--spacings", "0.7414", "--mode", "serial",
-              "--output-dir", str(tmp_path), "--no-mitigation"])
-    assert exc.value.code == 2
+    code = main(["simulate", "--spacings", "0.7414", "--mode", "serial",
+                 "--output-dir", str(tmp_path), "--no-mitigation"])
+    assert code == 1
     assert "unrecognized arguments: --no-mitigation" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["mitigate", "counts.txt", "--p", "abc"], "--p"),
+    (["exact", "--spacings", "0.7414", "--levels", "x"], "--levels"),
+    (["run", "--spacings", "0.7414", "--mode", "bogus"], "--mode"),
+    (["moments", "--spacings", "0.7414", "--sector", "quartet"], "--sector"),
+])
+def test_bad_flag_argument_exits_1_naming_the_flag(capsys, argv, flag):
+    """argparse's usage errors exit 1, as every bad input does; exit 2 is
+    for computation failures."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: argument {flag}: invalid ")
 
 
 def test_simulate_requires_sampling_mode(capsys):

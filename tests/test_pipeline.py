@@ -40,6 +40,9 @@ def test_exactly_one_source_required(tmp_path):
 
 
 def test_config_validation(tmp_path):
+    # an empty list once built a lone H atom and failed later, in the SCF
+    with pytest.raises(ValueError, match="^empty spacing list: an H chain needs at least one"):
+        h2_config(tmp_path, spacings=())
     with pytest.raises(ValueError, match="k_max"):
         h2_config(tmp_path, k_max=0)
     with pytest.raises(ValueError, match="mode"):
@@ -178,6 +181,22 @@ def test_ladder_is_rederivable(tmp_path):
         assert again == report.ladders[sector]
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=PipelineError,
+    reason="ROADMAP item 2: sampled H2 PDS(10) reads a complex root 1 (|Im| 0.527) "
+    "and stage 'transitions' fails",
+)
+@pytest.mark.parametrize("mode, spam_p", [("serial", 0.0), ("parallel", 1e-3)])
+def test_h2_sampled_run_returns(tmp_path, mode, spam_p):
+    """Item 2's H2 gate: a sampled H2 run at the default K = 10 returns a
+    report (with its roots, or saying which it could not resolve) instead
+    of failing."""
+    run_pipeline(RunConfig(
+        spacings=(0.7414,), seed=11, mode=mode, spam_p=spam_p, output_dir=tmp_path
+    ))
+
+
 def test_spam_noise_with_mitigation_runs(tmp_path):
     cfg = h2_config(tmp_path, mode="serial", spam_p=1e-3, shots=2048)
     report = run_pipeline(cfg)
@@ -312,11 +331,145 @@ def test_a_ten_percent_flip_rate_error_breaks_the_law(h4_problem):
     ctx = h4_problem.sectors["singlet"]
     p, readings = 0.05, 8192 * len(LAW_SEEDS)
     for rate, margin in ((p, 7.2), (1e-3, 1.3)):
-        _, mean, var = sampled_estimate_law(ctx, readings, rate)
+        _, mean, cov = sampled_estimate_law(ctx, readings, rate)
         _, wrong, _ = sampled_estimate_law(ctx, readings, 1.1 * rate)
+        var = np.diag(cov)
         shift = np.abs(wrong - mean)[var > 0] / np.sqrt(var[var > 0])
         assert shift.max() == pytest.approx(margin, abs=0.05)
     assert _law_pvalue(ctx, 1.1 * p, p) < LAW_ALPHA
+
+
+def test_estimate_law_matches_the_dense_distribution(h4_problem):
+    """The closed-form mean and covariance of oracles.sampled_estimate_law
+    equal those of each group's exact outcome distribution: the tapered
+    reference rotated gate by gate, squared and pushed through the flip
+    channel, with every member read as a parity of the outcome bits."""
+    from oracles import basis_change_reference, flip_channel, sampled_estimate_law
+
+    shots = 100
+    for ctx in h4_problem.sectors.values():
+        for p in (0.0, 1e-3, 0.05):
+            strings, mean, cov = sampled_estimate_law(ctx, shots, p)
+            column = {s: i for i, s in enumerate(strings)}
+            want_mean, want_cov = np.zeros_like(mean), np.zeros_like(cov)
+            outcomes = np.arange(1 << ctx.tapered_h.n_qubits)
+            for group in ctx.tapered_cache.ledger(19).groups:
+                amps = basis_change_reference(ctx.tapered_state.amplitudes, group.rotation)
+                probs = flip_channel(np.abs(amps) ** 2, p)
+                supports = np.array([m.support for m in group.members])
+                readings = 1.0 - 2.0 * (np.bitwise_count(outcomes[:, None] & supports) & 1)
+                cols = [column[m] for m in group.members]
+                first = want_mean[cols] = probs @ readings
+                second = readings.T @ (probs[:, None] * readings)
+                want_cov[np.ix_(cols, cols)] = (second - np.outer(first, first)) / shots
+            assert np.allclose(mean, want_mean, rtol=0.0, atol=1e-12)
+            assert np.allclose(cov, want_cov, rtol=0.0, atol=1e-12 / shots)
+
+
+MOMENT_SHOTS = 1024
+MOMENT_REPLICATES = 100
+
+
+def _moment_law_pvalues(ctx, p: float) -> tuple[float, float, float]:
+    """Bonferroni p-values of MOMENT_REPLICATES raw parallel runs of a
+    sector (seeds 0, 1, ..., MOMENT_SHOTS shots at flip rate p) against
+    oracles.sampled_estimate_law, for three things a run makes:
+
+    - the mean of each sampled moment <H^n>, n = 1..19, against C mean,
+      where row n of C holds H^n's coefficients: a z-test with the law's
+      variance (C cov C^T)_nn / replicates;
+    - the spread of each moment: a two-sided chi-square test of its sample
+      variance against (C cov C^T)_nn, on replicates - 1 degrees of freedom;
+    - the covariance of estimates in different slots of one execution, which
+      the law sets to 0: the exact t-test of zero correlation for every such
+      pair of strings with an X or Y letter, whose estimates are means of
+      fair +-1 readings and so close to normal.
+
+    Each is a two-sided test made Bonferroni over its powers or pairs, so
+    a correct program fails one at fresh seeds with probability about its
+    level; the moments are assumed normal over replicates (each sums
+    hundreds of estimates)."""
+    from scipy import stats
+
+    from oracles import sampled_estimate_law
+    from pdsq.grouping import pack_batches
+    from pdsq.pipeline import (
+        DEVICE_REGISTER, estimate_expectations_parallel, moments_from_estimates,
+    )
+
+    cache, reps = ctx.tapered_cache, MOMENT_REPLICATES
+    strings, mean, cov = sampled_estimate_law(ctx, MOMENT_SHOTS, p)
+    column = {s: i + 1 for i, s in enumerate(strings)}  # 0: the identity
+    c = np.zeros((20, len(strings) + 1))
+    for n in range(20):
+        for string, coeff in cache.power(n).terms():
+            c[n, 0 if string.is_identity else column[string]] += coeff
+    estimates, moments = [], []
+    for seed in range(reps):
+        got = estimate_expectations_parallel(
+            ctx, 19, MOMENT_SHOTS, seed, 0, spam_p=p, apply_mitigation=False
+        )
+        estimates.append([got[s] for s in strings])
+        moments.append(moments_from_estimates(cache, got, 10)[1:])
+    estimates, moments = np.array(estimates), np.array(moments)
+    want = (c[:, 0] + c[:, 1:] @ mean)[1:]
+    var = np.diag(c[1:, 1:] @ cov @ c[1:, 1:].T)
+    z = (moments.mean(axis=0) - want) / np.sqrt(var / reps)
+    chi2 = (reps - 1) * moments.var(axis=0, ddof=1) / var
+    spread = np.minimum(stats.chi2.sf(chi2, reps - 1), stats.chi2.cdf(chi2, reps - 1))
+
+    pairs = []
+    batches = pack_batches(cache.ledger(19).groups, ctx.tapered_h.n_qubits, DEVICE_REGISTER)
+    for batch in batches:
+        slots = [[column[m] - 1 for m in group.members if m.x] for group, _ in batch.slots]
+        for i, first in enumerate(slots):
+            pairs += [(a, b) for later in slots[i + 1:] for a in first for b in later]
+    a, b = np.array(pairs).T
+    centred = estimates - estimates.mean(axis=0)
+    r = (centred[:, a] * centred[:, b]).mean(axis=0) / (centred[:, a].std(0) * centred[:, b].std(0))
+    t = r * np.sqrt((reps - 2) / (1 - r**2))
+    return tuple(
+        min(1.0, 2 * len(tails) * tails.min())
+        for tails in (stats.norm.sf(np.abs(z)), spread, stats.t.sf(np.abs(t), reps - 2))
+    )
+
+
+@pytest.mark.parametrize("p", [1e-3, 0.05])
+def test_raw_sampled_moments_follow_the_closed_form_law(h4_problem, p):
+    """Sampler, estimator and moment assembly together give raw singlet
+    moments with the law's mean C mean and spread C cov C^T, and estimates
+    in different slots of one execution that do not covary: each of the
+    three tests of _moment_law_pvalues at level LAW_ALPHA, so a correct
+    program fails this at fresh seeds with probability about 3e-3 per p."""
+    assert min(_moment_law_pvalues(h4_problem.sectors["singlet"], p)) > LAW_ALPHA
+
+
+def test_slots_that_share_uniform_bits_break_the_law(h4_problem, monkeypatch):
+    """The covariance test has power: a sampler whose every slot copies
+    the uniform bits of the slot before it (so all read those of the first)
+    keeps each slot's outcomes exact, and with them every estimate's and
+    moment's mean, but makes two strings with X or Y on the same slot
+    qubits read the same uniform bits: their estimates correlate near 1,
+    and the cross-slot test fails far below LAW_ALPHA."""
+    from pdsq import pipeline
+    from pdsq.backend import CountTable
+
+    def shared_bits(state, batch, shots, noise, seed):
+        rng = np.random.default_rng(seed)
+        (b,) = np.flatnonzero(state.amplitudes).tolist()
+        uniform = rng.integers(0, 1 << state.n_qubits, shots)
+        joint = np.zeros(shots, dtype=np.int64)
+        for group, offset in batch.slots:
+            x = group.rotation.x
+            joint |= ((uniform & x) | (b & ~x)) << offset
+        width = batch.register_width
+        flips = rng.random((shots, width)) < noise.spam_flip_probability
+        return CountTable.from_indices(joint ^ (flips @ (1 << np.arange(width))), width)
+
+    monkeypatch.setattr(pipeline, "sample_batch", shared_bits)
+    means, _, cross = _moment_law_pvalues(h4_problem.sectors["singlet"], 1e-3)
+    assert means > LAW_ALPHA
+    assert cross < 1e-50
 
 
 @pytest.mark.parametrize("seed", [3, 77, 20261022])
