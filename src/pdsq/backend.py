@@ -3,10 +3,10 @@
 Basis-state indexing: bit k of an index is qubit k, and serialized
 bitstrings put qubit 0 leftmost, so `index_to_bits(5, 4) == "1010"`.
 The sampler takes a computational basis state |b> (the tapered reference
-determinant is one) and measures it in closed form: in a QWC group's rotated
-basis, a qubit where the rotation has X or Y gives a uniform bit, each
-independently, and any other qubit gives b's bit.  So a packed execution is
-two seeded draws on int64 outcomes, with no statevector.
+determinant is one) as its bitstring and measures it in closed form: in a QWC
+group's rotated basis, a qubit where the rotation has X or Y gives a uniform
+bit, each independently, and any other qubit gives b's bit.  So a packed
+execution is two seeded draws on int64 outcomes, with no statevector.
 """
 
 from __future__ import annotations
@@ -186,30 +186,24 @@ def _distinct_positions(rng: np.random.Generator, size: int, count: int) -> np.n
     return positions
 
 
-def sample_batch(state: StateVector, batch, shots: int, noise: NoiseModel, seed) -> CountTable:
+def sample_batch(bits: str, batch, shots: int, noise: NoiseModel, seed) -> CountTable:
     """Joint counts for a packed execution whose every slot holds a copy of
-    the basis state |b>, each measured in its (group, offset) slot's rotated
-    basis (exact, since the copies are unentangled): one seeded generator
-    draws uniform register bits, kept where a slot's rotation has X or Y and
-    set to b's bits elsewhere.  Then it draws the readout flips: a
-    Binomial(shots * register, p) count of distinct (shot, bit) positions
-    chosen uniformly, which is exactly an independent Bernoulli(p) flip of
-    every bit."""
+    the basis state |b>, given as its bitstring (qubit 0 leftmost), each
+    measured in its (group, offset) slot's rotated basis (exact, since the
+    copies are unentangled): one seeded generator draws uniform register
+    bits, kept where a slot's rotation has X or Y and set to b's bits
+    elsewhere.  Then it draws the readout flips: a Binomial(shots * register,
+    p) count of distinct (shot, bit) positions chosen uniformly, which is
+    exactly an independent Bernoulli(p) flip of every bit."""
     if shots <= 0:
         raise ValueError("shots must be positive")
     if not batch.slots:
         raise ValueError("an execution needs at least one slot")
-    nonzero = np.flatnonzero(state.amplitudes)
-    if nonzero.size != 1:
-        raise ValueError(
-            "the sampler takes a computational basis state (one nonzero amplitude); "
-            f"this state has {nonzero.size}"
-        )
-    b = int(nonzero[0])
+    n, b = len(bits), bits_to_index(bits)
     free = fixed = 0
     for group, offset in batch.slots:
-        if state.n_qubits != group.n_qubits:
-            raise ValueError(f"{state.n_qubits}-qubit state in a {group.n_qubits}-qubit slot")
+        if n != group.n_qubits:
+            raise ValueError(f"{n}-qubit state in a {group.n_qubits}-qubit slot")
         free |= group.rotation.x << offset
         fixed |= (b & ~group.rotation.x) << offset
     register = batch.register_width
@@ -228,7 +222,7 @@ def sample_batch(state: StateVector, batch, shots: int, noise: NoiseModel, seed)
     return CountTable.from_indices(joint, register)
 
 
-def serial_sample(state: StateVector, group, shots: int, noise: NoiseModel, seed) -> CountTable:
+def serial_sample(bits: str, group, shots: int, noise: NoiseModel, seed) -> CountTable:
     """Sample one QWC group's rotated measurement on its own register: a
     one-group sample_batch."""
-    return sample_batch(state, PackedBatch(((group, 0),), group.n_qubits), shots, noise, seed)
+    return sample_batch(bits, PackedBatch(((group, 0),), group.n_qubits), shots, noise, seed)

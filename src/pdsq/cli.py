@@ -1,8 +1,8 @@
 """Command-line interface: one subcommand per pipeline stage plus `run`.
 
-Configuration is a flat key=value text file; every key can be overridden by
-a command-line flag, and flags win.  Exit codes: 0 success, 1 usage or
-validation error or missing input file, 2 computation failure.
+Configuration is a flat key=value text file; a subcommand takes a flag for
+each key it reads (COMMANDS), and flags win.  Exit codes: 0 success, 1 usage
+or validation error or missing input file, 2 computation failure.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ import os
 import sys
 from pathlib import Path
 
-from . import fcidump, mitigation, taper
+from . import fcidump, mitigation
 from .backend import CountTable, NoiseModel, index_to_bits
-from .exact import exact_spectrum, exact_transitions
+from .exact import exact_transitions
 from .moments import moments_for_state, unique_string_count
 from .pds import build_system, polynomial_roots, transition_energies
 from .pipeline import (
@@ -24,6 +24,7 @@ from .pipeline import (
     RunConfig,
     build_problem,
     energy_vs_order,
+    exact_spectra,
     exact_tables,
     measurement_ladder,
     register_width,
@@ -114,18 +115,6 @@ def build_run_config(args) -> RunConfig:
     return RunConfig(**values)
 
 
-def _add_source_flags(sub):
-    sub.add_argument("--config", help="flat key=value configuration file")
-    sub.add_argument("--spacings", help="H-chain spacings in Angstrom, e.g. '2,2,2'")
-    sub.add_argument("--geometry", help="XYZ-like geometry file (element x y z per line)")
-    sub.add_argument("--fcidump", help="FCIDUMP integral file")
-    sub.add_argument("--k-max", dest="k_max")
-    sub.add_argument("--shots")
-    sub.add_argument("--seed")
-    sub.add_argument("--spam-p", dest="spam_p")
-    sub.add_argument("--output-dir", dest="output_dir")
-
-
 def cmd_integrals(args) -> int:
     cfg = build_run_config(args)
     problem = build_problem(cfg)
@@ -175,7 +164,7 @@ def cmd_taper(args) -> int:
         tapered_unique = unique_string_count(ctx.tapered_cache, max_power)[-1]
         print(f"  tapered: {ctx.tapered_h.n_terms} terms, "
               f"{tapered_unique} unique strings")
-        print(f"  tapered reference state: |{taper.taper_state(ctx.determinant, td)}>")
+        print(f"  tapered reference state: |{ctx.tapered_bits}>")
     return 0
 
 
@@ -234,16 +223,12 @@ def cmd_pds(args) -> int:
 def cmd_exact(args) -> int:
     if args.levels < 1:
         raise CliError(f"--levels must be at least 1, got {args.levels}")
-    cfg = build_run_config(args)
-    problem = build_problem(cfg)
-    n_e = problem.integrals.n_electrons
-    spec_s = exact_spectrum(problem.hamiltonian, (n_e, 0.0))
-    spec_t = exact_spectrum(problem.hamiltonian, (n_e, 1.0))
-    print(f"(N={n_e}, Sz=0) lowest levels:",
-          " ".join(f"{e:.9f}" for e in spec_s.eigenvalues[: args.levels]))
-    print(f"(N={n_e}, Sz=1) lowest levels:",
-          " ".join(f"{e:.9f}" for e in spec_t.eigenvalues[: args.levels]))
-    s0_s1, s0_t0 = exact_transitions(spec_s, spec_t)
+    problem = build_problem(build_run_config(args))
+    spectra = exact_spectra(problem)
+    for s_z, spec in enumerate(spectra):
+        print(f"(N={problem.integrals.n_electrons}, Sz={s_z}) lowest levels:",
+              " ".join(f"{e:.9f}" for e in spec.eigenvalues[: args.levels]))
+    s0_s1, s0_t0 = exact_transitions(*spectra)
     print(f"S0->S1 = {s0_s1:.4f} eV   S0->T0 = {s0_t0:.4f} eV")
     return 0
 
@@ -300,6 +285,43 @@ def cmd_run(args) -> int:
     return 0
 
 
+# add_argument keywords of every flag; a flag that sets a config key is the key, dashed
+FLAGS = {
+    "--config": dict(help="flat key=value configuration file"),
+    "--spacings": dict(help="H-chain spacings in Angstrom, e.g. '2,2,2'"),
+    "--geometry": dict(help="XYZ-like geometry file (element x y z per line)"),
+    "--fcidump": dict(help="FCIDUMP integral file"),
+    "--k-max": {}, "--shots": {}, "--seed": {}, "--spam-p": {}, "--output-dir": {},
+    "--mode": dict(choices=MODES),
+    "--no-mitigation": dict(action="store_true"),
+    "--write-fcidump": dict(help="also export integrals here"),
+    "--out": dict(help="write the output to this file, not stdout"),
+    "--sector": dict(choices=SECTORS, default="singlet"),
+    "--csv": dict(help="write per-K energies to this CSV"),
+    "--levels": dict(type=int, default=6),
+    "input": dict(help="histogram file (bitstring count per line)"),
+    "--p": dict(type=float, required=True, help="flip probability"),
+}
+SOURCE = ("--config", "--spacings", "--geometry", "--fcidump")
+SAMPLING = ("--k-max", "--shots", "--seed", "--spam-p", "--output-dir", "--mode")
+
+# subcommand -> (function, help, the flags it reads)
+COMMANDS = {
+    "integrals": (cmd_integrals, "integral engine and RHF summary", (*SOURCE, "--write-fcidump")),
+    "hamiltonian": (cmd_hamiltonian, "qubit Hamiltonian as text", (*SOURCE, "--out")),
+    "taper": (cmd_taper, "symmetry generators and tapered operators", (*SOURCE, "--k-max")),
+    "plan": (cmd_plan, "measurement-reduction table per sector", (*SOURCE, "--k-max")),
+    "moments": (cmd_moments, "per-power unique counts and moment values (CSV)",
+                (*SOURCE, "--k-max", "--sector")),
+    "pds": (cmd_pds, "PDS roots, bounds, transitions", (*SOURCE, "--k-max", "--csv")),
+    "exact": (cmd_exact, "exact sector spectra by diagonalization", (*SOURCE, "--levels")),
+    "simulate": (cmd_simulate, "sampled histograms for every group/batch", (*SOURCE, *SAMPLING)),
+    "mitigate": (cmd_mitigate, "invert readout noise on a histogram file",
+                 ("input", "--p", "--out")),
+    "run": (cmd_run, "full pipeline report bundle", (*SOURCE, *SAMPLING, "--no-mitigation")),
+}
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pdsq",
@@ -307,41 +329,10 @@ def make_parser() -> argparse.ArgumentParser:
         "singlet fission, with measurement planning and a sampled simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    commands = {
-        "integrals": (cmd_integrals, "integral engine and RHF summary"),
-        "hamiltonian": (cmd_hamiltonian, "qubit Hamiltonian as text"),
-        "taper": (cmd_taper, "symmetry generators and tapered operators"),
-        "plan": (cmd_plan, "measurement-reduction table per sector"),
-        "moments": (cmd_moments, "per-power unique counts and moment values (CSV)"),
-        "pds": (cmd_pds, "PDS roots, bounds, transitions"),
-        "exact": (cmd_exact, "exact sector spectra by diagonalization"),
-        "simulate": (cmd_simulate, "sampled histograms for every group/batch"),
-        "mitigate": (cmd_mitigate, "invert readout noise on a histogram file"),
-        "run": (cmd_run, "full pipeline report bundle"),
-    }
-    for name, (fn, help_text) in commands.items():
+    for name, (fn, help_text, flags) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        if name == "mitigate":
-            p.add_argument("input", help="histogram file (bitstring count per line)")
-            p.add_argument("--p", type=float, required=True, help="flip probability")
-            p.add_argument("--out", help="output probability file")
-        else:
-            _add_source_flags(p)
-            if name in ("simulate", "run"):
-                p.add_argument("--mode", choices=MODES)
-            if name == "run":
-                p.add_argument("--no-mitigation", action="store_true")
-            if name == "integrals":
-                p.add_argument("--write-fcidump", help="also export integrals here")
-            if name == "hamiltonian":
-                p.add_argument("--out", help="write the Pauli sum to this file")
-            if name == "moments":
-                p.add_argument("--sector", choices=SECTORS, default="singlet")
-            if name == "pds":
-                p.add_argument("--csv", help="write per-K energies to this CSV")
-            if name == "exact":
-                p.add_argument("--levels", type=int, default=6)
+        for flag in flags:
+            p.add_argument(flag, **FLAGS[flag])
         p.set_defaults(fn=fn)
     return parser
 

@@ -20,7 +20,7 @@ from .backend import CountTable, NoiseModel, StateVector, prepare_basis_state, s
 # serial_sample is not called here, but the benchmark's tracer
 # (benchmarks/tracer.py) rebinds it in this module, so the name stays.
 from .backend import serial_sample  # noqa: F401
-from .exact import exact_spectrum, exact_transitions
+from .exact import SpectrumResult, exact_spectrum, exact_transitions
 from .moments import MomentTable, PowerCache, moments_for_state, unique_string_count
 from .pauli import PauliString, PauliSum
 from .pds import (
@@ -86,14 +86,21 @@ class RunConfig:
 
 @dataclass
 class SectorContext:
+    """A sector's tapering, tapered H and tapered reference determinant as
+    its bits (qubit 0 leftmost); tapered_state builds its amplitudes when read."""
+
     determinant: chem.ReferenceDeterminant
     tapering: taper.TaperingData
-    tapered_state: StateVector
+    tapered_bits: str
     tapered_cache: PowerCache
 
     @property
     def tapered_h(self) -> PauliSum:
         return self.tapered_cache.h
+
+    @property
+    def tapered_state(self) -> StateVector:
+        return prepare_basis_state(self.tapered_bits)
 
 
 @dataclass
@@ -125,11 +132,10 @@ def build_problem(cfg: RunConfig) -> Problem:
     for sector in SECTORS:
         det = chem.reference_determinant(sector, ints.n_electrons, 2 * ints.n_orbitals)
         td = taper.tapering_for_determinant(h, det)
-        tstate = prepare_basis_state(taper.taper_state(det, td))
         sectors[sector] = SectorContext(
             determinant=det,
             tapering=td,
-            tapered_state=tstate,
+            tapered_bits=taper.taper_state(det, td),
             tapered_cache=PowerCache(taper.taper_operator(h, td)),
         )
     return Problem(ints, scf, PowerCache(h), sectors)
@@ -209,7 +215,7 @@ def sample_sector(
     batches = grouping.pack_batches(groups, ctx.tapered_h.n_qubits, register)
     for bi, batch in enumerate(batches):
         yield batch, sample_batch(
-            ctx.tapered_state, batch, shots, noise, seed=[seed, sector_index, bi]
+            ctx.tapered_bits, batch, shots, noise, seed=[seed, sector_index, bi]
         )
 
 
@@ -375,10 +381,14 @@ def run_pipeline(cfg: RunConfig, problem: Problem | None = None) -> RunReport:
     return report
 
 
-def _exact_reference(problem: Problem) -> dict[str, float]:
+def exact_spectra(problem: Problem) -> tuple[SpectrumResult, SpectrumResult]:
+    """The full H's (N, Sz=0) and (N, Sz=1) sector spectra, N its electron count."""
     n_e = problem.integrals.n_electrons
-    spec_s = exact_spectrum(problem.hamiltonian, (n_e, 0.0))
-    spec_t = exact_spectrum(problem.hamiltonian, (n_e, 1.0))
+    return tuple(exact_spectrum(problem.hamiltonian, (n_e, s_z)) for s_z in (0.0, 1.0))
+
+
+def _exact_reference(problem: Problem) -> dict[str, float]:
+    spec_s, spec_t = exact_spectra(problem)
     s0_s1, s0_t0 = exact_transitions(spec_s, spec_t)
     return {
         "S0": spec_s.ground,

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from pdsq.backend import bits_to_index
 from pdsq.chem import (
     STO3G_H_COEFFS,
     STO3G_H_EXPONENTS,
@@ -660,7 +661,7 @@ def serial_draws_reference(ctx, max_power: int, shots: int, seed: int, sector_in
 
     groups = group_qwc(unique_measured_strings(ctx.tapered_cache, max_power))
     return [
-        (group, serial_sample(ctx.tapered_state, group, shots, noise, [seed, sector_index, gi]))
+        (group, serial_sample(ctx.tapered_bits, group, shots, noise, [seed, sector_index, gi]))
         for gi, group in enumerate(groups)
     ]
 
@@ -676,7 +677,7 @@ def packed_draws_reference(ctx, max_power: int, shots: int, seed: int, sector_in
     groups = group_qwc(unique_measured_strings(ctx.tapered_cache, max_power))
     batches = pack_batches(groups, ctx.tapered_h.n_qubits, 20)
     return [
-        (batch, sample_batch(ctx.tapered_state, batch, shots, noise, [seed, sector_index, bi]))
+        (batch, sample_batch(ctx.tapered_bits, batch, shots, noise, [seed, sector_index, bi]))
         for bi, batch in enumerate(batches)
     ]
 
@@ -720,7 +721,7 @@ def sampled_estimate_law(ctx, shots: int, p: float):
     (1 - mean^2) / shots.  Strings of different groups read disjoint bits of
     one execution or different executions, which are independent: cov is
     block-diagonal by QWC group."""
-    (b,) = np.flatnonzero(ctx.tapered_state.amplitudes).tolist()
+    b = bits_to_index(ctx.tapered_bits)
     ledger = ctx.tapered_cache.ledger(19)
     column = {s: i for i, s in enumerate(ledger.strings)}
 

@@ -197,7 +197,7 @@ def test_criterion_7_sampling_behavior(h4_problem):
     estimates = {}
     for gi, group in enumerate(groups):
         counts = serial_sample(
-            ctx.tapered_state, group, 100_000, NoiseModel(0.0), [1234, 0, gi]
+            ctx.tapered_bits, group, 100_000, NoiseModel(0.0), [1234, 0, gi]
         )
         estimates.update(expectations_from_group_counts(counts, group))
     values = moments_from_estimates(ctx.tapered_cache, estimates, 10)
@@ -218,7 +218,7 @@ def test_criterion_7_sampling_behavior(h4_problem):
         errs = []
         for seed in range(24):
             counts = serial_sample(
-                ctx.tapered_state, group, shots, NoiseModel(0.0), [777, shots, seed]
+                ctx.tapered_bits, group, shots, NoiseModel(0.0), [777, shots, seed]
             )
             est = expectations_from_group_counts(counts, group)
             errs.append(

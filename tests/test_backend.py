@@ -285,81 +285,66 @@ def test_noise_model_validation():
 
 def test_noiseless_z_measurement_is_deterministic():
     group = group_qwc([PauliString.from_label("ZZZZZ")])[0]
-    counts = serial_sample(prepare_basis_state("00000"), group, 100, NoiseModel(0.0), 3)
+    counts = serial_sample("00000", group, 100, NoiseModel(0.0), 3)
     assert (counts.outcomes.tolist(), counts.counts.tolist()) == ([0], [100])
 
 
 def test_all_zero_state_batch_sampling():
     group = group_qwc([PauliString.from_label("ZIIII")])[0]
     batch = PackedBatch(((group, 0), (group, 5), (group, 10), (group, 15)), 20)
-    counts = sample_batch(prepare_basis_state("00000"), batch, 50, NoiseModel(0.0), 5)
+    counts = sample_batch("00000", batch, 50, NoiseModel(0.0), 5)
     assert (counts.outcomes.tolist(), counts.counts.tolist()) == ([0], [50])
     assert counts.n_bits == 20
 
 
 def test_seeded_runs_bit_identical():
     group = group_qwc([PauliString.from_label("XYZIX")])[0]
-    state = prepare_basis_state("10110")
     def histogram(table):
         return table.outcomes.tolist(), table.counts.tolist()
 
-    a = serial_sample(state, group, 2000, NoiseModel(0.01), 42)
-    b = serial_sample(state, group, 2000, NoiseModel(0.01), 42)
+    a = serial_sample("10110", group, 2000, NoiseModel(0.01), 42)
+    b = serial_sample("10110", group, 2000, NoiseModel(0.01), 42)
     assert histogram(a) == histogram(b)
-    c = serial_sample(state, group, 2000, NoiseModel(0.01), 43)
+    c = serial_sample("10110", group, 2000, NoiseModel(0.01), 43)
     assert histogram(c) != histogram(a)
 
 
-@pytest.mark.parametrize(
-    "amps, nonzero",
-    [([1.0, 1.0, 0.0, 0.0], 2), ([0.6, 0.0, 0.0, -0.8], 2), (np.full(4, 0.5), 4)],
-)
-def test_sampler_refuses_a_state_that_is_not_a_basis_state(amps, nonzero):
-    """The closed form holds for a computational basis state only, so both
-    entry points refuse any other state by name."""
-    state = StateVector(2, np.array(amps) / np.linalg.norm(amps))
-    group = group_qwc([PauliString.from_label("XZ")])[0]
-    message = f"computational basis state \\(one nonzero amplitude\\); this state has {nonzero}"
-    with pytest.raises(ValueError, match=message):
-        serial_sample(state, group, 10, NoiseModel(0.0), 1)
-    with pytest.raises(ValueError, match=message):
-        sample_batch(state, PackedBatch(((group, 0), (group, 2)), 4), 10, NoiseModel(0.0), 1)
-
-
-def test_a_global_phase_samples_as_the_basis_state():
-    group = group_qwc([PauliString.from_label("XZIY")])[0]
-    want = serial_sample(prepare_basis_state("0110"), group, 500, NoiseModel(0.1), 9)
-    amps = np.zeros(16)
-    amps[bits_to_index("0110")] = -1.0
-    got = serial_sample(StateVector(4, amps), group, 500, NoiseModel(0.1), 9)
-    assert got.outcomes.tobytes() == want.outcomes.tobytes()
-    assert got.counts.tobytes() == want.counts.tobytes()
+@pytest.mark.parametrize("bits", ["01x10", "0121", "1 0"])
+def test_sampler_refuses_a_character_that_is_not_a_bit(bits):
+    """The sampler's state is the basis state its bitstring names, so both
+    entry points refuse any character but 0 and 1, naming it."""
+    group = group_qwc([PauliString.from_label("XZIIY"[: len(bits)])])[0]
+    bad = next(c for c in bits if c not in "01")
+    with pytest.raises(ValueError, match=f"invalid bit '{bad}'"):
+        serial_sample(bits, group, 10, NoiseModel(0.0), 1)
+    batch = PackedBatch(((group, 0), (group, len(bits))), 2 * len(bits))
+    with pytest.raises(ValueError, match=f"invalid bit '{bad}'"):
+        sample_batch(bits, batch, 10, NoiseModel(0.0), 1)
 
 
 def test_slot_width_mismatch_names_both_widths():
     group = group_qwc([PauliString.from_label("XZIIY")])[0]
-    state = prepare_basis_state("000")
     with pytest.raises(ValueError, match="3-qubit state in a 5-qubit slot"):
-        serial_sample(state, group, 10, NoiseModel(0.0), 1)
+        serial_sample("000", group, 10, NoiseModel(0.0), 1)
     batch = PackedBatch(((group, 0), (group, 5)), 20)
     with pytest.raises(ValueError, match="3-qubit state in a 5-qubit slot"):
-        sample_batch(state, batch, 10, NoiseModel(0.0), 1)
+        sample_batch("000", batch, 10, NoiseModel(0.0), 1)
     # every slot of an execution holds a copy of the one state
     narrow = group_qwc([PauliString.from_label("XZY")])[0]
     mixed = PackedBatch(((group, 0), (narrow, 5)), 20)
     with pytest.raises(ValueError, match="5-qubit state in a 3-qubit slot"):
-        sample_batch(prepare_basis_state("00000"), mixed, 10, NoiseModel(0.0), 1)
+        sample_batch("00000", mixed, 10, NoiseModel(0.0), 1)
     with pytest.raises(ValueError, match="at least one slot"):
-        sample_batch(state, PackedBatch((), 20), 10, NoiseModel(0.0), 1)
+        sample_batch("000", PackedBatch((), 20), 10, NoiseModel(0.0), 1)
 
 
 def test_shot_validation():
     group = group_qwc([PauliString.from_label("ZIIII")])[0]
     with pytest.raises(ValueError, match="positive"):
-        serial_sample(prepare_basis_state("00000"), group, 0, NoiseModel(0.0), 1)
+        serial_sample("00000", group, 0, NoiseModel(0.0), 1)
     batch = PackedBatch(((group, 0),), 20)
     with pytest.raises(ValueError, match="positive"):
-        sample_batch(prepare_basis_state("00000"), batch, 0, NoiseModel(0.0), 1)
+        sample_batch("00000", batch, 0, NoiseModel(0.0), 1)
 
 
 def test_sampled_expectations_within_binomial_error():
@@ -370,7 +355,7 @@ def test_sampled_expectations_within_binomial_error():
     group = group_qwc([PauliString.from_label(s) for s in labels])[0]
     assert len(group.members) == len(labels)
     shots = 200_000
-    counts = serial_sample(state, group, shots, NoiseModel(0.0), 77)
+    counts = serial_sample("10110", group, shots, NoiseModel(0.0), 77)
     values = expectations_from_group_counts(counts, group)
     for member, estimate in values.items():
         exact = exact_expectation(PauliSum.from_string(member), state)
@@ -380,9 +365,7 @@ def test_sampled_expectations_within_binomial_error():
 
 def test_spam_flips_shift_distribution():
     group = group_qwc([PauliString.from_label("ZZZZZ")])[0]
-    counts = serial_sample(
-        prepare_basis_state("00000"), group, 100_000, NoiseModel(0.05), seed=1
-    )
+    counts = serial_sample("00000", group, 100_000, NoiseModel(0.05), seed=1)
     # each bit flips independently with p=0.05
     p_clean = counts.counts[counts.outcomes == 0].sum() / counts.shots
     assert p_clean == pytest.approx(0.95**5, abs=5e-3)
@@ -413,7 +396,7 @@ def test_bit_flips_match_the_matrix_product(p):
     clean = bits_to_index("10110" * 4)
     shots = 20_000
     for seed in (1, 2, 3):
-        counts = sample_batch(prepare_basis_state("10110"), batch, shots, NoiseModel(p), seed)
+        counts = sample_batch("10110", batch, shots, NoiseModel(p), seed)
         masks = counts.outcomes ^ clean
         per_bit = np.array([counts.counts[masks >> k & 1 == 1].sum() for k in range(20)])
         total = int(per_bit.sum())
@@ -459,7 +442,7 @@ def test_sample_sector_matches_the_gate_loop_sampler(h4_problem, register):
         for bi, (batch, _) in enumerate(draws):
             support, probs = packed_distribution_reference(ctx.tapered_state, batch)
             shots = 8 * support.size
-            counts = sample_batch(ctx.tapered_state, batch, shots, NoiseModel(0.0), [3, si, bi])
+            counts = sample_batch(ctx.tapered_bits, batch, shots, NoiseModel(0.0), [3, si, bi])
             assert counts.n_bits == register and counts.shots == shots
             cells = np.searchsorted(support, counts.outcomes)
             assert np.array_equal(support[np.minimum(cells, support.size - 1)], counts.outcomes)
@@ -475,13 +458,13 @@ def test_sampler_memory_is_checked_before_allocating(monkeypatch):
     exist; within budget the traced peak stays under the bytes checked."""
     group = group_qwc([PauliString.from_label("XXXXX")])[0]
     batch = PackedBatch(tuple((group, offset) for offset in (0, 5, 10, 15)), 20)
-    state = prepare_basis_state("10110")
+    bits = "10110"
     shots = budget.MEMORY_BUDGET // SHOT_BYTES + 1
     message = f"sampling {shots} shots: {shots * SHOT_BYTES} bytes exceed the cap"
     tracemalloc.start()
     try:
         with pytest.raises(MemoryBudgetError, match=message):
-            sample_batch(state, batch, shots, NoiseModel(0.0), 1)
+            sample_batch(bits, batch, shots, NoiseModel(0.0), 1)
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:
         tracemalloc.stop()
@@ -489,14 +472,14 @@ def test_sampler_memory_is_checked_before_allocating(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(budget, "MEMORY_BUDGET", 1 << 20)
         with pytest.raises(MemoryBudgetError, match="10000 shots with [0-9]+ readout flips"):
-            sample_batch(state, batch, 10_000, NoiseModel(0.3), 1)
+            sample_batch(bits, batch, 10_000, NoiseModel(0.3), 1)
     shots = 50_000
     for p in (0.0, 1e-3, 0.3):
         noise = NoiseModel(p)
-        sample_batch(state, batch, 100, noise, 2)  # allocator warm
+        sample_batch(bits, batch, 100, noise, 2)  # allocator warm
         tracemalloc.start()
         try:
-            sample_batch(state, batch, shots, noise, 2)
+            sample_batch(bits, batch, shots, noise, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

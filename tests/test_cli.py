@@ -187,6 +187,103 @@ def test_bad_flag_argument_exits_1_naming_the_flag(capsys, argv, flag):
     assert err.startswith(f"error: argument {flag}: invalid ")
 
 
+SOURCE = ("--config", "--spacings", "--geometry", "--fcidump")
+SAMPLING = ("--shots", "--seed", "--spam-p", "--output-dir")
+
+# the options each subcommand reads (the subcommand's own first)
+READS = {
+    "integrals": ("--write-fcidump", *SOURCE),
+    "hamiltonian": ("--out", *SOURCE),
+    "exact": ("--levels", *SOURCE),
+    "taper": ("--k-max", *SOURCE),
+    "plan": ("--k-max", *SOURCE),
+    "moments": ("--sector", "--k-max", *SOURCE),
+    "pds": ("--csv", "--k-max", *SOURCE),
+    "simulate": ("--mode", *SAMPLING, "--k-max", *SOURCE),
+    "run": ("--no-mitigation", "--mode", *SAMPLING, "--k-max", *SOURCE),
+    "mitigate": ("--p", "--out"),
+}
+
+# flags the source flags' subcommands once took and never read
+UNREAD = [
+    (command, flag)
+    for commands, flags in (
+        (("integrals", "hamiltonian", "exact"), ("--k-max", *SAMPLING)),
+        (("taper", "plan", "moments", "pds"), SAMPLING),
+    )
+    for command in commands for flag in flags
+]
+
+
+@pytest.mark.parametrize("command, flag", UNREAD)
+def test_a_flag_the_subcommand_does_not_read_exits_1(
+    capsys, tmp_path, monkeypatch, command, flag
+):
+    monkeypatch.chdir(tmp_path)
+    value = "out" if flag == "--output-dir" else "3"
+    code, out, err = run_cli(capsys, command, "--spacings", "0.7414", flag, value)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: unrecognized arguments: {flag} {value}\n")
+    assert not any(tmp_path.iterdir())
+
+
+# the arguments of the flags that argparse parses itself, and what it makes
+# of them; every other flag keeps its one argument's text
+PARSED = {"--levels": (["2"], 2), "--p": (["0.2"], 0.2), "--sector": (["triplet"], "triplet"),
+          "--mode": (["serial"], "serial"), "--no-mitigation": ([], True)}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in READS.items() for f in flags])
+def test_each_flag_a_subcommand_reads_parses(command, flag):
+    from pdsq.cli import make_parser
+
+    given = ["counts.txt", "--p", "0.1"] if command == "mitigate" else []
+    values, want = PARSED.get(flag, (["7"], "7"))
+    args = make_parser().parse_args([command, *given, flag, *values])
+    assert getattr(args, flag[2:].replace("-", "_")) == want
+
+
+@pytest.mark.parametrize("source", ["spacings", "geometry", "fcidump"])
+def test_a_config_with_every_key_runs_exact(capsys, tmp_path, monkeypatch, source):
+    """The config file takes all ten keys on every subcommand: `pdsq exact`
+    ignores the sampling keys and writes nothing to their output_dir.  A
+    config names one source, so the three cases carry the ten keys between
+    them, each with the other seven."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h2.xyz").write_text("H 0 0 0\nH 0 0 0.7414\n")
+    export = run_cli(capsys, "integrals", "--spacings", "0.7414", "--write-fcidump", "h2.fcidump")
+    assert export[0] == 0
+    value = {"spacings": "0.7414", "geometry": "h2.xyz", "fcidump": "h2.fcidump"}[source]
+    config = tmp_path / "every.cfg"
+    config.write_text(
+        f"{source} = {value}\nk_max = 3\nshots = 64\nseed = 5\nspam_p = 0.01\n"
+        "mode = parallel\noutput_dir = bundle\nmitigation = off\n"
+    )
+    code, out, err = run_cli(capsys, "exact", "--config", str(config))
+    assert code == 0, err
+    assert out == run_cli(capsys, "exact", f"--{source}", value)[1]
+    assert not (tmp_path / "bundle").exists()
+
+
+def test_every_readme_command_line_parses():
+    """Each `pdsq ...` line of README's command-line block parses, so the
+    documented flags and the parser cannot drift apart."""
+    import shlex
+
+    from pdsq.cli import make_parser
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Command line")[1].split("```")[1]
+    lines = [line.split("#")[0] for line in block.splitlines() if line.startswith("pdsq ")]
+    assert len(lines) >= 10
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        try:
+            make_parser().parse_args(argv)
+        except Exception as exc:
+            pytest.fail(f"README line {line.strip()!r} does not parse: {exc}")
+
+
 def test_simulate_requires_sampling_mode(capsys):
     code, _, err = run_cli(capsys, "simulate", "--spacings", "0.7414")
     assert code == 1
@@ -260,7 +357,8 @@ def test_config_mitigation_takes_only_on_or_off(capsys, tmp_path):
 def test_bad_flag_value_names_its_key(capsys, key, flag, value, kind):
     """A flag value is parsed as its config key is, so it exits 1 with the
     key's name, not 2 from argparse."""
-    code, out, err = run_cli(capsys, "plan", "--spacings", "2,2,2", flag, value)
+    command = "plan" if key == "k_max" else "run"  # plan takes no sampling flag
+    code, out, err = run_cli(capsys, command, "--spacings", "2,2,2", flag, value)
     assert code == 1 and out == ""
     assert err == f"error: {key} must be a valid {kind}, got {value!r}\n"
 
@@ -331,8 +429,8 @@ def test_input_errors_exit_code_1_through_run(capsys, tmp_path, flag):
     bad.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\nxyz 1 1 1 1\n")
     value = str(bad) if flag == "--fcidump" else "1,1"
     results = {
-        run_cli(capsys, command, flag, value, "--output-dir", str(tmp_path))
-        for command in ("integrals", "hamiltonian", "run")
+        run_cli(capsys, *argv, flag, value)
+        for argv in (["integrals"], ["hamiltonian"], ["run", "--output-dir", str(tmp_path)])
     }
     assert len(results) == 1
     code, _, err = results.pop()
@@ -442,21 +540,26 @@ def test_simulate_refuses_over_budget_shots_before_allocating(tmp_path):
     )
 
 
-def test_fourteen_orbital_fcidump_exits_2_at_its_first_ladder_product(tmp_path):
-    """14 orbitals: the problem holds only the two 26-qubit tapered
-    reference states (512 MiB each, within the budget), so `pdsq plan`
-    builds them and stops at its first power-ladder product, on the full
-    28 qubits, before allocating, naming the bytes and the cap.  It runs in
-    a child process under a 3 GB address-space limit; the integrals are a
-    sparse chain (hopping and on-site terms), so all else is small."""
+def _write_sparse_chain(path, n):
+    """An n-orbital FCIDUMP with hopping and on-site terms only, so that its
+    Hamiltonian stays small however many qubits it spans."""
     from pdsq import chem, fcidump
 
-    n = 14
     one = np.diag(-1.0 + 0.1 * np.arange(n)) - 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
     two = np.zeros((n,) * 4)
     two[(np.arange(n),) * 4] = 0.8
-    path = tmp_path / "chain14.fcidump"
     fcidump.fcidump_write(chem.IntegralSet(n, 0.0, one, two, np.eye(n), n), path)
+
+
+def test_fourteen_orbital_fcidump_exits_2_at_its_first_ladder_product(tmp_path):
+    """14 orbitals: the problem holds no state (each sector keeps its
+    26-qubit tapered reference as its bits), so `pdsq plan` stops at its
+    first power-ladder product, on the full 28 qubits, before allocating,
+    naming the bytes and the cap.  It runs in a child process under a 3 GB
+    address-space limit; the integrals are a sparse chain (hopping and
+    on-site terms), so all else is small."""
+    path = tmp_path / "chain14.fcidump"
+    _write_sparse_chain(path, 14)
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))\n"
@@ -475,6 +578,33 @@ def test_fourteen_orbital_fcidump_exits_2_at_its_first_ladder_product(tmp_path):
         "268435456 x 268435456 arrays: 3458764513820540928 bytes exceed the cap "
         "MEMORY_BUDGET = 1073741824 bytes\n"
     )
+
+
+def test_sixteen_orbital_fcidump_runs_the_commands_that_read_no_state(tmp_path):
+    """16 orbitals (32 qubits): `pdsq integrals` and `pdsq hamiltonian` read
+    no reference state, so they run, in a child process under a 3 GB
+    address-space limit; a 30-qubit tapered state (8 GiB) would be over the
+    budget, and building it up front made both exit 2."""
+    path, out = tmp_path / "chain16.fcidump", tmp_path / "h16.txt"
+    _write_sparse_chain(path, 16)
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))\n"
+        "from pdsq.cli import main\n"
+        "codes = [main(['integrals', '--fcidump', sys.argv[1]]),\n"
+        "         main(['hamiltonian', '--fcidump', sys.argv[1], '--out', sys.argv[2]])]\n"
+        "sys.exit(max(codes))\n"
+    )
+    src = str(Path(__file__).parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(path), str(out)], capture_output=True, text=True,
+        timeout=300, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "orbitals: 16  electrons: 16" in proc.stdout
+    assert f"wrote {out} (" in proc.stdout and "32 qubits)" in proc.stdout
+    assert parse_sum(out.read_text()).n_qubits == 32
 
 
 def test_h8_exact_admits_its_singlet_block(capsys, monkeypatch):

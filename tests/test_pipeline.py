@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pdsq import chem, fcidump
-from pdsq.backend import prepare_basis_state
+from pdsq.backend import bits_to_index, prepare_basis_state
 from pdsq.moments import moments_for_state, unique_string_count
 from pdsq.pds import build_system, polynomial_roots
 from pdsq.pipeline import (
@@ -138,6 +138,29 @@ def test_exact_tables_on_the_tapered_pair_match_the_full_space(spacings, k):
         np.testing.assert_allclose(*roots, rtol=0, atol=1e-12)
 
 
+def test_only_the_exact_moments_build_a_state(monkeypatch):
+    """Each sector keeps its tapered reference as its bits: build_problem and
+    the sampler build no StateVector, and reading tapered_state builds the
+    basis state those bits name."""
+    from pdsq import pipeline
+    from pdsq.backend import NoiseModel
+
+    def refuse(bits):
+        raise AssertionError("a StateVector was built")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(pipeline, "prepare_basis_state", refuse)
+        problem = build_problem(RunConfig(spacings=(2.0, 2.0, 2.0)))
+        for si, ctx in enumerate(problem.sectors.values()):
+            for register in (ctx.tapered_h.n_qubits, 20):
+                draws = pipeline.sample_sector(ctx, 5, 64, 3, si, NoiseModel(1e-3), register)
+                assert all(counts.shots == 64 for _, counts in draws)
+    for ctx in problem.sectors.values():
+        assert len(ctx.tapered_bits) == ctx.tapered_h.n_qubits
+        (b,) = np.flatnonzero(ctx.tapered_state.amplitudes).tolist()
+        assert b == bits_to_index(ctx.tapered_bits)
+
+
 def test_seeded_serial_run_is_bit_identical(tmp_path):
     cfg_a = h2_config(tmp_path, mode="serial", output_dir=tmp_path / "a")
     cfg_b = h2_config(tmp_path, mode="serial", output_dir=tmp_path / "b")
@@ -224,21 +247,29 @@ def test_h4_serial_8192_shot_ground_energy(h4_problem):
 
 
 def test_sampled_path_builds_no_bitstrings(h4_problem, monkeypatch):
-    """Sampler to estimate stays on integer outcome arrays: no bitstring is
-    built or parsed on the serial or the packed, mitigated path."""
+    """Sampler to estimate stays on integer outcome arrays: no outcome
+    bitstring is built or parsed on the serial or the packed, mitigated
+    path; the only bitstring read is the sector's tapered reference."""
     import sys
 
     from pdsq.pipeline import estimate_expectations_parallel, register_width
 
+    ctx = h4_problem.sectors["singlet"]
+
     def refuse(*args):
         raise AssertionError("bitstring conversion on the sampled path")
 
+    def reference_only(bits):
+        # the sampler reads its basis state once per execution as its bits
+        if bits != ctx.tapered_bits:
+            refuse()
+        return bits_to_index(bits)
+
     for name, module in list(sys.modules.items()):
         if name == "pdsq" or name.startswith("pdsq."):
-            for attr in ("index_to_bits", "bits_to_index"):
+            for attr, stub in (("index_to_bits", refuse), ("bits_to_index", reference_only)):
                 if hasattr(module, attr):
-                    monkeypatch.setattr(module, attr, refuse)
-    ctx = h4_problem.sectors["singlet"]
+                    monkeypatch.setattr(module, attr, stub)
     parallel = estimate_expectations_parallel(
         ctx, 19, 256, 5, 0, spam_p=1e-3, apply_mitigation=True
     )
@@ -454,10 +485,10 @@ def test_slots_that_share_uniform_bits_break_the_law(h4_problem, monkeypatch):
     from pdsq import pipeline
     from pdsq.backend import CountTable
 
-    def shared_bits(state, batch, shots, noise, seed):
+    def shared_bits(bits, batch, shots, noise, seed):
         rng = np.random.default_rng(seed)
-        (b,) = np.flatnonzero(state.amplitudes).tolist()
-        uniform = rng.integers(0, 1 << state.n_qubits, shots)
+        b = bits_to_index(bits)
+        uniform = rng.integers(0, 1 << len(bits), shots)
         joint = np.zeros(shots, dtype=np.int64)
         for group, offset in batch.slots:
             x = group.rotation.x
@@ -490,7 +521,7 @@ def test_flip_masks_match_the_matrix_product(h4_problem, seed, mode):
     shots = 1024
     for sector_index, sector in enumerate(SECTORS):
         ctx = h4_problem.sectors[sector]
-        (b,) = np.flatnonzero(ctx.tapered_state.amplitudes).tolist()
+        b = bits_to_index(ctx.tapered_bits)
         register = register_width(ctx, mode)
         for p in (0.0, 1e-3):
             flipped = trials = 0
