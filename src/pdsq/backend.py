@@ -164,8 +164,11 @@ class CountTable:
             if n_bits is None:
                 n_bits = len(key)
             if len(key) != n_bits or set(key) - {"0", "1"}:
-                raise ValueError(f"malformed bitstring key {key!r}")
-            count = int(value)
+                raise ValueError(f"line {lineno}: malformed bitstring key {key!r}")
+            try:
+                count = int(value)
+            except ValueError:
+                raise ValueError(f"line {lineno}: non-integer count {value!r}") from None
             if count < 0:  # caught here, before repeated keys are summed
                 raise ValueError(f"line {lineno}: negative count {count}")
             index = bits_to_index(key)

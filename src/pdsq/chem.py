@@ -158,6 +158,13 @@ def _block_sums(blocks: np.ndarray) -> np.ndarray:
     return blocks.reshape(len(blocks), -1).sum(-1)
 
 
+def fill_eri(two: np.ndarray, i, j, k, l, value) -> None:
+    """Set (ij|kl) and its 8-fold images in two, in place; indices may be arrays."""
+    for a, b in ((i, j), (j, i)):
+        for c, d in ((k, l), (l, k)):
+            two[a, b, c, d] = two[c, d, a, b] = value
+
+
 def compute_integrals(geometry: Geometry) -> IntegralSet:
     """Overlap, core-Hamiltonian and two-electron integrals for an H chain."""
     charges = geometry.charges()  # validates elements (H only)
@@ -195,12 +202,9 @@ def compute_integrals(geometry: Geometry) -> IntegralSet:
         vals.append(
             _block_sums(w_pref * kab[bra, ..., None, None] * kab[kets, None, None] * f0)
         )
-    vals = np.concatenate(vals)
     bra, ket = np.tril_indices(len(i))
     two_body = np.zeros((n, n, n, n))
-    for a, b in ((i[bra], j[bra]), (j[bra], i[bra])):
-        for c, d in ((i[ket], j[ket]), (j[ket], i[ket])):
-            two_body[a, b, c, d] = two_body[c, d, a, b] = vals
+    fill_eri(two_body, i[bra], j[bra], i[ket], j[ket], np.concatenate(vals))
 
     return IntegralSet(
         n_orbitals=n,

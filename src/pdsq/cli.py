@@ -1,8 +1,9 @@
 """Command-line interface: one subcommand per pipeline stage plus `run`.
 
 Configuration is a flat key=value text file; a subcommand takes a flag for
-each key it reads (COMMANDS), and flags win.  Exit codes: 0 success, 1 usage
-or validation error or missing input file, 2 computation failure.
+each key it reads (COMMANDS), flags win, and it drops the file's other keys
+unparsed.  Exit codes: 0 success, 1 usage or validation error or missing
+input file, 2 computation failure.
 """
 
 from __future__ import annotations
@@ -48,10 +49,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_spacings(text: str) -> tuple[float, ...]:
     try:
-        spacings = tuple(float(t) for t in text.replace(",", " ").split())
+        return tuple(float(t) for t in text.replace(",", " ").split())
     except ValueError:
         raise CliError(f"invalid spacing list: {text!r}") from None
-    return spacings
 
 
 def _parse_mitigation(text: str) -> bool:
@@ -92,7 +92,16 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def keys_read(command: str) -> list[str]:
+    """The config keys a subcommand reads: those its flags are named as
+    (--k-max reads k_max; --no-mitigation, mitigation)."""
+    names = {f.lstrip("-").replace("-", "_").removeprefix("no_") for f in COMMANDS[command][2]}
+    return [key for key in CONFIG_KEYS if key in names]
+
+
 def build_run_config(args) -> RunConfig:
+    """RunConfig from the keys args.command reads: flag, else file, else (for
+    output_dir) PDSQ_OUTPUT_DIR; every other key is dropped unparsed."""
     raw = _parse_config_file(args.config) if args.config else {}
     for key in CONFIG_KEYS:  # each flag but --no-mitigation is named as its key
         flag = getattr(args, key, None)
@@ -103,9 +112,10 @@ def build_run_config(args) -> RunConfig:
     if ENV_OUTPUT_DIR in os.environ:
         raw.setdefault("output_dir", os.environ[ENV_OUTPUT_DIR])
     values = {}
-    for key, (field, parse) in CONFIG_KEYS.items():
+    for key in keys_read(args.command):
         if key not in raw:
             continue
+        field, parse = CONFIG_KEYS[key]
         try:
             values[field] = parse(raw[key])
         except CliError:
@@ -225,8 +235,8 @@ def cmd_exact(args) -> int:
         raise CliError(f"--levels must be at least 1, got {args.levels}")
     problem = build_problem(build_run_config(args))
     spectra = exact_spectra(problem)
-    for s_z, spec in enumerate(spectra):
-        print(f"(N={problem.integrals.n_electrons}, Sz={s_z}) lowest levels:",
+    for ctx, spec in zip(problem.sectors.values(), spectra):
+        print(f"(N={problem.integrals.n_electrons}, Sz={ctx.determinant.s_z:g}) lowest levels:",
               " ".join(f"{e:.9f}" for e in spec.eigenvalues[: args.levels]))
     s0_s1, s0_t0 = exact_transitions(*spectra)
     print(f"S0->S1 = {s0_s1:.4f} eV   S0->T0 = {s0_t0:.4f} eV")

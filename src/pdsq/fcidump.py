@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chem import IntegralSet
+from .chem import IntegralSet, fill_eri
 
 _WRITE_THRESHOLD = 1e-14
 
@@ -87,11 +87,7 @@ def fcidump_read(path: str | Path) -> IntegralSet:
         elif 0 in (i, j, k, l):
             raise FcidumpError(lineno, "mixed zero/nonzero index pattern")
         else:
-            a, b, c, d = i - 1, j - 1, k - 1, l - 1
-            for p, q in ((a, b), (b, a)):
-                for r, s in ((c, d), (d, c)):
-                    two[p, q, r, s] = value
-                    two[r, s, p, q] = value
+            fill_eri(two, i - 1, j - 1, k - 1, l - 1, value)
     return IntegralSet(
         n_orbitals=n,
         core_energy=core,
@@ -112,24 +108,14 @@ def fcidump_write(ints: IntegralSet, path: str | Path) -> None:
         " ISYM=1,",
         "&END",
     ]
-
-    def record(value: float, i: int, j: int, k: int, l: int) -> str:
-        return f"{value: .16e} {i:4d} {j:4d} {k:4d} {l:4d}"
-
-    for i in range(n):
-        for j in range(i + 1):
-            ij = i * (i + 1) // 2 + j
-            for k in range(i + 1):
-                for l in range(k + 1):
-                    if ij < k * (k + 1) // 2 + l:
-                        continue
-                    v = ints.two_body[i, j, k, l]
-                    if abs(v) > _WRITE_THRESHOLD:
-                        out.append(record(v, i + 1, j + 1, k + 1, l + 1))
-    for i in range(n):
-        for j in range(i + 1):
-            v = ints.one_body[i, j]
-            if abs(v) > _WRITE_THRESHOLD:
-                out.append(record(v, i + 1, j + 1, 0, 0))
-    out.append(record(ints.core_energy, 0, 0, 0, 0))
+    # pairs i >= j, and each bra pair's kets up to it, as compute_integrals
+    i, j = np.tril_indices(n)
+    bra, ket = np.tril_indices(len(i))
+    two = ints.two_body[i[bra], j[bra], i[ket], j[ket]].tolist()
+    one = ints.one_body[i, j].tolist()
+    i, j = (i + 1).tolist(), (j + 1).tolist()
+    rows = [(v, i[b], j[b], i[k], j[k]) for v, b, k in zip(two, bra.tolist(), ket.tolist())]
+    rows += [(v, p, q, 0, 0) for v, p, q in zip(one, i, j)]
+    rows = [r for r in rows if abs(r[0]) > _WRITE_THRESHOLD] + [(ints.core_energy, 0, 0, 0, 0)]
+    out += ["{: .16e} {:4d} {:4d} {:4d} {:4d}".format(*row) for row in rows]
     Path(path).write_text("\n".join(out) + "\n")

@@ -271,9 +271,7 @@ def moments_from_estimates(
 
 @dataclass(frozen=True)
 class SectorEnergies:
-    sector: str
     result: PdsResult
-    moment_values: np.ndarray
 
 
 def exact_tables(problem: Problem, k_max: int) -> dict[str, MomentTable]:
@@ -295,13 +293,13 @@ def sector_energies(
     sector_index = SECTORS.index(sector)
     if cfg.mode == "exact":
         system = build_system(exact_table, k)
-        return SectorEnergies(sector, polynomial_roots(system.X), exact_table.values)
+        return SectorEnergies(polynomial_roots(system.X))
     estimates = estimate_expectations_parallel(
         ctx, 2 * k - 1, cfg.shots, cfg.seed, sector_index, cfg.spam_p,
         cfg.apply_mitigation, register_width(ctx, cfg.mode),
     )
     values = moments_from_estimates(ctx.tapered_cache, estimates, k)
-    return SectorEnergies(sector, pds_from_values(values, k), values)
+    return SectorEnergies(pds_from_values(values, k))
 
 
 # -- report bundle ---------------------------------------------------------------
@@ -382,9 +380,11 @@ def run_pipeline(cfg: RunConfig, problem: Problem | None = None) -> RunReport:
 
 
 def exact_spectra(problem: Problem) -> tuple[SpectrumResult, SpectrumResult]:
-    """The full H's (N, Sz=0) and (N, Sz=1) sector spectra, N its electron count."""
+    """The full H's spectrum in each sector's (N, Sz): N the electron count,
+    Sz that of the sector's reference determinant (singlet 0, triplet 1)."""
     n_e = problem.integrals.n_electrons
-    return tuple(exact_spectrum(problem.hamiltonian, (n_e, s_z)) for s_z in (0.0, 1.0))
+    return tuple(exact_spectrum(problem.hamiltonian, (n_e, ctx.determinant.s_z))
+                 for ctx in problem.sectors.values())
 
 
 def _exact_reference(problem: Problem) -> dict[str, float]:

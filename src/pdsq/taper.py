@@ -1,8 +1,9 @@
 """Z2 symmetry detection and qubit tapering of Pauli-sum Hamiltonians.
 
-Symmetries are Pauli strings commuting with every Hamiltonian term, found as
-the GF(2) kernel of the term-wise symplectic check matrix.  Each generator g
-is paired with a single-qubit X partner on a qubit q exclusive to it; the
+The symmetries are Z-type symmetries, the kernel of the terms' X bits (Z^v
+commutes with a term exactly when the term's X bits meet v an even number of
+times), as only those have a sign on a basis determinant.  Each generator g is
+paired with a single-qubit X partner on a qubit q exclusive to it; the
 Clifford U = (X_q + g)/2^(1/2) (Bravyi et al., arXiv:1701.08213) maps g onto
 X_q, after which the partner qubit carries only I or X in every term and can
 be replaced by the sector eigenvalue +-1 and removed.  U is applied in
@@ -77,12 +78,10 @@ def _gf2_kernel_basis(rows: np.ndarray) -> np.ndarray:
 
 
 def _check_matrix(h: PauliSum) -> np.ndarray:
-    """One uint8 row per term in canonical order: its z bits, then its x
-    bits (a term's z multiplies a candidate's x part, its x the z part)."""
-    x, z, _ = h.mask_arrays()
+    """One uint8 row per term in canonical order: its X bits, qubit k in column k."""
+    x, _, _ = h.mask_arrays()
     shifts = np.arange(h.n_qubits, dtype=np.uint64)
-    bits = np.concatenate((z[:, None] >> shifts, x[:, None] >> shifts), axis=1)
-    return (bits & np.uint64(1)).astype(np.uint8)
+    return ((x[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
 
 
 def _bits_to_mask(bits: np.ndarray) -> int:
@@ -90,26 +89,19 @@ def _bits_to_mask(bits: np.ndarray) -> int:
 
 
 def find_symmetries(h: PauliSum) -> list[PauliString]:
-    """Independent Z2 symmetry generators of h (empty list if none).
+    """Independent generators of h's Z-type symmetries, the kernel of the
+    terms' X bits (empty list if none).
 
-    The returned basis is in reduced row-echelon form with X components
-    eliminated first, so generators come out purely Z whenever the kernel
-    allows it; ordering is canonical for reproducible downstream counts.
+    The basis is the kernel's reduced row-echelon form, sorted by Z mask, so
+    downstream counts are reproducible.
     """
-    n = h.n_qubits
     if not h:
         return []
-    kernel = _gf2_kernel_basis(_check_matrix(h))
-    if kernel.size == 0:
-        return []
-    # RREF over (x | z) columns: rows with pivots in the z block are pure Z;
-    # it drops zero rows, so every row is a generator
-    generators = [
-        PauliString(n, _bits_to_mask(row[:n]), _bits_to_mask(row[n:]))
-        for row in _gf2_rref(kernel)
-    ]
-    generators.sort(key=lambda s: (s.z, s.x))
-    return generators
+    kernel = _gf2_rref(_gf2_kernel_basis(_check_matrix(h)))
+    return sorted(
+        (PauliString(h.n_qubits, 0, _bits_to_mask(row)) for row in kernel),
+        key=lambda s: s.z,
+    )
 
 
 def sector_of(det: ReferenceDeterminant, generators) -> tuple[int, ...]:

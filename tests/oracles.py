@@ -509,17 +509,17 @@ def sector_basis_reference(n_qubits: int, n_electrons: int, s_z: float) -> np.nd
 
 
 def symmetry_check_matrix_reference(h) -> np.ndarray:
-    """The symplectic check matrix of h, one Python row per term in
-    canonical order: the term's z bits, then its x bits.
+    """The terms' X bits, one Python row per term in canonical order: the
+    matrix whose GF(2) kernel is h's Z-type symmetries (Z^v commutes with a
+    term exactly when the term's X bits meet v an even number of times).
 
     The reference `taper.find_symmetries`' array build is checked against.
     """
     n = h.n_qubits
     strings = [s for s, _ in h.terms()]
-    check = np.zeros((len(strings), 2 * n), dtype=np.uint8)
+    check = np.zeros((len(strings), n), dtype=np.uint8)
     for row, s in enumerate(strings):
-        check[row, :n] = _mask_to_bits(s.z, n)  # multiplies candidate x-part
-        check[row, n:] = _mask_to_bits(s.x, n)  # multiplies candidate z-part
+        check[row] = _mask_to_bits(s.x, n)
     return check
 
 

@@ -274,6 +274,18 @@ def test_count_table_rejects_negative_counts():
         CountTable.from_lines("00 10\n00 -5\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("00 10\n01 x\n", "line 2: non-integer count 'x'"),
+    ("00 10\n01 2.5\n", "line 2: non-integer count '2.5'"),
+    ("00 10\n0a 1\n", "line 2: malformed bitstring key '0a'"),
+    ("00 10\n\n010 1\n", "line 3: malformed bitstring key '010'"),
+])
+def test_count_table_names_the_line_of_a_malformed_entry(text, message):
+    with pytest.raises(ValueError) as excinfo:
+        CountTable.from_lines(text)
+    assert str(excinfo.value) == message
+
+
 def test_noise_model_validation():
     NoiseModel(0.0)
     NoiseModel(0.499)

@@ -1,6 +1,7 @@
 """CLI subcommands, config-file handling, and exit codes."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -141,6 +142,14 @@ def test_mitigate_rejects_negative_counts(capsys, tmp_path):
     assert "negative count" in err and out == ""
 
 
+def test_mitigate_names_the_line_of_a_non_integer_count(capsys, tmp_path):
+    """int()'s own message once reached the user without the line."""
+    histogram = tmp_path / "counts.txt"
+    histogram.write_text("00 10\n01 x\n")
+    code, out, err = run_cli(capsys, "mitigate", str(histogram), "--p", "0.01")
+    assert (code, out, err) == (1, "", "error: line 2: non-integer count 'x'\n")
+
+
 @pytest.mark.parametrize("width", [63, 64])
 def test_mitigate_reads_up_to_63_bits(capsys, tmp_path, width):
     """Outcomes are int64 basis-state indices: a 64-bit histogram is refused
@@ -263,6 +272,86 @@ def test_a_config_with_every_key_runs_exact(capsys, tmp_path, monkeypatch, sourc
     assert code == 0, err
     assert out == run_cli(capsys, "exact", f"--{source}", value)[1]
     assert not (tmp_path / "bundle").exists()
+
+
+# the config keys a subcommand's flags read: each flag is named as its key,
+# and --no-mitigation reads mitigation
+def _keys_read(flags):
+    keys = {flag[2:].replace("-", "_") for flag in flags if flag.startswith("--")}
+    return keys | ({"mitigation"} if "no_mitigation" in keys else set())
+
+
+CONFIGURED = [command for command, flags in READS.items() if "--config" in flags]
+
+# a value of each key that a subcommand reading it refuses, and its error
+REFUSED = {
+    "spacings": ("abc", "error: invalid spacing list: 'abc'\n"),
+    "k_max": ("abc", "error: k_max must be a valid int, got 'abc'\n"),
+    "shots": ("x", "error: shots must be a valid int, got 'x'\n"),
+    "seed": ("-1", "error: seed must be a non-negative integer, got -1\n"),
+    "spam_p": ("0.7", "error: spam_p must lie in [0, 0.5)\n"),
+    "mode": ("bogus", "error: mode must be one of ('exact', 'serial', 'parallel')\n"),
+    "mitigation": ("maybe", "error: mitigation must be 'on' or 'off', got 'maybe'\n"),
+}
+
+# flags that let a subcommand run to its output on H2
+RUNNABLE = {"simulate": ("--mode", "serial", "--shots", "16", "--k-max", "2",
+                         "--output-dir", "sim")}
+
+
+@pytest.mark.parametrize("command", CONFIGURED)
+def test_a_config_key_the_subcommand_does_not_read_is_not_parsed(
+    capsys, tmp_path, monkeypatch, command
+):
+    """A file key the subcommand does not read, even with a value its readers
+    refuse, changes nothing: the exit code and output match the flags'
+    alone, and an unread output_dir is never made."""
+    monkeypatch.chdir(tmp_path)
+    reads = _keys_read(READS[command])
+    unread = {key: value for key, (value, _) in REFUSED.items() if key not in reads}
+    if "output_dir" not in reads:
+        unread["output_dir"] = "unread-dir"
+    config = tmp_path / "unread.cfg"
+    config.write_text("spacings = 0.7414\n" + "".join(f"{k} = {v}\n" for k, v in unread.items()))
+    extra = RUNNABLE.get(command, ())
+    from_file = run_cli(capsys, command, "--config", str(config), *extra)
+    alone = run_cli(capsys, command, "--spacings", "0.7414", *extra)
+    assert from_file == alone
+    assert alone[0] == 0, alone[2]
+    assert not (tmp_path / "unread-dir").exists()
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command in CONFIGURED
+    for key in sorted(_keys_read(READS[command]) & REFUSED.keys())
+])
+def test_a_refused_value_of_a_key_the_subcommand_reads_exits_1(capsys, tmp_path, command, key):
+    value, error = REFUSED[key]
+    config = tmp_path / "bad.cfg"
+    source = "" if key == "spacings" else "spacings = 0.7414\n"
+    config.write_text(f"{source}{key} = {value}\n")
+    assert run_cli(capsys, command, "--config", str(config)) == (1, "", error)
+
+
+@pytest.mark.parametrize("command", CONFIGURED)
+def test_an_unknown_config_key_exits_1_on_every_subcommand(capsys, tmp_path, command):
+    config = tmp_path / "bad.cfg"
+    config.write_text("spacings = 0.7414\nvolume = 11\n")
+    code, out, err = run_cli(capsys, command, "--config", str(config))
+    assert (code, out) == (1, "")
+    assert err == f"error: {config}:2: unknown key 'volume'\n"
+
+
+def test_readme_config_keys_are_the_schema_and_each_has_a_reader():
+    """README's key list is cli.CONFIG_KEYS, in order, and every key is read
+    by some subcommand, so the command table, the schema and the docs cannot
+    drift apart."""
+    from pdsq.cli import COMMANDS, CONFIG_KEYS, keys_read
+
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    listed = re.search(r"The config\s+keys are (.*?)\(exactly", readme, re.S).group(1)
+    assert re.findall(r"`(\w+)`", listed) == list(CONFIG_KEYS)
+    assert {key for command in COMMANDS for key in keys_read(command)} == set(CONFIG_KEYS)
 
 
 def test_every_readme_command_line_parses():
@@ -605,6 +694,21 @@ def test_sixteen_orbital_fcidump_runs_the_commands_that_read_no_state(tmp_path):
     assert "orbitals: 16  electrons: 16" in proc.stdout
     assert f"wrote {out} (" in proc.stdout and "32 qubits)" in proc.stdout
     assert parse_sum(out.read_text()).n_qubits == 32
+
+
+def test_an_idle_orbital_tapers_with_z_generators_only(capsys, tmp_path):
+    """The qubits of an orbital that no record couples commute with X as
+    well as Z; X-type generators were once returned for them, sector_of
+    refused them (`generator XIII is not purely Z`), and each command exited 1."""
+    dump = tmp_path / "idle.fcidump"
+    dump.write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n 0.25 1 1 0 0\n")
+    for command in ("integrals", "hamiltonian", "exact"):
+        code, out, err = run_cli(capsys, command, "--fcidump", str(dump))
+        assert code == 0, f"{command}: {err}"
+    assert out.splitlines()[:2] == [
+        "(N=2, Sz=0) lowest levels: 0.000000000 0.250000000 0.250000000 0.500000000",
+        "(N=2, Sz=1) lowest levels: 0.250000000",
+    ]
 
 
 def test_h8_exact_admits_its_singlet_block(capsys, monkeypatch):

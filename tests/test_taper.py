@@ -29,6 +29,19 @@ def test_single_term_hamiltonian_symmetries():
     assert "ZI" in labels and "IZ" in labels
 
 
+@pytest.mark.parametrize("terms, labels", [
+    ({"ZZ": 1.0}, ["ZI", "IZ"]),  # XX and YY commute with ZZ too
+    ({"ZZ": 1.0, "XX": 0.5}, ["ZZ"]),  # XX is a symmetry of its own
+    ({"IZ": 0.3, "II": 1.0}, ["ZI", "IZ"]),  # an idle qubit commutes with X
+])
+def test_only_z_type_generators_are_returned(terms, labels):
+    """A sum whose symmetry group has non-Z members yields its Z-type
+    subgroup's generators: only those have a sign on a determinant."""
+    gens = taper.find_symmetries(from_labels(2, terms))
+    assert [g.label for g in gens] == labels
+    assert all(g.x == 0 for g in gens)
+
+
 def test_no_symmetry_case():
     h = from_labels(1, {"X": 1.0, "Z": 0.3})
     assert taper.find_symmetries(h) == []
