@@ -2,8 +2,9 @@
 
 Powers are computed iteratively (H^n = H^{n-1} * H) with simplification at
 every step and cached, since the string ledger up to order 2K-1 reuses the
-same ladder.  Each step is one dense product by the Pauli transform (see
-`pauli.multiply_sums`), in which H keeps its own matrix from the first step
+same ladder.  Each step is one product by the Pauli transform, block by
+block over the cosets of the span of H's X masks (see
+`pauli.multiply_sums`), in which H keeps its own blocks from the first step
 on, and is budgeted from the qubit count alone.  The ledger is read off the
 powers' (x, z) mask arrays: it holds every distinct Pauli string across
 H^1..H^n, excluding the identity, whose expectation never needs a circuit,

@@ -18,22 +18,29 @@ P = (-1)^{|x & z| / 2} X^x Z^z.  It is three parallel arrays in canonical
 strings) to 64 qubits; sums are built, added and scaled through one
 in-order merge (see PauliSum).
 
-A product a*b of two such sums goes through their dense 2^n x 2^n
-matrices, by the Pauli (Walsh-Hadamard) transform (Hantzko, Binkowski &
-Gupta, arXiv:2310.13421; Jones, arXiv:2401.16378).  A sum's matrix has
-entry (r, r ^ x) = sum_z (-1)^{|r & z|} (-1)^{|x & z| / 2} c(x, z), one +-1
-Hadamard matmul over its (z, x) coefficient table and one gather; the
-product of the two matrices returns to coefficients the same way,
+A product a*b of two such sums goes through their matrices, by the Pauli
+(Walsh-Hadamard) transform (Hantzko, Binkowski & Gupta, arXiv:2310.13421;
+Jones, arXiv:2401.16378).  A sum's matrix has entry (r, r ^ x) = sum_z
+(-1)^{|r & z|} (-1)^{|x & z| / 2} c(x, z), which is nonzero only for x in
+V, the GF(2) span of the X masks of both operands, of dimension m.  So
+both matrices, and their product, are block-diagonal over the 2^(n-m)
+cosets r ^ V, in blocks of 2^m x 2^m: a sum's blocks are one +-1 Hadamard
+matmul over its (z, x in V) coefficient table of 2^n x 2^m entries and one
+gather, the product is one batched matmul of the blocks, and it returns to
+coefficients the same way,
 
     c(x, z) = 2^-n (-1)^{|x & z| / 2} sum_r (-1)^{|r & z|} M[r, r ^ x],
 
 which is 2^-n Tr(P(x, z) M).  A string with an odd number of Y letters
 gets the antisymmetric part of M, which is round-off when the operands
-commute, as the powers of one sum do.  The right operand keeps its matrix
-and the two transform tables of its width, so a power ladder, which
-multiplies by the same H every step, builds them once.  Every array is
-4^n entries, so a product's bytes follow from n alone and are budgeted
-before any exists: 12 qubits fit MEMORY_BUDGET, 13 do not.
+commute, as the powers of one sum do.  Symmetries split the register this
+way (Bravyi et al., arXiv:1701.08213): H4's X masks span 5 of its 8 qubits,
+so its full-register products multiply 8 blocks of 32 x 32; a sum tapered
+of all its Z-type symmetries spans its whole register and makes one block.
+The right operand keeps V, its blocks and the tables of its width, so a
+power ladder, which multiplies by the same H every step, builds them once.  No array has more
+than 4^n entries, so a product's bytes are budgeted from n alone, an upper
+bound as m <= n, before any exists: 12 qubits fit MEMORY_BUDGET, 13 do not.
 
 Strings are numbered in one place, `_number_strings`: the distinct strings
 of two mask arrays in canonical order, as uint64 masks, and each input's
@@ -153,7 +160,7 @@ class PauliSum:
     coefficients added one by one from 0.0, and drop np.abs(c) <= DROP_TOL.
     They refuse a complex coefficient or scalar, and a kept string with an
     odd number of Y letters.  Instances are immutable after construction
-    (a right operand of multiply_sums keeps its dense matrix beside them);
+    (a right operand of multiply_sums keeps its matrix blocks beside them);
     arithmetic returns new sums.
     """
 
@@ -179,8 +186,8 @@ class PauliSum:
         merged = _sum_in_order(n_qubits, x, z, np.array(cs, dtype=np.float64))
         self.n_qubits = n_qubits
         self._x, self._z, self._c = merged.mask_arrays()
-        # (gather, hadamard, matrix), kept on the first product with this sum
-        # on the right; see multiply_sums
+        # (span, index tables, matrix blocks, hadamard), kept on the first
+        # product with this sum on the right; see multiply_sums
         self._walsh = None
 
     # -- constructors ------------------------------------------------------
@@ -304,20 +311,27 @@ class PauliSum:
         return f"PauliSum(n_qubits={self.n_qubits}, n_terms={self.n_terms})"
 
 
-# The arrays a product holds at most at once, each of 4^n float64 or intp
-# entries: the right operand's matrix and its width's two transform tables,
-# which it keeps, and three working arrays
+# Arrays of at most 4^n float64 or intp entries a product holds at most at
+# once: the right operand's blocks, its gather table and its Hadamard, which
+# it keeps, and two working arrays; this leaves room for the one-byte sign
+# table it also keeps and for a mask over the working array
 _PRODUCT_ARRAYS = 6
 
 
 def multiply_sums(a: PauliSum, b: PauliSum) -> PauliSum:
     """Product of two commuting sums, by the Pauli transform (see the module
-    docstring): a's dense matrix times b's, returned to coefficients.
+    docstring): a's matrix times b's, block by block over the cosets of the
+    span V of both operands' X masks, returned to coefficients.
 
-    b keeps its matrix and the transform tables of its width from its first
-    product as the right operand; a's matrix is built per call.  Both are
-    budgeted from n alone, _PRODUCT_ARRAYS arrays of 4^n entries, before
-    anything is allocated.
+    b keeps V, its index tables, its blocks and the Hadamard of its width
+    from its first product as the right operand (see _walsh_cache), and
+    reuses them while a's X masks lie in V (checked only when V is not the
+    whole space); otherwise it rebuilds them over the union of the two
+    spans.  a's blocks are built per call.  Both are budgeted from n alone,
+    _PRODUCT_ARRAYS arrays of 4^n entries (an upper bound, as V's dimension
+    m <= n), before anything is allocated.  The product's blocks go back to
+    a (z, x in V) table whose flat order is the canonical one, as V is
+    ascending, so its strings need no sort.
 
     The product keeps np.abs(c) > DROP_TOL * max np.abs(c) over all 4^n
     strings.  A kept string with an odd number of Y letters refuses the
@@ -331,40 +345,92 @@ def multiply_sums(a: PauliSum, b: PauliSum) -> PauliSum:
         f"a product on {n} qubits needs {_PRODUCT_ARRAYS} dense {d} x {d} arrays",
         _PRODUCT_ARRAYS * 8 << 2 * n,
     )
-    if b._walsh is None:
-        gather, hadamard = _walsh_tables(n)
-        b._walsh = gather, hadamard, _walsh_matrix(b, gather, hadamard)
-    gather, hadamard, matrix = b._walsh
-    # sums[z * d + x] = sum_r (-1)^{|r & z|} M[r, r ^ x], with M = a b; each
-    # temporary goes once the next exists, so at most three are alive
-    m = (_walsh_matrix(a, gather, hadamard) @ matrix).ravel()[gather].reshape(d, d)
-    sums = (hadamard @ m).ravel()
+    walsh = b._walsh
+    # coord is -1 at an X mask of a outside V
+    if walsh is None or walsh[0].size < d and np.any(walsh[1][0][a._x] < 0):
+        spanned = b._x if walsh is None else walsh[0]
+        walsh = b._walsh = None  # the old arrays go before the new ones exist
+        b._walsh = walsh = _walsh_cache(b, _span(n, np.concatenate((spanned, a._x))))
+    span, tables, blocks, hadamard = walsh
+    _, gather, signs = tables
+    # sums[z * 2^m + i] = sum_r (-1)^{|r & z|} M[r, r ^ span[i]], with M = a b;
+    # each temporary goes once the next exists, so at most two are alive
+    product = np.matmul(_walsh_blocks(a, tables, hadamard), blocks)
+    m = np.empty(product.size)
+    m[gather] = product
+    del product
+    sums = (hadamard @ m.reshape(d, span.size)).ravel()
     del m
-    codes = np.flatnonzero(np.abs(sums) > DROP_TOL * np.abs(sums).max())
-    c = sums[codes] * 2.0**-n
-    codes = codes.astype(np.uint64)
-    x, z = codes & np.uint64(d - 1), codes >> np.uint64(n)
-    return PauliSum._from_canonical(n, x, z, np.where(np.bitwise_count(x & z) & 2, -c, c))
+    magnitude = np.abs(sums)
+    codes = np.flatnonzero(magnitude > DROP_TOL * magnitude.max())
+    del magnitude
+    c = sums[codes] * 2.0**-n * signs[codes]
+    x = span[codes & (span.size - 1)]
+    z = (codes >> span.size.bit_length() - 1).astype(np.uint64)
+    return PauliSum._from_canonical(n, x, z, c)
 
 
-def _walsh_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(gather, hadamard) for n qubits and d = 2^n: gather[r * d + x] =
-    r * d + (r ^ x), the flat index of entry (r, r ^ x), which is its own
-    inverse; and the +-1 Sylvester matrix hadamard[r, z] = (-1)^{|r & z|}."""
-    r = np.arange(1 << n)
-    gather = (r[:, None] << n | r[:, None] ^ r).ravel()
-    return gather, np.where(np.bitwise_count(r[:, None] & r) & 1, -1.0, 1.0)
+def _span(n: int, x: np.ndarray) -> np.ndarray:
+    """The GF(2) span of the n-bit masks x, ascending, as uint64.  Sorted,
+    span[i ^ j] == span[i] ^ span[j]: span[i] is the XOR of span[2^k] over
+    the bits k of i."""
+    basis: list[int] = []  # descending, each with a top bit no other has
+    for v in set(x.tolist()):
+        for u in basis:
+            v = min(v, v ^ u)  # clears u's top bit
+        if v:
+            basis.append(v)
+            basis.sort(reverse=True)
+            if len(basis) == n:
+                break
+    span = [0]
+    for v in basis:
+        span += [u ^ v for u in span]
+    return np.array(sorted(span), dtype=np.uint64)
 
 
-def _walsh_matrix(s: PauliSum, gather: np.ndarray, hadamard: np.ndarray) -> np.ndarray:
-    """s's dense matrix by the inverse transform: its coefficients, with the
-    letter signs (-1)^{|x & z| / 2}, in a (z, x) table, one Hadamard matmul
-    to rows (r, x), and one gather to entries (r, r ^ x)."""
-    n, d = s.n_qubits, 1 << s.n_qubits
+def _walsh_cache(s: PauliSum, span: np.ndarray) -> tuple:
+    """(span, (coord, gather, signs), blocks, hadamard): what a right
+    operand s keeps for products over the span V (2^m ascending masks).
+
+    The cosets t of V are numbered by their representatives, the states
+    with no bit at any pivot (the top bit of a span[2^k]), and state j of
+    coset t is rows[t, j] = rep_t ^ span[j].  Then
+    - coord[x] is i with span[i] == x, or -1 for x outside V;
+    - gather[t, j, k] = rows[t, j] * 2^m + (j ^ k), so that W.ravel()[gather]
+      takes a (r, i) table W[r, i] = M[r, r ^ span[i]] to the 2^(n-m)
+      blocks M[rows[t, j], rows[t, k]], and assigning the blocks through it
+      takes them back;
+    - signs[z * 2^m + i] = (-1)^{|span[i] & z| / 2} (int8), the letter signs;
+    - hadamard[r, z] = (-1)^{|r & z|}, the +-1 Sylvester matrix;
+    - blocks are s's own."""
+    d, size = 1 << s.n_qubits, span.size
+    pivots = sum(1 << int(span[1 << k]).bit_length() - 1 for k in range(size.bit_length() - 1))
+    r, j, x = np.arange(d), np.arange(size), span.astype(np.intp)
+    rows = r[(r & pivots) == 0, None] ^ x
+    gather = rows[:, :, None] * size | j[:, None] ^ j
+    coord = np.full(d, -1)
+    coord[x] = j
+    signs = np.where(np.bitwise_count(r[:, None] & x) & 2, np.int8(-1), np.int8(1)).ravel()
+    tables = coord, gather, signs
+    hadamard = np.where(np.bitwise_count(r[:, None] & r) & 1, -1.0, 1.0)
+    return span, tables, _walsh_blocks(s, tables, hadamard), hadamard
+
+
+def _walsh_blocks(s: PauliSum, tables: tuple, hadamard: np.ndarray) -> np.ndarray:
+    """s's matrix blocks by the inverse transform: its coefficients, with
+    the letter signs, in a (z, i) table with x = span[i], one Hadamard
+    matmul to rows W[r, i], and one gather to the blocks (see
+    _walsh_cache)."""
+    coord, gather, signs = tables
+    d, size = hadamard.shape[0], gather.shape[1]
     x, z, c = s.mask_arrays()
-    table = np.zeros(d * d)
-    table[(z << np.uint64(n) | x).astype(np.intp)] = np.where(np.bitwise_count(x & z) & 2, -c, c)
-    return (hadamard @ table.reshape(d, d)).ravel()[gather].reshape(d, d)
+    where = z.astype(np.intp) * size | coord[x]
+    table = np.zeros(d * size)
+    table[where] = c * signs[where]
+    w = hadamard @ table.reshape(d, size)
+    del table
+    return w.ravel()[gather]
 
 
 def _number_strings(

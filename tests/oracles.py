@@ -263,6 +263,60 @@ def multiply_sums_reference(a, b, drop_tol: float = 1e-12):
     return PauliSum._from_canonical(a.n_qubits, x[kept], z[kept], c[kept])
 
 
+def multiply_sums_dense_reference(a, b):
+    """The product by the Pauli transform through the two full 2^n x 2^n
+    matrices: the route pauli.multiply_sums took before it went block by
+    block.  It keeps no matrix on b, which builds its matrix per call.
+
+    On full-span operands (the X masks of a and b span all n qubits) the
+    block route runs the same gemm shapes on the same arrays, so the two
+    agree byte for byte.
+    """
+    from pdsq.budget import check_memory
+    from pdsq.pauli import _PRODUCT_ARRAYS, DROP_TOL, PauliSum, _check_qubits
+
+    _check_qubits(a.n_qubits, b.n_qubits)
+    if not a or not b:
+        return PauliSum.zero(a.n_qubits)
+    n, d = a.n_qubits, 1 << a.n_qubits
+    check_memory(
+        f"a product on {n} qubits needs {_PRODUCT_ARRAYS} dense {d} x {d} arrays",
+        _PRODUCT_ARRAYS * 8 << 2 * n,
+    )
+    gather, hadamard = _walsh_tables(n)
+    matrix = _walsh_matrix(b, gather, hadamard)
+    # sums[z * d + x] = sum_r (-1)^{|r & z|} M[r, r ^ x], with M = a b; each
+    # temporary goes once the next exists, so at most three are alive
+    m = (_walsh_matrix(a, gather, hadamard) @ matrix).ravel()[gather].reshape(d, d)
+    sums = (hadamard @ m).ravel()
+    del m
+    codes = np.flatnonzero(np.abs(sums) > DROP_TOL * np.abs(sums).max())
+    c = sums[codes] * 2.0**-n
+    codes = codes.astype(np.uint64)
+    x, z = codes & np.uint64(d - 1), codes >> np.uint64(n)
+    return PauliSum._from_canonical(n, x, z, np.where(np.bitwise_count(x & z) & 2, -c, c))
+
+
+def _walsh_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(gather, hadamard) for n qubits and d = 2^n: gather[r * d + x] =
+    r * d + (r ^ x), the flat index of entry (r, r ^ x), which is its own
+    inverse; and the +-1 Sylvester matrix hadamard[r, z] = (-1)^{|r & z|}."""
+    r = np.arange(1 << n)
+    gather = (r[:, None] << n | r[:, None] ^ r).ravel()
+    return gather, np.where(np.bitwise_count(r[:, None] & r) & 1, -1.0, 1.0)
+
+
+def _walsh_matrix(s, gather: np.ndarray, hadamard: np.ndarray) -> np.ndarray:
+    """s's dense matrix by the inverse transform: its coefficients, with the
+    letter signs (-1)^{|x & z| / 2}, in a (z, x) table, one Hadamard matmul
+    to rows (r, x), and one gather to entries (r, r ^ x)."""
+    n, d = s.n_qubits, 1 << s.n_qubits
+    x, z, c = s.mask_arrays()
+    table = np.zeros(d * d)
+    table[(z << np.uint64(n) | x).astype(np.intp)] = np.where(np.bitwise_count(x & z) & 2, -c, c)
+    return (hadamard @ table.reshape(d, d)).ravel()[gather].reshape(d, d)
+
+
 def number_strings_reference(x, z):
     """The distinct (x, z) mask pairs in canonical (z, x) order and each
     input's index among them, by np.unique over stacked rows: the reference

@@ -32,6 +32,8 @@ from oracles import (
     assert_same_bits,
     number_strings_reference,
     dense_string,
+    gf2_rref_reference,
+    multiply_sums_dense_reference,
     multiply_sums_reference,
     pauli_sum_reference,
     pauli_sum_to_dense,
@@ -569,9 +571,9 @@ def test_random_products_match_the_uncached_product(n_qubits, spread):
 
 
 def test_cache_hit_recombines_new_coefficients():
-    """b keeps its matrix from its first product as the right operand; a
-    later product with new left coefficients reuses it, and keeps or
-    refuses its output strings by those coefficients."""
+    """b keeps its matrix blocks from its first product as the right
+    operand; a later product with new left coefficients reuses them, and
+    keeps or refuses its output strings by those coefficients."""
     rng = np.random.default_rng(17)
     a, b = commuting_sums(rng, 5, 30, 20)
     multiply_sums(a, b)
@@ -592,8 +594,9 @@ def test_cache_hit_recombines_new_coefficients():
 
 
 def test_cache_belongs_to_its_right_operand():
-    """Each right operand keeps its own dense matrix, which is its Kronecker
-    matrix; the left operand keeps nothing."""
+    """Each right operand keeps its own matrix blocks, here one block (the X
+    masks span all 4 qubits), which is its Kronecker matrix; the left
+    operand keeps nothing."""
     rng = np.random.default_rng(31)
     a, b1, b2 = commuting_sums(rng, 4, 12, 10, 10)
     assert {s for s, _ in b1.terms()} != {s for s, _ in b2.terms()}
@@ -604,7 +607,118 @@ def test_cache_belongs_to_its_right_operand():
     assert b1._walsh is entry and a._walsh is None
     assert b2._walsh[2] is not entry[2]
     for b in (b1, b2):
+        assert b._walsh[2].shape == (1, 16, 16)
         assert np.allclose(b._walsh[2], pauli_sum_to_dense(b), rtol=0, atol=1e-14)
+
+
+def full_span_sum(rng, n_qubits, n_terms):
+    """random_sum plus an X on each qubit: its X masks span all n qubits."""
+    xs = PauliSum(n_qubits, [((1 << k, 0), rng.standard_normal()) for k in range(n_qubits)])
+    return random_sum(rng, n_qubits, n_terms) + xs
+
+
+def test_full_span_products_match_the_dense_route_byte_for_byte(h4_problem):
+    """Operands whose X masks span every qubit make one block, which goes
+    through the dense route's gemm shapes: the H4 singlet and triplet
+    ladders H^2..H^19 and random full-span products on 1 to 6 qubits have
+    the dense route's bytes."""
+    for ctx in h4_problem.sectors.values():
+        cache = ctx.tapered_cache
+        for n in range(2, 20):
+            want = multiply_sums_dense_reference(cache.power(n - 1), cache.h)
+            assert_same_sum(cache.power(n), want)
+        assert cache.h._walsh[2].shape == (1, 32, 32)
+    rng = np.random.default_rng(61)
+    for n_qubits in range(1, 7):
+        h = full_span_sum(rng, n_qubits, 3 * n_qubits)
+        square = multiply_sums_reference(h, h)
+        for a, b in ((h, h), (square, h), (h, square)):
+            assert_same_sum(multiply_sums(a, b), multiply_sums_dense_reference(a, b))
+            assert b._walsh[2].shape == (1, 2**n_qubits, 2**n_qubits)
+
+
+def symmetric_sum(rng, n_qubits, generators, n_terms):
+    """A random real symmetric sum of n_terms draws that commutes with each
+    Z string Z^s, s in generators: its X masks x have |x & s| even."""
+    xs = [x for x in range(1 << n_qubits) if all((x & s).bit_count() % 2 == 0 for s in generators)]
+    terms = []
+    while len(terms) < n_terms:
+        x, z = int(rng.choice(xs)), int(rng.integers(1 << n_qubits))
+        if (x & z).bit_count() % 2 == 0:
+            terms.append(((x, z), rng.standard_normal()))
+    return PauliSum(n_qubits, terms)
+
+
+def independent_masks(rng, n_qubits, k):
+    """k masks on n qubits that are independent over GF(2)."""
+    while True:
+        masks = rng.integers(1, 1 << n_qubits, k).tolist() if k else []
+        bits = np.zeros((k, n_qubits), dtype=np.uint8)
+        for row, m in enumerate(masks):
+            bits[row] = [m >> q & 1 for q in range(n_qubits)]
+        if len(gf2_rref_reference(bits)) == k:
+            return masks
+
+
+@pytest.mark.parametrize("n_qubits", [0, 1, 4, 9, 12])
+def test_span_is_the_ascending_closure_of_its_masks(n_qubits):
+    """_span is every XOR of a subset of the masks, ascending, and linear in
+    its index: span[i ^ j] == span[i] ^ span[j]."""
+    rng = np.random.default_rng(91 + n_qubits)
+    for size in (0, 1, 3, n_qubits, 4 * n_qubits):
+        x = rng.integers(0, 1 << n_qubits, size, dtype=np.uint64)
+        closure = {0}
+        for v in x.tolist():
+            closure |= {u ^ v for u in closure}
+        span = pauli._span(n_qubits, x)
+        assert span.dtype == np.uint64 and span.tolist() == sorted(closure)
+        i = np.arange(span.size)
+        assert np.array_equal(span[i[:, None] ^ i], span[:, None] ^ span)
+
+
+@pytest.mark.parametrize("n_qubits", range(10))
+def test_products_with_z_symmetries_match_the_reference(n_qubits):
+    """Sums commuting with k independent Z strings, k = 0..n, have X masks
+    in a span of dimension at most n - k, so their products run over
+    2^(n - m) blocks: down to diagonal sums (m = 0, 1 x 1 blocks) and the
+    0-qubit sum."""
+    rng = np.random.default_rng(71 + n_qubits)
+    for k in range(n_qubits + 1):
+        h = symmetric_sum(rng, n_qubits, independent_masks(rng, n_qubits, k), 4 + 2 * n_qubits)
+        square = multiply_sums_reference(h, h)
+        for a, b in ((h, h), (square, h), (h, square)):
+            assert_product_within_bound(multiply_sums(a, b), a, b)
+            span, _, blocks, _ = b._walsh
+            assert span.size <= 2 ** (n_qubits - k)
+            assert blocks.shape == (2**n_qubits // span.size, span.size, span.size)
+
+
+def test_cached_right_operand_rebuilds_for_a_left_operand_outside_its_span():
+    """b keeps the span of its first product's X masks; a later left
+    operand whose X masks leave it makes b rebuild over the union of the
+    two spans, and every product still matches the reference."""
+    # b's X masks span {0, X0}; IXX and IYY commute with b, and their X
+    # masks span {0, X1 X2}, which holds neither X0 nor b's span
+    b = from_labels(3, {"XII": 1.0, "IZZ": 0.5})
+    inside = from_labels(3, {"XII": 0.3, "III": 1.0})
+    outside = from_labels(3, {"IXX": 0.7, "IYY": 0.2})
+    assert_product_within_bound(multiply_sums(inside, b), inside, b)
+    assert b._walsh[0].tolist() == [0, 0b001]
+    assert_product_within_bound(multiply_sums(outside, b), outside, b)
+    entry = b._walsh
+    assert entry[0].tolist() == [0, 0b001, 0b110, 0b111]
+    assert_product_within_bound(multiply_sums(inside, b), inside, b)
+    assert b._walsh is entry
+
+    rng = np.random.default_rng(81)
+    for _ in range(5):
+        a, b = commuting_sums(rng, 6, 40, 2)
+        assert_product_within_bound(multiply_sums(b, b), b, b)
+        before = set(b._walsh[0].tolist())
+        assert not before >= set(a.mask_arrays()[0].tolist())
+        assert_product_within_bound(multiply_sums(a, b), a, b)
+        after = set(b._walsh[0].tolist())
+        assert after > before and after >= set(a.mask_arrays()[0].tolist())
 
 
 def _fresh_copy(h):
@@ -612,9 +726,10 @@ def _fresh_copy(h):
 
 
 def test_saturated_ladder_step_keeps_a_small_cache(h4_problem):
-    """H^5 * H on H4 (4224 x 185 terms, 8 qubits): the right operand keeps
-    its 256 x 256 matrix and the gather and Hadamard tables of its width,
-    512 KiB each, and nothing else."""
+    """H^5 * H on H4 (4224 x 185 terms, 8 qubits, X masks spanning 5): the
+    right operand keeps its 8 blocks of 32 x 32 (64 KiB), the 256 x 256
+    Hadamard of its width (512 KiB) and its span's index tables, and
+    nothing else."""
     a = h4_problem.cache.power(5)
     h = _fresh_copy(h4_problem.hamiltonian)
     # the same product on another copy first, so that the interpreter's
@@ -626,9 +741,15 @@ def test_saturated_ladder_step_keeps_a_small_cache(h4_problem):
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert [t.nbytes for t in h._walsh] == [8 << 16] * 3
-    # the three arrays, and two uint64 masks and a coefficient per output string
-    assert kept <= 3 * (8 << 16) + 24 * len(out) + (64 << 10)
+    span, (coord, gather, signs), blocks, hadamard = h._walsh
+    assert blocks.shape == (8, 32, 32) and blocks.nbytes == 64 << 10
+    assert hadamard.shape == (256, 256) and hadamard.nbytes == 512 << 10
+    # the span's 32 masks, the coordinate of each of the 256 X masks, one
+    # index per block entry and one sign byte per (z, x in the span)
+    assert [t.nbytes for t in (span, coord, gather, signs)] == [256, 2 << 10, 64 << 10, 8 << 10]
+    arrays = sum(t.nbytes for t in (span, coord, gather, signs, blocks, hadamard))
+    # those arrays, and two uint64 masks and a coefficient per output string
+    assert kept <= arrays + 24 * len(out) + (16 << 10)
 
 
 def test_cache_hit_peaks_below_the_uncached_product(h4_problem):

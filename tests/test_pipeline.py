@@ -1,6 +1,9 @@
 """Pipeline orchestration: config validation, determinism, report bundle."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +221,34 @@ def test_h2_sampled_run_returns(tmp_path, mode, spam_p):
     run_pipeline(RunConfig(
         spacings=(0.7414,), seed=11, mode=mode, spam_p=spam_p, output_dir=tmp_path
     ))
+
+
+@pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2, reason="one CPU: OpenBLAS runs one thread either way"
+)
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 8: mitigation's two dgemm products round differently at 2 "
+    "OpenBLAS threads, which moves the mitigated energies in energies.csv",
+)
+def test_sampled_bundle_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """Item 8's gate: a small H4 parallel + SPAM run (1024 shots, seed 3)
+    writes the same bundle bytes at 1 and at 2 OpenBLAS threads, each run
+    in a child process; a child that fails raises CalledProcessError, not
+    the expected AssertionError."""
+    src = str(Path(__file__).parents[1] / "src")
+    bundles = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        subprocess.run(
+            [sys.executable, "-m", "pdsq.cli", "run", "--spacings", "2,2,2", "--mode", "parallel",
+             "--spam-p", "1e-3", "--shots", "1024", "--seed", "3", "--output-dir", str(out)],
+            capture_output=True, check=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads},
+        )
+        bundles.append({path.name: path.read_bytes() for path in out.iterdir()})
+    assert bundles[0] == bundles[1]
 
 
 def test_spam_noise_with_mitigation_runs(tmp_path):
