@@ -23,6 +23,7 @@ from .pipeline import (
     MODES,
     SECTORS,
     RunConfig,
+    build_hamiltonian,
     build_problem,
     energy_vs_order,
     exact_spectra,
@@ -126,31 +127,26 @@ def build_run_config(args) -> RunConfig:
 
 
 def cmd_integrals(args) -> int:
-    cfg = build_run_config(args)
-    problem = build_problem(cfg)
-    ints = problem.integrals
+    ints, scf, _ = build_hamiltonian(build_run_config(args))
     print(f"orbitals: {ints.n_orbitals}  electrons: {ints.n_electrons}")
     print(f"core energy: {ints.core_energy:.10f} hartree")
-    print(f"RHF energy: {problem.scf.scf_energy:.10f} hartree "
-          f"({problem.scf.n_iterations} iterations)")
-    print("orbital energies:", " ".join(f"{e:.6f}" for e in problem.scf.orbital_energies))
+    print(f"RHF energy: {scf.scf_energy:.10f} hartree ({scf.n_iterations} iterations)")
+    print("orbital energies:", " ".join(f"{e:.6f}" for e in scf.orbital_energies))
     if args.write_fcidump:
         # exported in the RHF orbital basis: FCIDUMP assumes orthonormality
         from .chem import mo_integrals
 
-        fcidump.fcidump_write(mo_integrals(ints, problem.scf), args.write_fcidump)
+        fcidump.fcidump_write(mo_integrals(ints, scf), args.write_fcidump)
         print(f"wrote {args.write_fcidump}")
     return 0
 
 
 def cmd_hamiltonian(args) -> int:
-    cfg = build_run_config(args)
-    problem = build_problem(cfg)
-    text = problem.hamiltonian.to_text()
+    _, _, h = build_hamiltonian(build_run_config(args))
+    text = h.to_text()
     if args.out:
         Path(args.out).write_text(text + "\n")
-        print(f"wrote {args.out} ({problem.hamiltonian.n_terms} terms, "
-              f"{problem.hamiltonian.n_qubits} qubits)")
+        print(f"wrote {args.out} ({h.n_terms} terms, {h.n_qubits} qubits)")
     else:
         print(text)
     return 0

@@ -34,9 +34,12 @@ coefficients the same way,
 which is 2^-n Tr(P(x, z) M).  A string with an odd number of Y letters
 gets the antisymmetric part of M, which is round-off when the operands
 commute, as the powers of one sum do.  Symmetries split the register this
-way (Bravyi et al., arXiv:1701.08213): H4's X masks span 5 of its 8 qubits,
-so its full-register products multiply 8 blocks of 32 x 32; a sum tapered
-of all its Z-type symmetries spans its whole register and makes one block.
+way (Bravyi et al., arXiv:1701.08213): V is found by one GF(2) elimination,
+`_gf2_basis`, and a sum's Z-type symmetries are V's orthogonal complement,
+which tapering takes from the same basis.  H4's X masks span 5 of its 8
+qubits, so its full-register products multiply 8 blocks of 32 x 32; a sum
+tapered of all its Z-type symmetries spans its whole register and makes one
+block.
 The right operand keeps V, its blocks and the tables of its width, so a
 power ladder, which multiplies by the same H every step, builds them once.  No array has more
 than 4^n entries, so a product's bytes are budgeted from n alone, an upper
@@ -350,7 +353,7 @@ def multiply_sums(a: PauliSum, b: PauliSum) -> PauliSum:
     if walsh is None or walsh[0].size < d and np.any(walsh[1][0][a._x] < 0):
         spanned = b._x if walsh is None else walsh[0]
         walsh = b._walsh = None  # the old arrays go before the new ones exist
-        b._walsh = walsh = _walsh_cache(b, _span(n, np.concatenate((spanned, a._x))))
+        b._walsh = walsh = _walsh_cache(b, _span(np.concatenate((spanned, a._x))))
     span, tables, blocks, hadamard = walsh
     _, gather, signs = tables
     # sums[z * 2^m + i] = sum_r (-1)^{|r & z|} M[r, r ^ span[i]], with M = a b;
@@ -370,21 +373,30 @@ def multiply_sums(a: PauliSum, b: PauliSum) -> PauliSum:
     return PauliSum._from_canonical(n, x, z, c)
 
 
-def _span(n: int, x: np.ndarray) -> np.ndarray:
-    """The GF(2) span of the n-bit masks x, ascending, as uint64.  Sorted,
-    span[i ^ j] == span[i] ^ span[j]: span[i] is the XOR of span[2^k] over
-    the bits k of i."""
-    basis: list[int] = []  # descending, each with a top bit no other has
-    for v in set(x.tolist()):
-        for u in basis:
-            v = min(v, v ^ u)  # clears u's top bit
+def _gf2_basis(masks) -> dict[int, int]:
+    """The reduced echelon basis of the GF(2) span of the int masks: each
+    vector keyed by its pivot, its lowest set bit, which no other vector
+    has.  It is the unique RREF with qubit k in column k."""
+    basis: dict[int, int] = {}
+    for v in set(masks):
+        for p, u in basis.items():
+            if v >> p & 1:
+                v ^= u  # clears bit p; no other pivot bit of v changes
         if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-            if len(basis) == n:
-                break
+            p = (v & -v).bit_length() - 1
+            for q, u in basis.items():
+                if u >> p & 1:
+                    basis[q] = u ^ v  # v has no bit below p, so q stays u's pivot
+            basis[p] = v
+    return basis
+
+
+def _span(x: np.ndarray) -> np.ndarray:
+    """The GF(2) span of the masks x, ascending, as uint64: the closure of
+    their _gf2_basis.  Sorted, span[i ^ j] == span[i] ^ span[j]: span[i] is
+    the XOR of span[2^k] over the bits k of i."""
     span = [0]
-    for v in basis:
+    for v in _gf2_basis(x.tolist()).values():
         span += [u ^ v for u in span]
     return np.array(sorted(span), dtype=np.uint64)
 

@@ -117,7 +117,9 @@ class Problem:
         return self.cache.h
 
 
-def build_problem(cfg: RunConfig) -> Problem:
+def build_hamiltonian(cfg: RunConfig) -> tuple[chem.IntegralSet, chem.ScfResult, PauliSum]:
+    """The integrals, RHF result and qubit Hamiltonian of cfg's source: the
+    half of build_problem that builds no sector."""
     if cfg.spacings is not None:
         ints = chem.compute_integrals(chem.build_h_chain(list(cfg.spacings)))
     elif cfg.geometry_path is not None:
@@ -126,8 +128,11 @@ def build_problem(cfg: RunConfig) -> Problem:
     else:
         ints = fcidump.fcidump_read(cfg.fcidump_path)
     scf = chem.hartree_fock(ints)
-    tables = chem.second_quantized_hamiltonian(ints, scf)
-    h = jw.jordan_wigner(tables)
+    return ints, scf, jw.jordan_wigner(chem.second_quantized_hamiltonian(ints, scf))
+
+
+def build_problem(cfg: RunConfig) -> Problem:
+    ints, scf, h = build_hamiltonian(cfg)
     sectors: dict[str, SectorContext] = {}
     for sector in SECTORS:
         det = chem.reference_determinant(sector, ints.n_electrons, 2 * ints.n_orbitals)

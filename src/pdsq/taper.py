@@ -2,11 +2,16 @@
 
 The symmetries are Z-type symmetries, the kernel of the terms' X bits (Z^v
 commutes with a term exactly when the term's X bits meet v an even number of
-times), as only those have a sign on a basis determinant.  Each generator g is
-paired with a single-qubit X partner on a qubit q exclusive to it; the
-Clifford U = (X_q + g)/2^(1/2) (Bravyi et al., arXiv:1701.08213) maps g onto
-X_q, after which the partner qubit carries only I or X in every term and can
-be replaced by the sector eigenvalue +-1 and removed.  U is applied in
+times), as only those have a sign on a basis determinant.  The kernel is the
+orthogonal complement of the X masks' span V, read off V's reduced echelon
+basis (`pauli._gf2_basis`, the elimination the products block over): one
+vector per non-pivot qubit f, with bit f and the pivot of every basis vector
+holding f, reduced again.  In that reduced basis each generator g's pivot,
+its lowest qubit, is in no other generator, and it is g's single-qubit X
+partner q; the Clifford U = (X_q + g)/2^(1/2) (Bravyi et al.,
+arXiv:1701.08213) maps g onto X_q, after which the partner qubit carries
+only I or X in every term and can be replaced by the sector eigenvalue +-1
+and removed.  U is applied in
 closed form: a term P commutes with g, so U P U = P where P has I or X on q,
 and U P U = X_q P g where it has Z or Y.  That image is Hermitian, so the
 product's phase is +-1 and the coefficient stays exactly +-c; and as the
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chem import ReferenceDeterminant
-from .pauli import PauliString, PauliSum, _check_qubits, _multiply_masks, _sum_in_order
+from .pauli import PauliString, PauliSum, _check_qubits, _gf2_basis, _multiply_masks, _sum_in_order
 
 
 @dataclass(frozen=True)
@@ -43,51 +48,6 @@ class TaperingData:
     n_remaining: int
 
 
-def _gf2_rref(rows: np.ndarray) -> np.ndarray:
-    """Reduced row-echelon form over GF(2); zero rows dropped."""
-    m = rows.copy().astype(np.uint8) & 1
-    n_rows, n_cols = m.shape
-    pivot_row = 0
-    for col in range(n_cols):
-        hits = np.nonzero(m[pivot_row:, col])[0]
-        if hits.size == 0:
-            continue
-        swap = pivot_row + hits[0]
-        m[[pivot_row, swap]] = m[[swap, pivot_row]]
-        others = np.nonzero(m[:, col])[0]
-        others = others[others != pivot_row]
-        m[others] ^= m[pivot_row]
-        pivot_row += 1
-        if pivot_row == n_rows:
-            break
-    keep = m.any(axis=1)
-    return m[keep]
-
-
-def _gf2_kernel_basis(rows: np.ndarray) -> np.ndarray:
-    """Basis of {v : rows @ v = 0 mod 2}, one kernel vector per free column:
-    1 there, and each pivot row's entry in that column at its pivot."""
-    n_cols = rows.shape[1]
-    rref = _gf2_rref(rows)
-    pivots = [int(np.nonzero(r)[0][0]) for r in rref]
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = np.zeros((len(free), n_cols), dtype=np.uint8)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = rref[:, free].T
-    return basis
-
-
-def _check_matrix(h: PauliSum) -> np.ndarray:
-    """One uint8 row per term in canonical order: its X bits, qubit k in column k."""
-    x, _, _ = h.mask_arrays()
-    shifts = np.arange(h.n_qubits, dtype=np.uint64)
-    return ((x[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-
-
-def _bits_to_mask(bits: np.ndarray) -> int:
-    return sum(1 << k for k in np.flatnonzero(bits).tolist())
-
-
 def find_symmetries(h: PauliSum) -> list[PauliString]:
     """Independent generators of h's Z-type symmetries, the kernel of the
     terms' X bits (empty list if none).
@@ -95,13 +55,14 @@ def find_symmetries(h: PauliSum) -> list[PauliString]:
     The basis is the kernel's reduced row-echelon form, sorted by Z mask, so
     downstream counts are reproducible.
     """
-    if not h:
-        return []
-    kernel = _gf2_rref(_gf2_kernel_basis(_check_matrix(h)))
-    return sorted(
-        (PauliString(h.n_qubits, 0, _bits_to_mask(row)) for row in kernel),
-        key=lambda s: s.z,
+    span = _gf2_basis(h.mask_arrays()[0].tolist())
+    # one kernel vector per non-pivot bit f: f, and the pivot of each
+    # basis vector holding f
+    kernel = _gf2_basis(
+        1 << f | sum(1 << p for p, v in span.items() if v >> f & 1)
+        for f in range(h.n_qubits) if f not in span
     )
+    return sorted((PauliString(h.n_qubits, 0, z) for z in kernel.values()), key=lambda s: s.z)
 
 
 def sector_of(det: ReferenceDeterminant, generators) -> tuple[int, ...]:
@@ -115,35 +76,14 @@ def sector_of(det: ReferenceDeterminant, generators) -> tuple[int, ...]:
     return tuple(signs)
 
 
-def build_tapering(
-    h: PauliSum, generators, sector_signs
-) -> TaperingData:
-    """Choose X partners (lowest-index qubit exclusive to each generator)."""
-    generators = tuple(generators)
-    sector_signs = tuple(sector_signs)
-    if len(generators) != len(sector_signs):
-        raise ValueError("need one sector sign per generator")
-    _check_generators(h, generators)
-    seen = shared = 0  # qubits in some support, in two or more supports
-    for g in generators:
-        shared |= seen & g.support
-        seen |= g.support
-    partners = []
-    for g in generators:
-        # the partner must anticommute with its generator: Z or Y letter there
-        exclusive = g.z & ~shared
-        if exclusive == 0:
-            raise ValueError(
-                f"generator {g.label} has no exclusive qubit for an X partner"
-            )
-        partners.append((exclusive & -exclusive).bit_length() - 1)
-    return TaperingData(generators, tuple(partners), sector_signs, h.n_qubits - len(partners))
-
-
 def tapering_for_determinant(h: PauliSum, det: ReferenceDeterminant) -> TaperingData:
-    """Convenience: symmetries of h with the sector fixed by a determinant."""
-    generators = find_symmetries(h)
-    return build_tapering(h, generators, sector_of(det, generators))
+    """The symmetries of h, each partnered with its pivot, in the sector
+    fixed by a determinant."""
+    generators = tuple(find_symmetries(h))
+    partners = tuple((g.z & -g.z).bit_length() - 1 for g in generators)
+    return TaperingData(
+        generators, partners, sector_of(det, generators), h.n_qubits - len(partners)
+    )
 
 
 def _check_generators(h: PauliSum, generators) -> None:

@@ -567,7 +567,8 @@ def symmetry_check_matrix_reference(h) -> np.ndarray:
     matrix whose GF(2) kernel is h's Z-type symmetries (Z^v commutes with a
     term exactly when the term's X bits meet v an even number of times).
 
-    The reference `taper.find_symmetries`' array build is checked against.
+    Its `gf2_rref_reference` is the reference `pauli._gf2_basis` of the X
+    masks is checked against.
     """
     n = h.n_qubits
     strings = [s for s, _ in h.terms()]

@@ -787,3 +787,82 @@ def test_run_needs_two_singlet_roots(capsys, tmp_path, monkeypatch):
     assert not out_dir.exists()
     for command in ("moments", "plan"):
         assert run_cli(capsys, command, "--spacings", "0.7414", "--k-max", "1")[0] == 0
+
+
+@pytest.fixture(scope="module")
+def sweep_inputs(tmp_path_factory):
+    """The sweep's four FCIDUMPs: H2 at 0.7414 A in its RHF orbitals; an
+    idle orbital (both sectors taper 4 -> 0 qubits); one orbital, which has
+    no triplet reference; and 3 orbitals with a 2-electron filling, drawn
+    from seed 3 (one-body symmetric, two-body a sum of symmetric outer
+    products, so it has the 8-fold symmetry)."""
+    from pdsq import chem, fcidump
+
+    directory = tmp_path_factory.mktemp("sweep")
+    ints = chem.compute_integrals(chem.build_h_chain([0.7414]))
+    fcidump.fcidump_write(chem.mo_integrals(ints, chem.hartree_fock(ints)), directory / "h2")
+    (directory / "idle").write_text("&FCI NORB=2,NELEC=2,MS2=0,\n&END\n 0.25 1 1 0 0\n")
+    (directory / "one").write_text(
+        "&FCI NORB=1,NELEC=2,MS2=0,\n&END\n 0.5 1 1 1 1\n -1.25 1 1 0 0\n"
+    )
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(3, 3))
+    one_body = -np.diag([1.5, 1.0, 0.5]) + 0.1 * (a + a.T)
+    factors = 0.2 * rng.normal(size=(4, 3, 3))
+    factors += factors.transpose(0, 2, 1)
+    two_body = np.einsum("pij,pkl->ijkl", factors, factors) + 0.3 * np.einsum(
+        "ij,kl->ijkl", np.eye(3), np.eye(3)
+    )
+    fcidump.fcidump_write(
+        chem.IntegralSet(3, 0.5, one_body, two_body, np.eye(3), 2), directory / "rand3"
+    )
+    return directory
+
+
+# each subcommand that reads a Hamiltonian source, with the flags it needs
+# beyond the source (mitigate reads a histogram, not a source)
+SWEEP_COMMANDS = {
+    "integrals": (), "hamiltonian": (), "taper": (), "plan": (), "moments": (), "pds": (),
+    "exact": (), "simulate": ("--mode", "parallel", "--shots", "256"),
+    "run": ("--mode", "parallel", "--spam-p", "1e-3", "--seed", "11"),
+}
+_ITEM_2 = "ROADMAP item 2: sampled PDS(10) reads a complex root and stage 'transitions' fails"
+_ITEM_20 = "ROADMAP item 20: pack_batches refuses a 0-qubit tapered sector (slot width 0)"
+# (file, subcommand) -> (expected exit code, strict-xfail reason or None);
+# every other pair exits 0
+SWEEP_EXPECTED = {
+    ("h2", "run"): (0, _ITEM_2),
+    ("idle", "plan"): (0, _ITEM_20),
+    ("idle", "pds"): (1, None),  # one singlet root: no S0->S1 gap
+    ("idle", "simulate"): (0, _ITEM_20),
+    ("idle", "run"): (0, _ITEM_20),
+    # integrals and hamiltonian build no sector, so only they run
+    **{("one", c): (1, None) for c in SWEEP_COMMANDS if c not in ("integrals", "hamiltonian")},
+    ("rand3", "run"): (0, _ITEM_2),
+}
+
+
+def _sweep_cases():
+    for name in ("h2", "idle", "one", "rand3"):
+        for command in SWEEP_COMMANDS:
+            code, reason = SWEEP_EXPECTED.get((name, command), (0, None))
+            marks = [pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)]
+            yield pytest.param(
+                name, command, code, marks=marks if reason else (), id=f"{name}-{command}"
+            )
+
+
+@pytest.mark.parametrize("name, command, code", _sweep_cases())
+def test_every_subcommand_on_small_fcidumps_exits_as_expected(
+    capsys, tmp_path, sweep_inputs, name, command, code
+):
+    """ROADMAP item 20's sweep: each subcommand on each small input exits
+    with its expected code, and a failure says why in one line.  On the
+    one-orbital file (no triplet reference) only integrals and hamiltonian,
+    which build no sector, exit 0; taper and the rest exit 1."""
+    got, _, err = run_cli(
+        capsys, command, "--fcidump", str(sweep_inputs / name), *SWEEP_COMMANDS[command],
+        *(("--output-dir", str(tmp_path)) if command in ("simulate", "run") else ()),
+    )
+    assert got == code, err
+    assert got == 0 or len(err.splitlines()) == 1, err

@@ -670,7 +670,7 @@ def test_span_is_the_ascending_closure_of_its_masks(n_qubits):
         closure = {0}
         for v in x.tolist():
             closure |= {u ^ v for u in closure}
-        span = pauli._span(n_qubits, x)
+        span = pauli._span(x)
         assert span.dtype == np.uint64 and span.tolist() == sorted(closure)
         i = np.arange(span.size)
         assert np.array_equal(span[i[:, None] ^ i], span[:, None] ^ span)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from pdsq import chem, jw, taper
+from pdsq import chem, jw, pauli, taper
 from pdsq.backend import exact_expectation, prepare_basis_state
 from pdsq.moments import unique_string_count
 from pdsq.pauli import PauliString, PauliSum
@@ -58,10 +58,7 @@ def test_generators_commute_with_every_term(h4):
 
 def test_generators_independent_over_gf2(h4):
     gens = taper.find_symmetries(h4)
-    rows = np.array(
-        [[(g.z >> k) & 1 for k in range(h4.n_qubits)] for g in gens], dtype=np.uint8
-    )
-    assert taper._gf2_rref(rows).shape[0] == len(gens)
+    assert len(pauli._gf2_basis(g.z for g in gens)) == len(gens)
 
 
 def test_sector_signs():
@@ -128,17 +125,24 @@ def test_taper_state_sector_mismatch_errors(h4_problem):
         taper.taper_state(wrong, ctx.tapering)
 
 
+def hand_built(h, generators, partners):
+    """TaperingData of the given generators and partners, in the +1 sector."""
+    return taper.TaperingData(
+        tuple(generators), tuple(partners), (1,) * len(partners), h.n_qubits - len(partners)
+    )
+
+
 def test_taper_operator_rejects_foreign_generators(h4):
     bad = PauliString.from_label("XIIIIIII")
     with pytest.raises(ValueError, match="does not commute"):
-        taper.build_tapering(h4, [bad], [1])
+        taper.taper_operator(h4, hand_built(h4, [bad], [0]))
 
 
 def test_exclusive_partner_required():
     h = from_labels(2, {"ZZ": 1.0, "XX": 0.5})
     gen = PauliString.from_label("ZZ")
-    with pytest.raises(ValueError, match="no exclusive qubit"):
-        taper.build_tapering(h, [gen, gen], [1, 1])
+    with pytest.raises(ValueError, match="partner qubit 0 of generator ZZ is Z or Y in another"):
+        taper.taper_operator(h, hand_built(h, [gen, gen], [0, 1]))
 
 
 def test_all_zero_determinant_sector_is_trivial(h4):
@@ -152,10 +156,9 @@ def test_tapering_matches_the_term_loops_bit_for_bit(spacings):
     ints = chem.compute_integrals(chem.build_h_chain(list(spacings)))
     tables = chem.second_quantized_hamiltonian(ints, chem.hartree_fock(ints))
     h = jw.jordan_wigner(tables)
-    check = taper._check_matrix(h)
-    expected = symmetry_check_matrix_reference(h)
-    assert check.dtype == expected.dtype and np.array_equal(check, expected)
-    assert np.array_equal(taper._gf2_rref(check), gf2_rref_reference(check))
+    basis = pauli._gf2_basis(h.mask_arrays()[0].tolist())
+    expected = gf2_rref_reference(symmetry_check_matrix_reference(h))
+    assert np.array_equal(gf2_rows(basis, h.n_qubits), expected)
     for sector in ("singlet", "triplet"):
         det = chem.reference_determinant(sector, 4, 8)
         td = taper.tapering_for_determinant(h, det)
@@ -204,11 +207,55 @@ def assert_within_clifford_round_off(tapered, h, td):
         assert abs(coeff - ref) <= bound
 
 
+def gf2_rows(basis, n_cols):
+    """A _gf2_basis as uint8 rows sorted by pivot, qubit k in column k."""
+    rows = [[v >> k & 1 for k in range(n_cols)] for _, v in sorted(basis.items())]
+    return np.array(rows, dtype=np.uint8).reshape(-1, n_cols)
+
+
 @given(st.integers(1, 12), st.integers(1, 16), st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
 def test_gf2_rref_matches_the_row_loop(n_rows, n_cols, seed):
     rows = np.random.default_rng(seed).integers(0, 2, (n_rows, n_cols), dtype=np.uint8)
-    assert np.array_equal(taper._gf2_rref(rows), gf2_rref_reference(rows))
+    masks = [sum(int(b) << k for k, b in enumerate(row)) for row in rows]
+    assert np.array_equal(gf2_rows(pauli._gf2_basis(masks), n_cols), gf2_rref_reference(rows))
+
+
+@st.composite
+def z_symmetric_sums(draw):
+    """A real symmetric sum on n qubits (n = 0 included) commuting with k
+    random Z strings: its X masks meet each an even number of times; or
+    the identity alone, or the zero sum."""
+    n = draw(st.integers(0, 10))
+    kind = draw(st.sampled_from(["symmetric", "identity", "zero"]))
+    event(kind)
+    if kind != "symmetric":
+        return PauliSum.identity(n) if kind == "identity" else PauliSum.zero(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    symmetries = rng.integers(0, 1 << n, draw(st.integers(0, n))).tolist()
+    xs = [x for x in range(1 << n) if all((x & s).bit_count() % 2 == 0 for s in symmetries)]
+    terms = []
+    for _ in range(draw(st.integers(1, 3 * n + 3))):
+        x, z = int(rng.choice(xs)), int(rng.integers(1 << n))
+        if (x & z).bit_count() % 2 == 0:
+            terms.append(((x, z), rng.standard_normal()))
+    return PauliSum(n, terms)
+
+
+@given(z_symmetric_sums())
+@settings(max_examples=200, deadline=None)
+def test_z_symmetries_are_the_complement_of_the_x_span(h):
+    """The generators are orthogonal to the span V of the X masks and
+    complete it to the register (dim V + their count = n), and each one's
+    pivot, its lowest qubit, is in no other generator."""
+    gens = taper.find_symmetries(h)
+    span = pauli._span(h.mask_arrays()[0])
+    for g in gens:
+        assert not (np.bitwise_count(span & np.uint64(g.z)) & 1).any()
+    assert len(gens) + span.size.bit_length() - 1 == h.n_qubits
+    for g in gens:
+        pivot = g.z & -g.z
+        assert all(not other.z & pivot for other in gens if other is not g)
 
 
 @st.composite
@@ -265,12 +312,12 @@ def test_first_anticommuting_term_is_named(h4):
     bad = PauliString.from_label("IIXIIIII")
     first = next(t for t, _ in h4.terms() if not commutes(bad, t))
     with pytest.raises(ValueError) as err:
-        taper.build_tapering(h4, [good, bad], [1, 1])
+        taper.taper_operator(h4, hand_built(h4, [good, bad], [0, 2]))
     assert str(err.value) == (
         f"generator {bad.label} does not commute with term {first.label}"
     )
     with pytest.raises(ValueError, match="qubit counts differ: 2 vs 8"):
-        taper.build_tapering(h4, [PauliString.from_label("ZZ")], [1])
+        taper.taper_operator(h4, hand_built(h4, [PauliString.from_label("ZZ")], [0]))
 
 
 @st.composite
@@ -327,9 +374,9 @@ def test_rotation_matches_the_term_loop_bit_for_bit(drawn):
 
 
 def test_taper_operator_checks_its_preconditions():
-    """Hand-built TaperingData need not come from build_tapering, so
-    taper_operator itself rejects a generator that does not commute with h,
-    and a partner qubit where its generator acts as I or X or another
+    """Hand-built TaperingData need not come from tapering_for_determinant,
+    so taper_operator itself rejects a generator that does not commute with
+    h, and a partner qubit where its generator acts as I or X or another
     generator as Z or Y (either would break the closed-form rotation)."""
     h = from_labels(3, {"ZZI": 1.0, "XXI": 0.5, "IIZ": 0.25})
 
