@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .budget import check_memory
 from .units import BOHR_PER_ANGSTROM
 
 # Standard STO-3G hydrogen 1s contraction (exponents in bohr^-2).
@@ -165,11 +166,17 @@ def fill_eri(two: np.ndarray, i, j, k, l, value) -> None:
             two[a, b, c, d] = two[c, d, a, b] = value
 
 
+def check_eri(n: int) -> None:
+    """Budget the n^4 float64 two-electron table of n orbitals before it exists."""
+    check_memory(f"the two-electron table of {n} orbitals", 8 * n**4)
+
+
 def compute_integrals(geometry: Geometry) -> IntegralSet:
     """Overlap, core-Hamiltonian and two-electron integrals for an H chain."""
     charges = geometry.charges()  # validates elements (H only)
     coords = geometry.coords_bohr()
     n = len(coords)
+    check_eri(n)
 
     # canonical shell pairs i >= j, and each pair's Gaussian products
     i, j = np.tril_indices(n)

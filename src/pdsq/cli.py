@@ -23,12 +23,13 @@ from .pipeline import (
     MODES,
     SECTORS,
     RunConfig,
-    build_hamiltonian,
     build_problem,
+    build_scf,
     energy_vs_order,
     exact_spectra,
     exact_tables,
     measurement_ladder,
+    qubit_hamiltonian,
     register_width,
     run_pipeline,
     sample_sector,
@@ -127,7 +128,7 @@ def build_run_config(args) -> RunConfig:
 
 
 def cmd_integrals(args) -> int:
-    ints, scf, _ = build_hamiltonian(build_run_config(args))
+    ints, scf = build_scf(build_run_config(args))
     print(f"orbitals: {ints.n_orbitals}  electrons: {ints.n_electrons}")
     print(f"core energy: {ints.core_energy:.10f} hartree")
     print(f"RHF energy: {scf.scf_energy:.10f} hartree ({scf.n_iterations} iterations)")
@@ -142,7 +143,7 @@ def cmd_integrals(args) -> int:
 
 
 def cmd_hamiltonian(args) -> int:
-    _, _, h = build_hamiltonian(build_run_config(args))
+    h = qubit_hamiltonian(*build_scf(build_run_config(args)))
     text = h.to_text()
     if args.out:
         Path(args.out).write_text(text + "\n")

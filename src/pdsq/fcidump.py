@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .chem import IntegralSet, fill_eri
+from .chem import IntegralSet, check_eri, fill_eri
 
 _WRITE_THRESHOLD = 1e-14
 
@@ -55,6 +55,7 @@ def fcidump_read(path: str | Path) -> IntegralSet:
     lines = Path(path).read_text().splitlines()
     fields, body_start = _parse_header(lines)
     n = fields["NORB"]
+    check_eri(n)
     one = np.zeros((n, n))
     two = np.zeros((n, n, n, n))
     core = 0.0

@@ -21,10 +21,9 @@ of at most U^2 = max(U_hi, U_lo)^2 elements alive: three 1024 x 1024 arrays
 reads any) work while those 24 U^2 bytes fit in budget.MEMORY_BUDGET and
 are refused beyond it before any kernel is allocated.
 
-The outcomes ascend, so their high halves do too: a first difference finds
-the distinct ones without a sort.  The low halves are marked in a 2^m
-presence table when 2^m <= |B|, and sorted only when that table would
-outgrow the histogram.
+Each half is numbered by `pauli._distinct`, as Pauli strings are: a half
+of w bits is marked in a 2^w presence table when 2^w <= |B|, and sorted
+only when that table would outgrow the histogram.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ import numpy as np
 
 from .backend import NoiseModel, _check_histogram
 from .budget import check_memory
+from .pauli import _distinct
 
 
 def _kernel(halves: np.ndarray, width: int, a: float, b: float) -> np.ndarray:
@@ -41,17 +41,6 @@ def _kernel(halves: np.ndarray, width: int, a: float, b: float) -> np.ndarray:
     factor = a ** (width - d) * b**d
     halves = halves.astype(np.uint32)  # a half of an int64 index fits
     return factor[np.bitwise_count(halves[:, None] ^ halves[None, :])]
-
-
-def _distinct(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct values, ascending, of an int64 array whose entries lie
-    in [0, size), and each entry's index among them: by a presence table
-    of `size` flags when size <= values.size, else by one sort."""
-    if size > values.size:
-        return np.unique(values, return_inverse=True)
-    present = np.zeros(size, dtype=bool)
-    present[values] = True
-    return np.flatnonzero(present), (np.cumsum(present) - 1)[values]
 
 
 def mitigate(
@@ -78,9 +67,7 @@ def mitigate(
     a = (p - 1.0) / (2.0 * p - 1.0)
     b = p / (2.0 * p - 1.0)
     low = n_bits // 2
-    high = outcomes >> low  # ascending, as the outcomes are
-    first = np.r_[True, high[1:] != high[:-1]]
-    u_hi, hi = high[first], np.cumsum(first) - 1
+    u_hi, hi = _distinct(outcomes >> low, 1 << n_bits - low)
     u_lo, lo = _distinct(outcomes & ((1 << low) - 1), 1 << low)
     need = 24 * max(u_hi.size, u_lo.size) ** 2
     check_memory(f"mitigating {u_hi.size} x {u_lo.size} outcome halves", need)

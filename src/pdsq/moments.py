@@ -9,9 +9,10 @@ on, and is budgeted from the qubit count alone.  The ledger is read off the
 powers' (x, z) mask arrays: it holds every distinct Pauli string across
 H^1..H^n, excluding the identity, whose expectation never needs a circuit,
 with the first power it appears in.  A cache keeps one Ledger per order n,
-which is the measurement plan of those powers: the strings and first
-powers, and, built on first use, their QWC groups and the column map that
-places each term of H^0..H^n among the strings for moment assembly.
+which is the measurement plan of those powers: the strings, their first
+powers and the column map that places each term of H^0..H^n among them for
+moment assembly, all from the one numbering that builds the ledger, and,
+built on first use, their QWC groups.
 
 Exact moments of a state need no powers at all: they come from one Lanczos
 recurrence.  K matvecs of H build an orthonormal Krylov basis Q and the
@@ -69,14 +70,16 @@ class PowerCache:
         """The string ledger over H^1..H^max_power, built once and kept."""
         if max_power not in self._ledgers:
             powers = tuple(self.power(n) for n in range(max_power + 1))
-            x, z, columns = _number_terms(powers)
+            # H^0 is the identity alone, so the identity is string 0
+            xz = np.concatenate([p.mask_arrays()[:2] for p in powers], axis=1)
+            x, z, columns = _number_strings(self.h.n_qubits, *xz)
             # each string's lowest power among the terms numbered to it
             first = np.full(x.size, max_power)
             power = np.repeat(range(max_power + 1), [p.n_terms for p in powers])
             np.minimum.at(first, columns, power)
-            for a in (x, z, first):
+            for a in (x, z, first, columns):
                 a.flags.writeable = False
-            self._ledgers[max_power] = Ledger(powers, x[1:], z[1:], first[1:])
+            self._ledgers[max_power] = Ledger(powers, x[1:], z[1:], first[1:], columns)
         return self._ledgers[max_power]
 
 
@@ -87,15 +90,17 @@ class Ledger:
     first power it appears in, and the powers H^0..H^max_power they come from.
 
     The identity is left out: its expectation never needs a circuit.  The
-    PauliStrings, QWC groups and column map are built on first use and kept,
-    so a ledger that is only counted holds no strings, and one whose moments
-    are never assembled from estimates (the full H's, in a run) no map.
+    column map places each term of H^0..H^max_power, in turn, among the
+    identity (column 0) and the strings: it is the numbering the build made,
+    kept.  The PauliStrings and QWC groups are built on first use and kept,
+    so a ledger that is only counted holds no strings.
     """
 
     powers: tuple[PauliSum, ...]
-    x: np.ndarray  # read-only, as are z and first
+    x: np.ndarray  # read-only, as are z, first and columns
     z: np.ndarray
     first: np.ndarray
+    columns: np.ndarray
 
     @cached_property
     def strings(self) -> tuple[PauliString, ...]:
@@ -106,21 +111,6 @@ class Ledger:
     def groups(self) -> tuple[grouping.QwcGroup, ...]:
         """QWC groups of the strings, by `grouping.group_qwc`."""
         return tuple(grouping.group_qwc(self.strings))
-
-    @cached_property
-    def columns(self) -> np.ndarray:
-        """Each term's index among the identity and the strings, for
-        H^0..H^max_power in turn (read-only), numbered again as at the build."""
-        columns = _number_terms(self.powers)[2]
-        columns.flags.writeable = False
-        return columns
-
-
-def _number_terms(powers: tuple[PauliSum, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`pauli._number_strings` over the terms of H^0, H^1, ... in turn;
-    H^0 is the identity alone, so the identity is string 0."""
-    xz = np.concatenate([p.mask_arrays()[:2] for p in powers], axis=1)
-    return _number_strings(powers[0].n_qubits, *xz)
 
 
 @dataclass(frozen=True, eq=False)

@@ -47,10 +47,12 @@ bound as m <= n, before any exists: 12 qubits fit MEMORY_BUDGET, 13 do not.
 
 Strings are numbered in one place, `_number_strings`: the distinct strings
 of two mask arrays in canonical order, as uint64 masks, and each input's
-index among them, for sums and the string ledgers.  With at least 4^n
-inputs (the full H4 ledger) it marks the codes z << n | x, whose ascending
-order is the canonical one, in a 4^n table; with fewer it takes one
-stable lexsort.
+index among them, for sums and the string ledgers.  Up to 32 qubits it
+numbers the codes z << n | x, whose ascending order is the canonical one,
+by `_distinct`, which the readout mitigation uses too: a presence table
+when the range is no larger than the input (the full H4 ledger), one sort
+otherwise.  Past 32 qubits the codes do not fit in 64 bits, and it takes
+one lexsort.
 
 Serialization convention, used project-wide: qubit 0 is the leftmost letter
 of a label and the leftmost character of a measurement bitstring.
@@ -445,24 +447,30 @@ def _walsh_blocks(s: PauliSum, tables: tuple, hadamard: np.ndarray) -> np.ndarra
     return w.ravel()[gather]
 
 
+def _distinct(values: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values, ascending, of an integer array whose entries lie
+    in [0, size), and each entry's index among them: by a presence table of
+    `size` flags when size <= values.size, else by one sort.  The table
+    counts in int32, which holds its indices while the input has fewer than
+    2^31 entries; the sort returns intp indices."""
+    if size > values.size:
+        return np.unique(values, return_inverse=True)
+    present = np.zeros(size, dtype=bool)
+    present[values] = True
+    return np.flatnonzero(present), (np.cumsum(present, dtype=np.int32) - 1)[values]
+
+
 def _number_strings(
     n: int, x: np.ndarray, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(ux, uz, inverse): the distinct strings of the n-qubit unsigned mask
     arrays x, z as uint64 masks in canonical order, and each input's index
     among them, so ux[inverse] == x: the merge of a sum's terms and the
-    string ledgers (see the module docstring).
-
-    The 4^n-table branch counts in int32: it runs only with at least 4^n
-    inputs, so any table that fits in memory has n <= 15 and fewer than
-    2^31 entries.  The sort branch returns intp indices.
-    """
-    if 1 << 2 * n <= x.size:
-        keys = z.astype(np.min_scalar_type((1 << 2 * n) - 1)) << n | x
-        present = np.zeros(1 << 2 * n, dtype=bool)
-        present[keys] = True
-        inverse = (np.cumsum(present, dtype=np.int32) - 1)[keys]
-        codes = np.flatnonzero(present).astype(np.uint64)
+    string ledgers (see the module docstring)."""
+    if n <= 32:
+        key = np.min_scalar_type((1 << 2 * n) - 1)
+        codes, inverse = _distinct(z.astype(key) << n | x.astype(key), 1 << 2 * n)
+        codes = codes.astype(np.uint64)
         return codes & np.uint64((1 << n) - 1), codes >> np.uint64(n), inverse
     order = np.lexsort((x, z))
     x, z = x[order], z[order]

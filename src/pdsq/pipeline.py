@@ -117,9 +117,8 @@ class Problem:
         return self.cache.h
 
 
-def build_hamiltonian(cfg: RunConfig) -> tuple[chem.IntegralSet, chem.ScfResult, PauliSum]:
-    """The integrals, RHF result and qubit Hamiltonian of cfg's source: the
-    half of build_problem that builds no sector."""
+def build_scf(cfg: RunConfig) -> tuple[chem.IntegralSet, chem.ScfResult]:
+    """The integrals and RHF result of cfg's source."""
     if cfg.spacings is not None:
         ints = chem.compute_integrals(chem.build_h_chain(list(cfg.spacings)))
     elif cfg.geometry_path is not None:
@@ -127,12 +126,20 @@ def build_hamiltonian(cfg: RunConfig) -> tuple[chem.IntegralSet, chem.ScfResult,
         ints = chem.compute_integrals(geometry)
     else:
         ints = fcidump.fcidump_read(cfg.fcidump_path)
-    scf = chem.hartree_fock(ints)
-    return ints, scf, jw.jordan_wigner(chem.second_quantized_hamiltonian(ints, scf))
+    return ints, chem.hartree_fock(ints)
+
+
+def qubit_hamiltonian(ints: chem.IntegralSet, scf: chem.ScfResult) -> PauliSum:
+    """The Jordan-Wigner Hamiltonian of ints in the RHF orbitals of scf.
+    More than 64 spin orbitals are refused before their tables exist."""
+    if 2 * ints.n_orbitals > 64:
+        raise ValueError("PauliSum supports at most 64 qubits")
+    return jw.jordan_wigner(chem.second_quantized_hamiltonian(ints, scf))
 
 
 def build_problem(cfg: RunConfig) -> Problem:
-    ints, scf, h = build_hamiltonian(cfg)
+    ints, scf = build_scf(cfg)
+    h = qubit_hamiltonian(ints, scf)
     sectors: dict[str, SectorContext] = {}
     for sector in SECTORS:
         det = chem.reference_determinant(sector, ints.n_electrons, 2 * ints.n_orbitals)

@@ -9,6 +9,7 @@ import pytest
 
 from pdsq import chem
 from pdsq.backend import prepare_basis_state, exact_expectation
+from pdsq.budget import MemoryBudgetError
 from pdsq.units import BOHR_PER_ANGSTROM
 
 from oracles import H4_SPACINGS, hartree_fock_reference, integrals_reference
@@ -126,6 +127,23 @@ def test_integral_temporaries_stay_bounded():
         tracemalloc.stop()
     assert ints.two_body.shape == (16,) * 4
     assert peak < 4_000_000
+
+
+def test_integrals_past_the_budget_are_refused_before_the_pair_loop():
+    """A 108-atom chain needs a 1.09 GB two-electron table: it is refused
+    naming the bytes and the cap before any shell pair is formed."""
+    chain = chem.build_h_chain([1.0] * 107)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetError, match=(
+            "the two-electron table of 108 orbitals: 1088391168 bytes exceed the cap "
+            "MEMORY_BUDGET = 1073741824 bytes"
+        )):
+            chem.compute_integrals(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_h_atom_energy_matches_reference():

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -631,13 +632,14 @@ def test_simulate_refuses_over_budget_shots_before_allocating(tmp_path):
 
 def _write_sparse_chain(path, n):
     """An n-orbital FCIDUMP with hopping and on-site terms only, so that its
-    Hamiltonian stays small however many qubits it spans."""
+    Hamiltonian stays small however many qubits it spans, and an even
+    electron count, so that RHF runs on it."""
     from pdsq import chem, fcidump
 
     one = np.diag(-1.0 + 0.1 * np.arange(n)) - 0.5 * (np.eye(n, k=1) + np.eye(n, k=-1))
     two = np.zeros((n,) * 4)
     two[(np.arange(n),) * 4] = 0.8
-    fcidump.fcidump_write(chem.IntegralSet(n, 0.0, one, two, np.eye(n), n), path)
+    fcidump.fcidump_write(chem.IntegralSet(n, 0.0, one, two, np.eye(n), n - n % 2), path)
 
 
 def test_fourteen_orbital_fcidump_exits_2_at_its_first_ladder_product(tmp_path):
@@ -694,6 +696,39 @@ def test_sixteen_orbital_fcidump_runs_the_commands_that_read_no_state(tmp_path):
     assert "orbitals: 16  electrons: 16" in proc.stdout
     assert f"wrote {out} (" in proc.stdout and "32 qubits)" in proc.stdout
     assert parse_sum(out.read_text()).n_qubits == 32
+
+
+@pytest.mark.parametrize("n", [16, 33])
+def test_integrals_builds_no_hamiltonian(capsys, tmp_path, monkeypatch, n):
+    """`pdsq integrals` reads the integrals and the RHF result only: with
+    jordan_wigner refusing, it still runs, on 32 qubits and on 66, more
+    than a PauliSum holds."""
+    from pdsq import jw
+
+    def refuse(tables):
+        raise AssertionError("integrals built a Hamiltonian")
+
+    monkeypatch.setattr(jw, "jordan_wigner", refuse)
+    path = tmp_path / f"chain{n}.fcidump"
+    _write_sparse_chain(path, n)
+    code, out, err = run_cli(capsys, "integrals", "--fcidump", str(path))
+    assert (code, err) == (0, "")
+    assert out.startswith(f"orbitals: {n}  electrons: {n - n % 2}\n")
+
+
+def test_more_than_64_spin_orbitals_are_refused_before_their_tables(capsys, tmp_path):
+    """33 orbitals: `pdsq hamiltonian` exits 1 naming the 64-qubit limit of
+    a PauliSum before the (2n)^4 spin-orbital tables (152 MB) exist."""
+    path = tmp_path / "chain33.fcidump"
+    _write_sparse_chain(path, 33)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "hamiltonian", "--fcidump", str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (1, "", "error: PauliSum supports at most 64 qubits\n")
+    assert peak < 64 << 20
 
 
 def test_an_idle_orbital_tapers_with_z_generators_only(capsys, tmp_path):

@@ -1,11 +1,13 @@
 """FCIDUMP reader/writer round trips and error reporting."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pdsq import chem
+from pdsq.budget import MemoryBudgetError
 from pdsq.fcidump import FcidumpError, fcidump_read, fcidump_write
 
 HAND_BUILT = """&FCI NORB=2,NELEC=2,MS2=0,
@@ -111,3 +113,23 @@ def test_header_counts_out_of_range_name_the_field(tmp_path, header, message):
     path.write_text(f"&FCI {header},MS2=0,\n&END\n1.0 0 0 0 0\n")
     with pytest.raises(FcidumpError, match=re.escape(f"line 1: {message}")):
         fcidump_read(path)
+
+
+def test_norb_past_the_budget_is_refused_before_the_tables(tmp_path):
+    """NORB comes from outside input: a header-only NORB=120 file needs a
+    1.66 GB two-electron table, and is refused naming the bytes and the cap
+    before any table exists (unchecked, NumPy failed to allocate it under a
+    2 GB address limit)."""
+    path = tmp_path / "wide.fcidump"
+    path.write_text("&FCI NORB=120,NELEC=2,MS2=0,\n&END\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryBudgetError, match=re.escape(
+            "the two-electron table of 120 orbitals: 1658880000 bytes exceed the cap "
+            "MEMORY_BUDGET = 1073741824 bytes"
+        )):
+            fcidump_read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

@@ -7,9 +7,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).parents[1]
 # a reduced H2 matrix: a report bundle, a sampled run, a CSV, a written
-# FCIDUMP and histogram files
+# FCIDUMP and histogram files; and a case that reads an input file
 REDUCED = ("h2-run-exact", "h2-run-parallel-p1e-3-mitigated", "h2-pds", "h2-integrals",
-           "h2-simulate-parallel")
+           "h2-simulate-parallel", "idle-taper")
 
 
 def _load_identity():
@@ -30,6 +30,8 @@ def test_two_runs_agree_and_compare_names_only_a_perturbed_artifact(tmp_path, ca
     assert result["blas"]["library"] and result["blas"]["numpy"]
     written = {"h2-pds/pds.csv", "h2-integrals/h2.fcidump", "h2-run-exact/out/summary.txt"}
     assert written <= result["artifacts"].keys()
+    # artifacts are named by case, and the input file is not one of them
+    assert {name.split("/")[0] for name in result["artifacts"]} == set(REDUCED)
 
     capsys.readouterr()
     assert identity.main(["--compare", str(first), str(second)]) == 0

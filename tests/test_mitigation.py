@@ -198,10 +198,9 @@ def test_too_many_distinct_halves_fail_before_allocation():
     ],
 )
 def test_halves_without_a_sort_keep_the_bytes_of_sorted_halves(n_bits, n_draws, table):
-    """The high halves from a first difference and the low halves from a
-    presence table (|B| >= 2^low) or a sort (|B| < 2^low) give the bytes
-    that np.unique on both halves gives, with counts and with float
-    weights."""
+    """Halves numbered by pauli._distinct, the low ones by a presence table
+    (|B| >= 2^low) or a sort (|B| < 2^low), give the bytes that np.unique
+    on both halves gives, with counts and with float weights."""
     rng = np.random.default_rng(n_bits * n_draws)
     outcomes = np.unique(rng.integers(0, 1 << n_bits, n_draws))
     assert (outcomes.size >= 1 << n_bits // 2) == table  # which way the low halves go

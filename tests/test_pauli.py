@@ -12,6 +12,7 @@ from pdsq.budget import MemoryBudgetError
 from pdsq.pauli import (
     PauliString,
     PauliSum,
+    _distinct,
     _multiply_masks,
     _number_strings,
     multiply_sums,
@@ -531,6 +532,31 @@ def test_number_strings_matches_unique_oracle(n, wide):
         assert got[0].dtype == got[1].dtype == np.uint64
         for g, w in zip(got, number_strings_reference(x, z)):
             assert np.array_equal(g, w)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_distinct_matches_unique(data):
+    """pauli._distinct against np.unique on uint8 to uint64 values below
+    `size`: a table no larger than the input, the edge size == length
+    included, and a sort past it, on empty input too.  The table counts in
+    int32."""
+    dtype = np.dtype(data.draw(st.sampled_from(["uint8", "uint16", "uint32", "uint64"])))
+    length = data.draw(st.integers(0, 40))
+    size = data.draw(st.one_of(
+        st.just(length),
+        st.integers(1, max(length, 1)),
+        st.integers(length + 1, 1 << 8 * dtype.itemsize),
+    ))
+    values = np.array(
+        data.draw(st.lists(st.integers(0, max(size - 1, 0)), min_size=length, max_size=length)),
+        dtype=dtype,
+    )
+    got, inverse = _distinct(values, size)
+    want, want_inverse = np.unique(values, return_inverse=True)
+    assert np.array_equal(got, want) and np.array_equal(inverse, want_inverse)
+    if size <= length:
+        assert inverse.dtype == np.int32
 
 
 def spread_out(rng, s):

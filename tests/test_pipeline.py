@@ -628,33 +628,36 @@ def test_moments_ignore_extra_estimates_and_keep_the_identity(h4_problem):
     assert missing.value.args == (strings[0],)
 
 
-def test_only_a_ledger_with_assembled_moments_holds_a_column_map(tmp_path, monkeypatch):
-    """An exact run assembles no moments from estimates, so the full H4
-    ledger holds no column map after it; a tapered ledger numbers its
-    terms for the map on its first assembly only."""
+@pytest.mark.parametrize("mode", ["exact", "parallel"])
+def test_each_ledger_numbers_its_terms_once_at_its_build(tmp_path, monkeypatch, mode):
+    """A run builds three ledgers over H^1..H^19, the full H4's and each
+    sector's tapered one, and each numbers its terms once, at its build,
+    keeping that numbering as its column map: assembling moments from
+    estimates, in a sampled run or again and again after one, numbers
+    nothing."""
     from pdsq import moments
     from pdsq.pipeline import moments_from_estimates, unique_measured_strings
 
-    cfg = RunConfig(spacings=(2.0, 2.0, 2.0), output_dir=tmp_path)
+    numbered = []
+    number = moments._number_strings
+
+    def counted(n, x, z):
+        numbered.append(x.size)
+        return number(n, x, z)
+
+    monkeypatch.setattr(moments, "_number_strings", counted)
+    cfg = RunConfig(spacings=(2.0, 2.0, 2.0), mode=mode, output_dir=tmp_path)
     problem = build_problem(cfg)
     run_pipeline(cfg, problem)
+    caches = [problem.cache, *(ctx.tapered_cache for ctx in problem.sectors.values())]
+    assert numbered == [cache.ledger(19).columns.size for cache in caches]
     full = problem.cache.ledger(19)
     assert len(full.strings) == 4223 and full.groups
-    assert "columns" not in vars(full)
-    cache = problem.sectors["singlet"].tapered_cache
+    cache = caches[1]
     estimates = dict.fromkeys(unique_measured_strings(cache, 19), 0.5)
-    numbered = []
-    number = moments._number_terms
-
-    def counted(powers):
-        numbered.append(len(powers))
-        return number(powers)
-
-    monkeypatch.setattr(moments, "_number_terms", counted)
     got = [moments_from_estimates(cache, estimates, 10) for _ in range(3)]
-    assert numbered == [20]
+    assert len(numbered) == 3
     assert all(np.array_equal(g, got[0]) for g in got)
-    assert "columns" not in vars(problem.cache.ledger(19))
 
 
 @pytest.mark.parametrize("spacings", [(2.0, 2.0, 2.0), (1.0, 1.5, 1.0), (1.0, 2.0, 3.0)])

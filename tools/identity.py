@@ -35,8 +35,26 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 THREADS = "1"
 TIMEOUT_S = 1800
 
-# an orbital that no record couples: both sectors taper 4 -> 0 qubits
-IDLE_FCIDUMP = "&FCI NORB=2,NELEC=2,MS2=0,\n&END\n 0.25 1 1 0 0\n"
+
+def _sparse_chain(norb: int) -> str:
+    """FCIDUMP text of a chain of norb orbitals with hopping and on-site
+    terms only, and an even electron count, so that its Hamiltonian stays
+    small however many qubits it spans."""
+    records = [(0.8, i, i, i, i) for i in range(1, norb + 1)]
+    records += [(-1.0 + 0.1 * i, i + 1, i + 1, 0, 0) for i in range(norb)]
+    records += [(-0.5, i + 1, i, 0, 0) for i in range(1, norb)] + [(0.0, 0, 0, 0, 0)]
+    lines = [f"&FCI NORB={norb},NELEC={norb - norb % 2},MS2=0,", "&END"]
+    lines += ["{: .16e} {:4d} {:4d} {:4d} {:4d}".format(*r) for r in records]
+    return "\n".join(lines) + "\n"
+
+
+# input file name -> text, written into a case's working directory when its
+# arguments name it; an idle orbital, one that no record couples, makes both
+# sectors taper 4 -> 0 qubits
+INPUTS = {
+    "idle.fcidump": "&FCI NORB=2,NELEC=2,MS2=0,\n&END\n 0.25 1 1 0 0\n",
+    **{f"chain{n}.fcidump": _sparse_chain(n) for n in (16, 17, 33)},
+}
 
 
 def _cases() -> dict[str, tuple[str, ...]]:
@@ -66,6 +84,12 @@ def _cases() -> dict[str, tuple[str, ...]]:
         cases[f"h6-{command}"] = (command, *h6)
     for command in ("taper", "exact", "pds"):
         cases[f"idle-{command}"] = (command, "--fcidump", "idle.fcidump")
+    # 32 and 34 qubits: string codes of 64 bits, and too wide for them; 66
+    # qubits, more than a PauliSum holds
+    for norb, commands in ((16, ("hamiltonian",)), (17, ("hamiltonian",)),
+                           (33, ("integrals", "hamiltonian"))):
+        for command in commands:
+            cases[f"chain{norb}-{command}"] = (command, "--fcidump", f"chain{norb}.fcidump")
     return cases
 
 
@@ -109,9 +133,9 @@ def run_case(name: str, args: tuple[str, ...], env: dict[str, str]) -> dict[str,
     """The case's artifacts, each named `name/...`, as sha256 hex digests."""
     with tempfile.TemporaryDirectory(prefix="pdsq-identity-") as tmp:
         work = Path(tmp)
-        inputs = {"idle.fcidump"} if "idle.fcidump" in args else set()
-        if inputs:
-            (work / "idle.fcidump").write_text(IDLE_FCIDUMP)
+        inputs = {file for file in INPUTS if file in args}
+        for file in inputs:
+            (work / file).write_text(INPUTS[file])
         proc = subprocess.run(
             [sys.executable, "-m", "pdsq.cli", *args], cwd=work, env=env,
             capture_output=True, timeout=TIMEOUT_S,
