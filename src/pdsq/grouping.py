@@ -4,16 +4,15 @@ Grouping is greedy first-fit over strings sorted by descending weight (ties
 broken by canonical mask order): deterministic and close to the partition
 sizes good solvers reach, though not necessarily minimal.
 
-It is computed one group at a time on uint64 mask arrays.  Under first-fit a
-group's rotation depends only on the strings that joined it earlier, so
-group 0 is one scan over all strings that takes every string fitting its
-running rotation, group 1 the same scan over the strings left, and so on.
-Within a scan a fitting string that reaches no new qubit leaves the rotation
-as it is, so one vector pass takes all of them up to the first fitting string
-that does extend it; that string joins and the pass resumes after it.  Each
-extension adds a qubit, so a group costs at most n + 1 passes over the
-strings left (n qubits), where the per-string loop tried every open group
-for every string.
+It is computed one group at a time on uint64 mask arrays.  A first-fit
+group is exactly the set of strings left that fit its final rotation.  A
+rotation only ever gains letters, so a string that fits the final rotation
+fitted the running one when first-fit reached it, and one that did not fit
+then never fits later.  So the first string left opens the group, the
+rotation takes in the first string left that fits it and reaches a new
+qubit until none does, and the members are the strings that fit the result,
+in order.  Each extension adds a qubit, so a group costs at most n + 1
+vector passes over the strings left (n qubits).
 
 A group is measured in the basis its rotation masks name, which the sampler
 reads directly (a uniform bit where the rotation has X or Y): each member's
@@ -90,36 +89,21 @@ def group_qwc(strings: Sequence[PauliString]) -> list[QwcGroup]:
 
     groups = []
     while order.size:
-        joined, rx, rz = _peel_group(x, z)
-        members = tuple(pauli_list[i] for i in order[joined].tolist())
+        # the group of the rotation's fixed point (see the module notes)
+        rx, rz = x[0], z[0]
+        support = x | z
+        while True:
+            covered = rx | rz
+            fits = ((rx ^ x) | (rz ^ z)) & covered & support == 0
+            extends = np.flatnonzero(fits & (support & ~covered != 0))
+            if not extends.size:
+                break
+            rx, rz = rx | x[extends[0]], rz | z[extends[0]]
+        members = tuple(pauli_list[i] for i in order[fits].tolist())
         groups.append(QwcGroup(members, PauliString(n, int(rx), int(rz))))
-        left = ~joined
+        left = ~fits
         order, x, z = order[left], x[left], z[left]
     return groups
-
-
-def _peel_group(x: np.ndarray, z: np.ndarray) -> tuple[np.ndarray, np.uint64, np.uint64]:
-    """Which of the strings, in order, first-fit puts in the group that the
-    first one opens, and that group's rotation masks (see the module notes)."""
-    joined = np.zeros(x.size, dtype=bool)
-    joined[0] = True
-    rx, rz = x[0], z[0]
-    start = 1
-    while start < x.size:
-        sx, sz = x[start:], z[start:]
-        covered = rx | rz
-        support = sx | sz
-        fits = ((rx ^ sx) | (rz ^ sz)) & covered & support == 0
-        extends = np.flatnonzero(fits & (support & ~covered != 0))
-        stop = extends[0] if extends.size else fits.size
-        joined[start : start + stop] = fits[:stop]
-        if not extends.size:
-            break
-        grow = start + stop
-        joined[grow] = True
-        rx, rz = rx | x[grow], rz | z[grow]
-        start = grow + 1
-    return joined, rx, rz
 
 
 def pack_batches(

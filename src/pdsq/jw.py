@@ -13,13 +13,15 @@ phase e follows from the running product of the factors' strings, one
 Ladder operators are real matrices, and so is each part: e is odd exactly
 on strings with an odd number of Y letters, so a part is carried as the
 real 2^-k (-1)^{e >> 1}, its coefficient, or its coefficient over i there.
-Like strings are merged within each product first: the parts are +-2^-k, so
-that sum is exact in any order.  Each merged product is scaled by h[p, q] or
-<pq||rs>/4, and the scaled terms are summed string by string in table order
-(one-body (p, q), then two-body (p, q, r, s), both row-major), starting from
-the core energy.  Those are the additions, in the order, that accumulating
-one product after another makes, so every coefficient carries the same bits
-whatever the layout of the pass.  Symmetric tables leave the odd strings at
+X and Y set the same x bit, so every product of one entry has the entry's
+X mask, and like strings meet only within the entry's row: they are merged
+there first, and as the parts are +-2^-k that sum is exact in any order.
+Each merged product is scaled by h[p, q] or <pq||rs>/4, and the scaled
+terms are summed string by string in table order (one-body (p, q), then
+two-body (p, q, r, s), both row-major), starting from the core energy.
+Those are the additions, in the order, that accumulating one product after
+another makes, so every coefficient carries the same bits whatever the
+layout of the pass.  Symmetric tables leave the odd strings at
 round-off, which the sum drops; a remainder above DROP_TOL is refused.
 """
 
@@ -34,11 +36,13 @@ _COEFF_CUTOFF = 1e-14
 
 
 def _string_products(modes: np.ndarray, daggers: tuple[bool, ...]):
-    """The 2^k string products of a^(daggers[0])_{modes[i, 0]} ...
+    """The merged string products of a^(daggers[0])_{modes[i, 0]} ...
     a^(daggers[k-1])_{modes[i, k-1]} for each row i of modes.
 
-    Returns (x, z, e), each of shape (rows, 2^k): product j takes factor f's
-    Y string when bit f of j is set, and has coefficient 2^-k i^e.
+    Of the 2^k products, product j takes factor f's Y string when bit f of j
+    is set and has coefficient 2^-k i^e.  Returns (row, x, z, c): each row's
+    distinct strings with a nonzero coefficient c (over i where e is odd),
+    rows in order and ascending on z within a row.
     """
     k = len(daggers)
     bit = np.uint64(1) << modes.astype(np.uint64)
@@ -52,7 +56,17 @@ def _string_products(modes: np.ndarray, daggers: tuple[bool, ...]):
         x, z, e_f = _multiply_masks(x, z, xf, zf)
         # the Y string's coefficient: -i/2 = i^3 / 2 on a+, +i/2 on a
         e = e + e_f + np.where(takes_y[:, f], 3 if dagger else 1, 0)
-    return x, z, e & 3
+    # a row's products share one X mask (see the module notes): sort each
+    # row on z and add its +-2^-k parts, which is exact in any order
+    order = np.argsort(z, axis=1)
+    z = np.take_along_axis(z, order, axis=1)
+    part = np.where(np.take_along_axis(e, order, axis=1) & 2, -(0.5**k), 0.5**k)
+    first = np.ones(z.shape, dtype=bool)
+    first[:, 1:] = z[:, 1:] != z[:, :-1]
+    c = np.bincount(np.cumsum(first) - 1, weights=part.ravel())
+    keep = c != 0
+    row = np.nonzero(first)[0][keep]
+    return row, x[row, 0], z[first][keep], c[keep]
 
 
 def jordan_wigner(tables: SpinOrbitalTables) -> PauliSum:
@@ -73,33 +87,14 @@ def jordan_wigner(tables: SpinOrbitalTables) -> PauliSum:
     pp, qq, rr, ss = np.nonzero(
         (np.abs(two) > _COEFF_CUTOFF) & distinct[:, :, None, None] & distinct
     )
-    x1, z1, e1 = _string_products(np.stack((p, q), axis=1), (True, False))
-    x2, z2, e2 = _string_products(
+    row1, x1, z1, c1 = _string_products(np.stack((p, q), axis=1), (True, False))
+    row2, x2, z2, c2 = _string_products(
         np.stack((pp, qq, ss, rr), axis=1), (True, True, False, False)
     )
-
-    # product 0 is the core energy, then the table entries in loop order
-    scale = np.concatenate(([1.0], one[p, q], 0.25 * two[pp, qq, rr, ss]))
-    product = np.concatenate((
-        [0],
-        np.repeat(np.arange(1, len(p) + 1), 4),
-        np.repeat(np.arange(len(p) + 1, len(scale)), 16),
-    ))
-    x = np.concatenate(([np.uint64(0)], x1.ravel(), x2.ravel()))
-    z = np.concatenate(([np.uint64(0)], z1.ravel(), z2.ravel()))
-    e = np.concatenate((e1.ravel(), e2.ravel()))
-    unit = np.concatenate((np.full(e1.size, 0.25), np.full(e2.size, 0.0625)))
-    c = np.concatenate(([float(tables.core_energy)], np.where(e & 2, -unit, unit)))
-
-    # merge like strings within each product: exact, as the parts are +-2^-k
-    order = np.lexsort((x, z, product))
-    x, z, product, c = x[order], z[order], product[order], c[order]
-    first = np.concatenate((
-        [True],
-        (product[1:] != product[:-1]) | (x[1:] != x[:-1]) | (z[1:] != z[:-1]),
-    ))
-    c = np.bincount(np.cumsum(first) - 1, weights=c)
-    nonzero = c != 0
-    weight = scale[product[first][nonzero]]
-    # then sum the scaled products string by string, in loop order
-    return _sum_in_order(m, x[first][nonzero], z[first][nonzero], weight * c[nonzero])
+    # the core energy, then each entry's merged product scaled by h[p, q] or
+    # <pq||rs>/4, summed string by string in loop order
+    return _sum_in_order(
+        m, np.concatenate(([np.uint64(0)], x1, x2)), np.concatenate(([np.uint64(0)], z1, z2)),
+        np.concatenate(([float(tables.core_energy)], one[p, q][row1] * c1,
+                        0.25 * two[pp, qq, rr, ss][row2] * c2)),
+    )

@@ -456,7 +456,8 @@ def _write_reports(
         f"S0->S1 = {report.exact_reference['s0_s1_ev']:.3f} eV, "
         f"S0->T0 = {report.exact_reference['s0_t0_ev']:.3f} eV",
         "",
-        "Trapped-ion hardware reference energies (20-qubit device): "
+        "Trapped-ion hardware reference energies of linear H4 at 2 Angstrom "
+        "(20-qubit device): "
         f"S0 = {HARDWARE_REFERENCE['S0']}, S1 = {HARDWARE_REFERENCE['S1']}, "
         f"T0 = {HARDWARE_REFERENCE['T0']} hartree.",
         "These are reference points only: they fold in device noise and finite",

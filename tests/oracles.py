@@ -368,8 +368,9 @@ def group_qwc_reference(strings):
     (-weight, z, x), each joining the first group whose running rotation it
     fits, else opening a new group.
 
-    Plain Python ints and loops, with no mask arrays: the reference the
-    peeled grouping is checked against member for member.
+    Plain Python ints and loops, with no mask arrays: the reference that
+    `group_qwc`, which takes each group as the strings fitting its final
+    rotation, is checked against member for member.
     """
     from pdsq.grouping import QwcGroup
     from pdsq.pauli import PauliString

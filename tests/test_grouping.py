@@ -123,7 +123,18 @@ def pairwise_clashing_sets(draw):
     return _drawn_strings(n, active, drawn)
 
 
-@given(st.one_of(sparse_string_sets(), pairwise_clashing_sets()))
+@st.composite
+def dense_string_sets(draw):
+    """Strings with letters on up to 3 of all n qubits: most pairs commute
+    qubit-wise, so that a group's rotation extends many times before it is
+    fixed (letters drawn on every qubit almost never commute)."""
+    n = draw(st.sampled_from([5, 8, 12]))
+    string = st.dictionaries(st.integers(0, n - 1), st.sampled_from("XYZ"), min_size=1, max_size=3)
+    drawn = draw(st.lists(string, min_size=1, max_size=200))
+    return _drawn_strings(n, list(range(n)), [[d.get(q, "I") for q in range(n)] for d in drawn])
+
+
+@given(st.one_of(sparse_string_sets(), pairwise_clashing_sets(), dense_string_sets()))
 @settings(max_examples=300, deadline=None)
 def test_grouping_matches_the_first_fit_oracle_on_drawn_sets(pool):
     assert_same_groups(group_qwc(pool), group_qwc_reference(pool))

@@ -77,6 +77,14 @@ def _cases() -> dict[str, tuple[str, ...]]:
         for command in ("plan", "taper", "moments", "exact", "hamiltonian"):
             cases[f"{mol}-{command}"] = (command, *source)
         cases[f"{mol}-integrals"] = ("integrals", *source, "--write-fcidump", f"{mol}.fcidump")
+    # an asymmetric H4 chain: 8,319 full-ledger strings in 841 groups
+    h4asym = ("--spacings", "1.0,1.5,2.0")
+    for command in ("plan", "hamiltonian"):
+        cases[f"h4asym-{command}"] = (command, *h4asym)
+    cases["h4asym-run-exact"] = ("run", *h4asym, "--output-dir", "out")
+    cases["h4asym-run-parallel-p1e-3-mitigated"] = (
+        "run", *h4asym, "--mode", "parallel", "--spam-p", "1e-3", "--output-dir", "out",
+    )
     h6 = ("--spacings", "2,2,2,2,2")
     for command in ("taper", "plan"):
         cases[f"h6-{command}"] = (command, *h6, "--k-max", "2")
