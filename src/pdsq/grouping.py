@@ -4,15 +4,21 @@ Grouping is greedy first-fit over strings sorted by descending weight (ties
 broken by canonical mask order): deterministic and close to the partition
 sizes good solvers reach, though not necessarily minimal.
 
-It is computed one group at a time on uint64 mask arrays.  A first-fit
-group is exactly the set of strings left that fit its final rotation.  A
-rotation only ever gains letters, so a string that fits the final rotation
-fitted the running one when first-fit reached it, and one that did not fit
-then never fits later.  So the first string left opens the group, the
-rotation takes in the first string left that fits it and reaches a new
-qubit until none does, and the members are the strings that fit the result,
-in order.  Each extension adds a qubit, so a group costs at most n + 1
-vector passes over the strings left (n qubits).
+It is computed one group at a time on Python-int bitsets over the strings'
+sorted positions.  A first-fit group is exactly the set of strings left
+that fit its final rotation.  A rotation only ever gains letters, so a
+string that fits the final rotation fitted the running one when first-fit
+reached it, and one that did not fit then never fits later.  So the first
+string left opens the group, the rotation takes in the first string left
+that fits it and reaches a new qubit until none does, and the members are
+the strings that fit the result, in order.  Per qubit q there are four
+N-bit ints (N strings): the strings whose letter on q is I or X, I or Z,
+I or Y, and those not I on q.  The strings left that fit a rotation are the
+AND of the first three over the letters it holds; those reaching a new
+qubit are the OR of the fourth over the qubits it leaves idle.  Each
+extension covers a new qubit, so a group costs at most n ANDs in all, at
+most n ORs for each of its at most n extensions (n qubits), and one read of
+its members' bits.  No NumPy pass runs per group.
 
 A group is measured in the basis its rotation masks name, which the sampler
 reads directly (a uniform bit where the rotation has X or Y): each member's
@@ -26,11 +32,13 @@ exceeds the outcome count, so a wide slot never allocates 2^n bins.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from .budget import check_memory
 from .pauli import PauliString
 
 
@@ -68,6 +76,10 @@ class PackedBatch:
             taken |= span
 
 
+# the most bytes of member bitsets read back to positions at once
+_DECODE_BYTES = 1 << 20
+
+
 def group_qwc(strings: Sequence[PauliString]) -> list[QwcGroup]:
     """Partition strings into QWC groups (greedy, largest weight first)."""
     pauli_list = list(strings)
@@ -81,29 +93,80 @@ def group_qwc(strings: Sequence[PauliString]) -> list[QwcGroup]:
             raise ValueError("the identity string is never measured; exclude it")
     if n > 64:
         raise ValueError(f"QWC grouping holds masks in uint64: {n} qubits exceed 64")
-    x = np.fromiter((s.x for s in pauli_list), dtype=np.uint64, count=len(pauli_list))
-    z = np.fromiter((s.z for s in pauli_list), dtype=np.uint64, count=len(pauli_list))
+    count = len(pauli_list)
+    x = np.fromiter((s.x for s in pauli_list), dtype=np.uint64, count=count)
+    z = np.fromiter((s.z for s in pauli_list), dtype=np.uint64, count=count)
     weight = np.bitwise_count(x | z).astype(np.int64)
     order = np.lexsort((x, z, -weight))  # the stable order of key (-weight, z, x)
     x, z = x[order], z[order]
 
+    nwords = -(-count // 64)
+    check_memory(f"QWC grouping of {count} strings on {n} qubits", 4 * n * 8 * nwords)
     groups = []
-    while order.size:
-        # the group of the rotation's fixed point (see the module notes)
-        rx, rz = x[0], z[0]
-        support = x | z
-        while True:
-            covered = rx | rz
-            fits = ((rx ^ x) | (rz ^ z)) & covered & support == 0
-            extends = np.flatnonzero(fits & (support & ~covered != 0))
-            if not extends.size:
-                break
-            rx, rz = rx | x[extends[0]], rz | z[extends[0]]
-        members = tuple(pauli_list[i] for i in order[fits].tolist())
-        groups.append(QwcGroup(members, PauliString(n, int(rx), int(rz))))
-        left = ~fits
-        order, x, z = order[left], x[left], z[left]
+    found = _fixed_points(x, z, n)
+    while chunk := list(itertools.islice(found, max(1, _DECODE_BYTES // (8 * nwords)))):
+        where, bounds = _positions([fits for fits, _, _ in chunk], nwords)
+        members = [pauli_list[i] for i in order[where].tolist()]
+        for (_, rx, rz), start, stop in zip(chunk, bounds, bounds[1:]):
+            groups.append(QwcGroup(tuple(members[start:stop]), PauliString(n, rx, rz)))
     return groups
+
+
+def _fixed_points(x: np.ndarray, z: np.ndarray, n: int):
+    """First-fit groups of the sorted masks x, z, in order: the bitset of
+    each group's members (bit i for position i) and its rotation masks."""
+    # per qubit q: fit[q][letter], the strings that are I or that letter on
+    # q (letter = x bit + 2 z bit: 0 I, 1 X, 2 Z, 3 Y); busy[q], the strings
+    # not I on q
+    everyone = (1 << x.size) - 1
+    fit, busy = [], []
+    for q in range(n):
+        bit = np.uint64(1 << q)
+        xq, zq = (x & bit) != 0, (z & bit) != 0
+        fit.append((everyone, _bitset(~zq), _bitset(~xq), _bitset(xq == zq)))
+        busy.append(_bitset(xq | zq))
+    alive = everyone
+    while alive:
+        # the group of the rotation's fixed point (see the module notes)
+        first = (alive & -alive).bit_length() - 1
+        rx, rz = int(x[first]), int(z[first])
+        fits, idle = alive, range(n)
+        while True:
+            # take in the letters of newly covered qubits; the strings left
+            # busy on a qubit still idle reach a new one
+            covered, reach, still = rx | rz, 0, []
+            for q in idle:
+                if covered >> q & 1:
+                    fits &= fit[q][(rx >> q & 1) | (rz >> q & 1) << 1]
+                else:
+                    reach |= busy[q]
+                    still.append(q)
+            idle = still
+            extends = fits & reach
+            if not extends:
+                break
+            i = (extends & -extends).bit_length() - 1
+            rx, rz = rx | int(x[i]), rz | int(z[i])
+        yield fits, rx, rz
+        alive ^= fits
+
+
+def _bitset(mask: np.ndarray) -> int:
+    """The int whose bit i is mask[i]."""
+    return int.from_bytes(np.packbits(mask, bitorder="little").tobytes(), "little")
+
+
+def _positions(sets: list[int], nwords: int) -> tuple[np.ndarray, list[int]]:
+    """The set bits of ints of at most 64 * nwords bits, each int's ascending
+    and one after another, and where each int's bits start and stop."""
+    raw = b"".join(s.to_bytes(8 * nwords, "little") for s in sets)
+    words = np.flatnonzero(np.frombuffer(raw, dtype=np.uint64))  # scanned 8 bytes at a time
+    octets = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 8)[words].ravel()
+    at = np.flatnonzero(octets)
+    bits = np.flatnonzero(np.unpackbits(octets[at], bitorder="little"))
+    at = words[at >> 3] * 8 + (at & 7)  # the bytes holding a bit
+    row, where = np.divmod(at[bits >> 3] * 8 + (bits & 7), 64 * nwords)
+    return where, np.searchsorted(row, np.arange(len(sets) + 1)).tolist()
 
 
 def pack_batches(

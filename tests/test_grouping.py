@@ -140,6 +140,123 @@ def test_grouping_matches_the_first_fit_oracle_on_drawn_sets(pool):
     assert_same_groups(group_qwc(pool), group_qwc_reference(pool))
 
 
+def assert_first_fit_partition(pool, groups):
+    """The invariants that fix a first-fit partition, checked on mask arrays
+    at sizes the per-string oracle is too slow for: the groups partition the
+    pool, each holding its members in sorted order; group k opens at the
+    first sorted string no earlier group holds; each rotation is the OR of
+    its members' letters; and each string lies in the first group, by index,
+    whose final rotation it fits."""
+    x = np.array([s.x for s in pool], dtype=np.uint64)
+    z = np.array([s.z for s in pool], dtype=np.uint64)
+    rank = np.empty(len(pool), dtype=np.int64)
+    rank[np.lexsort((x, z, -np.bitwise_count(x | z).astype(np.int64)))] = np.arange(len(pool))
+    at = {s: i for i, s in enumerate(pool)}
+    label = {s: k for k, g in enumerate(groups) for s in g.members}
+    assert sum(len(g.members) for g in groups) == len(label) == len(at)
+    label = np.array([label[s] for s in pool])  # every string of the pool is grouped
+
+    members = np.array([at[s] for g in groups for s in g.members])
+    starts = np.cumsum([0] + [len(g.members) for g in groups[:-1]])
+    assert (np.diff(rank[members])[np.diff(label[members]) == 0] > 0).all()
+    by_rank = np.empty(len(pool), dtype=np.int64)
+    by_rank[rank] = label
+    opens = np.unique(by_rank, return_index=True)[1]
+    assert opens.size == len(groups) and (np.diff(opens) > 0).all()
+    assert np.bitwise_or.reduceat(x[members], starts).tolist() == [g.rotation.x for g in groups]
+    assert np.bitwise_or.reduceat(z[members], starts).tolist() == [g.rotation.z for g in groups]
+
+    def fit(rx, rz):  # a string fits a rotation where both are not I
+        return ((rx ^ x) | (rz ^ z)) & (rx | rz) & (x | z) == 0
+
+    # per-string first-fit: a string joins the first group whose running
+    # rotation, the OR of its members ranked before it, it fits, or opens
+    # the next; and, the same groups, the first whose final one it fits
+    first_running = np.full(len(pool), -1)
+    first_final = np.full(len(pool), -1)
+    for k, (start, g) in enumerate(zip(starts, groups)):
+        own = members[start : start + len(g.members)]
+        before = np.searchsorted(rank[own], rank)
+        running = fit(np.bitwise_or.accumulate(x[own])[before - 1],
+                      np.bitwise_or.accumulate(z[own])[before - 1])
+        joins = (before > 0) & running | (rank == rank[own[0]])
+        first_running[(first_running < 0) & joins] = k
+        fits = fit(np.uint64(g.rotation.x), np.uint64(g.rotation.z))
+        first_final[(first_final < 0) & fits] = k
+    assert (first_running == label).all()
+    assert (first_final == label).all()
+
+
+def test_h4_ledger_is_a_first_fit_partition(h4_problem):
+    from pdsq.pipeline import unique_measured_strings
+
+    ledger = unique_measured_strings(h4_problem.cache, 19)
+    assert_first_fit_partition(ledger, group_qwc(ledger))
+
+
+def _random_strings(rng, n_qubits: int, count: int, p: float) -> list:
+    """count distinct strings on n_qubits, each qubit non-identity with
+    probability p, the letter uniform over X, Y and Z."""
+    letters = rng.integers(1, 4, size=(4 * count, n_qubits)) * (
+        rng.random((4 * count, n_qubits)) < p
+    )
+    weights = 1 << np.arange(n_qubits)
+    x = ((letters % 2 == 1) @ weights).tolist()  # X = 1, Y = 3
+    z = ((letters >= 2) @ weights).tolist()  # Z = 2, Y = 3
+    masks = [m for m in dict.fromkeys(zip(x, z)) if m != (0, 0)][:count]
+    assert len(masks) == count
+    return [PauliString(n_qubits, mx, mz) for mx, mz in masks]
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2000, 5000), st.sampled_from([0.25, 0.4]))
+@settings(max_examples=20, deadline=None)
+def test_wide_drawn_sets_are_first_fit_partitions(seed, count, p):
+    pool = _random_strings(np.random.default_rng(seed), 12, count, p)
+    assert_first_fit_partition(pool, group_qwc(pool))
+
+
+@pytest.mark.parametrize("count", [1, 7, 8, 9, 63, 64, 65])
+def test_grouping_matches_the_oracle_across_byte_boundaries(count):
+    """The bitsets hold 8 strings to a byte and are read back 64 at a time:
+    counts on either side of a byte and of a word group as per-string
+    first-fit does."""
+    rng = np.random.default_rng(count)
+    for p in (0.2, 0.5, 1.0):
+        pool = _random_strings(rng, 6, count, p)
+        assert_same_groups(group_qwc(pool), group_qwc_reference(pool))
+
+
+@pytest.mark.parametrize("decode_bytes", [1, 48])
+def test_grouping_reads_members_back_chunk_by_chunk(monkeypatch, decode_bytes):
+    """Member bitsets are read back a bounded number of bytes at a time: one
+    group, then three groups of a 65-string pool (two 64-bit words each), to a
+    chunk give the oracle's groups."""
+    from pdsq import grouping
+
+    monkeypatch.setattr(grouping, "_DECODE_BYTES", decode_bytes)
+    pool = _random_strings(np.random.default_rng(5), 6, 65, 0.5)
+    assert_same_groups(group_qwc(pool), group_qwc_reference(pool))
+
+
+def test_grouping_refuses_bitsets_over_the_memory_budget(monkeypatch):
+    """Four bitsets per qubit, each counted in whole 64-bit words, 9 strings
+    on 3 qubits: 4 * 3 * 8 = 96 bytes.  One byte less of budget stops the
+    grouping before a bitset is built."""
+    from pdsq import budget, grouping
+
+    pool = _random_strings(np.random.default_rng(3), 3, 9, 0.7)
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", 96)
+    assert_same_groups(group_qwc(pool), group_qwc_reference(pool))
+    monkeypatch.setattr(budget, "MEMORY_BUDGET", 95)
+    monkeypatch.setattr(grouping, "_bitset", None)  # building one would raise
+    with pytest.raises(
+        budget.MemoryBudgetError,
+        match=r"^QWC grouping of 9 strings on 3 qubits: 96 bytes exceed the cap "
+        r"MEMORY_BUDGET = 95 bytes$",
+    ):
+        group_qwc(pool)
+
+
 def test_more_than_64_qubits_rejected():
     with pytest.raises(ValueError, match="64"):
         group_qwc([PauliString.from_label("X" * 65)])

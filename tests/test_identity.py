@@ -3,7 +3,11 @@ exactly the artifacts that differ."""
 
 import importlib.util
 import json
+import re
+import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).parents[1]
 # a reduced H2 matrix: a report bundle, a sampled run, a CSV, a written
@@ -40,3 +44,27 @@ def test_two_runs_agree_and_compare_names_only_a_perturbed_artifact(tmp_path, ca
     perturbed.write_text(json.dumps(result))
     assert identity.main(["--compare", str(first), str(perturbed)]) == 1
     assert capsys.readouterr().out.splitlines()[:-1] == ["h2-pds/pds.csv"]
+
+
+def test_one_benchmark_pair_prints_every_end_to_end_metric(capsys):
+    """--pairs 1 runs benchmarks/run.py once on an archive of HEAD and once
+    on the working tree, and prints each end-to-end metric's medians,
+    parent quartiles and lower count, and each side's failed ops."""
+    if subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
+                      capture_output=True).returncode:
+        pytest.skip("not a git checkout: no parent to archive")
+    identity = _load_identity()
+    capsys.readouterr()
+    assert identity.main(["--pairs", "1", "--seconds", "0", "--parent", "HEAD"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert len(lines) == len(names) + 2
+    number = r"[-+0-9.e]+"
+    pattern = (rf"(\S+): parent median ({number}), change median {number}, "
+               rf"parent quartiles ({number})-({number}), change lower in [01]/1 pairs")
+    for name, line in zip(names, lines):
+        match = re.fullmatch(pattern, line)
+        assert match and match[1] == name, line
+        assert float(match[2]) > 0 and match[2] == match[3] == match[4]  # one run a side
+    assert re.fullmatch(r"parent failed ops: 0/[0-9]+", lines[-2])
+    assert re.fullmatch(r"change failed ops: 0/[0-9]+", lines[-1])

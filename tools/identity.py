@@ -2,6 +2,7 @@
 
     python3 tools/identity.py [--src DIR] [--cases PATTERN ...] OUT.json
     python3 tools/identity.py --compare A.json B.json
+    python3 tools/identity.py --pairs N [--workload W] [--seconds S] [--parent REV]
 
 The first form runs every case of CASES (or those whose name matches one of
 the fnmatch PATTERNs) as `python -m pdsq.cli ...` on the package under DIR
@@ -17,6 +18,14 @@ The second form lists the artifacts whose hashes differ, or that only one
 side has, and exits 1 if there are any.  To check a change against its
 parent, run the first form on a `git archive` of the parent and on the
 working tree, then compare.
+
+The third form times a change against its parent: it runs the unchanged
+benchmarks/run.py (`--seed 1 --trace 0`) N times on a `git archive` of REV
+(default HEAD~1) and N times on the working tree, one run at a time, the
+first side alternating pair by pair.  For each end-to-end metric of
+BENCHMARK.json it prints both sides' medians, the parent's quartiles and in
+how many pairs the change read lower, then each side's failed and attempted
+ops.
 """
 
 from __future__ import annotations
@@ -24,14 +33,18 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import hashlib
+import io
 import json
 import os
+import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 THREADS = "1"
 TIMEOUT_S = 1800
 
@@ -181,14 +194,77 @@ def compare(a: dict, b: dict) -> list[str]:
     return sorted(n for n in x.keys() | y.keys() if x.get(n) != y.get(n))
 
 
+def bench_run(tree: Path, workload: str, seconds: float) -> dict:
+    """The result object that benchmarks/run.py of `tree` prints last."""
+    proc = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", "1",
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True, timeout=TIMEOUT_S,
+    )
+    if proc.returncode:
+        raise SystemExit(f"benchmarks/run.py in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _quartiles(values: list[float]) -> tuple[float, float]:
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def pairs(n: int, workload: str, seconds: float, parent: str) -> list[str]:
+    """Lines summarising n alternating benchmark pairs, parent against the
+    working tree."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=tar", parent],
+        capture_output=True, check=True,
+    ).stdout
+    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    runs = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="pdsq-parent-") as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        trees = {"parent": Path(tmp), "change": ROOT}
+        for i in range(n):
+            for side in ("parent", "change")[:: 1 if i % 2 == 0 else -1]:
+                runs[side].append(bench_run(trees[side], workload, seconds))
+                print(f"pair {i + 1} {side}: " + " ".join(
+                    f"{m} {runs[side][-1]['metrics'][m]['value']:.6g}" for m in metrics
+                ), file=sys.stderr)
+    lines = []
+    for m in metrics:
+        a, b = ([r["metrics"][m]["value"] for r in runs[side]] for side in ("parent", "change"))
+        q1, q3 = _quartiles(a)
+        lower = sum(y < x for x, y in zip(a, b))
+        lines.append(f"{m}: parent median {statistics.median(a):.6g}, change median "
+                     f"{statistics.median(b):.6g}, parent quartiles {q1:.6g}-{q3:.6g}, "
+                     f"change lower in {lower}/{n} pairs")
+    for side, results in runs.items():
+        lines.append(f"{side} failed ops: {sum(r['failed'] for r in results)}/"
+                     f"{sum(r['attempted'] for r in results)}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=SRC, help="directory holding the pdsq package")
     parser.add_argument("--cases", nargs="+", default=[], metavar="PATTERN",
                         help="run only the cases matching one of these fnmatch patterns")
     parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"))
+    parser.add_argument("--pairs", type=int, metavar="N",
+                        help="time N benchmark pairs, parent against the working tree")
+    parser.add_argument("--workload", default="h4-exact")
+    parser.add_argument("--seconds", type=float, default=45.0)
+    parser.add_argument("--parent", default="HEAD~1", metavar="REV")
     parser.add_argument("out", nargs="?", type=Path, help="JSON file to write")
     args = parser.parse_args(argv)
+    if args.pairs is not None:
+        if args.pairs < 1:
+            parser.error("--pairs must be at least 1")
+        for line in pairs(args.pairs, args.workload, args.seconds, args.parent):
+            print(line)
+        return 0
     if args.compare:
         a, b = (json.loads(p.read_text()) for p in args.compare)
         if a["blas"] != b["blas"]:
